@@ -44,7 +44,7 @@ int Run(const BenchConfig& config) {
 
   const Workload workload = MustWorkload("CMC", config);
   const Dataset& dataset = workload.dataset;
-  std::unique_ptr<LossMeasure> measure = MakeMeasure("EM");
+  std::unique_ptr<LossMeasure> measure = MakeMeasure("EM").value();
   const PrecomputedLoss loss(workload.scheme, dataset, *measure);
   const size_t k = 10;
 

@@ -15,9 +15,6 @@
 #include "kanon/datasets/adult.h"
 #include "kanon/datasets/art.h"
 #include "kanon/datasets/cmc.h"
-#include "kanon/loss/entropy_measure.h"
-#include "kanon/loss/lm_measure.h"
-#include "kanon/loss/tree_measure.h"
 
 namespace kanon {
 namespace bench {
@@ -76,14 +73,6 @@ Workload MustArtWorkload(size_t n, uint64_t seed) {
   Result<Workload> workload = MakeArtWorkload(n, seed);
   KANON_CHECK(workload.ok(), workload.status().ToString());
   return std::move(workload).value();
-}
-
-std::unique_ptr<LossMeasure> MakeMeasure(const std::string& name) {
-  if (name == "EM") return std::make_unique<EntropyMeasure>();
-  if (name == "LM") return std::make_unique<LmMeasure>();
-  if (name == "TM") return std::make_unique<TreeMeasure>();
-  KANON_CHECK(false, "unknown measure '" + name + "'");
-  return nullptr;
 }
 
 double BestKAnonLoss(const Dataset& dataset, const PrecomputedLoss& loss,

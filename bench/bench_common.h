@@ -47,9 +47,6 @@ Workload MustWorkload(const std::string& name, const BenchConfig& config);
 /// MakeArtWorkload unwrap for the microbenchmarks that scale n directly.
 Workload MustArtWorkload(size_t n, uint64_t seed);
 
-/// Measure factory: "EM" (entropy), "LM", "TM" (tree).
-std::unique_ptr<LossMeasure> MakeMeasure(const std::string& name);
-
 /// Runs every agglomerative variant (basic and modified × the four paper
 /// distance functions) and returns the smallest information loss — the
 /// paper's "best k-anon" row. `variant_losses`, when non-null, receives

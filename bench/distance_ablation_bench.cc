@@ -24,7 +24,8 @@ int Run(const BenchConfig& config) {
   for (const char* dataset_name : {"ART", "ADT", "CMC"}) {
     const Workload workload = MustWorkload(dataset_name, config);
     for (const char* measure_name : {"EM", "LM"}) {
-      std::unique_ptr<LossMeasure> measure = MakeMeasure(measure_name);
+      std::unique_ptr<LossMeasure> measure =
+          MakeMeasure(measure_name).value();
       PrecomputedLoss loss(workload.scheme, workload.dataset, *measure);
 
       std::printf("%s / %s\n", dataset_name, measure_name);

@@ -23,7 +23,7 @@ int Run(const BenchConfig& config) {
   for (const char* dataset_name : {"ADT", "CMC"}) {
     const Workload workload = MustWorkload(dataset_name, config);
     const size_t num_classes = workload.dataset.class_domain().size();
-    std::unique_ptr<LossMeasure> measure = MakeMeasure("EM");
+    std::unique_ptr<LossMeasure> measure = MakeMeasure("EM").value();
     PrecomputedLoss loss(workload.scheme, workload.dataset, *measure);
 
     std::printf("%s (class column '%s', %zu classes)\n", dataset_name,

@@ -37,7 +37,7 @@ int Run(BenchConfig config) {
                "min matches", "global(1,k)?"});
   for (const char* dataset_name : {"ART", "ADT", "CMC"}) {
     const Workload workload = MustWorkload(dataset_name, config);
-    std::unique_ptr<LossMeasure> measure = MakeMeasure("EM");
+    std::unique_ptr<LossMeasure> measure = MakeMeasure("EM").value();
     PrecomputedLoss loss(workload.scheme, workload.dataset, *measure);
     for (size_t k : {5u, 10u}) {
       double sufficient_eps = -1.0;

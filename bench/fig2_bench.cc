@@ -56,7 +56,7 @@ int Run(const BenchConfig& config) {
               config);
 
   const Workload workload = MustWorkload("ADT", config);
-  std::unique_ptr<LossMeasure> measure = MakeMeasure("EM");
+  std::unique_ptr<LossMeasure> measure = MakeMeasure("EM").value();
   PrecomputedLoss loss(workload.scheme, workload.dataset, *measure);
 
   double kanon[4];

@@ -23,7 +23,7 @@ int Run(const BenchConfig& config) {
               config);
 
   const Workload workload = MustWorkload("ADT", config);
-  std::unique_ptr<LossMeasure> measure = MakeMeasure("LM");
+  std::unique_ptr<LossMeasure> measure = MakeMeasure("LM").value();
   PrecomputedLoss loss(workload.scheme, workload.dataset, *measure);
 
   double kanon[4];

@@ -42,7 +42,7 @@ int Run(BenchConfig config) {
                "breached", "deficient", "steps", "max steps", "time"});
   for (const char* dataset_name : {"ART", "ADT", "CMC"}) {
     const Workload workload = MustWorkload(dataset_name, config);
-    std::unique_ptr<LossMeasure> measure = MakeMeasure("EM");
+    std::unique_ptr<LossMeasure> measure = MakeMeasure("EM").value();
     PrecomputedLoss loss(workload.scheme, workload.dataset, *measure);
     for (size_t k : {5u, 10u}) {
       Result<GeneralizedTable> kk = KKAnonymize(
@@ -89,7 +89,7 @@ int Run(BenchConfig config) {
     BenchConfig small = config;
     small.art_n = std::min<size_t>(config.art_n, 300);
     const Workload workload = MustWorkload("ART", small);
-    std::unique_ptr<LossMeasure> measure = MakeMeasure("EM");
+    std::unique_ptr<LossMeasure> measure = MakeMeasure("EM").value();
     PrecomputedLoss loss(workload.scheme, workload.dataset, *measure);
     Result<GeneralizedTable> kk = KKAnonymize(
         workload.dataset, loss, 5, K1Algorithm::kGreedyExpansion);

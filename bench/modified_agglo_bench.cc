@@ -24,7 +24,7 @@ int Run(const BenchConfig& config) {
 
   for (const char* dataset_name : {"ART", "CMC"}) {
     const Workload workload = MustWorkload(dataset_name, config);
-    std::unique_ptr<LossMeasure> measure = MakeMeasure("EM");
+    std::unique_ptr<LossMeasure> measure = MakeMeasure("EM").value();
     PrecomputedLoss loss(workload.scheme, workload.dataset, *measure);
 
     std::printf("%s / EM\n", dataset_name);

@@ -217,18 +217,18 @@ int RunSpeedupJson(size_t n) {
   if (DefaultNumThreads() > 4) counts.push_back(DefaultNumThreads());
 
   struct Pipeline {
-    const char* name;
+    AnonymizationMethod method;
     Result<GeneralizedTable> (*run)(const Workload&, const PrecomputedLoss&,
                                     int);
   };
   const Pipeline pipelines[] = {
-      {"agglomerative",
+      {AnonymizationMethod::kAgglomerative,
        [](const Workload& w, const PrecomputedLoss& loss, int threads) {
          AgglomerativeOptions options;
          options.num_threads = threads;
          return AgglomerativeKAnonymize(w.dataset, loss, 10, options);
        }},
-      {"kk-greedy",
+      {AnonymizationMethod::kKKGreedyExpansion,
        [](const Workload& w, const PrecomputedLoss& loss, int threads) {
          return KKAnonymize(w.dataset, loss, 10,
                             K1Algorithm::kGreedyExpansion, nullptr, threads);
@@ -252,7 +252,7 @@ int RunSpeedupJson(size_t n) {
       std::printf(
           "{\"bench\":\"%s\",\"n\":%zu,\"threads\":%d,"
           "\"seconds\":%.6f,\"speedup\":%.3f}\n",
-          p.name, n, threads, seconds,
+          MethodShortName(p.method), n, threads, seconds,
           seconds > 0.0 ? baseline / seconds : 0.0);
     }
   }
@@ -269,20 +269,13 @@ int RunPhaseJson(size_t n) {
   const Workload w = bench::MustArtWorkload(n, 99);
   const PrecomputedLoss loss(w.scheme, w.dataset, EntropyMeasure());
 
-  struct Mode {
-    const char* name;
-    AnonymizationMethod method;
-  };
-  const Mode modes[] = {
-      {"agglomerative", AnonymizationMethod::kAgglomerative},
-      {"kk-greedy", AnonymizationMethod::kKKGreedyExpansion},
-      {"global", AnonymizationMethod::kGlobal},
-  };
-  for (const Mode& mode : modes) {
+  for (AnonymizationMethod method :
+       {AnonymizationMethod::kAgglomerative,
+        AnonymizationMethod::kKKGreedyExpansion, AnonymizationMethod::kGlobal}) {
     Tracer tracer;
     AnonymizerConfig config;
     config.k = 10;
-    config.method = mode.method;
+    config.method = method;
     config.num_threads = DefaultNumThreads();
     config.tracer = &tracer;
     const Result<AnonymizationResult> result =
@@ -314,7 +307,7 @@ int RunPhaseJson(size_t n) {
           "{\"bench\":\"%s\",\"n\":%zu,\"phase\":\"%s\","
           "\"spans\":%llu,\"seconds\":%.6f,\"fraction\":%.3f,"
           "\"items\":%llu}\n",
-          mode.name, n, phase.c_str(),
+          MethodShortName(method), n, phase.c_str(),
           static_cast<unsigned long long>(agg.spans), agg.seconds,
           total_seconds > 0.0 ? agg.seconds / total_seconds : 0.0,
           static_cast<unsigned long long>(agg.items));
@@ -322,7 +315,8 @@ int RunPhaseJson(size_t n) {
     std::printf(
         "{\"bench\":\"%s\",\"n\":%zu,\"phase\":\"total\",\"spans\":1,"
         "\"seconds\":%.6f,\"fraction\":1.000,\"items\":%llu}\n",
-        mode.name, n, total_seconds, static_cast<unsigned long long>(n));
+        MethodShortName(method), n, total_seconds,
+        static_cast<unsigned long long>(n));
   }
   return 0;
 }

@@ -58,7 +58,8 @@ int Run(const BenchConfig& config) {
 
   for (const PaperBlock& block : kPaperTable1) {
     const Workload workload = MustWorkload(block.dataset, config);
-    std::unique_ptr<LossMeasure> measure = MakeMeasure(block.measure);
+    std::unique_ptr<LossMeasure> measure =
+        MakeMeasure(block.measure).value();
     PrecomputedLoss loss(workload.scheme, workload.dataset, *measure);
 
     double kanon[4];

@@ -19,25 +19,41 @@ namespace kanon {
 
 namespace {
 
-// Root-span labels: one literal per method (SpanEvent stores const char*).
-const char* PipelineSpanName(AnonymizationMethod method) {
-  switch (method) {
-    case AnonymizationMethod::kAgglomerative:
-      return "pipeline/agglomerative";
-    case AnonymizationMethod::kModifiedAgglomerative:
-      return "pipeline/modified-agglomerative";
-    case AnonymizationMethod::kForest:
-      return "pipeline/forest";
-    case AnonymizationMethod::kKKNearestNeighbors:
-      return "pipeline/kk-nearest-neighbors";
-    case AnonymizationMethod::kKKGreedyExpansion:
-      return "pipeline/kk-greedy-expansion";
-    case AnonymizationMethod::kGlobal:
-      return "pipeline/global-1k";
-    case AnonymizationMethod::kFullDomain:
-      return "pipeline/full-domain";
+// The method vocabulary: one row per AnonymizationMethod.
+struct MethodInfo {
+  AnonymizationMethod method;
+  const char* short_name;
+  const char* long_name;
+  // Root-span label; a literal because SpanEvent stores const char*.
+  const char* span_name;
+  AnonymityNotion notion;
+};
+
+constexpr MethodInfo kMethods[] = {
+    {AnonymizationMethod::kAgglomerative, "agglomerative", "agglomerative",
+     "pipeline/agglomerative", AnonymityNotion::kKAnonymity},
+    {AnonymizationMethod::kModifiedAgglomerative, "modified",
+     "modified-agglomerative", "pipeline/modified-agglomerative",
+     AnonymityNotion::kKAnonymity},
+    {AnonymizationMethod::kForest, "forest", "forest", "pipeline/forest",
+     AnonymityNotion::kKAnonymity},
+    {AnonymizationMethod::kKKNearestNeighbors, "kk-nn", "kk-nearest-neighbors",
+     "pipeline/kk-nearest-neighbors", AnonymityNotion::kKK},
+    {AnonymizationMethod::kKKGreedyExpansion, "kk-greedy",
+     "kk-greedy-expansion", "pipeline/kk-greedy-expansion",
+     AnonymityNotion::kKK},
+    {AnonymizationMethod::kGlobal, "global", "global-1k", "pipeline/global-1k",
+     AnonymityNotion::kGlobalOneK},
+    {AnonymizationMethod::kFullDomain, "full-domain", "full-domain",
+     "pipeline/full-domain", AnonymityNotion::kKAnonymity},
+};
+
+const MethodInfo& Info(AnonymizationMethod method) {
+  for (const MethodInfo& info : kMethods) {
+    if (info.method == method) return info;
   }
-  return "pipeline/unknown";
+  KANON_CHECK(false, "unknown anonymization method");
+  return kMethods[0];
 }
 
 // The whole method switch, templated on an already-dispatched policy: from
@@ -102,23 +118,31 @@ Result<GeneralizedTable> RunPipeline(const Dataset& dataset,
 }  // namespace
 
 const char* AnonymizationMethodName(AnonymizationMethod method) {
-  switch (method) {
-    case AnonymizationMethod::kAgglomerative:
-      return "agglomerative";
-    case AnonymizationMethod::kModifiedAgglomerative:
-      return "modified-agglomerative";
-    case AnonymizationMethod::kForest:
-      return "forest";
-    case AnonymizationMethod::kKKNearestNeighbors:
-      return "kk-nearest-neighbors";
-    case AnonymizationMethod::kKKGreedyExpansion:
-      return "kk-greedy-expansion";
-    case AnonymizationMethod::kGlobal:
-      return "global-1k";
-    case AnonymizationMethod::kFullDomain:
-      return "full-domain";
+  return Info(method).long_name;
+}
+
+const char* MethodShortName(AnonymizationMethod method) {
+  return Info(method).short_name;
+}
+
+Result<AnonymizationMethod> ParseMethodShortName(const std::string& name) {
+  for (const MethodInfo& info : kMethods) {
+    if (name == info.short_name) return info.method;
   }
-  return "unknown";
+  return Status::InvalidArgument("unknown method '" + name + "'");
+}
+
+const std::vector<AnonymizationMethod>& AllMethods() {
+  static const std::vector<AnonymizationMethod> methods = [] {
+    std::vector<AnonymizationMethod> all;
+    for (const MethodInfo& info : kMethods) all.push_back(info.method);
+    return all;
+  }();
+  return methods;
+}
+
+AnonymityNotion PromisedNotion(AnonymizationMethod method) {
+  return Info(method).notion;
 }
 
 void PublishCounters(const EngineCounters& counters, MetricsRegistry* metrics) {
@@ -167,7 +191,7 @@ Result<AnonymizationResult> Anonymize(const Dataset& dataset,
   // Install the run's telemetry sinks for this thread: engines and the
   // parallel sweep issuer pick them up via CurrentTracer()/CurrentMetrics().
   const ScopedTelemetry telemetry(config.tracer, config.metrics);
-  PhaseSpan pipeline_span(config.tracer, PipelineSpanName(config.method));
+  PhaseSpan pipeline_span(config.tracer, Info(config.method).span_name);
   EngineCounters counters;
   // The one runtime distance dispatch of the whole run: the enum becomes a
   // compile-time policy here, and RunPipeline's method switch runs on the

@@ -6,6 +6,7 @@
 
 #include "kanon/algo/core/engine_counters.h"
 #include "kanon/algo/distance.h"
+#include "kanon/anonymity/verify.h"
 #include "kanon/common/result.h"
 #include "kanon/common/run_context.h"
 #include "kanon/data/dataset.h"
@@ -35,7 +36,23 @@ enum class AnonymizationMethod {
   kFullDomain,
 };
 
+/// Long name, e.g. "modified-agglomerative": the golden files, the
+/// --stats-json "method" field and the shard-manifest fingerprints use it.
 const char* AnonymizationMethodName(AnonymizationMethod method);
+
+/// The run vocabulary's method names (agglomerative, modified, forest,
+/// kk-nn, kk-greedy, global, full-domain): kanon_cli --method, the kanond
+/// submit param, .repro files and kanon_check failure kinds.
+const char* MethodShortName(AnonymizationMethod method);
+/// Inverse of MethodShortName; unknown names are InvalidArgument.
+Result<AnonymizationMethod> ParseMethodShortName(const std::string& name);
+
+/// All seven pipelines, in enum order.
+const std::vector<AnonymizationMethod>& AllMethods();
+
+/// The anonymity notion a pipeline promises: the contract every output
+/// path verifies before it publishes.
+AnonymityNotion PromisedNotion(AnonymizationMethod method);
 
 struct AnonymizerConfig {
   size_t k = 5;

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "kanon/algo/core/engine_counters.h"
+#include "kanon/common/hash.h"
 #include "kanon/generalization/generalized_table.h"
 #include "kanon/generalization/scheme.h"
 #include "kanon/loss/precomputed_loss.h"
@@ -80,12 +81,9 @@ class ClosureStore {
   struct RecordHash {
     size_t operator()(const GeneralizedRecord& record) const {
       // FNV-1a over the set ids; closures are short (one id per attribute).
-      size_t h = 1469598103934665603ull;
-      for (SetId id : record) {
-        h ^= static_cast<size_t>(id);
-        h *= 1099511628211ull;
-      }
-      return h;
+      uint64_t h = kFnv1aOffsetBasis;
+      for (SetId id : record) h = Fnv1aWord(h, id);
+      return static_cast<size_t>(h);
     }
   };
 

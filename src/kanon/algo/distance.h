@@ -4,6 +4,8 @@
 #include <cstddef>
 #include <string>
 
+#include "kanon/common/result.h"
+
 namespace kanon {
 
 /// The cluster distance functions of Section V-A.2. All are defined in
@@ -28,8 +30,15 @@ inline constexpr DistanceFunction kAllDistanceFunctions[] = {
     DistanceFunction::kLogWeighted, DistanceFunction::kRatio,
     DistanceFunction::kNergizClifton};
 
-/// Short name, e.g. "dist1(8)".
+/// Report label, e.g. "dist1(8)".
 std::string DistanceFunctionName(DistanceFunction f);
+
+/// The run vocabulary's distance names: 1 to 4 for equations (8)-(11) and
+/// nc for Nergiz-Clifton, as kanon_cli --distance, the kanond submit param
+/// and .repro files spell them.
+const char* DistanceShortName(DistanceFunction f);
+/// Inverse of DistanceShortName; unknown names are InvalidArgument.
+Result<DistanceFunction> ParseDistanceShortName(const std::string& name);
 
 /// Parameters shared by the distance functions.
 struct DistanceParams {

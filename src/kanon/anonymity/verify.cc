@@ -9,20 +9,46 @@
 
 namespace kanon {
 
-const char* AnonymityNotionName(AnonymityNotion notion) {
-  switch (notion) {
-    case AnonymityNotion::kKAnonymity:
-      return "k-anonymity";
-    case AnonymityNotion::kOneK:
-      return "(1,k)-anonymity";
-    case AnonymityNotion::kKOne:
-      return "(k,1)-anonymity";
-    case AnonymityNotion::kKK:
-      return "(k,k)-anonymity";
-    case AnonymityNotion::kGlobalOneK:
-      return "global (1,k)-anonymity";
+namespace {
+
+// The notion vocabulary: one row per AnonymityNotion.
+struct NotionInfo {
+  AnonymityNotion notion;
+  const char* short_name;
+  const char* display_name;
+};
+
+constexpr NotionInfo kNotions[] = {
+    {AnonymityNotion::kKAnonymity, "k-anonymity", "k-anonymity"},
+    {AnonymityNotion::kOneK, "1k", "(1,k)-anonymity"},
+    {AnonymityNotion::kKOne, "k1", "(k,1)-anonymity"},
+    {AnonymityNotion::kKK, "kk", "(k,k)-anonymity"},
+    {AnonymityNotion::kGlobalOneK, "global-1k", "global (1,k)-anonymity"},
+};
+
+const NotionInfo& Info(AnonymityNotion notion) {
+  for (const NotionInfo& info : kNotions) {
+    if (info.notion == notion) return info;
   }
-  return "unknown";
+  KANON_CHECK(false, "unknown anonymity notion");
+  return kNotions[0];
+}
+
+}  // namespace
+
+const char* AnonymityNotionName(AnonymityNotion notion) {
+  return Info(notion).display_name;
+}
+
+const char* NotionShortName(AnonymityNotion notion) {
+  return Info(notion).short_name;
+}
+
+Result<AnonymityNotion> ParseNotionShortName(const std::string& name) {
+  for (const NotionInfo& info : kNotions) {
+    if (name == info.short_name) return info.notion;
+  }
+  return Status::InvalidArgument("unknown notion '" + name + "'");
 }
 
 namespace {

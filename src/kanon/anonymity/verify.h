@@ -20,7 +20,14 @@ enum class AnonymityNotion {
   kGlobalOneK,      // Global (1,k): Definition 4.6.
 };
 
+/// Display name, e.g. "(k,k)-anonymity": summary lines and verify replies.
 const char* AnonymityNotionName(AnonymityNotion notion);
+
+/// The run vocabulary's notion names (k-anonymity, 1k, k1, kk, global-1k),
+/// as the kanond verify request takes them.
+const char* NotionShortName(AnonymityNotion notion);
+/// Inverse of NotionShortName; unknown names are InvalidArgument.
+Result<AnonymityNotion> ParseNotionShortName(const std::string& name);
 
 /// The verifiers take untrusted (dataset, table, k) triples — e.g. files a
 /// user asks `kanon_cli --verify` about — so argument problems (k = 0,

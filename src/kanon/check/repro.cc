@@ -81,8 +81,8 @@ std::string FormatRepro(const ReproCase& repro) {
   out += "trial " + std::to_string(repro.data.config.trial_index) + "\n";
   out += "k " + std::to_string(repro.data.config.k) + "\n";
   out += "measure " + repro.data.config.measure + "\n";
-  out += std::string("distance ") + DistanceName(repro.data.config.distance) +
-         "\n";
+  out += std::string("distance ") +
+         DistanceShortName(repro.data.config.distance) + "\n";
   for (AnonymizationMethod method : repro.data.config.methods) {
     out += std::string("method ") + MethodShortName(method) + "\n";
   }
@@ -175,7 +175,7 @@ Result<ReproCase> ParseRepro(const std::string& text) {
       repro.data.config.measure = tokens[1];
     } else if (keyword == "distance" && tokens.size() == 2) {
       KANON_ASSIGN_OR_RETURN(repro.data.config.distance,
-                             ParseDistanceName(tokens[1]));
+                             ParseDistanceShortName(tokens[1]));
     } else if (keyword == "method" && tokens.size() == 2) {
       KANON_ASSIGN_OR_RETURN(const AnonymizationMethod method,
                              ParseMethodShortName(tokens[1]));

@@ -1,7 +1,6 @@
 #ifndef KANON_CHECK_TRIAL_H_
 #define KANON_CHECK_TRIAL_H_
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -11,7 +10,6 @@
 #include "kanon/common/result.h"
 #include "kanon/data/dataset.h"
 #include "kanon/generalization/scheme.h"
-#include "kanon/loss/measure.h"
 
 namespace kanon {
 namespace check {
@@ -26,7 +24,7 @@ struct TrialConfig {
   uint64_t seed = 0;
   size_t trial_index = 0;
   size_t k = 2;
-  /// Loss measure name: EM, LM, or SUP.
+  /// Loss measure name (MakeMeasure); trials draw EM, LM, or SUP.
   std::string measure = "EM";
   DistanceFunction distance = DistanceFunction::kRatio;
   /// The pipelines this trial exercises. Properties iterate these; the
@@ -44,25 +42,11 @@ struct TrialData {
   size_t num_attributes() const { return dataset.num_attributes(); }
 };
 
-/// All seven pipelines, in the canonical (enum) order.
-const std::vector<AnonymizationMethod>& AllMethods();
-
-/// The anonymity notion a pipeline promises (the contract its output is
-/// verified against).
-AnonymityNotion PromisedNotion(AnonymizationMethod method);
-
-/// CLI-style short method names ("agglomerative", "modified", "forest",
-/// "kk-nn", "kk-greedy", "global", "full-domain") — the vocabulary of
-/// --props filters and .repro files.
-const char* MethodShortName(AnonymizationMethod method);
-Result<AnonymizationMethod> ParseMethodShortName(const std::string& name);
-
-/// Distance-function names ("1".."4", "nc"), as in kanon_cli --distance.
-const char* DistanceName(DistanceFunction distance);
-Result<DistanceFunction> ParseDistanceName(const std::string& name);
-
-/// Loss measure by name: EM, LM, or SUP.
-Result<std::unique_ptr<LossMeasure>> MakeMeasure(const std::string& name);
+/// The run vocabulary (method, distance, notion and measure names) lives
+/// with the enums it names. These two are kept under check:: for callers
+/// that spell them that way.
+using kanon::ParseMethodShortName;
+using kanon::PromisedNotion;
 
 /// Materializes trial `trial_index` of a campaign: generator substream
 /// Rng(campaign_seed).Fork(trial_index), so trials are order-independent

@@ -2,6 +2,8 @@
 
 #include <deque>
 
+#include "kanon/common/hash.h"
+
 namespace kanon {
 
 namespace {
@@ -25,12 +27,7 @@ Rng Rng::Fork(uint64_t label) const {
 
 Rng Rng::Fork(std::string_view label) const {
   // FNV-1a over the label bytes, then the integer fork path.
-  uint64_t hash = 0xcbf29ce484222325ULL;
-  for (char c : label) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001b3ULL;
-  }
-  return Fork(hash);
+  return Fork(Fnv1a(label.data(), label.size()));
 }
 
 size_t Rng::NextWeighted(const std::vector<double>& weights) {

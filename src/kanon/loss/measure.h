@@ -2,9 +2,11 @@
 #define KANON_LOSS_MEASURE_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "kanon/common/result.h"
 #include "kanon/generalization/hierarchy.h"
 
 namespace kanon {
@@ -29,6 +31,12 @@ class LossMeasure {
                          const std::vector<uint32_t>& counts,
                          SetId set) const = 0;
 };
+
+/// Builds a measure from its run-vocabulary name, which is also its name():
+/// EM (entropy), LM, TM (tree) or SUP (suppression), as kanon_cli
+/// --measure, the kanond submit param and .repro files spell it. Unknown
+/// names are InvalidArgument.
+Result<std::unique_ptr<LossMeasure>> MakeMeasure(const std::string& name);
 
 }  // namespace kanon
 

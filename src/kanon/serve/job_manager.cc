@@ -288,9 +288,11 @@ void JobManager::RunJob(Job* job) {
                 "unknown measure '" + job->request.measure_name + "'"))
           : Anonymize(job->request.dataset, *loss, config);
 
-  // From here on the run is finished, so reading the tracer is safe; the
-  // trace is rendered and cached for every terminal state — the trace of
-  // a failed job is precisely the one worth retrieving.
+  // From here on the run is finished, so reading the tracer is safe. The
+  // trace is cached for every terminal state (the trace of a failed job is
+  // precisely the one worth retrieving), and before that state is
+  // published, so a client that polls `done` can fetch it at once.
+  if (tracer != nullptr) StoreTrace(job->id, ChromeTraceJson(*tracer));
   if (!result.ok()) {
     {
       std::lock_guard<std::mutex> lock(job->mu);
@@ -299,7 +301,6 @@ void JobManager::RunJob(Job* job) {
       job->outcome.error = result.status().ToString();
     }
     if (jobs_failed_ != nullptr) jobs_failed_->Add();
-    if (tracer != nullptr) StoreTrace(job->id, ChromeTraceJson(*tracer));
     KANON_LOG_EVENT(options_.logger, options_.flight, LogLevel::kError,
                     "job.failed", LogField::U64("job_id", job->id),
                     LogField::Str("error", result.status().ToString()));
@@ -316,7 +317,6 @@ void JobManager::RunJob(Job* job) {
       job->outcome.error = csv_status.ToString();
     }
     if (jobs_failed_ != nullptr) jobs_failed_->Add();
-    if (tracer != nullptr) StoreTrace(job->id, ChromeTraceJson(*tracer));
     KANON_LOG_EVENT(options_.logger, options_.flight, LogLevel::kError,
                     "job.failed", LogField::U64("job_id", job->id),
                     LogField::Str("error", csv_status.ToString()));
@@ -366,7 +366,6 @@ void JobManager::RunJob(Job* job) {
   if (job_seconds_window_ != nullptr) {
     job_seconds_window_->Observe(result->elapsed_seconds);
   }
-  if (tracer != nullptr) StoreTrace(job->id, ChromeTraceJson(*tracer));
   KANON_LOG_EVENT(options_.logger, options_.flight, LogLevel::kInfo,
                   "job.done", LogField::U64("job_id", job->id),
                   LogField::Dbl("seconds", result->elapsed_seconds),

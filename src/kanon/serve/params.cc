@@ -4,64 +4,9 @@
 
 #include "kanon/data/csv.h"
 #include "kanon/generalization/scheme_spec.h"
-#include "kanon/loss/entropy_measure.h"
-#include "kanon/loss/lm_measure.h"
-#include "kanon/loss/suppression_measure.h"
-#include "kanon/loss/tree_measure.h"
 
 namespace kanon {
 namespace serve {
-
-Result<AnonymizationMethod> ParseMethodName(const std::string& name) {
-  if (name == "agglomerative") return AnonymizationMethod::kAgglomerative;
-  if (name == "modified") return AnonymizationMethod::kModifiedAgglomerative;
-  if (name == "forest") return AnonymizationMethod::kForest;
-  if (name == "kk-nn") return AnonymizationMethod::kKKNearestNeighbors;
-  if (name == "kk-greedy") return AnonymizationMethod::kKKGreedyExpansion;
-  if (name == "global") return AnonymizationMethod::kGlobal;
-  if (name == "full-domain") return AnonymizationMethod::kFullDomain;
-  return Status::InvalidArgument("unknown method '" + name + "'");
-}
-
-Result<DistanceFunction> ParseDistanceName(const std::string& name) {
-  if (name == "1") return DistanceFunction::kWeighted;
-  if (name == "2") return DistanceFunction::kPlain;
-  if (name == "3") return DistanceFunction::kLogWeighted;
-  if (name == "4") return DistanceFunction::kRatio;
-  if (name == "nc") return DistanceFunction::kNergizClifton;
-  return Status::InvalidArgument("unknown distance '" + name + "'");
-}
-
-Result<AnonymityNotion> ParseNotionName(const std::string& name) {
-  if (name == "k-anonymity") return AnonymityNotion::kKAnonymity;
-  if (name == "1k") return AnonymityNotion::kOneK;
-  if (name == "k1") return AnonymityNotion::kKOne;
-  if (name == "kk") return AnonymityNotion::kKK;
-  if (name == "global-1k") return AnonymityNotion::kGlobalOneK;
-  return Status::InvalidArgument("unknown notion '" + name + "'");
-}
-
-Result<std::unique_ptr<LossMeasure>> MakeMeasure(const std::string& name) {
-  std::unique_ptr<LossMeasure> measure;
-  if (name == "EM") measure = std::make_unique<EntropyMeasure>();
-  if (name == "LM") measure = std::make_unique<LmMeasure>();
-  if (name == "TM") measure = std::make_unique<TreeMeasure>();
-  if (name == "SUP") measure = std::make_unique<SuppressionMeasure>();
-  if (measure == nullptr) {
-    return Status::InvalidArgument("unknown measure '" + name + "'");
-  }
-  return measure;
-}
-
-uint64_t Fnv1a(const void* data, size_t len, uint64_t seed) {
-  const unsigned char* bytes = static_cast<const unsigned char*>(data);
-  uint64_t hash = seed;
-  for (size_t i = 0; i < len; ++i) {
-    hash ^= bytes[i];
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
 
 uint64_t DatasetFingerprint(const Dataset& dataset) {
   const size_t n = dataset.num_rows();

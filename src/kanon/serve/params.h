@@ -8,29 +8,18 @@
 #include <unordered_map>
 #include <vector>
 
-#include "kanon/algo/anonymizer.h"
-#include "kanon/anonymity/verify.h"
+#include "kanon/common/hash.h"
 #include "kanon/common/result.h"
 #include "kanon/data/dataset.h"
 #include "kanon/generalization/scheme.h"
-#include "kanon/loss/measure.h"
 #include "kanon/telemetry/metrics.h"
 
 namespace kanon {
 namespace serve {
 
-/// Wire-name parsing shared by the request handlers and the client CLI.
-/// The names match kanon_cli's flags exactly (docs/serving.md), so a job
-/// submitted over the wire and a CLI run with the same arguments produce
-/// byte-identical tables — the e2e harness's core assertion.
-Result<AnonymizationMethod> ParseMethodName(const std::string& name);
-Result<DistanceFunction> ParseDistanceName(const std::string& name);
-Result<AnonymityNotion> ParseNotionName(const std::string& name);
-Result<std::unique_ptr<LossMeasure>> MakeMeasure(const std::string& name);
-
-/// FNV-1a 64-bit over a byte range, chainable via `seed`.
-uint64_t Fnv1a(const void* data, size_t len,
-               uint64_t seed = 14695981039346656037ull);
+/// Kept under serve:: for callers that spell it so; common/hash.h defines
+/// it.
+using kanon::Fnv1a;
 
 /// Fingerprint of a dataset's coded cells plus its shape — the key the
 /// hot-state caches use to recognize a resubmitted table.

@@ -378,14 +378,14 @@ std::string Server::HandleSubmit(const Request& request, uint64_t request_id) {
   }
   job.k = static_cast<size_t>(k);
   Result<AnonymizationMethod> method =
-      ParseMethodName(params.GetString("method", "agglomerative"));
+      ParseMethodShortName(params.GetString("method", "agglomerative"));
   if (!method.ok()) {
     return ErrorResponse(request.id, ErrorCode::kInvalidParams,
                          method.status().message());
   }
   job.method = *method;
   Result<DistanceFunction> distance =
-      ParseDistanceName(params.GetString("distance", "4"));
+      ParseDistanceShortName(params.GetString("distance", "4"));
   if (!distance.ok()) {
     return ErrorResponse(request.id, ErrorCode::kInvalidParams,
                          distance.status().message());
@@ -398,8 +398,13 @@ std::string Server::HandleSubmit(const Request& request, uint64_t request_id) {
     return ErrorResponse(request.id, ErrorCode::kInvalidParams,
                          "unknown measure '" + job.measure_name + "'");
   }
-  if (const Json* weights = params.Find("attr_weights");
-      weights != nullptr && weights->is_array()) {
+  if (const Json* weights = params.Find("attr_weights"); weights != nullptr) {
+    // kanon_cli --attr-weights=2,1 runs weighted, so a weight list the
+    // daemon cannot read must not quietly run unweighted.
+    if (!weights->is_array()) {
+      return ErrorResponse(request.id, ErrorCode::kInvalidParams,
+                           "params.attr_weights must be an array of numbers");
+    }
     for (const Json& w : weights->array_items()) {
       if (!w.is_number()) {
         return ErrorResponse(request.id, ErrorCode::kInvalidParams,
@@ -543,7 +548,7 @@ std::string Server::HandleVerify(const Request& request) {
                          "params.k must be a positive integer");
   }
   Result<AnonymityNotion> notion =
-      ParseNotionName(params.GetString("notion", "k-anonymity"));
+      ParseNotionShortName(params.GetString("notion", "k-anonymity"));
   if (!notion.ok()) {
     return ErrorResponse(request.id, ErrorCode::kInvalidParams,
                          notion.status().message());

@@ -12,21 +12,9 @@ namespace shard {
 
 namespace {
 
-constexpr uint64_t kFnvPrime = 1099511628211ULL;
-
 namespace fs = std::filesystem;
 
 }  // namespace
-
-void Hasher::Update(const void* data, size_t size) {
-  const unsigned char* bytes = static_cast<const unsigned char*>(data);
-  uint64_t h = state_;
-  for (size_t i = 0; i < size; ++i) {
-    h ^= bytes[i];
-    h *= kFnvPrime;
-  }
-  state_ = h;
-}
 
 std::string ChecksumHex(uint64_t digest) {
   char buffer[17];

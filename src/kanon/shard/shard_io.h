@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <string>
 
+#include "kanon/common/hash.h"
 #include "kanon/common/result.h"
 
 namespace kanon {
@@ -32,17 +33,9 @@ namespace shard {
 ///   shard.checksum      — checksum verification reports an injected
 ///                         mismatch even on good bytes.
 
-/// FNV-1a 64-bit running hash — the content checksum of every committed
-/// file, cheap enough to pay on the 1M-row path.
-class Hasher {
- public:
-  void Update(const void* data, size_t size);
-  void Update(const std::string& text) { Update(text.data(), text.size()); }
-  uint64_t digest() const { return state_; }
-
- private:
-  uint64_t state_ = 14695981039346656037ULL;  // FNV offset basis.
-};
+/// The content checksum of every committed file: running FNV-1a, cheap
+/// enough to pay on the 1M-row path.
+using Hasher = Fnv1aHasher;
 
 /// Lower-case hex rendering of a checksum, fixed 16 digits.
 std::string ChecksumHex(uint64_t digest);

@@ -2,7 +2,11 @@
 // generator determinism, property selection, reproducer round-trips, the
 // failure shrinker, and campaign smoke runs. docs/checking.md documents
 // the property catalog these exercise.
+#include <functional>
+#include <memory>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "kanon/check/campaign.h"
@@ -79,14 +83,69 @@ TEST(TrialTest, MakeTrialDependsOnlyOnSeedAndIndex) {
   EXPECT_TRUE(SameDataset(direct->dataset, again->dataset));
 }
 
-TEST(TrialTest, MethodShortNamesRoundTrip) {
-  for (AnonymizationMethod method : AllMethods()) {
-    Result<AnonymizationMethod> parsed =
-        ParseMethodShortName(MethodShortName(method));
-    ASSERT_TRUE(parsed.ok());
-    EXPECT_EQ(*parsed, method);
+// The run vocabulary kanon_cli, kanond and .repro files share: every value's
+// name is distinct and parses back to a value printing the same name, and
+// an unknown name is InvalidArgument.
+TEST(TrialTest, RunVocabularyRoundTrips) {
+  std::vector<std::string> methods;
+  for (AnonymizationMethod m : AllMethods()) {
+    methods.push_back(MethodShortName(m));
   }
-  EXPECT_FALSE(ParseMethodShortName("bogus").ok());
+  std::vector<std::string> distances;
+  for (DistanceFunction f : kAllDistanceFunctions) {
+    distances.push_back(DistanceShortName(f));
+  }
+  std::vector<std::string> notions;
+  for (AnonymityNotion n :
+       {AnonymityNotion::kKAnonymity, AnonymityNotion::kOneK,
+        AnonymityNotion::kKOne, AnonymityNotion::kKK,
+        AnonymityNotion::kGlobalOneK}) {
+    notions.push_back(NotionShortName(n));
+  }
+  using Reprint = std::function<Result<std::string>(const std::string&)>;
+  const struct {
+    const char* vocabulary;
+    std::vector<std::string> names;
+    size_t expected_size;
+    Reprint reprint;  // Parse the name, then print the parsed value.
+  } rows[] = {
+      {"method", methods, 7,
+       [](const std::string& name) -> Result<std::string> {
+         KANON_ASSIGN_OR_RETURN(AnonymizationMethod m,
+                                ParseMethodShortName(name));
+         return std::string(MethodShortName(m));
+       }},
+      {"distance", distances, 5,
+       [](const std::string& name) -> Result<std::string> {
+         KANON_ASSIGN_OR_RETURN(DistanceFunction f,
+                                ParseDistanceShortName(name));
+         return std::string(DistanceShortName(f));
+       }},
+      {"notion", notions, 5,
+       [](const std::string& name) -> Result<std::string> {
+         KANON_ASSIGN_OR_RETURN(AnonymityNotion n, ParseNotionShortName(name));
+         return std::string(NotionShortName(n));
+       }},
+      {"measure", {"EM", "LM", "TM", "SUP"}, 4,
+       [](const std::string& name) -> Result<std::string> {
+         KANON_ASSIGN_OR_RETURN(std::unique_ptr<LossMeasure> m,
+                                MakeMeasure(name));
+         return m->name();
+       }},
+  };
+  for (const auto& row : rows) {
+    SCOPED_TRACE(row.vocabulary);
+    EXPECT_EQ(std::set<std::string>(row.names.begin(), row.names.end()).size(),
+              row.expected_size);
+    for (const std::string& name : row.names) {
+      Result<std::string> again = row.reprint(name);
+      ASSERT_TRUE(again.ok()) << name << ": " << again.status().ToString();
+      EXPECT_EQ(*again, name);
+    }
+    Result<std::string> unknown = row.reprint("bogus");
+    ASSERT_FALSE(unknown.ok());
+    EXPECT_EQ(unknown.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(PropertyTest, CatalogNamesAreUniqueAndFindable) {

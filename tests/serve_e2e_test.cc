@@ -194,6 +194,29 @@ TEST(ServeE2eTest, CaptureTraceRoundTripsAChromeTrace) {
   EXPECT_TRUE(saw_done);
 }
 
+TEST(ServeE2eTest, TraceIsFetchableAsSoonAsPollSaysDone) {
+  // The daemon stores a job's trace before it publishes the terminal state,
+  // so a fetch_trace sent the moment a poll says `done` never finds the
+  // trace missing. Each job is polled without pause to hit that moment.
+  TestServer server;
+  Client client = server.Connect();
+  for (size_t i = 0; i < 10; ++i) {
+    SCOPED_TRACE("job " + std::to_string(i));
+    Json traced = Json::Object();
+    traced.Set("capture_trace", Json::Bool(true));
+    const uint64_t job_id =
+        SubmitJob(client, SyntheticCsv(16 + i), 2, std::move(traced));
+    Json state =
+        testing::Unwrap(client.WaitJob(job_id, /*poll_interval_ms=*/0));
+    ASSERT_EQ(state.GetString("state", ""), "done");
+    Json params = Json::Object();
+    params.Set("job_id", Json::Number(static_cast<int64_t>(job_id)));
+    Result<Json> fetched = client.Call("fetch_trace", std::move(params));
+    ASSERT_TRUE(fetched.ok()) << fetched.status().ToString();
+    EXPECT_FALSE(fetched->GetString("trace", "").empty());
+  }
+}
+
 TEST(ServeE2eTest, ResubmissionHitsSchemeAndLossCaches) {
   TestServer server;
   Client client = server.Connect();

@@ -140,6 +140,15 @@ TEST(ServeProtocolTest, MethodLevelParamErrorsAreTyped) {
       testing::Unwrap(client.CallRaw("submit", std::move(params)));
   EXPECT_EQ(bad_method.Find("error")->GetString("code", ""),
             "invalid_params");
+  // submit with attr_weights spelled as kanon_cli's flag value, not an
+  // array: refused, never run unweighted.
+  params = Json::Object();
+  params.Set("csv", Json::Str(SyntheticCsv(8)));
+  params.Set("attr_weights", Json::Str("2,1"));
+  Json bad_weights =
+      testing::Unwrap(client.CallRaw("submit", std::move(params)));
+  EXPECT_EQ(bad_weights.Find("error")->GetString("code", ""),
+            "invalid_params");
   // poll with a string job id; poll/fetch of an unknown job.
   params = Json::Object();
   params.Set("job_id", Json::Str("one"));

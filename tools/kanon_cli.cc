@@ -64,6 +64,7 @@
 //   3  degraded output (deadline or step budget) that still verifies
 //   4  cancelled by SIGINT, with a valid partial table written
 #include <csignal>
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -78,10 +79,6 @@
 #include "kanon/data/csv.h"
 #include "kanon/generalization/generalized_csv.h"
 #include "kanon/generalization/scheme_spec.h"
-#include "kanon/loss/entropy_measure.h"
-#include "kanon/loss/lm_measure.h"
-#include "kanon/loss/suppression_measure.h"
-#include "kanon/loss/tree_measure.h"
 #include "kanon/loss/utility_report.h"
 #include "kanon/shard/driver.h"
 #include "kanon/telemetry/progress.h"
@@ -98,24 +95,24 @@ void HandleSigint(int /*signum*/) {
   if (g_cancel_token != nullptr) g_cancel_token->Cancel();
 }
 
-Result<AnonymizationMethod> ParseMethod(const std::string& name) {
-  if (name == "agglomerative") return AnonymizationMethod::kAgglomerative;
-  if (name == "modified") return AnonymizationMethod::kModifiedAgglomerative;
-  if (name == "forest") return AnonymizationMethod::kForest;
-  if (name == "kk-nn") return AnonymizationMethod::kKKNearestNeighbors;
-  if (name == "kk-greedy") return AnonymizationMethod::kKKGreedyExpansion;
-  if (name == "global") return AnonymizationMethod::kGlobal;
-  if (name == "full-domain") return AnonymizationMethod::kFullDomain;
-  return Status::InvalidArgument("unknown --method '" + name + "'");
+// printf into a string: the epilogue prints the summary lines late.
+__attribute__((format(printf, 1, 2))) std::string Printf(const char* format,
+                                                         ...) {
+  va_list args;
+  va_start(args, format);
+  va_list copy;
+  va_copy(copy, args);
+  const int size = std::vsnprintf(nullptr, 0, format, copy);
+  va_end(copy);
+  std::string out(static_cast<size_t>(size), '\0');
+  std::vsnprintf(out.data(), out.size() + 1, format, args);
+  va_end(args);
+  return out;
 }
 
-Result<DistanceFunction> ParseDistance(const std::string& name) {
-  if (name == "1") return DistanceFunction::kWeighted;
-  if (name == "2") return DistanceFunction::kPlain;
-  if (name == "3") return DistanceFunction::kLogWeighted;
-  if (name == "4") return DistanceFunction::kRatio;
-  if (name == "nc") return DistanceFunction::kNergizClifton;
-  return Status::InvalidArgument("unknown --distance '" + name + "'");
+int UsageError(const Status& status) {
+  std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
+  return 2;
 }
 
 // Comma-separated per-attribute weights, e.g. "2,1,1". Count and range
@@ -140,52 +137,105 @@ Result<std::vector<double>> ParseAttrWeights(const std::string& spec) {
   return weights;
 }
 
-Result<std::unique_ptr<LossMeasure>> ParseMeasure(const std::string& name) {
+// Generalization scheme: from the spec file, or suppression-only.
+Result<GeneralizationScheme> LoadScheme(const FlagParser& flags,
+                                        const Schema& schema) {
+  const std::string spec = flags.GetString("spec", "");
+  if (!spec.empty()) return ParseSchemeSpecFile(schema, spec);
+  std::fprintf(stderr,
+               "no --spec given: every attribute is suppression-only"
+               " (coarse; consider writing a spec)\n");
+  return GeneralizationScheme::SuppressionOnly(schema);
+}
+
+// What both run paths build from the flags before the engine starts: the
+// config, the loss measure, the execution controls and the telemetry sinks.
+struct CliRun {
+  AnonymizerConfig config;
   std::unique_ptr<LossMeasure> measure;
-  if (name == "EM") measure = std::make_unique<EntropyMeasure>();
-  if (name == "LM") measure = std::make_unique<LmMeasure>();
-  if (name == "TM") measure = std::make_unique<TreeMeasure>();
-  if (name == "SUP") measure = std::make_unique<SuppressionMeasure>();
-  if (measure == nullptr) {
-    return Status::InvalidArgument("unknown --measure '" + name + "'");
+  RunContext ctx;
+  std::unique_ptr<Tracer> tracer;
+  std::unique_ptr<MetricsRegistry> metrics;
+  std::string trace_path;
+  std::string metrics_path;
+  std::string stats_path;
+};
+
+// Fills `run` from the flags. Returns 0, or 2 on a usage error.
+int SetUpRun(const FlagParser& flags, CliRun* run) {
+  Result<std::unique_ptr<LossMeasure>> measure =
+      MakeMeasure(flags.GetString("measure", "EM"));
+  if (!measure.ok()) return UsageError(measure.status());
+  run->measure = std::move(measure).value();
+  Result<AnonymizationMethod> method =
+      ParseMethodShortName(flags.GetString("method", "agglomerative"));
+  if (!method.ok()) return UsageError(method.status());
+  Result<DistanceFunction> distance =
+      ParseDistanceShortName(flags.GetString("distance", "4"));
+  if (!distance.ok()) return UsageError(distance.status());
+
+  AnonymizerConfig& config = run->config;
+  config.k = static_cast<size_t>(flags.GetInt("k", 5));
+  config.method = *method;
+  config.distance = *distance;
+  // 0 (the default) uses every core; the output does not depend on this.
+  config.num_threads =
+      ResolveNumThreads(static_cast<int>(flags.GetInt("threads", 0)));
+  if (flags.Has("attr-weights")) {
+    Result<std::vector<double>> weights =
+        ParseAttrWeights(flags.GetString("attr-weights", ""));
+    if (!weights.ok()) return UsageError(weights.status());
+    config.attr_weights = std::move(weights).value();
   }
-  return measure;
+
+  // Execution controls: deadline, step budget, Ctrl-C cancellation.
+  auto cancel_token = std::make_shared<CancellationToken>();
+  run->ctx.set_cancel_token(cancel_token);
+  g_cancel_token = cancel_token.get();
+  std::signal(SIGINT, HandleSigint);
+  const int64_t max_steps = flags.GetInt("max-steps", 0);
+  if (max_steps > 0) run->ctx.set_step_budget(static_cast<size_t>(max_steps));
+  const int64_t timeout_ms = flags.GetInt("timeout-ms", 0);
+  if (timeout_ms > 0) {
+    run->ctx.ArmDeadline(static_cast<double>(timeout_ms) / 1000.0);
+  }
+  config.run_context = &run->ctx;
+
+  // Telemetry (docs/observability.md): the tracer exists only when a trace
+  // was asked for; the metrics registry whenever any JSON output wants it.
+  run->trace_path = flags.GetString("trace-json", "");
+  run->metrics_path = flags.GetString("metrics-json", "");
+  run->stats_path = flags.GetString("stats-json", "");
+  if (!run->trace_path.empty()) {
+    run->tracer = std::make_unique<Tracer>();
+    config.tracer = run->tracer.get();
+  }
+  if (!run->metrics_path.empty() || !run->stats_path.empty()) {
+    run->metrics = std::make_unique<MetricsRegistry>();
+    config.metrics = run->metrics.get();
+  }
+  return 0;
 }
 
-// One JSON object with the run's outcome and the algo/core engine counters.
-// The counters are deterministic at every thread count, so this output is a
-// stable regression surface (the cli_stats_json test pins it).
-std::string StatsJson(const AnonymizerConfig& config,
-                      const std::string& measure_name,
-                      const AnonymizationResult& result,
-                      const MetricsRegistry* metrics) {
+// The --stats-json object of either run path: the shared head (method, k,
+// measure, loss), the path's own `fields`, then the metrics registry. The
+// field order is stable; the cli_stats_json and cli_shard tests pin it.
+template <typename Fields>
+std::string StatsJson(const CliRun& run, double loss, Fields fields) {
   std::ostringstream out;
   out.precision(17);
-  const EngineCounters& c = result.counters;
   out << "{";
-  out << "\"method\":\"" << AnonymizationMethodName(config.method) << "\",";
-  out << "\"k\":" << config.k << ",";
-  out << "\"measure\":\"" << measure_name << "\",";
-  out << "\"loss\":" << result.loss << ",";
-  out << "\"elapsed_seconds\":" << result.elapsed_seconds << ",";
-  out << "\"degraded\":" << (result.degraded ? "true" : "false") << ",";
-  out << "\"degraded_stage\":\"" << result.degraded_stage << "\",";
-  out << "\"iterations_completed\":" << result.iterations_completed << ",";
-  out << "\"records_suppressed\":" << result.records_suppressed << ",";
-  out << "\"counters\":{";
-  out << "\"merges\":" << c.merges << ",";
-  out << "\"rescans\":" << c.rescans << ",";
-  out << "\"heap_rebuilds\":" << c.heap_rebuilds << ",";
-  out << "\"closure_hits\":" << c.closure_hits << ",";
-  out << "\"closure_misses\":" << c.closure_misses << ",";
-  out << "\"closure_hit_rate\":" << c.closure_hit_rate() << ",";
-  out << "\"upgrade_steps\":" << c.upgrade_steps << ",";
-  out << "\"parallel_chunks\":" << c.parallel_chunks;
-  out << "}";
-  if (metrics != nullptr) {
-    // The full registry (superset of the counters above, plus the run.*
+  out << "\"method\":\"" << AnonymizationMethodName(run.config.method)
+      << "\",";
+  out << "\"k\":" << run.config.k << ",";
+  out << "\"measure\":\"" << run.measure->name() << "\",";
+  out << "\"loss\":" << loss << ",";
+  fields(out);
+  if (run.metrics != nullptr) {
+    // The full registry (superset of the engine counters, plus the run.*
     // gauges and histograms), embedded as a sub-object.
-    std::string registry = metrics->ToJson(/*include_nondeterministic=*/true);
+    std::string registry =
+        run.metrics->ToJson(/*include_nondeterministic=*/true);
     while (!registry.empty() && registry.back() == '\n') registry.pop_back();
     out << ",\"metrics\":" << registry;
   }
@@ -193,52 +243,88 @@ std::string StatsJson(const AnonymizerConfig& config,
   return out.str();
 }
 
-AnonymityNotion PromisedNotion(AnonymizationMethod method) {
-  switch (method) {
-    case AnonymizationMethod::kAgglomerative:
-    case AnonymizationMethod::kModifiedAgglomerative:
-    case AnonymizationMethod::kForest:
-      return AnonymityNotion::kKAnonymity;
-    case AnonymizationMethod::kKKNearestNeighbors:
-    case AnonymizationMethod::kKKGreedyExpansion:
-      return AnonymityNotion::kKK;
-    case AnonymizationMethod::kGlobal:
-      return AnonymityNotion::kGlobalOneK;
-    case AnonymizationMethod::kFullDomain:
-      return AnonymityNotion::kKAnonymity;
-  }
-  return AnonymityNotion::kKAnonymity;
-}
+// What a finished run hands to the epilogue. The two run paths differ only
+// in the text they print around the shared steps.
+struct RunOutcome {
+  const GeneralizedTable& table;
+  // The verifier's view of the input; k-anonymity reads only the table.
+  const Dataset& dataset;
+  bool degraded;
+  StopReason stop_reason;
+  std::string report;  // The --report text, printed before the stats.
+  std::string stats_json;
+  std::string summary;  // The summary line up to the verdict.
+  std::string degraded_note;
+};
 
-// One JSON object for a sharded run: outcome, per-shard accounting, and the
-// metrics registry. Stable field order; pinned by the cli_shard tests.
-std::string ShardStatsJson(const AnonymizerConfig& config,
-                           const std::string& measure_name,
-                           const shard::ShardedResult& result,
-                           const MetricsRegistry* metrics) {
-  std::ostringstream out;
-  out.precision(17);
-  out << "{";
-  out << "\"method\":\"" << AnonymizationMethodName(config.method) << "\",";
-  out << "\"k\":" << config.k << ",";
-  out << "\"measure\":\"" << measure_name << "\",";
-  out << "\"loss\":" << result.loss << ",";
-  out << "\"rows\":" << result.rows << ",";
-  out << "\"degraded\":" << (result.degraded ? "true" : "false") << ",";
-  out << "\"stop_reason\":\"" << StopReasonName(result.stop_reason) << "\",";
-  out << "\"records_suppressed\":" << result.records_suppressed << ",";
-  out << "\"shards\":" << result.num_shards << ",";
-  out << "\"shards_resumed\":" << result.shards_resumed << ",";
-  out << "\"shards_suppressed\":" << result.shards_suppressed << ",";
-  out << "\"shard_retries\":" << result.shard_retries << ",";
-  out << "\"boundary_repaired\":" << result.boundary_repaired;
-  if (metrics != nullptr) {
-    std::string registry = metrics->ToJson(/*include_nondeterministic=*/true);
-    while (!registry.empty() && registry.back() == '\n') registry.pop_back();
-    out << ",\"metrics\":" << registry;
+// The shared epilogue: writes the trace, metrics and stats JSON, verifies
+// the table against the notion its method promises, writes the table, and
+// maps the outcome to the exit code (0 ok, 1 failure, 3 degraded,
+// 4 cancelled).
+int FinishRun(const FlagParser& flags, const CliRun& run,
+              const RunOutcome& outcome) {
+  if (run.tracer != nullptr) {
+    if (Status s = WriteChromeTrace(*run.tracer, run.trace_path); !s.ok()) {
+      std::fprintf(stderr, "error: %s\n", s.ToString().c_str());
+      return 1;
+    }
+    std::fprintf(stderr, "wrote trace %s (%zu spans, %zu lanes)\n",
+                 run.trace_path.c_str(), run.tracer->total_spans(),
+                 run.tracer->num_lanes());
   }
-  out << "}\n";
-  return out.str();
+  if (run.metrics != nullptr && !run.metrics_path.empty()) {
+    if (Status s = WriteMetricsJson(*run.metrics, run.metrics_path);
+        !s.ok()) {
+      std::fprintf(stderr, "error: %s\n", s.ToString().c_str());
+      return 1;
+    }
+    if (run.metrics_path != "-") {
+      std::fprintf(stderr, "wrote metrics %s\n", run.metrics_path.c_str());
+    }
+  }
+  std::fputs(outcome.report.c_str(), stderr);
+  if (run.stats_path == "-") {
+    std::fputs(outcome.stats_json.c_str(), stdout);
+  } else if (!run.stats_path.empty()) {
+    std::ofstream out(run.stats_path);
+    out << outcome.stats_json;
+    if (!out) {
+      std::fprintf(stderr, "error writing %s\n", run.stats_path.c_str());
+      return 1;
+    }
+  }
+
+  const AnonymityNotion notion = PromisedNotion(run.config.method);
+  Result<bool> verified = SatisfiesNotion(notion, outcome.dataset,
+                                          outcome.table, run.config.k);
+  if (!verified.ok()) {
+    std::fprintf(stderr, "verification failed: %s\n",
+                 verified.status().ToString().c_str());
+    return 1;
+  }
+  std::fprintf(stderr, "%s; %s: %s\n", outcome.summary.c_str(),
+               AnonymityNotionName(notion),
+               verified.value() ? "satisfied" : "VIOLATED");
+  if (outcome.degraded) std::fputs(outcome.degraded_note.c_str(), stderr);
+  if (!verified.value()) return 1;
+
+  const std::string output = flags.GetString("output", "");
+  if (!output.empty()) {
+    if (Status s = WriteGeneralizedCsvFile(outcome.table, output); !s.ok()) {
+      std::fprintf(stderr, "error writing %s: %s\n", output.c_str(),
+                   s.ToString().c_str());
+      return 1;
+    }
+    std::fprintf(stderr, "wrote %s\n", output.c_str());
+  } else if (Status s = WriteGeneralizedCsv(outcome.table, std::cout);
+             !s.ok()) {
+    std::fprintf(stderr, "error: %s\n", s.ToString().c_str());
+    return 1;
+  }
+  if (outcome.degraded) {
+    return outcome.stop_reason == StopReason::kCancelled ? 4 : 3;
+  }
+  return 0;
 }
 
 // The out-of-core path: streams the CSV into shard spills, runs the engine
@@ -257,9 +343,6 @@ int ShardedMain(const FlagParser& flags, const std::string& input) {
                  "--resume=DIR)\n");
     return 2;
   }
-  const size_t k = static_cast<size_t>(flags.GetInt("k", 5));
-  const int num_threads =
-      ResolveNumThreads(static_cast<int>(flags.GetInt("threads", 0)));
 
   // Streaming schema inference: one pass over the text, no row buffering.
   Result<Schema> schema = InferCsvSchemaFile(input);
@@ -268,16 +351,7 @@ int ShardedMain(const FlagParser& flags, const std::string& input) {
                  schema.status().ToString().c_str());
     return 1;
   }
-  Result<GeneralizationScheme> scheme = Status::Internal("unset");
-  const std::string spec = flags.GetString("spec", "");
-  if (!spec.empty()) {
-    scheme = ParseSchemeSpecFile(schema.value(), spec);
-  } else {
-    scheme = GeneralizationScheme::SuppressionOnly(schema.value());
-    std::fprintf(stderr,
-                 "no --spec given: every attribute is suppression-only"
-                 " (coarse; consider writing a spec)\n");
-  }
+  Result<GeneralizationScheme> scheme = LoadScheme(flags, schema.value());
   if (!scheme.ok()) {
     std::fprintf(stderr, "error in scheme: %s\n",
                  scheme.status().ToString().c_str());
@@ -286,64 +360,8 @@ int ShardedMain(const FlagParser& flags, const std::string& input) {
   auto scheme_ptr =
       std::make_shared<const GeneralizationScheme>(std::move(scheme).value());
 
-  Result<std::unique_ptr<LossMeasure>> measure =
-      ParseMeasure(flags.GetString("measure", "EM"));
-  if (!measure.ok()) {
-    std::fprintf(stderr, "error: %s\n", measure.status().ToString().c_str());
-    return 2;
-  }
-  Result<AnonymizationMethod> method =
-      ParseMethod(flags.GetString("method", "agglomerative"));
-  if (!method.ok()) {
-    std::fprintf(stderr, "error: %s\n", method.status().ToString().c_str());
-    return 2;
-  }
-  Result<DistanceFunction> distance =
-      ParseDistance(flags.GetString("distance", "4"));
-  if (!distance.ok()) {
-    std::fprintf(stderr, "error: %s\n", distance.status().ToString().c_str());
-    return 2;
-  }
-
-  AnonymizerConfig config;
-  config.k = k;
-  config.method = method.value();
-  config.distance = distance.value();
-  config.num_threads = num_threads;
-  if (flags.Has("attr-weights")) {
-    Result<std::vector<double>> weights =
-        ParseAttrWeights(flags.GetString("attr-weights", ""));
-    if (!weights.ok()) {
-      std::fprintf(stderr, "error: %s\n", weights.status().ToString().c_str());
-      return 2;
-    }
-    config.attr_weights = std::move(weights).value();
-  }
-
-  RunContext ctx;
-  auto cancel_token = std::make_shared<CancellationToken>();
-  ctx.set_cancel_token(cancel_token);
-  g_cancel_token = cancel_token.get();
-  std::signal(SIGINT, HandleSigint);
-  const int64_t max_steps = flags.GetInt("max-steps", 0);
-  if (max_steps > 0) ctx.set_step_budget(static_cast<size_t>(max_steps));
-  const int64_t timeout_ms = flags.GetInt("timeout-ms", 0);
-  if (timeout_ms > 0) ctx.ArmDeadline(static_cast<double>(timeout_ms) / 1000.0);
-  config.run_context = &ctx;
-
-  const std::string trace_path = flags.GetString("trace-json", "");
-  const std::string metrics_path = flags.GetString("metrics-json", "");
-  const std::string stats_path = flags.GetString("stats-json", "");
-  std::unique_ptr<Tracer> tracer;
-  if (!trace_path.empty()) {
-    tracer = std::make_unique<Tracer>();
-    config.tracer = tracer.get();
-  }
-  std::unique_ptr<MetricsRegistry> metrics;
-  if (!metrics_path.empty() || !stats_path.empty()) {
-    metrics = std::make_unique<MetricsRegistry>();
-    config.metrics = metrics.get();
-  }
+  CliRun run;
+  if (const int code = SetUpRun(flags, &run); code != 0) return code;
   if (flags.GetBool("report", false)) {
     std::fprintf(stderr,
                  "note: --report needs the full dataset in memory and is"
@@ -362,117 +380,69 @@ int ShardedMain(const FlagParser& flags, const std::string& input) {
       static_cast<size_t>(flags.GetInt("shard-attempts", 3));
 
   Result<shard::ShardedResult> result = shard::ShardedAnonymizeCsvFile(
-      input, scheme_ptr, CsvOptions(), *measure.value(), config, options);
+      input, scheme_ptr, CsvOptions(), *run.measure, run.config, options);
   if (!result.ok()) {
     std::fprintf(stderr, "sharded anonymization failed: %s\n",
                  result.status().ToString().c_str());
     return 1;
   }
-
-  if (tracer != nullptr) {
-    if (Status s = WriteChromeTrace(*tracer, trace_path); !s.ok()) {
-      std::fprintf(stderr, "error: %s\n", s.ToString().c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "wrote trace %s (%zu spans, %zu lanes)\n",
-                 trace_path.c_str(), tracer->total_spans(),
-                 tracer->num_lanes());
-  }
-  if (metrics != nullptr && !metrics_path.empty()) {
-    if (Status s = WriteMetricsJson(*metrics, metrics_path); !s.ok()) {
-      std::fprintf(stderr, "error: %s\n", s.ToString().c_str());
-      return 1;
-    }
-    if (metrics_path != "-") {
-      std::fprintf(stderr, "wrote metrics %s\n", metrics_path.c_str());
-    }
-  }
-  if (!stats_path.empty()) {
-    const std::string json = ShardStatsJson(config, measure.value()->name(),
-                                            result.value(), metrics.get());
-    if (stats_path == "-") {
-      std::fputs(json.c_str(), stdout);
-    } else {
-      std::ofstream out(stats_path);
-      out << json;
-      if (!out) {
-        std::fprintf(stderr, "error writing %s\n", stats_path.c_str());
-        return 1;
-      }
-    }
-  }
-
-  Result<bool> verified = IsKAnonymous(result->table, k);
-  if (!verified.ok()) {
-    std::fprintf(stderr, "verification failed: %s\n",
-                 verified.status().ToString().c_str());
-    return 1;
-  }
-  std::fprintf(stderr,
-               "sharded %s, k=%zu: %zu rows in %zu shards, loss(%s) = %.4f;"
-               " resumed %zu, suppressed %zu, retries %zu, repaired %zu;"
-               " k-anonymity: %s\n",
-               AnonymizationMethodName(config.method), k, result->rows,
-               result->num_shards, measure.value()->name().c_str(),
-               result->loss, result->shards_resumed,
-               result->shards_suppressed, result->shard_retries,
-               result->boundary_repaired,
-               verified.value() ? "satisfied" : "VIOLATED");
-  if (result->degraded) {
-    std::fprintf(stderr,
-                 "run degraded (%s): output is valid but lossier\n",
-                 StopReasonName(result->stop_reason));
-  }
-  if (!verified.value()) return 1;
-
-  const std::string output = flags.GetString("output", "");
-  if (!output.empty()) {
-    if (Status s = WriteGeneralizedCsvFile(result->table, output); !s.ok()) {
-      std::fprintf(stderr, "error writing %s: %s\n", output.c_str(),
-                   s.ToString().c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "wrote %s\n", output.c_str());
-  } else {
-    Status s = WriteGeneralizedCsv(result->table, std::cout);
-    if (!s.ok()) {
-      std::fprintf(stderr, "error: %s\n", s.ToString().c_str());
-      return 1;
-    }
-  }
-  if (result->degraded) {
-    return result->stop_reason == StopReason::kCancelled ? 4 : 3;
-  }
-  return 0;
+  const shard::ShardedResult& r = result.value();
+  // Sharded mode accepts only the methods that promise k-anonymity, which
+  // the verifier decides on the table alone; the rows stay on disk.
+  const Dataset no_rows(schema.value());
+  const auto fields = [&](std::ostream& out) {
+    out << "\"rows\":" << r.rows << ",";
+    out << "\"degraded\":" << (r.degraded ? "true" : "false") << ",";
+    out << "\"stop_reason\":\"" << StopReasonName(r.stop_reason) << "\",";
+    out << "\"records_suppressed\":" << r.records_suppressed << ",";
+    out << "\"shards\":" << r.num_shards << ",";
+    out << "\"shards_resumed\":" << r.shards_resumed << ",";
+    out << "\"shards_suppressed\":" << r.shards_suppressed << ",";
+    out << "\"shard_retries\":" << r.shard_retries << ",";
+    out << "\"boundary_repaired\":" << r.boundary_repaired;
+  };
+  return FinishRun(
+      flags, run,
+      RunOutcome{
+          .table = r.table,
+          .dataset = no_rows,
+          .degraded = r.degraded,
+          .stop_reason = r.stop_reason,
+          .report = {},
+          .stats_json = StatsJson(run, r.loss, fields),
+          .summary = Printf(
+              "sharded %s, k=%zu: %zu rows in %zu shards, loss(%s) = %.4f;"
+              " resumed %zu, suppressed %zu, retries %zu, repaired %zu",
+              AnonymizationMethodName(run.config.method), run.config.k,
+              r.rows, r.num_shards, run.measure->name().c_str(), r.loss,
+              r.shards_resumed, r.shards_suppressed, r.shard_retries,
+              r.boundary_repaired),
+          .degraded_note =
+              Printf("run degraded (%s): output is valid but lossier\n",
+                     StopReasonName(r.stop_reason)),
+      });
 }
 
 int RealMain(int argc, char** argv) {
   FlagParser flags;
-  if (Status s = flags.Parse(argc, argv); !s.ok()) {
-    std::fprintf(stderr, "error: %s\n", s.ToString().c_str());
-    return 2;
-  }
+  if (Status s = flags.Parse(argc, argv); !s.ok()) return UsageError(s);
   const std::string input = flags.GetString("input", "");
   if (input.empty()) {
     std::fprintf(stderr,
                  "usage: kanon_cli --input=records.csv --k=5 [--spec=...]"
                  " [--method=...] [--measure=EM] [--distance=4]"
                  " [--attr-weights=w1,w2,...]"
-                 " [--output=...] [--print-spec] [--timeout-ms=N]"
+                 " [--output=...] [--report] [--print-spec] [--timeout-ms=N]"
                  " [--max-steps=N] [--threads=N] [--stats-json=PATH]"
                  " [--trace-json=PATH] [--metrics-json=PATH] [--progress]"
                  " [--shards=N] [--memory-budget-mb=N] [--work-dir=DIR]"
-                 " [--resume[=DIR]]\n");
+                 " [--resume[=DIR]] [--shard-prefix=N] [--shard-attempts=N]\n");
     return 2;
   }
   if (flags.GetInt("shards", 0) > 0 ||
       flags.GetInt("memory-budget-mb", 0) > 0 || flags.Has("resume")) {
     return ShardedMain(flags, input);
   }
-  const size_t k = static_cast<size_t>(flags.GetInt("k", 5));
-  // 0 (the default) uses every core; the output does not depend on this.
-  const int num_threads =
-      ResolveNumThreads(static_cast<int>(flags.GetInt("threads", 0)));
 
   Result<Dataset> dataset = ReadCsvInferSchemaFile(input);
   if (!dataset.ok()) {
@@ -482,18 +452,7 @@ int RealMain(int argc, char** argv) {
   }
   std::fprintf(stderr, "read %zu rows x %zu attributes from %s\n",
                dataset->num_rows(), dataset->num_attributes(), input.c_str());
-
-  // Generalization scheme: from the spec file, or suppression-only.
-  Result<GeneralizationScheme> scheme = Status::Internal("unset");
-  const std::string spec = flags.GetString("spec", "");
-  if (!spec.empty()) {
-    scheme = ParseSchemeSpecFile(dataset->schema(), spec);
-  } else {
-    scheme = GeneralizationScheme::SuppressionOnly(dataset->schema());
-    std::fprintf(stderr,
-                 "no --spec given: every attribute is suppression-only"
-                 " (coarse; consider writing a spec)\n");
-  }
+  Result<GeneralizationScheme> scheme = LoadScheme(flags, dataset->schema());
   if (!scheme.ok()) {
     std::fprintf(stderr, "error in scheme: %s\n",
                  scheme.status().ToString().c_str());
@@ -506,180 +465,73 @@ int RealMain(int argc, char** argv) {
     return 0;
   }
 
-  Result<std::unique_ptr<LossMeasure>> measure =
-      ParseMeasure(flags.GetString("measure", "EM"));
-  if (!measure.ok()) {
-    std::fprintf(stderr, "error: %s\n", measure.status().ToString().c_str());
-    return 2;
-  }
-  Result<AnonymizationMethod> method =
-      ParseMethod(flags.GetString("method", "agglomerative"));
-  if (!method.ok()) {
-    std::fprintf(stderr, "error: %s\n", method.status().ToString().c_str());
-    return 2;
-  }
-  Result<DistanceFunction> distance =
-      ParseDistance(flags.GetString("distance", "4"));
-  if (!distance.ok()) {
-    std::fprintf(stderr, "error: %s\n", distance.status().ToString().c_str());
-    return 2;
-  }
-
-  PrecomputedLoss loss(scheme_ptr, dataset.value(), *measure.value(),
-                       num_threads);
-  AnonymizerConfig config;
-  config.k = k;
-  config.method = method.value();
-  config.distance = distance.value();
-  config.num_threads = num_threads;
-  if (flags.Has("attr-weights")) {
-    Result<std::vector<double>> weights =
-        ParseAttrWeights(flags.GetString("attr-weights", ""));
-    if (!weights.ok()) {
-      std::fprintf(stderr, "error: %s\n", weights.status().ToString().c_str());
-      return 2;
-    }
-    config.attr_weights = std::move(weights).value();
-  }
-
-  // Execution controls: deadline, step budget, Ctrl-C cancellation.
-  RunContext ctx;
-  auto cancel_token = std::make_shared<CancellationToken>();
-  ctx.set_cancel_token(cancel_token);
-  g_cancel_token = cancel_token.get();
-  std::signal(SIGINT, HandleSigint);
-  const int64_t max_steps = flags.GetInt("max-steps", 0);
-  if (max_steps > 0) {
-    ctx.set_step_budget(static_cast<size_t>(max_steps));
-  }
-  const int64_t timeout_ms = flags.GetInt("timeout-ms", 0);
-  if (timeout_ms > 0) {
-    ctx.ArmDeadline(static_cast<double>(timeout_ms) / 1000.0);
-  }
-  config.run_context = &ctx;
-
-  // Telemetry (docs/observability.md): the tracer exists only when a trace
-  // was asked for; the metrics registry whenever any JSON output wants it.
-  const std::string trace_path = flags.GetString("trace-json", "");
-  const std::string metrics_path = flags.GetString("metrics-json", "");
-  const std::string stats_path = flags.GetString("stats-json", "");
-  std::unique_ptr<Tracer> tracer;
-  if (!trace_path.empty()) {
-    tracer = std::make_unique<Tracer>();
-    config.tracer = tracer.get();
-  }
-  std::unique_ptr<MetricsRegistry> metrics;
-  if (!metrics_path.empty() || !stats_path.empty()) {
-    metrics = std::make_unique<MetricsRegistry>();
-    config.metrics = metrics.get();
-  }
+  CliRun run;
+  if (const int code = SetUpRun(flags, &run); code != 0) return code;
   ProgressReporter progress_reporter;
   if (flags.GetBool("progress", false)) {
-    ctx.set_progress_observer(progress_reporter.AsObserver());
+    run.ctx.set_progress_observer(progress_reporter.AsObserver());
   }
-
+  const PrecomputedLoss loss(scheme_ptr, dataset.value(), *run.measure,
+                             run.config.num_threads);
   Result<AnonymizationResult> result =
-      Anonymize(dataset.value(), loss, config);
+      Anonymize(dataset.value(), loss, run.config);
   progress_reporter.Finish();
   if (!result.ok()) {
     std::fprintf(stderr, "anonymization failed: %s\n",
                  result.status().ToString().c_str());
     return 1;
   }
-
-  if (tracer != nullptr) {
-    if (Status s = WriteChromeTrace(*tracer, trace_path); !s.ok()) {
-      std::fprintf(stderr, "error: %s\n", s.ToString().c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "wrote trace %s (%zu spans, %zu lanes)\n",
-                 trace_path.c_str(), tracer->total_spans(),
-                 tracer->num_lanes());
-  }
-  if (metrics != nullptr && !metrics_path.empty()) {
-    if (Status s = WriteMetricsJson(*metrics, metrics_path); !s.ok()) {
-      std::fprintf(stderr, "error: %s\n", s.ToString().c_str());
-      return 1;
-    }
-    if (metrics_path != "-") {
-      std::fprintf(stderr, "wrote metrics %s\n", metrics_path.c_str());
-    }
-  }
-
+  const AnonymizationResult& r = result.value();
+  std::string report;
   if (flags.GetBool("report", false)) {
-    std::fprintf(stderr, "%s",
-                 BuildUtilityReport(dataset.value(), result->table)
-                     .ToString()
-                     .c_str());
-    std::fprintf(stderr,
-                 "degraded: %s\nstop reason: %s\niterations completed: %zu\n"
-                 "records suppressed by fallback: %zu\n",
-                 result->degraded ? "yes" : "no",
-                 StopReasonName(result->stop_reason),
-                 result->iterations_completed, result->records_suppressed);
+    report =
+        BuildUtilityReport(dataset.value(), r.table).ToString() +
+        Printf("degraded: %s\nstop reason: %s\niterations completed: %zu\n"
+               "records suppressed by fallback: %zu\n",
+               r.degraded ? "yes" : "no", StopReasonName(r.stop_reason),
+               r.iterations_completed, r.records_suppressed);
   }
-
-  if (!stats_path.empty()) {
-    const std::string json =
-        StatsJson(config, loss.measure_name(), result.value(), metrics.get());
-    if (stats_path == "-") {
-      std::fputs(json.c_str(), stdout);
-    } else {
-      std::ofstream out(stats_path);
-      out << json;
-      if (!out) {
-        std::fprintf(stderr, "error writing %s\n", stats_path.c_str());
-        return 1;
-      }
-    }
-  }
-
-  const AnonymityNotion notion = PromisedNotion(config.method);
-  Result<bool> verified = SatisfiesNotion(notion, dataset.value(),
-                                          result->table, k);
-  if (!verified.ok()) {
-    std::fprintf(stderr, "verification failed: %s\n",
-                 verified.status().ToString().c_str());
-    return 1;
-  }
-  const bool holds = verified.value();
-  std::fprintf(stderr,
-               "method %s, k=%zu: loss(%s) = %.4f, %.2fs; %s: %s\n",
-               AnonymizationMethodName(config.method), k,
-               loss.measure_name().c_str(), result->loss,
-               result->elapsed_seconds, AnonymityNotionName(notion),
-               holds ? "satisfied" : "VIOLATED");
-  if (result->degraded) {
-    std::fprintf(stderr,
-                 "run degraded (%s) in stage %s after %zu iterations; %zu"
-                 " records coarsened by the fallback — output is valid but"
-                 " lossier\n",
-                 StopReasonName(result->stop_reason),
-                 result->degraded_stage.empty() ? "unknown"
-                                                : result->degraded_stage.c_str(),
-                 result->iterations_completed, result->records_suppressed);
-  }
-  if (!holds) return 1;
-
-  const std::string output = flags.GetString("output", "");
-  if (!output.empty()) {
-    if (Status s = WriteGeneralizedCsvFile(result->table, output); !s.ok()) {
-      std::fprintf(stderr, "error writing %s: %s\n", output.c_str(),
-                   s.ToString().c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "wrote %s\n", output.c_str());
-  } else {
-    Status s = WriteGeneralizedCsv(result->table, std::cout);
-    if (!s.ok()) {
-      std::fprintf(stderr, "error: %s\n", s.ToString().c_str());
-      return 1;
-    }
-  }
-  if (result->degraded) {
-    return result->stop_reason == StopReason::kCancelled ? 4 : 3;
-  }
-  return 0;
+  // The engine counters are deterministic at every thread count, so the
+  // stats are a stable regression surface.
+  const auto fields = [&](std::ostream& out) {
+    const EngineCounters& c = r.counters;
+    out << "\"elapsed_seconds\":" << r.elapsed_seconds << ",";
+    out << "\"degraded\":" << (r.degraded ? "true" : "false") << ",";
+    out << "\"degraded_stage\":\"" << r.degraded_stage << "\",";
+    out << "\"iterations_completed\":" << r.iterations_completed << ",";
+    out << "\"records_suppressed\":" << r.records_suppressed << ",";
+    out << "\"counters\":{";
+    out << "\"merges\":" << c.merges << ",";
+    out << "\"rescans\":" << c.rescans << ",";
+    out << "\"heap_rebuilds\":" << c.heap_rebuilds << ",";
+    out << "\"closure_hits\":" << c.closure_hits << ",";
+    out << "\"closure_misses\":" << c.closure_misses << ",";
+    out << "\"closure_hit_rate\":" << c.closure_hit_rate() << ",";
+    out << "\"upgrade_steps\":" << c.upgrade_steps << ",";
+    out << "\"parallel_chunks\":" << c.parallel_chunks;
+    out << "}";
+  };
+  return FinishRun(
+      flags, run,
+      RunOutcome{
+          .table = r.table,
+          .dataset = dataset.value(),
+          .degraded = r.degraded,
+          .stop_reason = r.stop_reason,
+          .report = std::move(report),
+          .stats_json = StatsJson(run, r.loss, fields),
+          .summary = Printf("method %s, k=%zu: loss(%s) = %.4f, %.2fs",
+                            AnonymizationMethodName(run.config.method),
+                            run.config.k, loss.measure_name().c_str(), r.loss,
+                            r.elapsed_seconds),
+          .degraded_note = Printf(
+              "run degraded (%s) in stage %s after %zu iterations; %zu"
+              " records coarsened by the fallback — output is valid but"
+              " lossier\n",
+              StopReasonName(r.stop_reason),
+              r.degraded_stage.empty() ? "unknown" : r.degraded_stage.c_str(),
+              r.iterations_completed, r.records_suppressed),
+      });
 }
 
 }  // namespace
