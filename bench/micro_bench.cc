@@ -12,11 +12,15 @@
 // machine-readable BENCH_micro.json tracked at the repo root (refresh
 // workflow in docs/performance.md).
 //
-// Everything runs on one thread: these are per-kernel numbers, the
-// parallel-scaling story lives in runtime_bench.
+// The kernels run on one thread: these are per-kernel numbers, the
+// parallel-scaling story lives in runtime_bench. The sweep-dispatch rows
+// are the exception: they time whole ParallelChunks sweeps of the
+// agglomerative repair pass's per-item work at 1, 2 and 4 threads, i.e.
+// what handing short sweeps to the pool costs and buys.
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -26,9 +30,12 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "kanon/algo/agglomerative_engine.h"
+#include "kanon/algo/core/closure_store.h"
 #include "kanon/algo/distance.h"
 #include "kanon/algo/policy.h"
 #include "kanon/common/check.h"
+#include "kanon/common/parallel.h"
 #include "kanon/data/dataset.h"
 #include "kanon/generalization/scheme.h"
 #include "kanon/loss/entropy_measure.h"
@@ -382,8 +389,154 @@ KernelTiming BenchDistanceDispatch(const std::vector<double>& single_costs,
   return t;
 }
 
+// Clusters shaped like the agglomerative engine's mid-run state: closures
+// of 1-12 random rows, interned in creation order into one ClosureStore
+// (so the store's records sit in scattered map nodes, as in a run).
+struct ClusterClosures {
+  std::vector<ClosureStore::Id> ids;  // Cluster -> stored closure.
+  std::vector<SetId> rows;            // Cluster -> its closure, flat.
+};
+
+ClusterClosures MakeClusterClosures(const Dataset& dataset,
+                                    const GeneralizationScheme& scheme,
+                                    ClosureStore* store, size_t clusters) {
+  const size_t n = dataset.num_rows();
+  const size_t r = scheme.num_attributes();
+  ClusterClosures out;
+  uint64_t state = 0x2545f4914f6cdd1dull;
+  const auto next = [&] {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return state;
+  };
+  std::vector<uint32_t> members;
+  for (size_t c = 0; c < clusters; ++c) {
+    members.assign(1 + next() % 12, 0);
+    for (uint32_t& row : members) row = static_cast<uint32_t>(next() % n);
+    const ClosureStore::Id id =
+        store->Intern(scheme.ClosureOfRows(dataset, members));
+    out.ids.push_back(id);
+    const GeneralizedRecord& record = store->record(id);
+    out.rows.insert(out.rows.end(), record.begin(), record.begin() + r);
+  }
+  return out;
+}
+
+// --- Kernel 6: d(A ∪ X) of one cluster against every cluster, the pricing
+// step of the agglomerative repair pass and rescans. Legacy: each closure
+// read through the ClosureStore (id -> record pointer -> map node -> vector
+// data), as the engine did. Columnar: the flat per-cluster rows the engine
+// keeps now. Same kernel, same arithmetic; only the row source differs.
+KernelTiming BenchUnionSweep(const Dataset& dataset,
+                             const GeneralizationScheme& scheme,
+                             const PrecomputedLoss& loss,
+                             const LossKernels& kernels, int reps) {
+  constexpr size_t kClusters = 8000;
+  constexpr size_t kAnchors = 64;
+  const size_t r = scheme.num_attributes();
+  ClosureStore store(loss);
+  const ClusterClosures clusters =
+      MakeClusterClosures(dataset, scheme, &store, kClusters);
+  const auto via_store = [&](size_t a, size_t x) {
+    return kernels.UnionCost(store.record(clusters.ids[a]).data(),
+                             store.record(clusters.ids[x]).data());
+  };
+  const auto via_rows = [&](size_t a, size_t x) {
+    return kernels.UnionCost(clusters.rows.data() + a * r,
+                             clusters.rows.data() + x * r);
+  };
+  for (size_t a = 0; a < kClusters; a += 97) {
+    for (size_t x = 0; x < kClusters; ++x) {
+      KANON_CHECK(via_store(a, x) == via_rows(a, x),
+                  "flat closure rows diverged from the ClosureStore path");
+    }
+  }
+
+  KernelTiming t;
+  t.name = "union_sweep_flat_rows";
+  t.items = kAnchors * kClusters;
+  const auto sweep = [&](const auto& cost) {
+    double sink = 0.0;
+    for (size_t a = 0; a < kAnchors; ++a) {
+      const size_t anchor = a * 89 % kClusters;
+      for (size_t x = 0; x < kClusters; ++x) sink += cost(anchor, x);
+    }
+    g_sink += sink;
+  };
+  t.legacy_ns = TimeNs(reps, [&] { sweep(via_store); });
+  t.columnar_ns = TimeNs(reps, [&] { sweep(via_rows); });
+  return t;
+}
+
+// One sweep-dispatch row: a whole ParallelChunks sweep over n clusters of
+// the repair pass's per-item work (one flat-row UnionCost), cut at the
+// engine's grain, against the same loop run inline with no sweep at all.
+struct SweepTiming {
+  size_t n;
+  int threads;
+  size_t chunks;
+  double sweep_us;   // Best-of-reps mean time of one ParallelChunks sweep.
+  double inline_us;  // The same items as one plain loop.
+};
+
+std::vector<SweepTiming> BenchSweepDispatch(
+    const Dataset& dataset, const GeneralizationScheme& scheme,
+    const PrecomputedLoss& loss, const LossKernels& kernels, int reps) {
+  constexpr size_t kSweeps = 2000;
+  const size_t grain = internal::kAgglomerativeCheapSweepGrain;
+  const size_t r = scheme.num_attributes();
+  std::vector<SweepTiming> out;
+  for (size_t n : {512u, 2048u, 8000u}) {
+    ClosureStore store(loss);
+    const ClusterClosures clusters =
+        MakeClusterClosures(dataset, scheme, &store, n);
+    const SetId* rows = clusters.rows.data();
+    std::vector<double> partials(ParallelChunkCount(n, grain));
+    const auto items = [&](size_t anchor, size_t begin, size_t end) {
+      double sum = 0.0;
+      for (size_t x = begin; x < end; ++x) {
+        sum += kernels.UnionCost(rows + anchor * r, rows + x * r);
+      }
+      return sum;
+    };
+    const double inline_ns = TimeNs(reps, [&] {
+      double sink = 0.0;
+      for (size_t s = 0; s < kSweeps; ++s) sink += items(s % n, 0, n);
+      g_sink += sink;
+    });
+    double serial_sum = 0.0;
+    for (size_t s = 0; s < 4; ++s) serial_sum += items(s, 0, n);
+    for (int threads : {1, 2, 4}) {
+      const auto run = [&](size_t sweeps) {
+        double sink = 0.0;
+        for (size_t s = 0; s < sweeps; ++s) {
+          ParallelChunks(
+              n, threads, nullptr, "micro/sweep",
+              [&](size_t chunk, size_t begin, size_t end) {
+                partials[chunk] = items(s % n, begin, end);
+              },
+              grain);
+          // Chunk-order fold: not bitwise the serial sum, but the same at
+          // every thread count.
+          for (double p : partials) sink += p;
+        }
+        return sink;
+      };
+      KANON_CHECK(std::abs(run(4) - serial_sum) <= 1e-9 * serial_sum,
+                  "sweep-dispatch sweeps lost or repeated items");
+      const double ns = TimeNs(reps, [&] { g_sink += run(kSweeps); });
+      out.push_back(SweepTiming{n, threads, partials.size(),
+                                ns / kSweeps / 1e3,
+                                inline_ns / kSweeps / 1e3});
+    }
+  }
+  return out;
+}
+
 void WriteJson(const std::string& path, size_t n, size_t r,
-               const std::vector<KernelTiming>& timings) {
+               const std::vector<KernelTiming>& timings,
+               const std::vector<SweepTiming>& sweeps) {
   std::ofstream out(path);
   KANON_CHECK(out.good(), "cannot open JSON output path");
   out << "{\n";
@@ -403,6 +556,18 @@ void WriteJson(const std::string& path, size_t n, size_t r,
                   t.legacy_ns / static_cast<double>(t.items),
                   t.columnar_ns / static_cast<double>(t.items), t.speedup(),
                   i + 1 < timings.size() ? "," : "");
+    out << line;
+  }
+  out << "  ],\n";
+  out << "  \"sweep_dispatch\": [\n";
+  for (size_t i = 0; i < sweeps.size(); ++i) {
+    const SweepTiming& t = sweeps[i];
+    char line[512];
+    std::snprintf(line, sizeof(line),
+                  "    {\"n\": %zu, \"threads\": %d, \"chunks\": %zu, "
+                  "\"us_per_sweep\": %.2f, \"inline_us\": %.2f}%s\n",
+                  t.n, t.threads, t.chunks, t.sweep_us, t.inline_us,
+                  i + 1 < sweeps.size() ? "," : "");
     out << line;
   }
   out << "  ]\n}\n";
@@ -452,6 +617,9 @@ int Main(int argc, char** argv) {
     single_costs[i] = loss.RecordCost(singles[i]);
   }
   timings.push_back(BenchDistanceDispatch(single_costs, reps));
+  timings.push_back(BenchUnionSweep(w.dataset, scheme, loss, kernels, reps));
+  const std::vector<SweepTiming> sweeps =
+      BenchSweepDispatch(w.dataset, scheme, loss, kernels, reps);
 
   std::printf("micro_bench: ART n=%zu r=%zu, 1 thread, best of %d reps\n", n,
               scheme.num_attributes(), reps);
@@ -462,8 +630,16 @@ int Main(int argc, char** argv) {
                 t.legacy_ns / static_cast<double>(t.items),
                 t.columnar_ns / static_cast<double>(t.items), t.speedup());
   }
+  std::printf("\nsweep dispatch (repair-pass items, grain %zu)\n",
+              internal::kAgglomerativeCheapSweepGrain);
+  std::printf("%8s %8s %8s %14s %14s\n", "n", "threads", "chunks",
+              "us/sweep", "inline us");
+  for (const SweepTiming& t : sweeps) {
+    std::printf("%8zu %8d %8zu %14.2f %14.2f\n", t.n, t.threads, t.chunks,
+                t.sweep_us, t.inline_us);
+  }
   if (!json_path.empty()) {
-    WriteJson(json_path, n, scheme.num_attributes(), timings);
+    WriteJson(json_path, n, scheme.num_attributes(), timings, sweeps);
     std::printf("wrote %s\n", json_path.c_str());
   }
   // The sink keeps the timed loops observable; print it so the compiler

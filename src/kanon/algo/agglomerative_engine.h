@@ -31,10 +31,12 @@ namespace kanon {
 
 namespace internal {
 
-// Sweeps whose per-item work is only O(r) (a handful of join-table lookups)
-// run inline below this size; the heavy O(n·r)-per-item scans always fan
-// out. Purely an overhead knob — results are identical either way.
-inline constexpr size_t kAgglomerativeCheapSweepSerialBelow = 2048;
+// Chunk grain (ParallelChunkCount) of the sweeps whose per-item work is
+// only O(r) — a handful of join-table lookups, tens of nanoseconds — so a
+// chunk outweighs handing it to a worker and a sweep of at most this many
+// items runs inline. The O(n·r)-per-item all-pairs scan keeps grain 1.
+// Results are identical at every grain; only the speed changes.
+inline constexpr size_t kAgglomerativeCheapSweepGrain = 512;
 
 // The basic and modified variants of Algorithm 1, rewritten on the shared
 // clustering core: ClusterSet owns the alive/dead bookkeeping, ClosureStore
@@ -102,18 +104,22 @@ class AgglomerativeEngine {
 
   bool Stopped() const { return ctx_ != nullptr && ctx_->stopped(); }
 
-  void CountChunks(size_t n) {
+  void CountChunks(size_t n, size_t grain) {
     if (options_.counters != nullptr) {
-      options_.counters->parallel_chunks += ParallelChunkCount(n);
+      options_.counters->parallel_chunks += ParallelChunkCount(n, grain);
     }
+  }
+
+  // Cluster id's closure as a flat row of r set ids (see rows_).
+  const SetId* Row(uint32_t id) const {
+    return rows_.data() + static_cast<size_t>(id) * num_attrs_;
   }
 
   // d(A ∪ B) computed attribute-wise through the raw join tables and the
   // flat cost rows; O(r), same additions in the same order as the checked
   // accessor loop it replaced.
-  double UnionCost(const ClusterData& a, const ClusterData& b) const {
-    return kernels_.UnionCost(store_.record(a.closure),
-                              store_.record(b.closure));
+  double UnionCost(uint32_t a, uint32_t b) const {
+    return kernels_.UnionCost(Row(a), Row(b));
   }
 
   double DistFromUnionCost(uint32_t a, uint32_t b, double d_union) const {
@@ -125,14 +131,20 @@ class AgglomerativeEngine {
   }
 
   double Dist(uint32_t a, uint32_t b) const {
-    return DistFromUnionCost(
-        a, b, UnionCost(clusters_.cluster(a), clusters_.cluster(b)));
+    return DistFromUnionCost(a, b, UnionCost(a, b));
   }
 
-  // Interns a closure and mirrors its memoized cost into the cluster.
-  void SetClosure(ClusterData* c, const GeneralizedRecord& closure) {
-    c->closure = store_.Intern(closure);
-    c->cost = store_.cost(c->closure);
+  // Gives cluster id the stored closure `closure`: mirrors its memoized
+  // cost into the cluster and copies its set ids into the cluster's row.
+  void SetClosure(uint32_t id, ClosureStore::Id closure) {
+    ClusterData& c = clusters_.cluster(id);
+    c.closure = closure;
+    c.cost = store_.cost(closure);
+    const size_t end = (static_cast<size_t>(id) + 1) * num_attrs_;
+    if (rows_.size() < end) rows_.resize(std::max(end, 2 * rows_.size()));
+    const GeneralizedRecord& record = store_.record(closure);
+    std::copy(record.begin(), record.end(),
+              rows_.begin() + static_cast<ptrdiff_t>(end - num_attrs_));
   }
 
   // Exact two-best of x over every active cluster, O(active · r), spread
@@ -140,7 +152,8 @@ class AgglomerativeEngine {
   // reproduce the serial ascending scan exactly.
   CandidatePair ComputeTwoBest(uint32_t x) const {
     const size_t m = clusters_.active().size();
-    std::vector<CandidatePair> parts(ParallelChunkCount(m));
+    std::vector<CandidatePair> parts(
+        ParallelChunkCount(m, kAgglomerativeCheapSweepGrain));
     ParallelChunks(
         m, options_.num_threads, nullptr, "agglomerative/rescan",
         [&](size_t chunk, size_t begin, size_t end) {
@@ -152,7 +165,7 @@ class AgglomerativeEngine {
           }
           parts[chunk] = local;
         },
-        kAgglomerativeCheapSweepSerialBelow);
+        kAgglomerativeCheapSweepGrain);
     CandidatePair c;
     for (const CandidatePair& p : parts) {
       OfferToTwoBest(&c, p.c1, p.d1);
@@ -166,7 +179,7 @@ class AgglomerativeEngine {
   void FullRescan(uint32_t x) {
     PhaseSpan span(tracer_, "agglomerative/rescan");
     if (options_.counters != nullptr) ++options_.counters->rescans;
-    CountChunks(clusters_.active().size());
+    CountChunks(clusters_.active().size(), kAgglomerativeCheapSweepGrain);
     heap_.candidate(x) = ComputeTwoBest(x);
     heap_.PushCandidate(x);
   }
@@ -196,21 +209,22 @@ class AgglomerativeEngine {
     // barrier — ClosureStore is single-threaded by design, and the serial
     // pass prices each distinct closure exactly once.
     std::vector<GeneralizedRecord> raw(n);
-    CountChunks(n);
+    CountChunks(n, kAgglomerativeCheapSweepGrain);
     const SweepStatus closures = ParallelFor(
         n, options_.num_threads, ctx_, "agglomerative/init",
         [&](size_t i) {
           raw[i] = scheme_.Identity(dataset_.row_view(i));
         },
-        /*done=*/nullptr, kAgglomerativeCheapSweepSerialBelow);
+        /*done=*/nullptr, kAgglomerativeCheapSweepGrain);
     // A stop here leaves the closures unset; the degraded wind-down pools
     // records by membership only, so that is safe.
     if (!closures.completed) return Status::OK();
     {
       PhaseSpan intern_span(tracer_, "agglomerative/closure-intern");
       intern_span.set_items(n);
+      rows_.reserve(2 * n * num_attrs_);
       for (uint32_t i = 0; i < n; ++i) {
-        SetClosure(&clusters_.cluster(i), raw[i]);
+        SetClosure(i, store_.Intern(raw[i]));
       }
     }
     raw.clear();
@@ -226,7 +240,7 @@ class AgglomerativeEngine {
     // closure joins. The two-best is then selected by offering distances
     // in ascending y — exactly the order ComputeTwoBest scans the active
     // set during init — so the chosen candidates are identical.
-    CountChunks(n);
+    CountChunks(n, 1);
     std::vector<Status> errors(ParallelChunkCount(n));
     const SweepStatus scan = ParallelChunks(
         n, options_.num_threads, ctx_, "agglomerative/init",
@@ -282,23 +296,23 @@ class AgglomerativeEngine {
                           clusters_.cluster(b).members.begin(),
                           clusters_.cluster(b).members.end());
     std::sort(merged.members.begin(), merged.members.end());
-    merged.closure =
-        store_.InternJoin(clusters_.cluster(a).closure,
-                          clusters_.cluster(b).closure);
-    merged.cost = store_.cost(merged.closure);
+    const ClosureStore::Id closure = store_.InternJoin(
+        clusters_.cluster(a).closure, clusters_.cluster(b).closure);
     Deactivate(a);
     Deactivate(b);
     if (options_.counters != nullptr) ++options_.counters->merges;
-    return NewCluster(std::move(merged));
+    const uint32_t id = NewCluster(std::move(merged));
+    SetClosure(id, closure);
+    return id;
   }
 
   // One pass over the active set after a merge. When `added` is not
   // kNoCluster it is the freshly created cluster: its two-best is built, it
   // is offered to everyone, and it joins the active set. Clusters whose
-  // candidates were wiped out are rescanned at the end (rare). The pure
-  // O(active·r) distance computations run on the worker threads; the
-  // order-sensitive Offer/Repair bookkeeping replays them serially in
-  // active order, so the outcome matches the single-threaded pass exactly.
+  // candidates were wiped out are rescanned at the end (rare). Each chunk
+  // prices its clusters against `added` and runs their repair steps, which
+  // touch only each cluster's own slot; ApplyRepairPass then folds the
+  // chunks in order, so the outcome matches a serial pass exactly.
   void RepairAndMaybeAdd(uint32_t added) {
     PhaseSpan span(tracer_, "agglomerative/repair");
     // The policy decides at compile time whether the merge rule is
@@ -306,42 +320,33 @@ class AgglomerativeEngine {
     constexpr bool asymmetric = Policy::kAsymmetric;
     const std::vector<uint32_t>& active = clusters_.active();
     const size_t m = active.size();
-    std::vector<double> d_added_x;
-    std::vector<double> d_x_added;
-    if (added != kNoCluster) {
-      d_added_x.assign(m, kInfDist);
-      d_x_added.assign(m, kInfDist);
-      CountChunks(m);
-      ParallelChunks(
-          m, options_.num_threads, nullptr, "agglomerative/repair",
-          [&](size_t /*chunk*/, size_t begin, size_t end) {
-            for (size_t t = begin; t < end; ++t) {
-              const uint32_t x = active[t];
-              if (!clusters_.Alive(x)) continue;
-              const double d_union = UnionCost(clusters_.cluster(added),
-                                               clusters_.cluster(x));
-              d_added_x[t] = DistFromUnionCost(added, x, d_union);
-              d_x_added[t] = asymmetric
-                                 ? DistFromUnionCost(x, added, d_union)
-                                 : d_added_x[t];
+    repair_chunks_.resize(ParallelChunkCount(m, kAgglomerativeCheapSweepGrain));
+    CountChunks(m, kAgglomerativeCheapSweepGrain);
+    ParallelChunks(
+        m, options_.num_threads, nullptr, "agglomerative/repair",
+        [&](size_t chunk, size_t begin, size_t end) {
+          // Built in a local (reusing the slot's buffers) and stored once,
+          // so chunks never write next to each other's slots mid-scan.
+          RepairChunk local = std::move(repair_chunks_[chunk]);
+          local.Clear();
+          for (size_t t = begin; t < end; ++t) {
+            const uint32_t x = active[t];
+            if (!clusters_.Alive(x)) continue;
+            double d_added_x = kInfDist;
+            double d_x_added = kInfDist;
+            if (added != kNoCluster) {
+              const double d_union = UnionCost(added, x);
+              d_added_x = DistFromUnionCost(added, x, d_union);
+              d_x_added = asymmetric ? DistFromUnionCost(x, added, d_union)
+                                     : d_added_x;
             }
-          },
-          kAgglomerativeCheapSweepSerialBelow);
-    }
+            heap_.RepairStep(x, added, d_added_x, d_x_added, &local);
+          }
+          repair_chunks_[chunk] = std::move(local);
+        },
+        kAgglomerativeCheapSweepGrain);
     std::vector<uint32_t> needs_rescan;
-    for (size_t t = 0; t < m; ++t) {
-      const uint32_t x = active[t];
-      if (!clusters_.Alive(x)) continue;
-      if (added != kNoCluster) {
-        heap_.Offer(added, x, d_added_x[t]);
-      }
-      if (heap_.Repair(x, added,
-                       added != kNoCluster ? d_x_added[t] : kInfDist)) {
-        needs_rescan.push_back(x);
-      } else if (added != kNoCluster) {
-        heap_.Offer(x, added, d_x_added[t]);
-      }
-    }
+    heap_.ApplyRepairPass(added, repair_chunks_, &needs_rescan);
     if (added != kNoCluster) {
       clusters_.Activate(added);
     }
@@ -379,7 +384,7 @@ class AgglomerativeEngine {
       ejected.push_back(c.members[eject_pos]);
       c.members.erase(c.members.begin() +
                       static_cast<ptrdiff_t>(eject_pos));
-      SetClosure(&c, loo[eject_pos]);
+      SetClosure(id, store_.Intern(loo[eject_pos]));
     }
     return ejected;
   }
@@ -388,8 +393,7 @@ class AgglomerativeEngine {
     ClusterData single;
     single.members = {row};
     const uint32_t id = NewCluster(std::move(single));
-    SetClosure(&clusters_.cluster(id),
-               scheme_.Identity(dataset_.row_view(row)));
+    SetClosure(id, store_.Intern(scheme_.Identity(dataset_.row_view(row))));
     return id;
   }
 
@@ -435,17 +439,18 @@ class AgglomerativeEngine {
   // wind-down's straggler path.
   void AttachToNearestFinal(const std::vector<uint32_t>& leftover) {
     for (uint32_t row : leftover) {
-      ClusterData single;
-      single.members = {row};
-      SetClosure(&single, scheme_.Identity(dataset_.row_view(row)));
+      const ClosureStore::Id single =
+          store_.Intern(scheme_.Identity(dataset_.row_view(row)));
+      const SetId* single_row = store_.record(single).data();
       size_t best_pos = 0;
       double best_dist = kInfDist;
       for (size_t pos = 0; pos < final_.size(); ++pos) {
         const ClusterData& target = clusters_.cluster(final_[pos]);
-        const double d_union = UnionCost(single, target);
+        const double d_union =
+            kernels_.UnionCost(single_row, Row(final_[pos]));
         const double d = policy_.Distance(
-            1, target.members.size(), target.members.size() + 1, single.cost,
-            target.cost, d_union);
+            1, target.members.size(), target.members.size() + 1,
+            store_.cost(single), target.cost, d_union);
         if (d < best_dist) {
           best_dist = d;
           best_pos = pos;
@@ -454,8 +459,7 @@ class AgglomerativeEngine {
       ClusterData& target = clusters_.cluster(final_[best_pos]);
       target.members.push_back(row);
       std::sort(target.members.begin(), target.members.end());
-      target.closure = store_.InternJoin(target.closure, single.closure);
-      target.cost = store_.cost(target.closure);
+      SetClosure(final_[best_pos], store_.InternJoin(target.closure, single));
     }
   }
 
@@ -476,9 +480,8 @@ class AgglomerativeEngine {
       ClusterData pool;
       pool.members = std::move(leftover);
       const uint32_t id = NewCluster(std::move(pool));
-      ClusterData& c = clusters_.cluster(id);
-      c.closure = store_.InternClosureOfRows(dataset_, c.members);
-      c.cost = store_.cost(c.closure);
+      SetClosure(id, store_.InternClosureOfRows(dataset_,
+                                                clusters_.cluster(id).members));
       final_.push_back(id);
       return;
     }
@@ -514,8 +517,15 @@ class AgglomerativeEngine {
   ClosureStore store_;
   ClusterSet clusters_;
   MergeHeap heap_;
+  // Flat closure rows: cluster id's closure set ids at [id·r, id·r + r),
+  // written by SetClosure whenever a closure is set, so the O(r) pair
+  // pricing of the sweeps reads one contiguous row per cluster instead of
+  // chasing the store's record.
+  std::vector<SetId> rows_;
   std::vector<uint32_t> final_;
   std::vector<double> shrink_costs_;  // ShrinkToK scratch, reused per pass.
+  // Per-chunk partials of the repair pass, reused so their buffers persist.
+  std::vector<RepairChunk> repair_chunks_;
 };
 
 }  // namespace internal

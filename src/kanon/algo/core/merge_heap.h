@@ -59,6 +59,28 @@ struct MergeCandidate {
   uint32_t b;
 };
 
+/// One chunk's share of a repair pass (MergeHeap::RepairStep): everything a
+/// step must not apply to shared state, held in the chunk's own slot until
+/// MergeHeap::ApplyRepairPass folds the chunks in chunk order.
+struct RepairChunk {
+  /// Heap entries of the chunk's clusters' own repairs and offers.
+  std::vector<MergeCandidate> pushes;
+  /// Clusters whose candidates were wiped out, in scan order.
+  std::vector<uint32_t> rescans;
+  /// Two-best of dist(added, x) over the chunk's clusters x ...
+  CandidatePair added_best;
+  /// ... and the offers that improved its first-best, in scan order: the
+  /// chunk's local prefix minima (dist, added, x).
+  std::vector<MergeCandidate> added_prefix;
+
+  void Clear() {
+    pushes.clear();
+    rescans.clear();
+    added_best = CandidatePair();
+    added_prefix.clear();
+  }
+};
+
 /// The lazy merge heap shared by the agglomerative engines: per-cluster
 /// two-best candidates (invariants A/B above), the stale-entry accounting,
 /// and the threshold rebuild that keeps adversarial merge orders from
@@ -113,12 +135,28 @@ class MergeHeap {
 
   /// Offers alive candidate (y, d) to x's two-best, pushing a heap entry on
   /// a first-best improvement.
-  void Offer(uint32_t x, uint32_t y, double d);
+  void Offer(uint32_t x, uint32_t y, double d) {
+    if (OfferToSlot(&cands_[x], y, d)) PushEntry(d, x, y);
+  }
 
-  /// Fixes x after the deaths of the just-merged pair. `added` (kNoCluster
-  /// for a ripe merge) is the freshly created cluster and `d_x_added` its
-  /// distance from x. Returns true when x needs a full rescan.
-  bool Repair(uint32_t x, uint32_t added, double d_x_added);
+  /// One cluster's step of the repair pass that follows a merge; chunks of
+  /// a sweep over the active list run it concurrently. It fixes x after the
+  /// deaths of the just-merged pair and, when `added` (the freshly created
+  /// cluster, kNoCluster for a ripe merge) is set, offers added to x at
+  /// d_x_added and x to the chunk's view of added at d_added_x. It writes
+  /// only x's own candidate slot and `chunk`; heap entries and rescans wait
+  /// in `chunk` for ApplyRepairPass.
+  void RepairStep(uint32_t x, uint32_t added, double d_added_x,
+                  double d_x_added, RepairChunk* chunk);
+
+  /// Applies a repair pass's chunks in chunk order: pushes their entries,
+  /// rebuilds added's two-best from each chunk's prefix minima and second
+  /// best, and appends the clusters that need a full rescan to `rescans` in
+  /// active order. The heap then holds exactly the entries, and every
+  /// candidate slot the values, of one serial Offer/Repair scan over the
+  /// active list (docs/parallelism.md, rule 3).
+  void ApplyRepairPass(uint32_t added, const std::vector<RepairChunk>& chunks,
+                       std::vector<uint32_t>* rescans);
 
   /// Every in-heap entry referencing a deactivated cluster just went stale;
   /// the engine reports each death so the rebuild threshold stays exact.
@@ -150,6 +188,10 @@ class MergeHeap {
       return x.b > y.b;
     }
   };
+
+  // Offer's update of one candidate slot; true when y became the first-best
+  // (the caller owes a heap entry).
+  static bool OfferToSlot(CandidatePair* c, uint32_t y, double d);
 
   // Every heap mutation goes through PushEntry/PopTop so the stale-entry
   // accounting stays exact: entry_refs_[c] counts in-heap entries

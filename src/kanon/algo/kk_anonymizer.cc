@@ -15,6 +15,12 @@ namespace kanon {
 
 namespace {
 
+// Chunk grain (ParallelChunkCount) of the (1,k) repair's consistency/price
+// scan: an item is one O(r) consistency test plus at most one O(r) price,
+// so a chunk must be long enough to outweigh handing it to a worker, and a
+// table of at most this many rows is scanned inline.
+constexpr size_t kRepairScanGrain = 256;
+
 Status ValidateArgs(const Dataset& dataset, const PrecomputedLoss& loss,
                     size_t k) {
   if (k < 1) {
@@ -321,7 +327,7 @@ Result<GeneralizedTable> Make1KAnonymousWithPolicy(
     size_t consistent = 0;
     std::vector<std::pair<double, uint32_t>> candidates;
   };
-  std::vector<ScanPart> parts(ParallelChunkCount(n));
+  std::vector<ScanPart> parts(ParallelChunkCount(n, kRepairScanGrain));
   std::vector<std::pair<double, uint32_t>> candidates;
   for (uint32_t i = 0; i < n; ++i) {
     if (ctx != nullptr && ctx->CheckPoint("kk/repair")) {
@@ -330,7 +336,7 @@ Result<GeneralizedTable> Make1KAnonymousWithPolicy(
     KANON_FAILPOINT("kk.upgrade");
     const RowView record = dataset.row_view(i);
     if (counters != nullptr) {
-      counters->parallel_chunks += ParallelChunkCount(n);
+      counters->parallel_chunks += ParallelChunkCount(n, kRepairScanGrain);
     }
     ParallelChunks(
         n, num_threads, nullptr, "kk/repair",
@@ -359,14 +365,15 @@ Result<GeneralizedTable> Make1KAnonymousWithPolicy(
                   static_cast<uint32_t>(t));
             }
           }
-        });
+        },
+        kRepairScanGrain);
     // ℓ = #generalized records consistent with R_i.
     size_t consistent = 0;
     candidates.clear();
-    for (size_t chunk = 0; chunk < ParallelChunkCount(n); ++chunk) {
-      consistent += parts[chunk].consistent;
-      candidates.insert(candidates.end(), parts[chunk].candidates.begin(),
-                        parts[chunk].candidates.end());
+    for (const ScanPart& part : parts) {
+      consistent += part.consistent;
+      candidates.insert(candidates.end(), part.candidates.begin(),
+                        part.candidates.end());
     }
     if (policy.Ripe(consistent, k)) continue;
     const size_t deficit = k - consistent;

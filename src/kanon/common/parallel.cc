@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <limits>
-#include <memory>
 #include <mutex>
 #include <thread>
 
@@ -28,14 +28,39 @@ namespace {
 // fetch_add, one stop poll) is noise.
 constexpr size_t kMaxChunks = 256;
 
+// How long an idle pool thread keeps polling for the next sweep (a worker)
+// or for the workers to leave (the caller) before it parks on a condition
+// variable. An engine issues its short sweeps back to back with a few
+// microseconds of serial work between them; a worker that is still spinning
+// picks the next one up without a futex wake-up, and one that idles longer
+// costs no more than this much CPU before it sleeps.
+constexpr std::chrono::microseconds kSpin{100};
+
 // True while the current thread executes sweep chunks (worker or caller).
 // Nested sweeps run inline so a chunk body can reuse parallel helpers
 // without deadlocking the pool.
 thread_local bool t_in_sweep = false;
 
-// One sweep's shared state. Held by shared_ptr so a worker that wakes late
-// can never touch freed memory, and stack lifetime never escapes: the
-// caller waits until every participant left before returning.
+void CpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#endif
+}
+
+// Spins for at most kSpin until done() holds; returns whether it did.
+template <typename Done>
+bool SpinUntil(const Done& done) {
+  const auto deadline = std::chrono::steady_clock::now() + kSpin;
+  for (;;) {
+    if (done()) return true;
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    CpuRelax();
+  }
+}
+
+// One sweep's shared state. It lives on the calling thread's stack: the
+// caller does not return before every pool worker has left the sweep, and
+// workers reach it only through the pool's slot while the sweep is open.
 struct Job {
   const std::function<void(size_t, size_t, size_t)>* body = nullptr;
   size_t n = 0;
@@ -45,8 +70,16 @@ struct Job {
   const char* stage = "";                // their participation against it.
   std::atomic<size_t> next{0};           // Next chunk to claim.
   std::atomic<int> stop{0};              // First StopReason observed, or 0.
-  std::atomic<int> seats{0};             // Extra workers still allowed in.
 };
+
+// Half-open range of chunk c when [0, n) is cut into `chunks` balanced
+// chunks (the first n % chunks chunks get one extra item).
+std::pair<size_t, size_t> ChunkRange(size_t n, size_t chunks, size_t c) {
+  const size_t base = n / chunks;
+  const size_t extra = n % chunks;
+  const size_t begin = c * base + std::min(c, extra);
+  return {begin, begin + base + (c < extra ? 1 : 0)};
+}
 
 // Claims and runs chunks until the sweep is exhausted or stopped; returns
 // the number of chunks this thread ran. Shared by pool workers and the
@@ -71,7 +104,7 @@ size_t DrainChunks(Job& job) {
     }
     const size_t chunk = job.next.fetch_add(1, std::memory_order_relaxed);
     if (chunk >= job.num_chunks) break;
-    const auto [begin, end] = ParallelChunkRange(job.n, chunk);
+    const auto [begin, end] = ChunkRange(job.n, job.num_chunks, chunk);
     (*job.body)(chunk, begin, end);
     ++ran;
   }
@@ -82,6 +115,14 @@ size_t DrainChunks(Job& job) {
 // A lazily started pool of DrainChunks workers. One sweep runs at a time
 // (concurrent top-level sweeps serialize on region_mu_); the pool grows to
 // the largest extra-worker count ever requested and is joined at exit.
+//
+// Hand-off: generation_ is odd while a sweep is open to workers and even
+// otherwise. A worker enters a sweep by incrementing active_ and then
+// re-reading generation_; the caller closes the sweep by bumping
+// generation_ and then waits for active_ to drain. Both sides use
+// sequentially consistent operations, so either the caller sees the
+// worker's increment and waits for it, or the worker sees the sweep closed
+// and backs out — a late worker never touches the next sweep's job.
 class ThreadPool {
  public:
   static ThreadPool& Instance() {
@@ -91,26 +132,31 @@ class ThreadPool {
 
   // Runs `job` on the caller plus up to `extra_workers` pool threads;
   // returns only when every participant has left the job.
-  void Run(const std::shared_ptr<Job>& job, size_t extra_workers) {
+  void Run(Job& job, size_t extra_workers) {
     std::lock_guard<std::mutex> region(region_mu_);
     {
       std::lock_guard<std::mutex> lock(mu_);
       while (workers_.size() < extra_workers) {
         workers_.emplace_back([this] { WorkerLoop(); });
       }
-      job->seats.store(static_cast<int>(extra_workers),
-                       std::memory_order_relaxed);
-      current_ = job;
-      ++generation_;
-      active_workers_ = 0;
     }
-    cv_.notify_all();
-    DrainChunks(*job);
-    {
+    job_ = &job;
+    seats_.store(static_cast<int>(extra_workers));
+    const uint64_t open = generation_.load() + 1;
+    generation_.store(open);
+    if (sleepers_.load() > 0) {
+      std::lock_guard<std::mutex> lock(mu_);
+      wake_cv_.notify_all();
+    }
+    DrainChunks(job);
+    generation_.store(open + 1);
+    if (!SpinUntil([this] { return active_.load() == 0; })) {
       std::unique_lock<std::mutex> lock(mu_);
-      done_cv_.wait(lock, [this] { return active_workers_ == 0; });
-      current_.reset();
+      caller_parked_.store(true);
+      done_cv_.wait(lock, [this] { return active_.load() == 0; });
+      caller_parked_.store(false);
     }
+    job_ = nullptr;
   }
 
  private:
@@ -119,108 +165,120 @@ class ThreadPool {
   ~ThreadPool() {
     {
       std::lock_guard<std::mutex> lock(mu_);
-      shutdown_ = true;
+      shutdown_.store(true);
     }
-    cv_.notify_all();
+    wake_cv_.notify_all();
     for (std::thread& t : workers_) t.join();
   }
 
-  void WorkerLoop() {
-    uint64_t seen_generation = 0;
-    for (;;) {
-      std::shared_ptr<Job> job;
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        cv_.wait(lock, [&] {
-          return shutdown_ ||
-                 (current_ != nullptr && generation_ != seen_generation);
-        });
-        if (shutdown_) return;
-        seen_generation = generation_;
-        // Seats bound participation to the sweep's thread budget; workers
-        // beyond it (from an earlier, wider sweep) sit this one out.
-        if (current_->seats.fetch_sub(1, std::memory_order_relaxed) <= 0) {
-          continue;
-        }
-        job = current_;
-        ++active_workers_;
+  // Returns the generation of an open sweep newer than `seen`, or 0 at
+  // shutdown. Spins for kSpin, then parks.
+  uint64_t AwaitSweep(uint64_t seen) {
+    uint64_t g = 0;
+    const auto ready = [&] {
+      if (shutdown_.load()) {
+        g = 0;
+        return true;
       }
-      {
+      g = generation_.load();
+      return (g & 1) != 0 && g > seen;
+    };
+    if (SpinUntil(ready)) return g;
+    std::unique_lock<std::mutex> lock(mu_);
+    sleepers_.fetch_add(1);
+    wake_cv_.wait(lock, ready);
+    sleepers_.fetch_sub(1);
+    return g;
+  }
+
+  void WorkerLoop() {
+    uint64_t seen = 0;
+    for (;;) {
+      const uint64_t g = AwaitSweep(seen);
+      if (g == 0) return;
+      seen = g;
+      active_.fetch_add(1);
+      // Seats bound participation to the sweep's thread budget; workers
+      // beyond it (from an earlier, wider sweep) sit this one out.
+      if (generation_.load() == g && seats_.fetch_sub(1) > 0) {
+        Job& job = *job_;
         // Worker-lane span: when the sweep is traced, each participating
         // pool worker records one "worker" span covering its DrainChunks
         // stint. Which worker claims which chunks is scheduling-dependent,
         // so these lanes are outside the determinism contract (lane 0's
         // "sweep" span is the deterministic record); a stint that claimed
         // zero chunks is suppressed entirely.
-        PhaseSpan span(job->tracer, job->stage, "worker");
-        const size_t ran = DrainChunks(*job);
+        PhaseSpan span(job.tracer, job.stage, "worker");
+        const size_t ran = DrainChunks(job);
         span.set_items(ran);
         if (ran == 0) span.Cancel();
       }
-      {
+      if (active_.fetch_sub(1) == 1 && caller_parked_.load()) {
         std::lock_guard<std::mutex> lock(mu_);
-        if (--active_workers_ == 0) done_cv_.notify_all();
+        done_cv_.notify_one();
       }
     }
   }
 
   std::mutex region_mu_;  // Serializes top-level sweeps.
+  // Guards worker creation and the two parking spots; the hand-off state
+  // below is atomic and read outside it.
   std::mutex mu_;
-  std::condition_variable cv_;
-  std::condition_variable done_cv_;
+  std::condition_variable wake_cv_;  // Parked workers wait for a sweep.
+  std::condition_variable done_cv_;  // A parked caller waits for active_ 0.
   std::vector<std::thread> workers_;
-  std::shared_ptr<Job> current_;
-  uint64_t generation_ = 0;
-  size_t active_workers_ = 0;
-  bool shutdown_ = false;
+  Job* job_ = nullptr;  // The open sweep; published by generation_.
+  std::atomic<uint64_t> generation_{0};
+  std::atomic<int> seats_{0};        // Extra workers still allowed in.
+  std::atomic<int> active_{0};       // Workers inside the current sweep.
+  std::atomic<int> sleepers_{0};     // Workers parked on wake_cv_.
+  std::atomic<bool> caller_parked_{false};
+  std::atomic<bool> shutdown_{false};
 };
 
 }  // namespace
 
-size_t ParallelChunkCount(size_t n) {
-  return n < kMaxChunks ? n : kMaxChunks;
+size_t ParallelChunkCount(size_t n, size_t grain) {
+  const size_t g = std::max<size_t>(grain, 1);
+  return std::min(kMaxChunks, n / g + (n % g != 0 ? 1 : 0));
 }
 
-std::pair<size_t, size_t> ParallelChunkRange(size_t n, size_t chunk) {
-  const size_t chunks = ParallelChunkCount(n);
-  const size_t base = n / chunks;
-  const size_t extra = n % chunks;  // The first `extra` chunks get +1 item.
-  const size_t begin = chunk * base + std::min(chunk, extra);
-  return {begin, begin + base + (chunk < extra ? 1 : 0)};
+std::pair<size_t, size_t> ParallelChunkRange(size_t n, size_t chunk,
+                                             size_t grain) {
+  return ChunkRange(n, ParallelChunkCount(n, grain), chunk);
 }
 
 SweepStatus ParallelChunks(
     size_t n, int num_threads, RunContext* ctx, const char* stage,
-    const std::function<void(size_t, size_t, size_t)>& body,
-    size_t serial_below) {
+    const std::function<void(size_t, size_t, size_t)>& body, size_t grain) {
   if (ctx != nullptr && ctx->stopped()) return {false};
   if (n == 0) return {true};
-  const size_t num_chunks = ParallelChunkCount(n);
-  auto job = std::make_shared<Job>();
-  job->body = &body;
-  job->n = n;
-  job->num_chunks = num_chunks;
-  job->ctx = ctx;
+  Job job;
+  job.body = &body;
+  job.n = n;
+  job.num_chunks = ParallelChunkCount(n, grain);
+  job.ctx = ctx;
   // Sweep span + step accounting. Only top-level sweeps are traced (nested
   // sweeps run inline inside an already-traced chunk); lane 0 records
   // exactly one "sweep" span per sweep and the step clock advances by the
-  // chunk count — both pure functions of n, never of the thread count.
+  // chunk count — both pure functions of (n, grain), never of the thread
+  // count.
   Tracer* const tracer = t_in_sweep ? nullptr : CurrentTracer();
   PhaseSpan sweep_span(tracer, stage, "sweep");
   if (tracer != nullptr) {
-    sweep_span.set_items(num_chunks);
-    tracer->AdvanceSteps(num_chunks);
-    job->tracer = tracer;
-    job->stage = stage;
+    sweep_span.set_items(job.num_chunks);
+    tracer->AdvanceSteps(job.num_chunks);
+    job.tracer = tracer;
+    job.stage = stage;
   }
   const size_t threads = std::min<size_t>(
-      static_cast<size_t>(ResolveNumThreads(num_threads)), num_chunks);
-  if (threads <= 1 || t_in_sweep || n < serial_below) {
-    DrainChunks(*job);
+      static_cast<size_t>(ResolveNumThreads(num_threads)), job.num_chunks);
+  if (threads <= 1 || t_in_sweep) {
+    DrainChunks(job);
   } else {
     ThreadPool::Instance().Run(job, threads - 1);
   }
-  const int stop = job->stop.load(std::memory_order_relaxed);
+  const int stop = job.stop.load(std::memory_order_relaxed);
   if (stop != 0) {
     if (ctx != nullptr) ctx->NoteStop(static_cast<StopReason>(stop));
     return {false};
@@ -234,7 +292,7 @@ SweepStatus ParallelChunks(
 SweepStatus ParallelFor(size_t n, int num_threads, RunContext* ctx,
                         const char* stage,
                         const std::function<void(size_t)>& body,
-                        std::vector<uint8_t>* done, size_t serial_below) {
+                        std::vector<uint8_t>* done, size_t grain) {
   if (done != nullptr) done->assign(n, 0);
   return ParallelChunks(
       n, num_threads, ctx, stage,
@@ -244,20 +302,20 @@ SweepStatus ParallelFor(size_t n, int num_threads, RunContext* ctx,
           if (done != nullptr) (*done)[i] = 1;
         }
       },
-      serial_below);
+      grain);
 }
 
 ArgminResult ParallelArgmin(size_t n, int num_threads, RunContext* ctx,
                             const char* stage,
                             const std::function<double(size_t)>& eval,
-                            size_t serial_below) {
+                            size_t grain) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   struct Part {
     size_t index = 0;
     double value = kInf;
     bool valid = false;
   };
-  std::vector<Part> parts(ParallelChunkCount(n));
+  std::vector<Part> parts(ParallelChunkCount(n, grain));
   const SweepStatus sweep = ParallelChunks(
       n, num_threads, ctx, stage,
       [&](size_t chunk, size_t begin, size_t end) {
@@ -274,7 +332,7 @@ ArgminResult ParallelArgmin(size_t n, int num_threads, RunContext* ctx,
         }
         parts[chunk] = local;
       },
-      serial_below);
+      grain);
   ArgminResult out;
   out.completed = sweep.completed;
   for (const Part& p : parts) {

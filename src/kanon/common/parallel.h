@@ -18,15 +18,24 @@ int DefaultNumThreads();
 /// Resolves a requested thread count: values <= 0 mean DefaultNumThreads().
 int ResolveNumThreads(int requested);
 
-/// Chunk geometry of a sweep over n items. A pure function of n — never of
-/// the thread count or of the machine — so per-chunk partial results merged
-/// in chunk-index order are byte-identical for every --threads value (the
-/// determinism contract; see docs/parallelism.md).
-size_t ParallelChunkCount(size_t n);
+/// Chunk geometry of a sweep over n items cut into chunks of about `grain`
+/// items (grain 0 counts as 1): min(256, ceil(n / grain)) chunks, so a chunk
+/// holds at most `grain` items below the 256-chunk cap and more than
+/// grain / 2 when there are several, and a sweep of at most `grain` items is
+/// one chunk. A pure function of (n, grain) — never of the thread count or
+/// of the machine — so per-chunk partial results merged in chunk-index
+/// order are byte-identical for every --threads value (the determinism
+/// contract; see docs/parallelism.md). Each call site passes the grain its
+/// per-item work calls for: 1 when an item is itself a long scan, larger
+/// when an item is a few table lookups and a chunk must amortize the
+/// hand-off to a worker.
+size_t ParallelChunkCount(size_t n, size_t grain = 1);
 
 /// Half-open item range [begin, end) of chunk `chunk` (< ParallelChunkCount).
-/// Chunk ranges partition [0, n) in order: chunk c ends where c+1 begins.
-std::pair<size_t, size_t> ParallelChunkRange(size_t n, size_t chunk);
+/// Chunk ranges partition [0, n) in order: chunk c ends where c+1 begins,
+/// and chunk sizes differ by at most one.
+std::pair<size_t, size_t> ParallelChunkRange(size_t n, size_t chunk,
+                                             size_t grain = 1);
 
 /// Outcome of one parallel sweep.
 struct SweepStatus {
@@ -38,10 +47,10 @@ struct SweepStatus {
   bool completed = true;
 };
 
-/// Runs body(chunk, begin, end) once per chunk of [0, n), spread over up to
-/// `num_threads` threads (<= 0 resolves to DefaultNumThreads()). Bodies must
-/// write only disjoint state: their own items, or their own chunk slot of a
-/// caller-provided partials array.
+/// Runs body(chunk, begin, end) once per chunk of [0, n) (geometry above),
+/// spread over up to `num_threads` threads (<= 0 resolves to
+/// DefaultNumThreads()). Bodies must write only disjoint state: their own
+/// items, or their own chunk slot of a caller-provided partials array.
 ///
 /// RunContext interaction (ctx may be null):
 ///   - A sweep on an already-stopped context runs nothing (completed=false).
@@ -53,13 +62,12 @@ struct SweepStatus {
 ///     budget; that stop applies from the *next* sweep/checkpoint on, never
 ///     retroactively to the finished one.
 ///
-/// `serial_below`: run inline on the calling thread when n is smaller
-/// (identical results either way; purely an overhead knob for sweeps whose
-/// per-item work is tiny). Nested sweeps always run inline.
+/// A sweep of one chunk, a sweep with one thread and a sweep nested inside
+/// another sweep's chunk run inline on the calling thread.
 SweepStatus ParallelChunks(
     size_t n, int num_threads, RunContext* ctx, const char* stage,
     const std::function<void(size_t, size_t, size_t)>& body,
-    size_t serial_below = 0);
+    size_t grain = 1);
 
 /// Item-wise wrapper: body(i) for every i in [0, n). When `done` is
 /// non-null it is assigned n zeroes up front and done[i] = 1 after body(i)
@@ -68,7 +76,7 @@ SweepStatus ParallelFor(size_t n, int num_threads, RunContext* ctx,
                         const char* stage,
                         const std::function<void(size_t)>& body,
                         std::vector<uint8_t>* done = nullptr,
-                        size_t serial_below = 0);
+                        size_t grain = 1);
 
 /// Result of a deterministic parallel argmin.
 struct ArgminResult {
@@ -89,7 +97,7 @@ struct ArgminResult {
 ArgminResult ParallelArgmin(size_t n, int num_threads, RunContext* ctx,
                             const char* stage,
                             const std::function<double(size_t)>& eval,
-                            size_t serial_below = 0);
+                            size_t grain = 1);
 
 }  // namespace kanon
 

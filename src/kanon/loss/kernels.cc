@@ -85,9 +85,7 @@ double LossKernels::JoinedCost(const GeneralizedRecord& closure,
   return total / r_as_double_;
 }
 
-double LossKernels::UnionCost(const GeneralizedRecord& a,
-                              const GeneralizedRecord& b) const {
-  KANON_DCHECK(a.size() == attrs_.size() && b.size() == attrs_.size());
+double LossKernels::UnionCost(const SetId* a, const SetId* b) const {
   double total = 0.0;
   for (size_t j = 0; j < attrs_.size(); ++j) {
     const AttrTables& t = attrs_[j];

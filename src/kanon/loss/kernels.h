@@ -49,10 +49,10 @@ class LossKernels {
   /// identical arithmetic to the sweep.
   double JoinedCost(const GeneralizedRecord& closure, uint32_t row) const;
 
-  /// d(A ∪ B) of two generalized records, attribute-wise through the raw
-  /// join tables and the flat cost rows.
-  double UnionCost(const GeneralizedRecord& a,
-                   const GeneralizedRecord& b) const;
+  /// d(A ∪ B) of two generalized records given as rows of
+  /// num_attributes() set ids, attribute-wise through the raw join tables
+  /// and the flat cost rows.
+  double UnionCost(const SetId* a, const SetId* b) const;
 
  private:
   struct AttrTables {

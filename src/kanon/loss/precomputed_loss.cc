@@ -7,6 +7,13 @@
 
 namespace kanon {
 
+namespace {
+
+// Chunk grain (ParallelChunkCount) of the entry-cost fill.
+constexpr size_t kPrecomputeGrain = 1024;
+
+}  // namespace
+
 PrecomputedLoss::PrecomputedLoss(
     std::shared_ptr<const GeneralizationScheme> scheme, const Dataset& dataset,
     const LossMeasure& measure, int num_threads)
@@ -26,13 +33,15 @@ PrecomputedLoss::PrecomputedLoss(
     const std::vector<uint32_t> counts = dataset.ValueCounts(j);
     double* row = costs_.data() + offsets_[j];
     // SetCost is a pure function of (hierarchy, counts, set): the table
-    // fills set-wise across the worker threads, one disjoint slot each.
+    // fills set-wise across the worker threads, one disjoint slot each. A
+    // set costs one pass over its leaves, so chunks take about
+    // kPrecomputeGrain sets and tables up to that size fill inline.
     ParallelFor(
         h.num_sets(), num_threads, nullptr, "loss/precompute",
         [&](size_t s) {
           row[s] = measure.SetCost(h, counts, static_cast<SetId>(s));
         },
-        /*done=*/nullptr, /*serial_below=*/1024);
+        /*done=*/nullptr, kPrecomputeGrain);
   }
   inv_num_attributes_ = 1.0 / static_cast<double>(r);
 }

@@ -9,10 +9,12 @@
 #include <memory>
 #include <vector>
 
+#include "kanon/algo/agglomerative_engine.h"
 #include "kanon/algo/anonymizer.h"
 #include "kanon/anonymity/verify.h"
 #include "kanon/check/campaign.h"
 #include "kanon/common/run_context.h"
+#include "kanon/datasets/art.h"
 #include "kanon/generalization/hierarchy.h"
 #include "kanon/loss/entropy_measure.h"
 #include "kanon/loss/lm_measure.h"
@@ -21,6 +23,7 @@
 namespace kanon {
 namespace {
 
+using testing::kThreadSanitizer;
 using testing::SmallRandomDataset;
 using testing::SmallScheme;
 using testing::Unwrap;
@@ -63,6 +66,71 @@ TEST(DeterminismTest, EveryPipelineMatchesSingleThreadedByteForByte) {
             << AnonymizationMethodName(method);
       }
     }
+  }
+}
+
+// Large enough that the engine's O(r) sweeps (repair, rescan, closures)
+// split into several chunks and really run on the pool; the 150-row tables
+// above always run them as one inline chunk. Thread-sanitizer builds use
+// the smallest size that still gives four chunks.
+constexpr size_t kChunkedEngineRows = kThreadSanitizer ? 2100 : 3000;
+static_assert(kChunkedEngineRows >
+              4 * internal::kAgglomerativeCheapSweepGrain);
+
+TEST(DeterminismTest, ChunkedAgglomerativeMatchesSingleThreadedAtAnyDistance) {
+  const Workload art = Unwrap(MakeArtWorkload(kChunkedEngineRows, 3));
+  const PrecomputedLoss loss(art.scheme, art.dataset, EntropyMeasure());
+  for (AnonymizationMethod method :
+       {AnonymizationMethod::kAgglomerative,
+        AnonymizationMethod::kModifiedAgglomerative}) {
+    for (DistanceFunction distance :
+         {DistanceFunction::kWeighted, DistanceFunction::kPlain,
+          DistanceFunction::kLogWeighted, DistanceFunction::kRatio,
+          DistanceFunction::kNergizClifton}) {
+      SCOPED_TRACE(::testing::Message()
+                   << AnonymizationMethodName(method) << " distance "
+                   << DistanceShortName(distance));
+      AnonymizerConfig config;
+      config.k = 10;
+      config.method = method;
+      config.distance = distance;
+      config.num_threads = 1;
+      const AnonymizationResult reference =
+          Unwrap(Anonymize(art.dataset, loss, config));
+      for (int threads : {2, 4}) {
+        config.num_threads = threads;
+        const AnonymizationResult result =
+            Unwrap(Anonymize(art.dataset, loss, config));
+        EXPECT_TRUE(result.table == reference.table)
+            << "diverged at --threads " << threads;
+        EXPECT_EQ(result.loss, reference.loss);
+        EXPECT_EQ(result.counters.merges, reference.counters.merges);
+        EXPECT_EQ(result.counters.rescans, reference.counters.rescans);
+        EXPECT_EQ(result.counters.heap_rebuilds,
+                  reference.counters.heap_rebuilds);
+        EXPECT_EQ(result.counters.parallel_chunks,
+                  reference.counters.parallel_chunks);
+      }
+    }
+  }
+}
+
+TEST(DeterminismTest, ParallelAgglomerativeMergesAreExact) {
+  // Every merge of a 4-thread run is checked against an exhaustive scan of
+  // all alive pairs (check_exact_merges aborts on a non-minimal merge). The
+  // scan is quadratic per merge, so sanitizer builds halve the table.
+  const size_t n = kThreadSanitizer ? 200 : 400;
+  const Workload art = Unwrap(MakeArtWorkload(n, 5));
+  const PrecomputedLoss loss(art.scheme, art.dataset, EntropyMeasure());
+  for (bool modified : {false, true}) {
+    AgglomerativeOptions options;
+    options.modified = modified;
+    options.check_exact_merges = true;
+    options.num_threads = 4;
+    const Clustering c =
+        Unwrap(AgglomerativeCluster(art.dataset, loss, 5, options));
+    EXPECT_TRUE(c.IsPartitionOf(n));
+    EXPECT_GE(c.min_cluster_size(), 5u);
   }
 }
 

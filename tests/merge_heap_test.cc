@@ -5,7 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <queue>
+#include <random>
+#include <vector>
+
 #include "kanon/algo/core/cluster_set.h"
+#include "kanon/common/parallel.h"
 
 namespace kanon {
 namespace {
@@ -111,6 +116,17 @@ class MergeHeapTest : public ::testing::Test {
     return id;
   }
 
+  // x's step of a one-chunk repair pass at symmetric distance d_x_added;
+  // true when x needs a full rescan.
+  static bool Repair(MergeHeap& heap, uint32_t x, uint32_t added,
+                     double d_x_added) {
+    std::vector<RepairChunk> chunks(1);
+    heap.RepairStep(x, added, d_x_added, d_x_added, &chunks[0]);
+    std::vector<uint32_t> rescans;
+    heap.ApplyRepairPass(added, chunks, &rescans);
+    return !rescans.empty();
+  }
+
   ClusterSet clusters_;
 };
 
@@ -159,7 +175,7 @@ TEST_F(MergeHeapTest, RepairKeepsIntactNearest) {
   heap.Offer(x, a, 3.0);
   heap.Offer(x, b, 5.0);
   // a is still alive: nothing to repair regardless of the new cluster.
-  EXPECT_FALSE(heap.Repair(x, kNoCluster, kInfDist));
+  EXPECT_FALSE(Repair(heap, x, kNoCluster, kInfDist));
   EXPECT_EQ(heap.candidate(x).c1, a);
 }
 
@@ -177,7 +193,7 @@ TEST_F(MergeHeapTest, RepairAdoptsProvablyCloserMergedCluster) {
   clusters_.Activate(merged);
   heap.EnsureSize(clusters_.size());
   // dist(x, merged) <= old d1: exact new minimum, no rescan.
-  EXPECT_FALSE(heap.Repair(x, merged, 3.0));
+  EXPECT_FALSE(Repair(heap, x, merged, 3.0));
   EXPECT_EQ(heap.candidate(x).c1, merged);
   EXPECT_EQ(heap.candidate(x).d1, 3.0);
   EXPECT_EQ(heap.candidate(x).c2, b);  // Second bound still holds.
@@ -195,7 +211,7 @@ TEST_F(MergeHeapTest, RepairPromotesValidSecondAndInvalidatesIt) {
   clusters_.Deactivate(a);
   heap.NoteDeactivated(a);
   // The merged cluster is farther than d1, but invariant B makes b exact.
-  EXPECT_FALSE(heap.Repair(x, kNoCluster, kInfDist));
+  EXPECT_FALSE(Repair(heap, x, kNoCluster, kInfDist));
   EXPECT_EQ(heap.candidate(x).c1, b);
   EXPECT_EQ(heap.candidate(x).d1, 5.0);
   EXPECT_EQ(heap.candidate(x).c2, kNoCluster);
@@ -204,7 +220,7 @@ TEST_F(MergeHeapTest, RepairPromotesValidSecondAndInvalidatesIt) {
   // Losing b too now forces the full rescan: no second bound remains.
   clusters_.Deactivate(b);
   heap.NoteDeactivated(b);
-  EXPECT_TRUE(heap.Repair(x, kNoCluster, kInfDist));
+  EXPECT_TRUE(Repair(heap, x, kNoCluster, kInfDist));
 }
 
 TEST_F(MergeHeapTest, AggressiveRebuildDropsStaleEntriesAndCounts) {
@@ -234,6 +250,212 @@ TEST_F(MergeHeapTest, AggressiveRebuildDropsStaleEntriesAndCounts) {
   EXPECT_EQ(top.b, x);
   EXPECT_EQ(top.dist, 6.0);
   EXPECT_TRUE(heap.empty());
+}
+
+// --- Repair pass ----------------------------------------------------------
+
+// The one-at-a-time Offer/Repair scan over the active list that the chunked
+// repair pass (RepairStep + ApplyRepairPass) replaced. It stays here only
+// as the reference the pass must reproduce exactly: every candidate slot,
+// the rescan list, and the multiset of heap entries (hence the pop order).
+class SerialRepairReference {
+ public:
+  struct Greater {
+    bool operator()(const MergeCandidate& x, const MergeCandidate& y) const {
+      if (x.dist != y.dist) return x.dist > y.dist;
+      if (x.a != y.a) return x.a > y.a;
+      return x.b > y.b;
+    }
+  };
+
+  explicit SerialRepairReference(const ClusterSet* clusters)
+      : clusters_(clusters) {}
+
+  void Offer(uint32_t x, uint32_t y, double d) {
+    CandidatePair& c = cands[x];
+    if (y == c.c1 || y == c.c2) return;
+    if (d < c.d1 || (d == c.d1 && y < c.c1)) {
+      c.c2 = c.c1;
+      c.d2 = c.d1;
+      c.second_valid = true;
+      c.c1 = y;
+      c.d1 = d;
+      heap.push(MergeCandidate{d, x, y});
+    } else if (d < c.d2 || (d == c.d2 && y < c.c2)) {
+      c.c2 = y;
+      c.d2 = d;
+    }
+  }
+
+  bool Repair(uint32_t x, uint32_t added, double d_x_added) {
+    CandidatePair& c = cands[x];
+    if (c.c1 == kNoCluster || clusters_->Alive(c.c1)) return false;
+    if (added != kNoCluster && d_x_added <= c.d1) {
+      c.c1 = added;
+      c.d1 = d_x_added;
+      heap.push(MergeCandidate{d_x_added, x, added});
+      return false;
+    }
+    if (clusters_->Alive(c.c2) && c.second_valid) {
+      c.c1 = c.c2;
+      c.d1 = c.d2;
+      c.c2 = kNoCluster;
+      c.d2 = kInfDist;
+      c.second_valid = false;
+      heap.push(MergeCandidate{c.d1, x, c.c1});
+      return false;
+    }
+    return true;
+  }
+
+  template <typename Dist>
+  std::vector<uint32_t> Pass(uint32_t added, const Dist& dist) {
+    std::vector<uint32_t> rescans;
+    for (uint32_t x : clusters_->active()) {
+      if (!clusters_->Alive(x)) continue;
+      if (added != kNoCluster) Offer(added, x, dist(added, x));
+      const double d_x_added =
+          added != kNoCluster ? dist(x, added) : kInfDist;
+      if (Repair(x, added, d_x_added)) {
+        rescans.push_back(x);
+      } else if (added != kNoCluster) {
+        Offer(x, added, d_x_added);
+      }
+    }
+    return rescans;
+  }
+
+  std::vector<CandidatePair> cands;
+  std::priority_queue<MergeCandidate, std::vector<MergeCandidate>, Greater>
+      heap;
+
+ private:
+  const ClusterSet* const clusters_;
+};
+
+void ExpectSameEntry(const MergeCandidate& got, const MergeCandidate& want) {
+  EXPECT_EQ(got.dist, want.dist);
+  EXPECT_EQ(got.a, want.a);
+  EXPECT_EQ(got.b, want.b);
+}
+
+// Drives a run of merges through the reference and through the chunked
+// pass side by side (both read one ClusterSet) on a random distance matrix
+// with many ties, and compares them after every pass and at the end.
+void RunRepairPassScenario(uint32_t seed, bool symmetric, size_t grain) {
+  SCOPED_TRACE(testing::Message() << "seed=" << seed << " symmetric="
+                                  << symmetric << " grain=" << grain);
+  constexpr uint32_t kInitial = 80;
+  constexpr uint32_t kMaxIds = 2 * kInitial;
+  std::mt19937 rng(seed);
+  std::vector<double> d(kMaxIds * kMaxIds);
+  for (uint32_t a = 0; a < kMaxIds; ++a) {
+    for (uint32_t b = 0; b < kMaxIds; ++b) {
+      // Four distinct values: most comparisons are ties.
+      d[a * kMaxIds + b] = 0.25 * static_cast<double>(1 + rng() % 4);
+      if (symmetric && b < a) d[a * kMaxIds + b] = d[b * kMaxIds + a];
+    }
+  }
+  const auto dist = [&](uint32_t a, uint32_t b) { return d[a * kMaxIds + b]; };
+
+  ClusterSet clusters;
+  MergeHeap heap(&clusters, /*aggressive_rebuild=*/false, nullptr);
+  SerialRepairReference ref(&clusters);
+  ref.cands.resize(kMaxIds);
+  heap.EnsureSize(kMaxIds);
+  for (uint32_t i = 0; i < kInitial; ++i) clusters.Activate(clusters.Add({}));
+  for (uint32_t x = 0; x < kInitial; ++x) {
+    for (uint32_t y = 0; y < kInitial; ++y) {
+      if (y == x) continue;
+      ref.Offer(x, y, dist(x, y));
+      heap.Offer(x, y, dist(x, y));
+    }
+  }
+
+  while (clusters.num_active() > 2 && clusters.size() < kMaxIds) {
+    // Pop to the first fully-alive entry, comparing every pop on the way.
+    MergeCandidate entry{};
+    for (;;) {
+      ASSERT_FALSE(ref.heap.empty());
+      ASSERT_FALSE(heap.empty());
+      entry = heap.PopTop();
+      ExpectSameEntry(entry, ref.heap.top());
+      ref.heap.pop();
+      if (clusters.Alive(entry.a) && clusters.Alive(entry.b)) break;
+    }
+    clusters.Deactivate(entry.a);
+    heap.NoteDeactivated(entry.a);
+    clusters.Deactivate(entry.b);
+    heap.NoteDeactivated(entry.b);
+    // Every third merge "ripens": no new cluster joins the pass.
+    uint32_t added = kNoCluster;
+    if (rng() % 3 != 0) {
+      added = clusters.Add({});
+      heap.ResetCandidate(added);
+    }
+
+    const std::vector<uint32_t> want = ref.Pass(added, dist);
+    const std::vector<uint32_t>& active = clusters.active();
+    std::vector<RepairChunk> chunks(ParallelChunkCount(active.size(), grain));
+    ParallelChunks(
+        active.size(), 4, nullptr, "test",
+        [&](size_t chunk, size_t begin, size_t end) {
+          for (size_t t = begin; t < end; ++t) {
+            const uint32_t x = active[t];
+            if (!clusters.Alive(x)) continue;
+            heap.RepairStep(
+                x, added, added != kNoCluster ? dist(added, x) : kInfDist,
+                added != kNoCluster ? dist(x, added) : kInfDist,
+                &chunks[chunk]);
+          }
+        },
+        grain);
+    std::vector<uint32_t> got;
+    heap.ApplyRepairPass(added, chunks, &got);
+    ASSERT_EQ(got, want);
+
+    if (added != kNoCluster) clusters.Activate(added);
+    clusters.MaybeCompactActive();
+    for (uint32_t x : got) {
+      if (!clusters.Alive(x)) continue;
+      CandidatePair c;
+      for (uint32_t y : clusters.active()) {
+        if (y != x && clusters.Alive(y)) OfferToTwoBest(&c, y, dist(x, y));
+      }
+      ref.cands[x] = c;
+      if (c.c1 != kNoCluster) ref.heap.push(MergeCandidate{c.d1, x, c.c1});
+      heap.candidate(x) = c;
+      heap.PushCandidate(x);
+    }
+    for (uint32_t x = 0; x < clusters.size(); ++x) {
+      const CandidatePair& g = heap.candidate(x);
+      const CandidatePair& w = ref.cands[x];
+      ASSERT_EQ(g.c1, w.c1) << "x=" << x;
+      ASSERT_EQ(g.d1, w.d1) << "x=" << x;
+      ASSERT_EQ(g.c2, w.c2) << "x=" << x;
+      ASSERT_EQ(g.d2, w.d2) << "x=" << x;
+      ASSERT_EQ(g.second_valid, w.second_valid) << "x=" << x;
+    }
+  }
+  // The full remaining pop sequence, stale entries included.
+  while (!ref.heap.empty()) {
+    ASSERT_FALSE(heap.empty());
+    ExpectSameEntry(heap.PopTop(), ref.heap.top());
+    ref.heap.pop();
+  }
+  EXPECT_TRUE(heap.empty());
+}
+
+TEST(RepairPassTest, ChunkedPassMatchesSerialScanAtEveryChunkCount) {
+  // Grains 1, 3 and 7 cut the ~80-cluster active list into ~80, ~27 and
+  // ~12 chunks; 1000 gives one chunk (the inline path).
+  for (uint32_t seed = 1; seed <= 4; ++seed) {
+    for (bool symmetric : {true, false}) {
+      for (size_t grain : {1u, 3u, 7u, 1000u}) {
+        RunRepairPassScenario(seed, symmetric, grain);
+      }
+    }
+  }
 }
 
 }  // namespace

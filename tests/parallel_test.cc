@@ -4,56 +4,80 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <limits>
 #include <memory>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "kanon/common/run_context.h"
+#include "test_util.h"
 
 namespace kanon {
 namespace {
 
 TEST(ParallelGeometryTest, ChunksPartitionTheRange) {
-  for (size_t n : {0u, 1u, 2u, 7u, 255u, 256u, 257u, 1000u, 100000u}) {
-    const size_t chunks = ParallelChunkCount(n);
-    size_t expected_begin = 0;
-    size_t total = 0;
-    for (size_t c = 0; c < chunks; ++c) {
-      const auto [begin, end] = ParallelChunkRange(n, c);
-      EXPECT_EQ(begin, expected_begin) << "n=" << n << " chunk=" << c;
-      EXPECT_LE(begin, end);
-      total += end - begin;
-      expected_begin = end;
+  for (size_t grain : {1u, 3u, 512u}) {
+    for (size_t n : {0u, 1u, 2u, 7u, 255u, 256u, 257u, 1000u, 100000u}) {
+      const size_t chunks = ParallelChunkCount(n, grain);
+      size_t expected_begin = 0;
+      size_t total = 0;
+      for (size_t c = 0; c < chunks; ++c) {
+        const auto [begin, end] = ParallelChunkRange(n, c, grain);
+        EXPECT_EQ(begin, expected_begin)
+            << "n=" << n << " grain=" << grain << " chunk=" << c;
+        EXPECT_LE(begin, end);
+        total += end - begin;
+        expected_begin = end;
+      }
+      EXPECT_EQ(expected_begin, n) << "n=" << n << " grain=" << grain;
+      EXPECT_EQ(total, n);
     }
-    EXPECT_EQ(expected_begin, n) << "n=" << n;
-    EXPECT_EQ(total, n);
   }
 }
 
-TEST(ParallelGeometryTest, ChunkSizesAreBalanced) {
-  // No chunk may exceed another by more than one item.
-  for (size_t n : {3u, 100u, 257u, 1000u}) {
-    const size_t chunks = ParallelChunkCount(n);
-    size_t smallest = n;
-    size_t largest = 0;
-    for (size_t c = 0; c < chunks; ++c) {
-      const auto [begin, end] = ParallelChunkRange(n, c);
-      smallest = std::min(smallest, end - begin);
-      largest = std::max(largest, end - begin);
+TEST(ParallelGeometryTest, ChunkSizesAreBalancedAndFollowTheGrain) {
+  // No chunk may exceed another by more than one item. Below the 256-chunk
+  // cap no chunk holds more than `grain` items, and the chunks of a
+  // multi-chunk sweep hold more than grain / 2.
+  for (size_t grain : {1u, 4u, 100u, 512u}) {
+    for (size_t n : {3u, 100u, 257u, 1000u, 5000u, 200000u}) {
+      const size_t chunks = ParallelChunkCount(n, grain);
+      size_t smallest = n;
+      size_t largest = 0;
+      for (size_t c = 0; c < chunks; ++c) {
+        const auto [begin, end] = ParallelChunkRange(n, c, grain);
+        smallest = std::min(smallest, end - begin);
+        largest = std::max(largest, end - begin);
+      }
+      EXPECT_LE(largest - smallest, 1u) << "n=" << n << " grain=" << grain;
+      if (chunks < 256) {
+        EXPECT_LE(largest, grain) << "n=" << n << " grain=" << grain;
+      }
+      if (chunks > 1) {
+        EXPECT_GT(2 * smallest, grain) << "n=" << n << " grain=" << grain;
+      }
     }
-    EXPECT_LE(largest - smallest, 1u) << "n=" << n;
   }
 }
 
-TEST(ParallelGeometryTest, GeometryIgnoresThreadCount) {
-  // The contract hinges on chunking being a pure function of n; this test
-  // pins it (a thread-count-dependent geometry would break determinism).
-  const size_t chunks = ParallelChunkCount(1000);
-  for (int threads : {1, 2, 4, 8}) {
-    (void)threads;  // There is deliberately no API taking a thread count.
-    EXPECT_EQ(ParallelChunkCount(1000), chunks);
+TEST(ParallelGeometryTest, ChunkCountDependsOnlyOnItemsAndGrain) {
+  // The contract hinges on chunking being a pure function of (n, grain):
+  // min(256, ceil(n / grain)), grain 0 counting as 1. There is deliberately
+  // no API taking a thread count.
+  struct Case {
+    size_t n, grain, chunks;
+  };
+  for (const Case& c : {Case{0, 1, 0}, Case{1, 1, 1}, Case{100, 1, 100},
+                        Case{1000, 1, 256}, Case{1000, 0, 256},
+                        Case{512, 512, 1}, Case{513, 512, 2},
+                        Case{6000, 512, 12}, Case{8000, 512, 16},
+                        Case{1 << 20, 512, 256}, Case{100, 1000, 1}}) {
+    EXPECT_EQ(ParallelChunkCount(c.n, c.grain), c.chunks)
+        << "n=" << c.n << " grain=" << c.grain;
   }
+  EXPECT_EQ(ParallelChunkCount(1000), ParallelChunkCount(1000, 1));
 }
 
 TEST(ParallelForTest, EveryIndexRunsExactlyOnce) {
@@ -147,12 +171,20 @@ TEST(ParallelForTest, StepBudgetAppliesFromTheNextSweep) {
   EXPECT_EQ(ctx.stats().stop_reason, StopReason::kStepBudget);
 }
 
-TEST(ParallelForTest, SerialBelowRunsInline) {
-  // Small sweeps take the inline path; results must be identical anyway.
+TEST(ParallelForTest, OneChunkRunsInline) {
+  // A sweep whose grain leaves one chunk never reaches the pool: every item
+  // runs on the calling thread, whatever the thread budget.
+  const std::thread::id caller = std::this_thread::get_id();
   std::vector<int> values(100, 0);
+  std::atomic<int> elsewhere{0};
   ParallelFor(
-      100, 4, nullptr, "test", [&](size_t i) { values[i] = static_cast<int>(i); },
-      nullptr, /*serial_below=*/1000);
+      100, 4, nullptr, "test",
+      [&](size_t i) {
+        values[i] = static_cast<int>(i);
+        if (std::this_thread::get_id() != caller) elsewhere.fetch_add(1);
+      },
+      nullptr, /*grain=*/100);
+  EXPECT_EQ(elsewhere.load(), 0);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(values[i], i);
 }
 
@@ -169,6 +201,60 @@ TEST(ParallelForTest, NestedSweepsRunInlineWithoutDeadlock) {
                 [&](size_t) { inner_total.fetch_add(1); });
   });
   EXPECT_EQ(inner_total.load(), 128);
+}
+
+// Thread-sanitizer builds run the stress below at a tenth of its size.
+constexpr size_t kStressSweeps = testing::kThreadSanitizer ? 10000 : 100000;
+
+TEST(ParallelForTest, TinyBackToBackAndNestedSweepsStress) {
+  // Many short sweeps in a row, the pattern of the agglomerative engine's
+  // repair passes: workers pick each one up while still spinning from the
+  // last, park during the occasional pause, and are woken again; every few
+  // sweeps nest a sweep inside a chunk. Thread counts alternate 1/2/4 so
+  // workers beyond a sweep's budget must sit it out.
+  const int thread_counts[] = {1, 2, 4};
+  uint64_t expected = 0;
+  std::atomic<uint64_t> total{0};
+  for (size_t s = 0; s < kStressSweeps; ++s) {
+    const int threads = thread_counts[s % 3];
+    const size_t n = 2 + s % 13;
+    ParallelChunks(n, threads, nullptr, "stress",
+                   [&](size_t /*chunk*/, size_t begin, size_t end) {
+                     uint64_t local = 0;
+                     for (size_t i = begin; i < end; ++i) local += i + 1;
+                     if (s % 97 == 0) {
+                       ParallelFor(3, 4, nullptr, "nested",
+                                   [&](size_t) { total.fetch_add(1); });
+                     }
+                     total.fetch_add(local);
+                   });
+    expected += n * (n + 1) / 2;
+    if (s % 97 == 0) expected += 3 * n;
+    if (s % 20000 == 19999) {
+      // Long enough for every spinning worker to park.
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+  }
+  EXPECT_EQ(total.load(), expected);
+}
+
+TEST(ParallelForTest, ConcurrentTopLevelSweepsSerializeOnThePool) {
+  // Two threads issuing sweeps at once (kanond runs jobs side by side):
+  // they take turns on the one pool and each sees all of its own items.
+  std::vector<uint64_t> sums(2, 0);
+  std::vector<std::thread> callers;
+  for (size_t c = 0; c < 2; ++c) {
+    callers.emplace_back([&, c] {
+      for (size_t s = 0; s < kStressSweeps / 20; ++s) {
+        std::atomic<uint64_t> sum{0};
+        ParallelFor(64, 2 + static_cast<int>(c), nullptr, "concurrent",
+                    [&](size_t i) { sum.fetch_add(i); });
+        sums[c] += sum.load();
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  for (uint64_t sum : sums) EXPECT_EQ(sum, (kStressSweeps / 20) * 2016);
 }
 
 double ArgminProbe(size_t i) {

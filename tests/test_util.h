@@ -11,8 +11,24 @@
 #include "kanon/generalization/scheme.h"
 #include "kanon/loss/precomputed_loss.h"
 
+#if defined(__SANITIZE_THREAD__)
+#define KANON_TEST_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define KANON_TEST_TSAN 1
+#endif
+#endif
+
 namespace kanon {
 namespace testing {
+
+/// True in thread-sanitizer builds, where multi-threaded tests run about
+/// ten times slower and size their workloads down.
+#ifdef KANON_TEST_TSAN
+inline constexpr bool kThreadSanitizer = true;
+#else
+inline constexpr bool kThreadSanitizer = false;
+#endif
 
 /// Unwraps a Result in a test, failing loudly on error.
 template <typename T>
