@@ -6,55 +6,13 @@
 #include "kanon/check/shrink.h"
 #include "kanon/check/trial.h"
 #include "kanon/common/failpoint.h"
+#include "kanon/common/json_text.h"
 #include "kanon/common/parallel.h"
 
 namespace kanon {
 namespace check {
 
 namespace {
-
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 8);
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          const char* hex = "0123456789abcdef";
-          out += "\\u00";
-          out += hex[(c >> 4) & 0xf];
-          out += hex[c & 0xf];
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string JsonString(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  out.push_back('"');
-  out += JsonEscape(text);
-  out.push_back('"');
-  return out;
-}
 
 // Per-trial slot: each worker writes only its own, so the fan-out needs no
 // locks and the assembled report is independent of scheduling.
@@ -150,37 +108,44 @@ Result<CampaignReport> RunCampaign(const CampaignOptions& options) {
 }
 
 std::string CampaignReport::ToJson() const {
+  // Appends `items` as a one-line array of JSON strings.
+  const auto string_array = [](std::string* out,
+                               const std::vector<std::string>& items) {
+    out->push_back('[');
+    for (size_t i = 0; i < items.size(); ++i) {
+      if (i > 0) out->append(", ");
+      AppendJsonString(out, items[i]);
+    }
+    out->push_back(']');
+  };
   std::string out = "{\n";
   out += "  \"kanon_check\": 1,\n";
   out += "  \"seed\": " + std::to_string(seed) + ",\n";
   out += "  \"trials\": " + std::to_string(trials) + ",\n";
-  out += "  \"properties\": [";
-  for (size_t i = 0; i < properties.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += JsonString(properties[i]);
-  }
-  out += "],\n";
+  out += "  \"properties\": ";
+  string_array(&out, properties);
+  out += ",\n";
   out += "  \"evaluations\": " + std::to_string(evaluations) + ",\n";
   out += "  \"passed\": " + std::to_string(passed) + ",\n";
   out += "  \"failed\": " + std::to_string(failures.size()) + ",\n";
-  out += "  \"generator_errors\": [";
-  for (size_t i = 0; i < generator_errors.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += JsonString(generator_errors[i]);
-  }
-  out += "],\n";
+  out += "  \"generator_errors\": ";
+  string_array(&out, generator_errors);
+  out += ",\n";
   out += "  \"failures\": [";
   for (size_t i = 0; i < failures.size(); ++i) {
     const CampaignFailure& f = failures[i];
     out += i > 0 ? ",\n    {" : "\n    {";
-    out += "\"trial\": " + std::to_string(f.trial) + ", ";
-    out += "\"property\": " + JsonString(f.property) + ", ";
-    out += "\"kind\": " + JsonString(f.kind) + ", ";
-    out += "\"message\": " + JsonString(f.message) + ", ";
-    out += "\"original_rows\": " + std::to_string(f.original_rows) + ", ";
+    out += "\"trial\": " + std::to_string(f.trial) + ", \"property\": ";
+    AppendJsonString(&out, f.property);
+    out += ", \"kind\": ";
+    AppendJsonString(&out, f.kind);
+    out += ", \"message\": ";
+    AppendJsonString(&out, f.message);
+    out += ", \"original_rows\": " + std::to_string(f.original_rows) + ", ";
     out += "\"rows\": " + std::to_string(f.rows) + ", ";
     out += "\"attributes\": " + std::to_string(f.attributes) + ", ";
-    out += "\"repro\": " + JsonString(f.repro);
+    out += "\"repro\": ";
+    AppendJsonString(&out, f.repro);
     out += "}";
   }
   out += failures.empty() ? "]\n" : "\n  ]\n";

@@ -1,7 +1,10 @@
 #include "kanon/check/properties.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <cmath>
+#include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <optional>
 #include <utility>
@@ -617,8 +620,10 @@ std::optional<AnonymizationMethod> FirstComposableMethod(
   return std::nullopt;
 }
 
-// A sharded run of one trial in a private scratch work dir (campaign
-// trials run concurrently, so the directory must be unique per trial).
+// A sharded run of one trial in a private scratch work dir. mkdtemp makes
+// it unique per run, not per trial: campaign workers, and test binaries
+// sharing a seed under ctest -j, run the same trial concurrently, and one
+// run's cleanup must not delete another's shard journal.
 struct ShardedOutcome {
   bool ran = false;
   bool rejected = false;  // Clean rejection (k > n shapes).
@@ -643,13 +648,15 @@ ShardedOutcome RunSharded(const TrialData& data, AnonymizationMethod method,
   shard::ShardOptions options;
   options.num_shards = num_shards;
   namespace fs = std::filesystem;
-  const fs::path dir =
-      fs::temp_directory_path() /
-      ("kanon_check_" + std::string(label) + "_s" +
-       std::to_string(data.config.seed) + "_t" +
-       std::to_string(data.config.trial_index) + "_n" +
-       std::to_string(num_shards));
-  options.work_dir = dir.string();
+  std::string dir = (fs::temp_directory_path() /
+                     ("kanon_check_" + std::string(label) + "_XXXXXX"))
+                        .string();
+  if (::mkdtemp(dir.data()) == nullptr) {
+    outcome.error = Status::IOError("cannot create a scratch directory '" +
+                                    dir + "': " + std::strerror(errno));
+    return outcome;
+  }
+  options.work_dir = dir;
   Result<shard::ShardedResult> result = shard::ShardedAnonymize(
       data.dataset, data.scheme, *measure.value(), config, options);
   std::error_code ec;

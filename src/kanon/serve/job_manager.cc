@@ -262,9 +262,12 @@ void JobManager::RunJob(Job* job) {
   // Test hook: occupy the worker slot, cancellably, before running — how
   // the concurrency suite makes "queue full" a deterministic state.
   if (options_.enable_test_hooks && job->request.debug_sleep_ms > 0) {
-    const auto until = std::chrono::steady_clock::now() +
-                       std::chrono::milliseconds(job->request.debug_sleep_ms);
-    while (std::chrono::steady_clock::now() < until &&
+    // Elapsed time is compared in milliseconds: now + debug_sleep_ms would
+    // overflow the clock for a clamped INT64_MAX.
+    const auto start = std::chrono::steady_clock::now();
+    while (std::chrono::duration_cast<std::chrono::milliseconds>(
+               std::chrono::steady_clock::now() - start)
+                   .count() < job->request.debug_sleep_ms &&
            ctx.StopRequested() == StopReason::kNone) {
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }

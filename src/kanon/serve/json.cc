@@ -1,8 +1,9 @@
 #include "kanon/serve/json.h"
 
 #include <cmath>
-#include <cstdio>
 #include <cstring>
+
+#include "kanon/common/json_text.h"
 
 namespace kanon {
 namespace serve {
@@ -274,45 +275,6 @@ class Parser {
   size_t pos_ = 0;
 };
 
-void EscapeInto(const std::string& s, std::string* out) {
-  out->push_back('"');
-  for (const char raw : s) {
-    const unsigned char c = static_cast<unsigned char>(raw);
-    switch (c) {
-      case '"':
-        out->append("\\\"");
-        break;
-      case '\\':
-        out->append("\\\\");
-        break;
-      case '\b':
-        out->append("\\b");
-        break;
-      case '\f':
-        out->append("\\f");
-        break;
-      case '\n':
-        out->append("\\n");
-        break;
-      case '\r':
-        out->append("\\r");
-        break;
-      case '\t':
-        out->append("\\t");
-        break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out->append(buf);
-        } else {
-          out->push_back(raw);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
 }  // namespace
 
 Result<Json> Json::Parse(const std::string& text) {
@@ -335,9 +297,15 @@ std::string Json::GetString(const std::string& key,
 
 int64_t Json::GetInt(const std::string& key, int64_t default_value) const {
   const Json* v = Find(key);
-  return (v != nullptr && v->is_number())
-             ? static_cast<int64_t>(v->number_value())
-             : default_value;
+  if (v == nullptr || !v->is_number()) return default_value;
+  // Clamped, never read as missing: a default such as submit's k=5 is
+  // valid, so `"k": 1e300` must not quietly become it. The cast is only
+  // defined on [-2^63, 2^63).
+  const double d = v->number_value();
+  if (std::isnan(d)) return default_value;
+  if (d < -9223372036854775808.0) return INT64_MIN;
+  if (d >= 9223372036854775808.0) return INT64_MAX;
+  return static_cast<int64_t>(d);
 }
 
 double Json::GetDouble(const std::string& key, double default_value) const {
@@ -376,19 +344,11 @@ void Json::DumpTo(std::string* out) const {
     case Type::kBool:
       out->append(bool_ ? "true" : "false");
       return;
-    case Type::kNumber: {
-      char buf[32];
-      if (number_ == static_cast<double>(static_cast<int64_t>(number_))) {
-        std::snprintf(buf, sizeof(buf), "%lld",
-                      static_cast<long long>(number_));
-      } else {
-        std::snprintf(buf, sizeof(buf), "%.17g", number_);
-      }
-      out->append(buf);
+    case Type::kNumber:
+      AppendJsonNumber(out, number_);
       return;
-    }
     case Type::kString:
-      EscapeInto(string_, out);
+      AppendJsonString(out, string_);
       return;
     case Type::kArray: {
       out->push_back('[');
@@ -407,7 +367,7 @@ void Json::DumpTo(std::string* out) const {
       for (const auto& [k, v] : object_) {
         if (!first) out->push_back(',');
         first = false;
-        EscapeInto(k, out);
+        AppendJsonString(out, k);
         out->push_back(':');
         v.DumpTo(out);
       }

@@ -83,6 +83,8 @@ class Json {
 
   /// Typed object getters with defaults (missing key or wrong type returns
   /// the default) — what the request handlers use for optional params.
+  /// GetInt clamps a number outside the int64 range to INT64_MIN/INT64_MAX
+  /// and returns the default for NaN.
   std::string GetString(const std::string& key,
                         const std::string& default_value) const;
   int64_t GetInt(const std::string& key, int64_t default_value) const;
@@ -94,9 +96,11 @@ class Json {
   /// Appends to an array.
   Json& Push(Json value);
 
-  /// Serializes. Integral numbers print without a decimal point, doubles
-  /// with enough digits to round-trip; strings escape control characters,
-  /// quotes and backslashes and pass UTF-8 bytes through untouched.
+  /// Serializes with the shared encoder (common/json_text.h): integral
+  /// numbers below 1e15 print without a decimal point, other doubles with
+  /// enough digits to round-trip, NaN and infinities as null; strings
+  /// escape control characters, quotes and backslashes and pass UTF-8
+  /// bytes through untouched.
   std::string Dump() const;
 
  private:

@@ -40,12 +40,12 @@ ErrorCode CodeForStatus(const Status& status) {
 
 /// Fetches a required positive integer param; a kNone error code on success.
 bool GetJobId(const Json& params, uint64_t* out, std::string* error) {
-  const Json* value = params.Find("job_id");
-  if (value == nullptr || !value->is_number() || value->number_value() < 1) {
+  const int64_t id = params.GetInt("job_id", 0);
+  if (id < 1) {
     *error = "params.job_id (positive integer) is required";
     return false;
   }
-  *out = static_cast<uint64_t>(value->number_value());
+  *out = static_cast<uint64_t>(id);
   return true;
 }
 
@@ -375,6 +375,14 @@ std::string Server::HandleSubmit(const Request& request, uint64_t request_id) {
   if (k < 1) {
     return ErrorResponse(request.id, ErrorCode::kInvalidParams,
                          "params.k must be a positive integer");
+  }
+  // No method can group n rows into classes of more than n, so a larger k
+  // (`"k": 1e300` clamps to INT64_MAX) is refused here, not run.
+  if (static_cast<uint64_t>(k) > job.dataset.num_rows()) {
+    return ErrorResponse(request.id, ErrorCode::kInvalidParams,
+                         "params.k must not exceed the table's " +
+                             std::to_string(job.dataset.num_rows()) +
+                             " rows");
   }
   job.k = static_cast<size_t>(k);
   Result<AnonymizationMethod> method =

@@ -2,61 +2,14 @@
 
 #include <cerrno>
 #include <chrono>
-#include <cmath>
 #include <cstring>
 
+#include "kanon/common/json_text.h"
 #include "kanon/telemetry/flight_recorder.h"
 
 namespace kanon {
 
 namespace {
-
-void AppendEscaped(std::string* out, std::string_view text) {
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out->append("\\\"");
-        break;
-      case '\\':
-        out->append("\\\\");
-        break;
-      case '\n':
-        out->append("\\n");
-        break;
-      case '\r':
-        out->append("\\r");
-        break;
-      case '\t':
-        out->append("\\t");
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out->append(buf);
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-}
-
-void AppendDouble(std::string* out, double value) {
-  if (!std::isfinite(value)) {
-    // JSON has no Inf/NaN literal; these only arise from buggy callers
-    // and 0 is the least-surprising placeholder.
-    out->push_back('0');
-    return;
-  }
-  char buf[40];
-  if (value == static_cast<long long>(value) && std::fabs(value) < 1e15) {
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(value));
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.6g", value);
-  }
-  out->append(buf);
-}
 
 double MonotonicSeconds() {
   return std::chrono::duration<double>(
@@ -153,19 +106,16 @@ std::string RenderLine(double ts_unix, LogLevel level, std::string_view event,
   out.append(ts);
   out.append(",\"level\":\"");
   out.append(LogLevelName(level));
-  out.append("\",\"event\":\"");
-  AppendEscaped(&out, event);
-  out.push_back('"');
+  out.append("\",\"event\":");
+  AppendJsonString(&out, event);
   for (size_t i = 0; i < num_fields; ++i) {
     const LogField& f = fields[i];
-    out.append(",\"");
-    AppendEscaped(&out, f.key);
-    out.append("\":");
+    out.push_back(',');
+    AppendJsonString(&out, f.key);
+    out.push_back(':');
     switch (f.kind) {
       case LogField::Kind::kStr:
-        out.push_back('"');
-        AppendEscaped(&out, f.str);
-        out.push_back('"');
+        AppendJsonString(&out, f.str);
         break;
       case LogField::Kind::kInt:
         out.append(std::to_string(f.i64));
@@ -174,7 +124,7 @@ std::string RenderLine(double ts_unix, LogLevel level, std::string_view event,
         out.append(std::to_string(f.u64));
         break;
       case LogField::Kind::kDouble:
-        AppendDouble(&out, f.f64);
+        AppendJsonNumber(&out, f.f64);
         break;
       case LogField::Kind::kBool:
         out.append(f.b ? "true" : "false");

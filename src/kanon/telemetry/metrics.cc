@@ -1,54 +1,10 @@
 #include "kanon/telemetry/metrics.h"
 
 #include <cmath>
-#include <cstdio>
-#include <sstream>
+
+#include "kanon/common/json_text.h"
 
 namespace kanon {
-
-namespace {
-
-// Shortest round-trip-ish formatting that is identical for identical
-// doubles, with integral values printed without an exponent or trailing
-// zeros ("4" not "4.000000"). Used for both gauge values and histogram
-// bounds, so deterministic metrics fingerprint byte-identically.
-std::string FormatDouble(double value) {
-  if (std::isfinite(value) && value == static_cast<long long>(value) &&
-      std::fabs(value) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(value));
-    return buf;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return buf;
-}
-
-void AppendQuoted(std::ostringstream& out, const std::string& text) {
-  out << '"';
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        out << "\\\"";
-        break;
-      case '\\':
-        out << "\\\\";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out << buf;
-        } else {
-          out << c;
-        }
-    }
-  }
-  out << '"';
-}
-
-}  // namespace
 
 Histogram::Histogram(std::vector<double> bounds, bool deterministic)
     : bounds_(std::move(bounds)),
@@ -198,91 +154,96 @@ MetricsRegistry::InfosSnapshot() const {
 
 std::string MetricsRegistry::ToJson(bool include_nondeterministic) const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::ostringstream out;
-  out << "{\n  \"counters\": {";
+  std::string out = "{\n  \"counters\": {";
   bool first = true;
+  // Opens the next "name": entry of the current section.
+  const auto key = [&out, &first](const std::string& name) {
+    out.append(first ? "\n    " : ",\n    ");
+    first = false;
+    AppendJsonString(&out, name);
+    out.append(": ");
+  };
+  const auto close_section = [&out, &first] {
+    out.append(first ? "}" : "\n  }");
+  };
   for (const auto& [name, counter] : counters_) {
     if (!include_nondeterministic && !counter->deterministic()) continue;
-    out << (first ? "\n    " : ",\n    ");
-    first = false;
-    AppendQuoted(out, name);
-    out << ": " << counter->value();
+    key(name);
+    out.append(std::to_string(counter->value()));
   }
-  out << (first ? "}" : "\n  }");
-  out << ",\n  \"gauges\": {";
+  close_section();
+  out.append(",\n  \"gauges\": {");
   first = true;
   for (const auto& [name, gauge] : gauges_) {
     if (!include_nondeterministic && !gauge->deterministic()) continue;
-    out << (first ? "\n    " : ",\n    ");
-    first = false;
-    AppendQuoted(out, name);
-    out << ": " << FormatDouble(gauge->value());
+    key(name);
+    AppendJsonNumber(&out, gauge->value());
   }
-  out << (first ? "}" : "\n  }");
-  out << ",\n  \"histograms\": {";
+  close_section();
+  out.append(",\n  \"histograms\": {");
   first = true;
   for (const auto& [name, histogram] : histograms_) {
     if (!include_nondeterministic && !histogram->deterministic()) continue;
-    out << (first ? "\n    " : ",\n    ");
-    first = false;
-    AppendQuoted(out, name);
-    out << ": {\"count\": " << histogram->count()
-        << ", \"sum\": " << FormatDouble(histogram->sum())
-        << ", \"buckets\": [";
+    key(name);
+    out.append("{\"count\": " + std::to_string(histogram->count()) +
+               ", \"sum\": ");
+    AppendJsonNumber(&out, histogram->sum());
+    out.append(", \"buckets\": [");
     const std::vector<double>& bounds = histogram->bounds();
     const std::vector<uint64_t> counts = histogram->bucket_counts();
     for (size_t i = 0; i < counts.size(); ++i) {
-      if (i > 0) out << ", ";
-      out << "{\"le\": ";
+      out.append(i > 0 ? ", {\"le\": " : "{\"le\": ");
       if (i < bounds.size()) {
-        out << FormatDouble(bounds[i]);
+        AppendJsonNumber(&out, bounds[i]);
       } else {
-        out << "\"inf\"";
+        out.append("\"inf\"");
       }
-      out << ", \"count\": " << counts[i] << "}";
+      out.append(", \"count\": " + std::to_string(counts[i]) + "}");
     }
-    out << "]}";
+    out.append("]}");
   }
-  out << (first ? "}" : "\n  }");
+  close_section();
   if (include_nondeterministic) {
     // Wall-clock-derived sections: never part of the deterministic
     // fingerprint, so they only exist in the full snapshot.
-    out << ",\n  \"rolling\": {";
+    out.append(",\n  \"rolling\": {");
     first = true;
     for (const auto& [name, rolling] : rolling_) {
       const RollingHistogram::Snapshot snap = rolling->Snap();
-      out << (first ? "\n    " : ",\n    ");
-      first = false;
-      AppendQuoted(out, name);
-      out << ": {\"window_seconds\": " << FormatDouble(rolling->window_seconds())
-          << ", \"count\": " << snap.count
-          << ", \"sum\": " << FormatDouble(snap.sum)
-          << ", \"p50\": " << FormatDouble(snap.p50)
-          << ", \"p95\": " << FormatDouble(snap.p95)
-          << ", \"p99\": " << FormatDouble(snap.p99) << "}";
+      key(name);
+      out.append("{\"window_seconds\": ");
+      AppendJsonNumber(&out, rolling->window_seconds());
+      out.append(", \"count\": " + std::to_string(snap.count) +
+                 ", \"sum\": ");
+      AppendJsonNumber(&out, snap.sum);
+      out.append(", \"p50\": ");
+      AppendJsonNumber(&out, snap.p50);
+      out.append(", \"p95\": ");
+      AppendJsonNumber(&out, snap.p95);
+      out.append(", \"p99\": ");
+      AppendJsonNumber(&out, snap.p99);
+      out.push_back('}');
     }
-    out << (first ? "}" : "\n  }");
-    out << ",\n  \"info\": {";
+    close_section();
+    out.append(",\n  \"info\": {");
     first = true;
     for (const auto& [name, labels] : infos_) {
-      out << (first ? "\n    " : ",\n    ");
-      first = false;
-      AppendQuoted(out, name);
-      out << ": {";
+      key(name);
+      out.push_back('{');
       bool first_label = true;
-      for (const auto& [key, value] : labels) {
-        if (!first_label) out << ", ";
+      for (const auto& [label, value] : labels) {
+        if (!first_label) out.append(", ");
         first_label = false;
-        AppendQuoted(out, key);
-        out << ": ";
-        AppendQuoted(out, value);
+        AppendJsonString(&out, label);
+        out.append(": ");
+        AppendJsonString(&out, value);
       }
-      out << "}";
+      out.push_back('}');
     }
-    out << (first ? "}" : "\n  }");
+    close_section();
   }
-  out << "\n}\n";
-  return out.str();
+  out.append("\n}\n");
+  return out;
 }
 
 }  // namespace kanon

@@ -2,17 +2,19 @@
 
 #include <cstdio>
 #include <fstream>
-#include <sstream>
+
+#include "kanon/common/json_text.h"
 
 namespace kanon {
 
 namespace {
 
-// Microsecond timestamps with sub-microsecond precision preserved.
-std::string FormatMicros(double us) {
+// Microsecond timestamps with sub-microsecond precision preserved: the
+// trace format's fixed-point microseconds, not a general JSON number.
+void AppendMicros(std::string* out, double us) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.3f", us);
-  return buf;
+  out->append(buf);
 }
 
 Status WriteText(const std::string& text, const std::string& path,
@@ -38,43 +40,45 @@ Status WriteText(const std::string& text, const std::string& path,
 }  // namespace
 
 std::string ChromeTraceJson(const Tracer& tracer) {
-  std::ostringstream out;
-  out << "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n";
-  bool first = true;
+  std::string out = "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n";
   const size_t lanes = tracer.num_lanes();
   // Metadata: name the process and each lane's trace thread.
-  out << "  {\"ph\": \"M\", \"pid\": 1, \"tid\": 0, "
-         "\"name\": \"process_name\", \"args\": {\"name\": \"kanon\"}}";
-  first = false;
+  out.append(
+      "  {\"ph\": \"M\", \"pid\": 1, \"tid\": 0, "
+      "\"name\": \"process_name\", \"args\": {\"name\": \"kanon\"}}");
   for (size_t lane = 0; lane < lanes; ++lane) {
-    out << ",\n  {\"ph\": \"M\", \"pid\": 1, \"tid\": " << lane
-        << ", \"name\": \"thread_name\", \"args\": {\"name\": \""
-        << (lane == 0 ? std::string("coordinator")
-                      : "worker " + std::to_string(lane))
-        << "\"}}";
+    out.append(",\n  {\"ph\": \"M\", \"pid\": 1, \"tid\": " +
+               std::to_string(lane) +
+               ", \"name\": \"thread_name\", \"args\": {\"name\": \"" +
+               (lane == 0 ? std::string("coordinator")
+                          : "worker " + std::to_string(lane)) +
+               "\"}}");
   }
   for (size_t lane = 0; lane < lanes; ++lane) {
     for (const SpanEvent& event : tracer.lane_events(lane)) {
-      out << (first ? "  " : ",\n  ");
-      first = false;
-      out << "{\"ph\": \"X\", \"pid\": 1, \"tid\": " << event.lane
-          << ", \"name\": \"" << event.name << "\", \"cat\": \""
-          << event.category
-          << "\", \"ts\": " << FormatMicros(event.wall_begin_us)
-          << ", \"dur\": "
-          << FormatMicros(event.wall_end_us - event.wall_begin_us)
-          << ", \"args\": {\"steps_begin\": " << event.steps_begin
-          << ", \"steps_end\": " << event.steps_end
-          << ", \"items\": " << event.items << ", \"depth\": " << event.depth
-          << "}}";
+      out.append(",\n  {\"ph\": \"X\", \"pid\": 1, \"tid\": " +
+                 std::to_string(event.lane) + ", \"name\": ");
+      AppendJsonString(&out, event.name);
+      out.append(", \"cat\": ");
+      AppendJsonString(&out, event.category);
+      out.append(", \"ts\": ");
+      AppendMicros(&out, event.wall_begin_us);
+      out.append(", \"dur\": ");
+      AppendMicros(&out, event.wall_end_us - event.wall_begin_us);
+      out.append(", \"args\": {\"steps_begin\": " +
+                 std::to_string(event.steps_begin) +
+                 ", \"steps_end\": " + std::to_string(event.steps_end) +
+                 ", \"items\": " + std::to_string(event.items) +
+                 ", \"depth\": " + std::to_string(event.depth) + "}}");
     }
   }
-  out << "\n]";
+  out.append("\n]");
   if (tracer.dropped_spans() > 0) {
-    out << ", \"kanonDroppedSpans\": " << tracer.dropped_spans();
+    out.append(", \"kanonDroppedSpans\": " +
+               std::to_string(tracer.dropped_spans()));
   }
-  out << "}\n";
-  return out.str();
+  out.append("}\n");
+  return out;
 }
 
 Status WriteChromeTrace(const Tracer& tracer, const std::string& path) {

@@ -6,6 +6,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -259,6 +260,72 @@ TEST(CampaignTest, SmokeCampaignPassesEveryProperty) {
   EXPECT_TRUE(report->ok()) << report->ToJson();
   EXPECT_EQ(report->evaluations, 30 * PropertyCatalog().size());
   EXPECT_EQ(report->passed, report->evaluations);
+}
+
+// The exact report bytes, escapes included: CI archives and diffs them.
+TEST(CampaignTest, ReportJsonBytesArePinned) {
+  CampaignReport report;
+  report.seed = 4;
+  report.trials = 2;
+  report.properties = {"pipeline-verifies", "shard-accounting"};
+  report.evaluations = 4;
+  report.passed = 3;
+  CampaignFailure failure;
+  failure.trial = 1;
+  failure.property = "pipeline-verifies";
+  failure.kind = "verify:k";
+  failure.message = "said \"no\"\nthen\tstopped";
+  failure.original_rows = 12;
+  failure.rows = 3;
+  failure.attributes = 1;
+  failure.repro = "kanon-repro 1\n";
+  report.failures.push_back(failure);
+  EXPECT_EQ(report.ToJson(),
+            "{\n"
+            "  \"kanon_check\": 1,\n"
+            "  \"seed\": 4,\n"
+            "  \"trials\": 2,\n"
+            "  \"properties\": [\"pipeline-verifies\", "
+            "\"shard-accounting\"],\n"
+            "  \"evaluations\": 4,\n"
+            "  \"passed\": 3,\n"
+            "  \"failed\": 1,\n"
+            "  \"generator_errors\": [],\n"
+            "  \"failures\": [\n"
+            "    {\"trial\": 1, \"property\": \"pipeline-verifies\", "
+            "\"kind\": \"verify:k\", "
+            "\"message\": \"said \\\"no\\\"\\nthen\\tstopped\", "
+            "\"original_rows\": 12, \"rows\": 3, \"attributes\": 1, "
+            "\"repro\": \"kanon-repro 1\\n\"}\n"
+            "  ]\n"
+            "}\n");
+}
+
+// Concurrent runs of one sharded trial (campaign workers, or two test
+// binaries under ctest -j with the same seed) each get a private scratch
+// directory, so one run's cleanup cannot delete another's shard journal.
+TEST(PropertyTest, ConcurrentShardedCompositionRunsDoNotCollide) {
+  const Property* property = FindProperty("sharded-composition");
+  ASSERT_NE(property, nullptr);
+  GeneratorOptions options;
+  Result<TrialData> trial = MakeTrial(4, 3, options);
+  ASSERT_TRUE(trial.ok()) << trial.status().ToString();
+  trial->config.methods = {AnonymizationMethod::kAgglomerative};
+  constexpr int kThreads = 4;
+  constexpr int kRunsPerThread = 8;
+  std::vector<PropertyResult> results(kThreads * kRunsPerThread);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kRunsPerThread; ++i) {
+        results[t * kRunsPerThread + i] = property->run(*trial);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (const PropertyResult& result : results) {
+    EXPECT_TRUE(result.passed) << result.kind << ": " << result.message;
+  }
 }
 
 TEST(CampaignTest, FailpointCampaignWritesShrunkReproducers) {

@@ -4,6 +4,7 @@
 #include <set>
 
 #include "kanon/common/flags.h"
+#include "kanon/common/json_text.h"
 #include "kanon/common/result.h"
 #include "kanon/common/rng.h"
 #include "kanon/common/status.h"
@@ -292,6 +293,55 @@ TEST(TablePrinterTest, SeparatorAndShortRows) {
 TEST(TablePrinterTest, EmptyIsEmpty) {
   TablePrinter t;
   EXPECT_EQ(t.ToString(), "");
+}
+
+// The shared JSON encoder, checked against literal bytes rather than a
+// parser: every writer's output rests on these two functions.
+TEST(JsonTextTest, StringEscapes) {
+  std::string out;
+  AppendJsonString(&out, "");
+  EXPECT_EQ(out, "\"\"");
+  out = "x=";
+  AppendJsonString(&out, "a\"b\\c/d");
+  EXPECT_EQ(out, "x=\"a\\\"b\\\\c/d\"");
+  out.clear();
+  AppendJsonString(&out, "\b\f\n\r\t");
+  EXPECT_EQ(out, "\"\\b\\f\\n\\r\\t\"");
+  out.clear();
+  AppendJsonString(&out, std::string_view("\x00\x01\x1f\x20", 4));
+  EXPECT_EQ(out, "\"\\u0000\\u0001\\u001f \"");
+  out.clear();
+  AppendJsonString(&out, "caf\xc3\xa9 \x7f");  // UTF-8 and DEL pass through.
+  EXPECT_EQ(out, "\"caf\xc3\xa9 \x7f\"");
+}
+
+TEST(JsonTextTest, NumberRule) {
+  const struct {
+    double value;
+    const char* text;
+  } cases[] = {
+      {0.0, "0"},
+      {-0.0, "0"},
+      {3.0, "3"},
+      {-42.0, "-42"},
+      {999999999999999.0, "999999999999999"},
+      {1e15, "1000000000000000"},
+      {1e16, "10000000000000000"},
+      {1e17, "1e+17"},
+      {0.1, "0.10000000000000001"},
+      {6.25, "6.25"},
+      {-2.5e-7, "-2.4999999999999999e-07"},
+      {1e300, "1.0000000000000001e+300"},
+      {-1e300, "-1.0000000000000001e+300"},
+      {std::nan(""), "null"},
+      {INFINITY, "null"},
+      {-INFINITY, "null"},
+  };
+  for (const auto& c : cases) {
+    std::string out;
+    AppendJsonNumber(&out, c.value);
+    EXPECT_EQ(out, c.text) << c.value;
+  }
 }
 
 }  // namespace

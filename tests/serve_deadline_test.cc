@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "json_test_util.h"
 #include "serve_test_util.h"
 #include "test_util.h"
 
@@ -64,7 +63,7 @@ TEST(ServeDeadlineTest, StepBudgetDegradesWithCliSemantics) {
   const std::string id_field =
       "\"job_id\":" + std::to_string(job_id);
   for (const std::string& line : server.LogLines()) {
-    ASSERT_TRUE(testing::JsonValidator(line).Valid()) << line;
+    ASSERT_TRUE(Json::Parse(line).ok()) << line;
     if (line.find(id_field) == std::string::npos) continue;
     const size_t event = line.find("\"event\":\"");
     ASSERT_NE(event, std::string::npos) << line;

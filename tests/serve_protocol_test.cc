@@ -8,12 +8,12 @@
 // exactly as the CSV/spec parser robustness suite does for ingestion.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <csignal>
 #include <cstdint>
 #include <sstream>
 #include <string>
 
-#include "json_test_util.h"
 #include "serve_test_util.h"
 #include "test_util.h"
 
@@ -119,6 +119,22 @@ TEST(ServeProtocolTest, MalformedFrameCorpus) {
   EXPECT_EQ(server.SignalAndWait(SIGTERM), 0) << server.Log();
 }
 
+// A number no int64 holds clamps to the nearest end of the range instead of
+// an undefined cast, and never reads as missing (only NaN does).
+TEST(ServeProtocolTest, GetIntClampsOutOfRangeNumbers) {
+  const Json doc = testing::Unwrap(Json::Parse(
+      "{\"huge\":1e300,\"tiny\":-1e300,\"edge\":9223372036854775808,"
+      "\"min\":-9223372036854775808,\"ok\":42}"));
+  EXPECT_EQ(doc.GetInt("huge", 7), INT64_MAX);
+  EXPECT_EQ(doc.GetInt("tiny", 7), INT64_MIN);
+  EXPECT_EQ(doc.GetInt("edge", 7), INT64_MAX);
+  EXPECT_EQ(doc.GetInt("min", 7), INT64_MIN);
+  EXPECT_EQ(doc.GetInt("ok", 7), 42);
+  Json nan = Json::Object();
+  nan.Set("v", Json::Number(std::nan("")));
+  EXPECT_EQ(nan.GetInt("v", 7), 7);
+}
+
 TEST(ServeProtocolTest, MethodLevelParamErrorsAreTyped) {
   TestServer server;
   Client client = server.Connect();
@@ -164,6 +180,24 @@ TEST(ServeProtocolTest, MethodLevelParamErrorsAreTyped) {
   params.Set("k", Json::Number(int64_t{2}));
   Json ghost = testing::Unwrap(client.CallRaw("verify", std::move(params)));
   EXPECT_EQ(ghost.Find("error")->GetString("code", ""), "not_found");
+  // Integer params far outside the int64 range clamp to its ends, never a
+  // wrapped or undefined cast and never the param's default.
+  ExpectTypedError(client,
+                   "{\"id\":7,\"method\":\"poll\",\"params\":{\"job_id\":1e300}}",
+                   "not_found");
+  ExpectTypedError(
+      client, "{\"id\":8,\"method\":\"fetch\",\"params\":{\"job_id\":-1e300}}",
+      "invalid_params");
+  // A k of 1e300 must not run as the default k=5: it is refused, as is any
+  // k larger than the table.
+  for (const double k : {1e300, -1e300, 9.0}) {
+    params = Json::Object();
+    params.Set("csv", Json::Str(SyntheticCsv(8)));
+    params.Set("k", Json::Number(k));
+    Json bad_k = testing::Unwrap(client.CallRaw("submit", std::move(params)));
+    EXPECT_EQ(bad_k.Find("error")->GetString("code", ""), "invalid_params")
+        << "k=" << k << ": " << bad_k.Dump();
+  }
 
   EXPECT_EQ(server.SignalAndWait(SIGTERM), 0) << server.Log();
 }
@@ -200,7 +234,7 @@ TEST(ServeProtocolTest, ArmedCrashFailpointDumpsTheFlightRecorder) {
   bool saw_crash_event = false;
   bool saw_signal = false;
   while (std::getline(lines, line)) {
-    EXPECT_TRUE(testing::JsonValidator(line).Valid()) << line;
+    EXPECT_TRUE(Json::Parse(line).ok()) << line;
     if (line.find("\"event\":\"serve.crash\"") != std::string::npos) {
       saw_crash_event = true;
     }

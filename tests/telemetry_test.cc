@@ -26,6 +26,7 @@
 
 #include "kanon/algo/anonymizer.h"
 #include "kanon/loss/entropy_measure.h"
+#include "kanon/serve/json.h"
 #include "kanon/telemetry/flight_recorder.h"
 #include "kanon/telemetry/log.h"
 #include "kanon/telemetry/metrics.h"
@@ -33,7 +34,6 @@
 #include "kanon/telemetry/rolling.h"
 #include "kanon/telemetry/trace_export.h"
 #include "kanon/telemetry/tracer.h"
-#include "json_test_util.h"
 #include "test_util.h"
 
 // Sanitizer builds replace the global allocator; skip the allocation-count
@@ -86,8 +86,6 @@ namespace {
 using testing::SmallRandomDataset;
 using testing::SmallScheme;
 using testing::Unwrap;
-
-using testing::JsonValidator;
 
 // --- Tracer unit behavior. ---------------------------------------------
 
@@ -194,8 +192,97 @@ TEST(MetricsTest, NondeterministicMetricsExcludedFromFingerprint) {
   EXPECT_NE(full.find("run.elapsed_seconds"), std::string::npos);
   EXPECT_EQ(fingerprint.find("run.elapsed_seconds"), std::string::npos);
   EXPECT_NE(fingerprint.find("run.rows"), std::string::npos);
-  EXPECT_TRUE(JsonValidator(full).Valid());
-  EXPECT_TRUE(JsonValidator(fingerprint).Valid());
+  EXPECT_TRUE(serve::Json::Parse(full).ok());
+  EXPECT_TRUE(serve::Json::Parse(fingerprint).ok());
+}
+
+// The exact bytes of both snapshots, so a rewrite of the encoder cannot
+// drift the layout, the field order or the number rule unnoticed.
+TEST(MetricsTest, ToJsonBytesArePinned) {
+  MetricsRegistry registry;
+  registry.GetCounter("engine.merges")->Add(5);
+  registry.GetCounter("run.wall_ms", /*deterministic=*/false)->Add(12);
+  registry.GetGauge("g.three")->Set(3.0);
+  registry.GetGauge("g.tenth")->Set(0.1);
+  registry.GetGauge("g.big")->Set(1e16);
+  Histogram* h = registry.GetHistogram("h.sizes", {0.5, 2.0});
+  h->Observe(0.25);
+  h->Observe(1.0);
+  h->Observe(5.0);
+  registry.SetInfo("build_info", {{"version", "1.2.3"}});
+
+  const std::string deterministic_part =
+      "{\n"
+      "  \"counters\": {\n"
+      "    \"engine.merges\": 5\n"
+      "  },\n"
+      "  \"gauges\": {\n"
+      "    \"g.big\": 10000000000000000,\n"
+      "    \"g.tenth\": 0.10000000000000001,\n"
+      "    \"g.three\": 3\n"
+      "  },\n"
+      "  \"histograms\": {\n"
+      "    \"h.sizes\": {\"count\": 3, \"sum\": 6.25, \"buckets\": "
+      "[{\"le\": 0.5, \"count\": 1}, {\"le\": 2, \"count\": 1}, "
+      "{\"le\": \"inf\", \"count\": 1}]}\n"
+      "  }";
+  EXPECT_EQ(registry.ToJson(false), deterministic_part + "\n}\n");
+  EXPECT_EQ(registry.ToJson(true),
+            "{\n"
+            "  \"counters\": {\n"
+            "    \"engine.merges\": 5,\n"
+            "    \"run.wall_ms\": 12,\n"
+            "    \"telemetry.bad_samples\": 0\n"
+            "  },\n"
+            "  \"gauges\": {\n"
+            "    \"g.big\": 10000000000000000,\n"
+            "    \"g.tenth\": 0.10000000000000001,\n"
+            "    \"g.three\": 3\n"
+            "  },\n"
+            "  \"histograms\": {\n"
+            "    \"h.sizes\": {\"count\": 3, \"sum\": 6.25, \"buckets\": "
+            "[{\"le\": 0.5, \"count\": 1}, {\"le\": 2, \"count\": 1}, "
+            "{\"le\": \"inf\", \"count\": 1}]}\n"
+            "  },\n"
+            "  \"rolling\": {},\n"
+            "  \"info\": {\n"
+            "    \"build_info\": {\"version\": \"1.2.3\"}\n"
+            "  }\n"
+            "}\n");
+}
+
+// JSON has no NaN or infinity literal: every writer prints them as null,
+// and huge doubles print in exponent form, so each output still parses.
+TEST(JsonEncodingTest, NonFiniteAndHugeNumbersStayParseable) {
+  const struct {
+    double value;
+    const char* text;
+  } cases[] = {{std::nan(""), "null"},
+               {INFINITY, "null"},
+               {-INFINITY, "null"},
+               {1e300, "1.0000000000000001e+300"},
+               {-0.0, "0"}};
+  for (const auto& c : cases) {
+    const std::string dumped = serve::Json::Number(c.value).Dump();
+    EXPECT_EQ(dumped, c.text);
+    EXPECT_TRUE(serve::Json::Parse(dumped).ok()) << dumped;
+  }
+
+  MetricsRegistry registry;
+  registry.GetGauge("g.nan")->Set(std::nan(""));
+  for (const bool full : {false, true}) {
+    const std::string json = registry.ToJson(full);
+    Result<serve::Json> parsed = serve::Json::Parse(json);
+    ASSERT_TRUE(parsed.ok()) << json;
+    EXPECT_TRUE(parsed->Find("gauges")->Find("g.nan")->is_null()) << json;
+  }
+
+  const LogField field = LogField::Dbl("seconds", INFINITY);
+  const std::string line =
+      log_internal::RenderLine(1.5, LogLevel::kInfo, "e", &field, 1);
+  Result<serve::Json> parsed = serve::Json::Parse(line);
+  ASSERT_TRUE(parsed.ok()) << line;
+  EXPECT_TRUE(parsed->Find("seconds")->is_null()) << line;
 }
 
 // --- Bad-sample guard: NaN/negative observations cannot poison sums. ---
@@ -269,7 +356,7 @@ TEST(RollingHistogramTest, FingerprintInvariantWhileRollingMetricsActive) {
   EXPECT_EQ(registry.ToJson(false), before);
   // The full export does carry them.
   const std::string full = registry.ToJson(true);
-  EXPECT_TRUE(JsonValidator(full).Valid());
+  EXPECT_TRUE(serve::Json::Parse(full).ok());
   EXPECT_NE(full.find("serve.request_seconds_window"), std::string::npos);
   EXPECT_NE(full.find("kanond_build_info"), std::string::npos);
 }
@@ -303,7 +390,7 @@ TEST(LoggerTest, WritesParseableJsonLinesWithTypedFields) {
   std::ifstream input(path);
   std::string line;
   ASSERT_TRUE(std::getline(input, line));
-  EXPECT_TRUE(JsonValidator(line).Valid()) << line;
+  EXPECT_TRUE(serve::Json::Parse(line).ok()) << line;
   EXPECT_NE(line.find("\"level\":\"info\""), std::string::npos);
   EXPECT_NE(line.find("\"event\":\"job.admitted\""), std::string::npos);
   EXPECT_NE(line.find("\"job_id\":3"), std::string::npos);
@@ -344,7 +431,7 @@ TEST(LoggerTest, RateLimitDropsAndSummarizes) {
   bool saw_summary = false;
   bool saw_after = false;
   while (std::getline(input, line)) {
-    EXPECT_TRUE(JsonValidator(line).Valid()) << line;
+    EXPECT_TRUE(serve::Json::Parse(line).ok()) << line;
     if (line.find("log.rate_limited") != std::string::npos) {
       saw_summary = true;
       EXPECT_NE(line.find("\"dropped\":"), std::string::npos);
@@ -376,7 +463,7 @@ TEST(FlightRecorderTest, OversizedLinesBecomeAMarkerNotTornJson) {
   recorder.RecordLine(std::string(FlightRecorder::kMaxLineBytes + 100, 'x'));
   const std::vector<std::string> lines = recorder.Snapshot();
   ASSERT_EQ(lines.size(), 1u);
-  EXPECT_TRUE(JsonValidator(lines[0]).Valid()) << lines[0];
+  EXPECT_TRUE(serve::Json::Parse(lines[0]).ok()) << lines[0];
   EXPECT_NE(lines[0].find("flight.oversized"), std::string::npos);
 }
 
@@ -399,7 +486,7 @@ TEST(FlightRecorderTest, DumpToFdWritesEveryHeldLine) {
   std::string line;
   size_t count = 0;
   while (std::getline(lines, line)) {
-    EXPECT_TRUE(JsonValidator(line).Valid()) << line;
+    EXPECT_TRUE(serve::Json::Parse(line).ok()) << line;
     ++count;
   }
   EXPECT_EQ(count, 2u);
@@ -565,7 +652,7 @@ TEST(TraceExportTest, ChromeTraceJsonIsWellFormedAndCarriesThePhases) {
   Unwrap(Anonymize(d, loss, config));
 
   const std::string json = ChromeTraceJson(tracer);
-  EXPECT_TRUE(JsonValidator(json).Valid()) << json.substr(0, 400);
+  EXPECT_TRUE(serve::Json::Parse(json).ok()) << json.substr(0, 400);
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"displayTimeUnit\": \"ms\""), std::string::npos);
   EXPECT_NE(json.find("\"coordinator\""), std::string::npos);
@@ -574,6 +661,21 @@ TEST(TraceExportTest, ChromeTraceJsonIsWellFormedAndCarriesThePhases) {
   EXPECT_NE(json.find("agglomerative/heap-drain"), std::string::npos);
   EXPECT_NE(json.find("\"steps_begin\""), std::string::npos);
   EXPECT_EQ(json.find("kanonDroppedSpans"), std::string::npos);
+}
+
+TEST(TraceExportTest, SpanNamesAndCategoriesAreEscaped) {
+  Tracer tracer;
+  { PhaseSpan span(&tracer, "say \"hi\"\\x", "c\"t"); }
+  const std::string json = ChromeTraceJson(tracer);
+  Result<serve::Json> parsed = serve::Json::Parse(json);
+  ASSERT_TRUE(parsed.ok()) << json;
+  const serve::Json* span = nullptr;
+  for (const serve::Json& event : parsed->Find("traceEvents")->array_items()) {
+    if (event.GetString("ph", "") == "X") span = &event;
+  }
+  ASSERT_NE(span, nullptr) << json;
+  EXPECT_EQ(span->GetString("name", ""), "say \"hi\"\\x");
+  EXPECT_EQ(span->GetString("cat", ""), "c\"t");
 }
 
 TEST(TraceExportTest, MetricsJsonIsWellFormed) {
@@ -587,7 +689,7 @@ TEST(TraceExportTest, MetricsJsonIsWellFormed) {
   config.metrics = &metrics;
   Unwrap(Anonymize(d, loss, config));
   const std::string json = metrics.ToJson(true);
-  EXPECT_TRUE(JsonValidator(json).Valid()) << json.substr(0, 400);
+  EXPECT_TRUE(serve::Json::Parse(json).ok()) << json.substr(0, 400);
   EXPECT_NE(json.find("\"engine.closure_hits\""), std::string::npos);
   EXPECT_NE(json.find("\"run.loss\""), std::string::npos);
   EXPECT_NE(json.find("\"cluster.size\""), std::string::npos);

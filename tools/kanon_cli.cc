@@ -75,6 +75,7 @@
 #include "kanon/algo/anonymizer.h"
 #include "kanon/anonymity/verify.h"
 #include "kanon/common/flags.h"
+#include "kanon/common/json_text.h"
 #include "kanon/common/parallel.h"
 #include "kanon/data/csv.h"
 #include "kanon/generalization/generalized_csv.h"
@@ -222,25 +223,24 @@ int SetUpRun(const FlagParser& flags, CliRun* run) {
 // field order is stable; the cli_stats_json and cli_shard tests pin it.
 template <typename Fields>
 std::string StatsJson(const CliRun& run, double loss, Fields fields) {
-  std::ostringstream out;
-  out.precision(17);
-  out << "{";
-  out << "\"method\":\"" << AnonymizationMethodName(run.config.method)
-      << "\",";
-  out << "\"k\":" << run.config.k << ",";
-  out << "\"measure\":\"" << run.measure->name() << "\",";
-  out << "\"loss\":" << loss << ",";
-  fields(out);
+  std::string out = "{\"method\":";
+  AppendJsonString(&out, AnonymizationMethodName(run.config.method));
+  out += ",\"k\":" + std::to_string(run.config.k) + ",\"measure\":";
+  AppendJsonString(&out, run.measure->name());
+  out += ",\"loss\":";
+  AppendJsonNumber(&out, loss);
+  out += ',';
+  fields(&out);
   if (run.metrics != nullptr) {
     // The full registry (superset of the engine counters, plus the run.*
     // gauges and histograms), embedded as a sub-object.
     std::string registry =
         run.metrics->ToJson(/*include_nondeterministic=*/true);
     while (!registry.empty() && registry.back() == '\n') registry.pop_back();
-    out << ",\"metrics\":" << registry;
+    out += ",\"metrics\":" + registry;
   }
-  out << "}\n";
-  return out.str();
+  out += "}\n";
+  return out;
 }
 
 // What a finished run hands to the epilogue. The two run paths differ only
@@ -390,16 +390,19 @@ int ShardedMain(const FlagParser& flags, const std::string& input) {
   // Sharded mode accepts only the methods that promise k-anonymity, which
   // the verifier decides on the table alone; the rows stay on disk.
   const Dataset no_rows(schema.value());
-  const auto fields = [&](std::ostream& out) {
-    out << "\"rows\":" << r.rows << ",";
-    out << "\"degraded\":" << (r.degraded ? "true" : "false") << ",";
-    out << "\"stop_reason\":\"" << StopReasonName(r.stop_reason) << "\",";
-    out << "\"records_suppressed\":" << r.records_suppressed << ",";
-    out << "\"shards\":" << r.num_shards << ",";
-    out << "\"shards_resumed\":" << r.shards_resumed << ",";
-    out << "\"shards_suppressed\":" << r.shards_suppressed << ",";
-    out << "\"shard_retries\":" << r.shard_retries << ",";
-    out << "\"boundary_repaired\":" << r.boundary_repaired;
+  const auto fields = [&](std::string* out) {
+    *out += "\"rows\":" + std::to_string(r.rows) + ",";
+    *out += r.degraded ? "\"degraded\":true," : "\"degraded\":false,";
+    *out += "\"stop_reason\":";
+    AppendJsonString(out, StopReasonName(r.stop_reason));
+    *out += ",\"records_suppressed\":" +
+            std::to_string(r.records_suppressed) + ",";
+    *out += "\"shards\":" + std::to_string(r.num_shards) + ",";
+    *out += "\"shards_resumed\":" + std::to_string(r.shards_resumed) + ",";
+    *out += "\"shards_suppressed\":" + std::to_string(r.shards_suppressed) +
+            ",";
+    *out += "\"shard_retries\":" + std::to_string(r.shard_retries) + ",";
+    *out += "\"boundary_repaired\":" + std::to_string(r.boundary_repaired);
   };
   return FinishRun(
       flags, run,
@@ -493,23 +496,28 @@ int RealMain(int argc, char** argv) {
   }
   // The engine counters are deterministic at every thread count, so the
   // stats are a stable regression surface.
-  const auto fields = [&](std::ostream& out) {
+  const auto fields = [&](std::string* out) {
     const EngineCounters& c = r.counters;
-    out << "\"elapsed_seconds\":" << r.elapsed_seconds << ",";
-    out << "\"degraded\":" << (r.degraded ? "true" : "false") << ",";
-    out << "\"degraded_stage\":\"" << r.degraded_stage << "\",";
-    out << "\"iterations_completed\":" << r.iterations_completed << ",";
-    out << "\"records_suppressed\":" << r.records_suppressed << ",";
-    out << "\"counters\":{";
-    out << "\"merges\":" << c.merges << ",";
-    out << "\"rescans\":" << c.rescans << ",";
-    out << "\"heap_rebuilds\":" << c.heap_rebuilds << ",";
-    out << "\"closure_hits\":" << c.closure_hits << ",";
-    out << "\"closure_misses\":" << c.closure_misses << ",";
-    out << "\"closure_hit_rate\":" << c.closure_hit_rate() << ",";
-    out << "\"upgrade_steps\":" << c.upgrade_steps << ",";
-    out << "\"parallel_chunks\":" << c.parallel_chunks;
-    out << "}";
+    *out += "\"elapsed_seconds\":";
+    AppendJsonNumber(out, r.elapsed_seconds);
+    *out += r.degraded ? ",\"degraded\":true" : ",\"degraded\":false";
+    *out += ",\"degraded_stage\":";
+    AppendJsonString(out, r.degraded_stage);
+    *out += ",\"iterations_completed\":" +
+            std::to_string(r.iterations_completed) + ",";
+    *out += "\"records_suppressed\":" + std::to_string(r.records_suppressed) +
+            ",";
+    *out += "\"counters\":{";
+    *out += "\"merges\":" + std::to_string(c.merges) + ",";
+    *out += "\"rescans\":" + std::to_string(c.rescans) + ",";
+    *out += "\"heap_rebuilds\":" + std::to_string(c.heap_rebuilds) + ",";
+    *out += "\"closure_hits\":" + std::to_string(c.closure_hits) + ",";
+    *out += "\"closure_misses\":" + std::to_string(c.closure_misses) + ",";
+    *out += "\"closure_hit_rate\":";
+    AppendJsonNumber(out, c.closure_hit_rate());
+    *out += ",\"upgrade_steps\":" + std::to_string(c.upgrade_steps) + ",";
+    *out += "\"parallel_chunks\":" + std::to_string(c.parallel_chunks);
+    *out += "}";
   };
   return FinishRun(
       flags, run,
