@@ -1,7 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "kanon/algo/anonymizer.h"
+#include "kanon/algo/diverse_anonymizer.h"
 #include "kanon/anonymity/verify.h"
+#include "kanon/common/hash.h"
+#include "kanon/datasets/art.h"
+#include "kanon/generalization/generalized_csv.h"
 #include "kanon/loss/entropy_measure.h"
 #include "kanon/loss/lm_measure.h"
 #include "test_util.h"
@@ -117,6 +126,121 @@ TEST(AnonymizerTest, UtilityOrderingAcrossNotions) {
   }
   EXPECT_GE(global, kk - 1e-9);
   EXPECT_LE(kk, forest * 1.02);
+}
+
+// Pinned output bytes for the run shapes the golden suite does not cover:
+// every DistanceFunction, attribute weights, and the ℓ-diversity repair.
+// The input is the paper's artificial table (n = 80) with a class column
+// derived from A5 and A6. A digest is FNV-1a over the serialized CSV of the
+// published table; a loss is pinned as its exact bits (hex float).
+struct PinnedRun {
+  const char* name;
+  uint64_t digest;
+  double loss;
+};
+
+uint64_t TableDigest(const GeneralizedTable& table) {
+  std::ostringstream csv;
+  KANON_CHECK(WriteGeneralizedCsv(table, csv).ok());
+  const std::string bytes = csv.str();
+  return Fnv1a(bytes.data(), bytes.size());
+}
+
+Workload PinnedArt() {
+  Workload art = Unwrap(MakeArtWorkload(/*n=*/80, /*seed=*/15));
+  std::vector<ValueCode> classes;
+  for (size_t i = 0; i < art.dataset.num_rows(); ++i) {
+    classes.push_back(
+        static_cast<ValueCode>((art.dataset.at(i, 4) + art.dataset.at(i, 5)) %
+                               3));
+  }
+  KANON_CHECK(
+      art.dataset
+          .SetClassColumn(
+              Unwrap(AttributeDomain::Create("cls", {"c0", "c1", "c2"})),
+              std::move(classes))
+          .ok());
+  return art;
+}
+
+// Compares a run against its pin, printing the actual pin line on a miss.
+void ExpectPinned(const PinnedRun& pin, const GeneralizedTable& table,
+                  double loss) {
+  const uint64_t digest = TableDigest(table);
+  EXPECT_EQ(digest, pin.digest) << pin.name;
+  EXPECT_EQ(loss, pin.loss) << pin.name;
+  if (digest != pin.digest || loss != pin.loss) {
+    std::printf("    {\"%s\", 0x%016llxull, %a},\n", pin.name,
+                static_cast<unsigned long long>(digest), loss);
+  }
+}
+
+TEST(AnonymizerTest, CostDrivenPipelinesIgnoreTheDistance) {
+  const Workload art = PinnedArt();
+  const PrecomputedLoss loss(art.scheme, art.dataset, EntropyMeasure());
+  const PinnedRun pins[] = {
+      {"forest", 0xb1a93cbed021fa20ull, 0x1.acd4a25ead11dp+0},
+      {"kk-nn", 0x3a06803ca7de5eacull, 0x1.555b915376f26p+0},
+      {"kk-greedy", 0xe73b7c6a6210e219ull, 0x1.2d432db013e8dp+0},
+      {"global", 0xa296ca883c0305afull, 0x1.384715fe3c92ap+0},
+      {"full-domain", 0x620a654731213ac7ull, 0x1.f97b1e572840ep+0},
+  };
+  for (const PinnedRun& pin : pins) {
+    AnonymizerConfig config;
+    config.k = 4;
+    config.method = Unwrap(ParseMethodShortName(pin.name));
+    std::vector<AnonymizationResult> runs;
+    for (DistanceFunction f : kAllDistanceFunctions) {
+      config.distance = f;
+      runs.push_back(Unwrap(Anonymize(art.dataset, loss, config)));
+      EXPECT_TRUE(runs.back().table == runs.front().table)
+          << pin.name << " under " << DistanceFunctionName(f);
+    }
+    ExpectPinned(pin, runs.front().table, runs.front().loss);
+  }
+}
+
+TEST(AnonymizerTest, AttributeWeightedRunsArePinned) {
+  const Workload art = PinnedArt();
+  const PrecomputedLoss loss(art.scheme, art.dataset, EntropyMeasure());
+  const PinnedRun pins[] = {
+      {"agglomerative", 0x2f6a8f5587227c20ull, 0x1.820cae1c72867p+0},
+      {"modified", 0x2f6a8f5587227c20ull, 0x1.820cae1c72867p+0},
+      {"forest", 0x5738cbc806648904ull, 0x1.e60d04227ed16p+0},
+      {"kk-nn", 0x135585d8766d45e4ull, 0x1.9ade65b05b673p+0},
+      {"kk-greedy", 0x6f96df85a734eea9ull, 0x1.6857f56b1d19dp+0},
+      {"global", 0x1b617e910b25d99bull, 0x1.6ccd1fb93671ep+0},
+      {"full-domain", 0x4f6617734cf549ddull, 0x1.fa8a13cb42a52p+0},
+  };
+  for (const PinnedRun& pin : pins) {
+    AnonymizerConfig config;
+    config.k = 5;
+    config.method = Unwrap(ParseMethodShortName(pin.name));
+    config.distance = DistanceFunction::kRatio;
+    config.attr_weights = {3, 1, 1, 1, 1, 1};
+    const AnonymizationResult result =
+        Unwrap(Anonymize(art.dataset, loss, config));
+    ExpectPinned(pin, result.table, result.loss);
+  }
+}
+
+TEST(AnonymizerTest, LDiverseRunsArePinnedPerDistance) {
+  const Workload art = PinnedArt();
+  const PrecomputedLoss loss(art.scheme, art.dataset, EntropyMeasure());
+  const PinnedRun pins[] = {
+      {"1", 0x6bfa1fec3c67e76full, 0x1.a8dab298ec6cap+0},
+      {"2", 0x511f6789fa771642ull, 0x1.8da65e97e516bp+0},
+      {"3", 0x1d886170a4b4c8b3ull, 0x1.95327e6cc2f16p+0},
+      {"4", 0xdbb9922d06bdb00bull, 0x1.88835bb003846p+0},
+      {"nc", 0xd3a1f8ad75406d4dull, 0x1.73a753808357ep+0},
+  };
+  for (const PinnedRun& pin : pins) {
+    AgglomerativeOptions options;
+    options.distance = Unwrap(ParseDistanceShortName(pin.name));
+    const GeneralizedTable table = Unwrap(
+        LDiverseKAnonymize(art.dataset, loss, /*k=*/5, /*l=*/2, options));
+    ExpectPinned(pin, table, loss.TableLoss(table));
+  }
 }
 
 }  // namespace
