@@ -30,7 +30,7 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "kanon/algo/agglomerative_engine.h"
+#include "kanon/algo/agglomerative.h"
 #include "kanon/algo/core/closure_store.h"
 #include "kanon/algo/distance.h"
 #include "kanon/algo/policy.h"

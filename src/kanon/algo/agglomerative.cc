@@ -1,5 +1,8 @@
 #include "kanon/algo/agglomerative.h"
 
+#include <string>
+#include <type_traits>
+
 #include "kanon/algo/agglomerative_engine.h"
 #include "kanon/algo/policy.h"
 #include "kanon/common/check.h"
@@ -40,16 +43,39 @@ std::vector<GeneralizedRecord> LeaveOneOutClosures(
   return out;
 }
 
-// The runtime boundary of the policy engine: the DistanceFunction enum is
+// The library's one enum-to-policy dispatch: the DistanceFunction enum is
 // translated to its compile-time policy here, exactly once per run, and the
-// templated engine (agglomerative_engine.h) inlines every per-pair decision.
+// engine (agglomerative_engine.h) inlines every per-pair decision.
 Result<Clustering> AgglomerativeCluster(const Dataset& dataset,
                                         const PrecomputedLoss& loss, size_t k,
                                         const AgglomerativeOptions& options) {
+  const size_t n = dataset.num_rows();
+  if (k < 1) {
+    return Status::InvalidArgument("k must be at least 1");
+  }
+  if (k > n) {
+    return Status::InvalidArgument("k = " + std::to_string(k) +
+                                   " exceeds the number of records " +
+                                   std::to_string(n));
+  }
+  if (dataset.num_attributes() != loss.scheme().num_attributes()) {
+    return Status::InvalidArgument("dataset/loss arity mismatch");
+  }
+  if (k == 1) {
+    // Identity clustering: nothing to anonymize.
+    Clustering out;
+    out.clusters.reserve(n);
+    for (uint32_t i = 0; i < n; ++i) {
+      out.clusters.push_back({i});
+    }
+    return out;
+  }
   return DispatchDistancePolicy(
       options.distance, options.params, [&](const auto& policy) {
-        return AgglomerativeClusterWithPolicy(dataset, loss, k, options,
-                                              policy);
+        using Policy = std::decay_t<decltype(policy)>;
+        return internal::AgglomerativeEngine<Policy>(dataset, loss, k, options,
+                                                     policy)
+            .Run();
       });
 }
 
@@ -60,40 +86,5 @@ Result<GeneralizedTable> AgglomerativeKAnonymize(
                          AgglomerativeCluster(dataset, loss, k, options));
   return TableFromClustering(loss.scheme_ptr(), dataset, clustering);
 }
-
-// The (pipeline × distance) instantiation matrix for the agglomerative
-// engine (docs/policy_engine.md). New policies do not belong here: they
-// instantiate the engine implicitly from agglomerative_engine.h in their
-// own translation unit.
-template Result<Clustering> AgglomerativeClusterWithPolicy(
-    const Dataset&, const PrecomputedLoss&, size_t,
-    const AgglomerativeOptions&, const WeightedPolicy&);
-template Result<Clustering> AgglomerativeClusterWithPolicy(
-    const Dataset&, const PrecomputedLoss&, size_t,
-    const AgglomerativeOptions&, const PlainPolicy&);
-template Result<Clustering> AgglomerativeClusterWithPolicy(
-    const Dataset&, const PrecomputedLoss&, size_t,
-    const AgglomerativeOptions&, const LogWeightedPolicy&);
-template Result<Clustering> AgglomerativeClusterWithPolicy(
-    const Dataset&, const PrecomputedLoss&, size_t,
-    const AgglomerativeOptions&, const RatioPolicy&);
-template Result<Clustering> AgglomerativeClusterWithPolicy(
-    const Dataset&, const PrecomputedLoss&, size_t,
-    const AgglomerativeOptions&, const NergizCliftonPolicy&);
-template Result<GeneralizedTable> AgglomerativeKAnonymizeWithPolicy(
-    const Dataset&, const PrecomputedLoss&, size_t,
-    const AgglomerativeOptions&, const WeightedPolicy&);
-template Result<GeneralizedTable> AgglomerativeKAnonymizeWithPolicy(
-    const Dataset&, const PrecomputedLoss&, size_t,
-    const AgglomerativeOptions&, const PlainPolicy&);
-template Result<GeneralizedTable> AgglomerativeKAnonymizeWithPolicy(
-    const Dataset&, const PrecomputedLoss&, size_t,
-    const AgglomerativeOptions&, const LogWeightedPolicy&);
-template Result<GeneralizedTable> AgglomerativeKAnonymizeWithPolicy(
-    const Dataset&, const PrecomputedLoss&, size_t,
-    const AgglomerativeOptions&, const RatioPolicy&);
-template Result<GeneralizedTable> AgglomerativeKAnonymizeWithPolicy(
-    const Dataset&, const PrecomputedLoss&, size_t,
-    const AgglomerativeOptions&, const NergizCliftonPolicy&);
 
 }  // namespace kanon

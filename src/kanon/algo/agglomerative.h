@@ -11,6 +11,18 @@
 
 namespace kanon {
 
+namespace internal {
+
+// Chunk grain (ParallelChunkCount) of the agglomerative sweeps whose
+// per-item work is only O(r) — a handful of join-table lookups, tens of
+// nanoseconds — so a chunk outweighs handing it to a worker and a sweep of
+// at most this many items runs inline. The O(n·r)-per-item all-pairs scan
+// keeps grain 1. Results are identical at every grain; only the speed
+// changes.
+inline constexpr size_t kAgglomerativeCheapSweepGrain = 512;
+
+}  // namespace internal
+
 /// Options for the agglomerative k-anonymization algorithms.
 struct AgglomerativeOptions {
   /// Cluster distance (Section V-A.2). The paper finds (10) and (11) best.
@@ -56,11 +68,9 @@ struct AgglomerativeOptions {
 /// variant; exactly k for the modified variant, except clusters that absorb
 /// leftovers). Requires 1 ≤ k ≤ n. Expected cost O(n²·r).
 ///
-/// This entry translates `options.distance` to its compile-time
-/// ClusterPolicy exactly once and runs the templated engine of
-/// agglomerative_engine.h; callers with a custom policy use
-/// AgglomerativeClusterWithPolicy from that header directly (the policy then
-/// supersedes `options.distance`/`options.params`). See
+/// This entry is the library's one enum-to-policy dispatch: it translates
+/// `options.distance` to its compile-time ClusterPolicy exactly once and
+/// runs the engine of agglomerative_engine.h on it. See
 /// docs/policy_engine.md.
 Result<Clustering> AgglomerativeCluster(const Dataset& dataset,
                                         const PrecomputedLoss& loss, size_t k,

@@ -3,7 +3,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -19,31 +18,22 @@
 #include "kanon/telemetry/metrics.h"
 #include "kanon/telemetry/tracer.h"
 
-// The templated agglomerative engine (docs/policy_engine.md): Algorithm 1/2
-// on the shared clustering core, with every per-pair decision supplied by a
-// ClusterPolicy as an inlinable hook instead of the runtime EvalDistance
-// switch. The five built-in policies are explicitly instantiated in
-// agglomerative.cc (and extern-declared below); a new policy instantiates
-// the engine from its own translation unit without touching any pipeline
-// file — that is the extensibility contract this header exists for.
+// The agglomerative engine (docs/policy_engine.md): Algorithm 1/2 on the
+// shared clustering core, with the merge rule supplied by a ClusterPolicy
+// as an inlinable Distance member instead of the runtime EvalDistance
+// switch. Internal to agglomerative.cc, which instantiates it once per
+// built-in policy behind AgglomerativeCluster's one dispatch.
 
 namespace kanon {
 
 namespace internal {
 
-// Chunk grain (ParallelChunkCount) of the sweeps whose per-item work is
-// only O(r) — a handful of join-table lookups, tens of nanoseconds — so a
-// chunk outweighs handing it to a worker and a sweep of at most this many
-// items runs inline. The O(n·r)-per-item all-pairs scan keeps grain 1.
-// Results are identical at every grain; only the speed changes.
-inline constexpr size_t kAgglomerativeCheapSweepGrain = 512;
-
 // The basic and modified variants of Algorithm 1, rewritten on the shared
 // clustering core: ClusterSet owns the alive/dead bookkeeping, ClosureStore
 // hash-conses every cluster closure (and memoizes its cost), and MergeHeap
 // carries the two-best candidates with the stale-entry heap maintenance.
-// `Policy` supplies the distance, the (a)symmetry of the merge rule, and
-// the ripeness predicate; all hooks inline into the sweeps.
+// `Policy` supplies the distance and the (a)symmetry of the merge rule;
+// both inline into the sweeps.
 template <typename Policy>
 class AgglomerativeEngine {
   KANON_ASSERT_CLUSTER_POLICY(Policy);
@@ -414,7 +404,7 @@ class AgglomerativeEngine {
       }
       if (merge_cost_ != nullptr) merge_cost_->Observe(entry.dist);
       const uint32_t merged = Merge(entry.a, entry.b);
-      if (policy_.Ripe(clusters_.cluster(merged).members.size(), k_)) {
+      if (clusters_.cluster(merged).members.size() >= k_) {
         if (options_.modified &&
             clusters_.cluster(merged).members.size() > k_) {
           const std::vector<uint32_t> ejected = ShrinkToK(merged);
@@ -529,80 +519,6 @@ class AgglomerativeEngine {
 };
 
 }  // namespace internal
-
-template <typename Policy>
-Result<Clustering> AgglomerativeClusterWithPolicy(
-    const Dataset& dataset, const PrecomputedLoss& loss, size_t k,
-    const AgglomerativeOptions& options, const Policy& policy) {
-  KANON_ASSERT_CLUSTER_POLICY(Policy);
-  const size_t n = dataset.num_rows();
-  if (k < 1) {
-    return Status::InvalidArgument("k must be at least 1");
-  }
-  if (k > n) {
-    return Status::InvalidArgument("k = " + std::to_string(k) +
-                                   " exceeds the number of records " +
-                                   std::to_string(n));
-  }
-  if (dataset.num_attributes() != loss.scheme().num_attributes()) {
-    return Status::InvalidArgument("dataset/loss arity mismatch");
-  }
-  if (k == 1) {
-    // Identity clustering: nothing to anonymize.
-    Clustering out;
-    out.clusters.reserve(n);
-    for (uint32_t i = 0; i < n; ++i) {
-      out.clusters.push_back({i});
-    }
-    return out;
-  }
-  return internal::AgglomerativeEngine<Policy>(dataset, loss, k, options,
-                                               policy)
-      .Run();
-}
-
-template <typename Policy>
-Result<GeneralizedTable> AgglomerativeKAnonymizeWithPolicy(
-    const Dataset& dataset, const PrecomputedLoss& loss, size_t k,
-    const AgglomerativeOptions& options, const Policy& policy) {
-  KANON_ASSIGN_OR_RETURN(
-      Clustering clustering,
-      AgglomerativeClusterWithPolicy(dataset, loss, k, options, policy));
-  return TableFromClustering(loss.scheme_ptr(), dataset, clustering);
-}
-
-// The five built-in policies are instantiated once, in agglomerative.cc;
-// client code linking against the library never re-instantiates them.
-extern template Result<Clustering> AgglomerativeClusterWithPolicy(
-    const Dataset&, const PrecomputedLoss&, size_t,
-    const AgglomerativeOptions&, const WeightedPolicy&);
-extern template Result<Clustering> AgglomerativeClusterWithPolicy(
-    const Dataset&, const PrecomputedLoss&, size_t,
-    const AgglomerativeOptions&, const PlainPolicy&);
-extern template Result<Clustering> AgglomerativeClusterWithPolicy(
-    const Dataset&, const PrecomputedLoss&, size_t,
-    const AgglomerativeOptions&, const LogWeightedPolicy&);
-extern template Result<Clustering> AgglomerativeClusterWithPolicy(
-    const Dataset&, const PrecomputedLoss&, size_t,
-    const AgglomerativeOptions&, const RatioPolicy&);
-extern template Result<Clustering> AgglomerativeClusterWithPolicy(
-    const Dataset&, const PrecomputedLoss&, size_t,
-    const AgglomerativeOptions&, const NergizCliftonPolicy&);
-extern template Result<GeneralizedTable> AgglomerativeKAnonymizeWithPolicy(
-    const Dataset&, const PrecomputedLoss&, size_t,
-    const AgglomerativeOptions&, const WeightedPolicy&);
-extern template Result<GeneralizedTable> AgglomerativeKAnonymizeWithPolicy(
-    const Dataset&, const PrecomputedLoss&, size_t,
-    const AgglomerativeOptions&, const PlainPolicy&);
-extern template Result<GeneralizedTable> AgglomerativeKAnonymizeWithPolicy(
-    const Dataset&, const PrecomputedLoss&, size_t,
-    const AgglomerativeOptions&, const LogWeightedPolicy&);
-extern template Result<GeneralizedTable> AgglomerativeKAnonymizeWithPolicy(
-    const Dataset&, const PrecomputedLoss&, size_t,
-    const AgglomerativeOptions&, const RatioPolicy&);
-extern template Result<GeneralizedTable> AgglomerativeKAnonymizeWithPolicy(
-    const Dataset&, const PrecomputedLoss&, size_t,
-    const AgglomerativeOptions&, const NergizCliftonPolicy&);
 
 }  // namespace kanon
 

@@ -62,12 +62,13 @@ struct AnonymizerConfig {
   DistanceParams params;
   /// Per-attribute weights for the information-loss measure (empty = uniform,
   /// the default). With weights, every pipeline prices records by the
-  /// weighted average Σ_j w_j·cost_j / Σw instead of (1/r)·Σ_j cost_j —
-  /// implemented by the AttrWeightedPolicy of algo/policy_weighted.h over a
-  /// reweighted cost substrate; no pipeline knows weights exist. Requires
-  /// one finite weight >= 0 per attribute with a positive sum. The reported
-  /// AnonymizationResult::loss stays Π under the ORIGINAL (uniform) measure,
-  /// so runs with different weights are comparable. CLI: --attr-weights.
+  /// weighted average Σ_j w_j·cost_j / Σw instead of (1/r)·Σ_j cost_j: the
+  /// run uses the reweighted loss of PrecomputedLoss::WithAttributeWeights,
+  /// and no pipeline knows weights exist. Requires one finite weight >= 0
+  /// per attribute, not all zero, with Σw and r/Σw finite; anything else is
+  /// InvalidArgument. The reported AnonymizationResult::loss stays Π under
+  /// the ORIGINAL (uniform) measure, so runs with different weights are
+  /// comparable. CLI: --attr-weights.
   std::vector<double> attr_weights;
   /// Worker threads for the O(n²·r) scans of the agglomerative, (k,k), and
   /// full-domain pipelines (the forest baseline stays single-threaded).

@@ -26,21 +26,6 @@ Result<GeneralizedTable> OptimalK1BruteForce(
     const Dataset& dataset, const PrecomputedLoss& loss, size_t k,
     EngineCounters* counters = nullptr);
 
-/// Policy-parameterized variants (docs/policy_engine.md): the policy's
-/// PairCost hook ranks partition totals / companion-subset costs and Ripe
-/// accepts parts; every built-in distance policy keeps both at the
-/// identity defaults. Defined in brute_force.cc and explicitly instantiated
-/// per (pipeline × distance).
-template <typename Policy>
-Result<Clustering> OptimalKAnonymityBruteForceWithPolicy(
-    const Dataset& dataset, const PrecomputedLoss& loss, size_t k,
-    const Policy& policy, EngineCounters* counters = nullptr);
-
-template <typename Policy>
-Result<GeneralizedTable> OptimalK1BruteForceWithPolicy(
-    const Dataset& dataset, const PrecomputedLoss& loss, size_t k,
-    const Policy& policy, EngineCounters* counters = nullptr);
-
 /// The information loss of a clustering under `loss`:
 /// Π = (1/n) Σ_S |S|·d(S) (eq. (7)).
 double ClusteringLoss(const Dataset& dataset, const PrecomputedLoss& loss,

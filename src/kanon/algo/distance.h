@@ -52,8 +52,8 @@ struct DistanceParams {
 /// overlapping arguments as the paper specifies.
 ///
 /// This out-of-line switch is the *scalar reference implementation*: the
-/// engines themselves run on the inlined Distance hook of their ClusterPolicy
-/// (algo/policy.h, dispatched once per pipeline entry — never per pair), and
+/// agglomerative engine runs on the inlined Distance of its ClusterPolicy
+/// (algo/policy.h, dispatched once per run — never per pair), and
 /// the policy conformance tests plus the dispatch-vs-policy micro-benchmark
 /// pin each policy's hook to this function bit for bit. See
 /// docs/policy_engine.md.

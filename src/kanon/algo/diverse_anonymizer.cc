@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <limits>
 
-#include "kanon/algo/agglomerative_engine.h"
 #include "kanon/algo/core/closure_store.h"
-#include "kanon/algo/policy.h"
 #include "kanon/common/check.h"
 #include "kanon/telemetry/tracer.h"
 
@@ -31,11 +29,10 @@ size_t DistinctClasses(const Dataset& dataset,
 
 }  // namespace
 
-template <typename Policy>
-Result<Clustering> LDiverseClusterWithPolicy(
-    const Dataset& dataset, const PrecomputedLoss& loss, size_t k, size_t l,
-    const AgglomerativeOptions& options, const Policy& policy) {
-  KANON_ASSERT_CLUSTER_POLICY(Policy);
+Result<Clustering> LDiverseCluster(const Dataset& dataset,
+                                   const PrecomputedLoss& loss, size_t k,
+                                   size_t l,
+                                   const AgglomerativeOptions& options) {
   if (!dataset.has_class_column()) {
     return Status::InvalidArgument(
         "ℓ-diverse anonymization requires a class column");
@@ -55,9 +52,8 @@ Result<Clustering> LDiverseClusterWithPolicy(
         "-diverse");
   }
 
-  KANON_ASSIGN_OR_RETURN(
-      Clustering clustering,
-      AgglomerativeClusterWithPolicy(dataset, loss, k, options, policy));
+  KANON_ASSIGN_OR_RETURN(Clustering clustering,
+                         AgglomerativeCluster(dataset, loss, k, options));
 
   // Repair pass: merge non-diverse clusters into the cheapest partner.
   // Each merge removes one cluster, so this terminates; a single cluster
@@ -79,8 +75,7 @@ Result<Clustering> LDiverseClusterWithPolicy(
     KANON_CHECK(clustering.clusters.size() > 1,
                 "feasibility check guarantees a diverse final cluster");
 
-    // Cheapest partner, ranked by the policy's PairCost over the closure
-    // cost of the union (identity for every built-in policy).
+    // Cheapest partner: the lowest closure cost of the union.
     size_t best = SIZE_MAX;
     double best_cost = std::numeric_limits<double>::infinity();
     for (size_t c = 0; c < clustering.clusters.size(); ++c) {
@@ -89,7 +84,7 @@ Result<Clustering> LDiverseClusterWithPolicy(
       merged.insert(merged.end(), clustering.clusters[c].begin(),
                     clustering.clusters[c].end());
       const double cost =
-          policy.PairCost(store.cost(store.InternClosureOfRows(dataset, merged)));
+          store.cost(store.InternClosureOfRows(dataset, merged));
       if (cost < best_cost) {
         best_cost = cost;
         best = c;
@@ -106,18 +101,6 @@ Result<Clustering> LDiverseClusterWithPolicy(
   return clustering;
 }
 
-// The public entries dispatch options.distance to a policy exactly once;
-// the clustering stage and the repair ranking then run on inlined hooks.
-Result<Clustering> LDiverseCluster(const Dataset& dataset,
-                                   const PrecomputedLoss& loss, size_t k,
-                                   size_t l,
-                                   const AgglomerativeOptions& options) {
-  return DispatchDistancePolicy(
-      options.distance, options.params, [&](const auto& policy) {
-        return LDiverseClusterWithPolicy(dataset, loss, k, l, options, policy);
-      });
-}
-
 Result<GeneralizedTable> LDiverseKAnonymize(
     const Dataset& dataset, const PrecomputedLoss& loss, size_t k, size_t l,
     const AgglomerativeOptions& options) {
@@ -125,19 +108,5 @@ Result<GeneralizedTable> LDiverseKAnonymize(
                          LDiverseCluster(dataset, loss, k, l, options));
   return TableFromClustering(loss.scheme_ptr(), dataset, clustering);
 }
-
-// The (pipeline × distance) instantiation matrix (docs/policy_engine.md).
-#define KANON_INSTANTIATE_DIVERSE_PIPELINE(POLICY)                          \
-  template Result<Clustering> LDiverseClusterWithPolicy(                    \
-      const Dataset&, const PrecomputedLoss&, size_t, size_t,               \
-      const AgglomerativeOptions&, const POLICY&)
-
-KANON_INSTANTIATE_DIVERSE_PIPELINE(WeightedPolicy);
-KANON_INSTANTIATE_DIVERSE_PIPELINE(PlainPolicy);
-KANON_INSTANTIATE_DIVERSE_PIPELINE(LogWeightedPolicy);
-KANON_INSTANTIATE_DIVERSE_PIPELINE(RatioPolicy);
-KANON_INSTANTIATE_DIVERSE_PIPELINE(NergizCliftonPolicy);
-
-#undef KANON_INSTANTIATE_DIVERSE_PIPELINE
 
 }  // namespace kanon

@@ -32,16 +32,6 @@ Result<GeneralizedTable> LDiverseKAnonymize(
     const Dataset& dataset, const PrecomputedLoss& loss, size_t k, size_t l,
     const AgglomerativeOptions& options);
 
-/// Policy-parameterized variant (docs/policy_engine.md): the clustering
-/// stage runs on the policy's inlined Distance hook and the repair pass
-/// ranks merge partners through PairCost. `options.distance` is ignored —
-/// the policy IS the distance. Defined in diverse_anonymizer.cc and
-/// explicitly instantiated per (pipeline × distance).
-template <typename Policy>
-Result<Clustering> LDiverseClusterWithPolicy(
-    const Dataset& dataset, const PrecomputedLoss& loss, size_t k, size_t l,
-    const AgglomerativeOptions& options, const Policy& policy);
-
 }  // namespace kanon
 
 #endif  // KANON_ALGO_DIVERSE_ANONYMIZER_H_

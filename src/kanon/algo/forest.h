@@ -39,24 +39,6 @@ Result<GeneralizedTable> ForestKAnonymize(
     const Dataset& dataset, const PrecomputedLoss& loss, size_t k,
     RunContext* ctx = nullptr, EngineCounters* counters = nullptr);
 
-/// Policy-parameterized variants (docs/policy_engine.md): the policy's
-/// PairCost hook weighs phase 1's candidate edges and Ripe is the component
-/// stopping predicate; the built-in distance policies keep both at the
-/// identity defaults, so all five instantiations behave identically.
-/// Defined in forest.cc, explicitly instantiated per (pipeline × distance).
-template <typename Policy>
-Result<Clustering> ForestClusterWithPolicy(const Dataset& dataset,
-                                           const PrecomputedLoss& loss,
-                                           size_t k, const Policy& policy,
-                                           RunContext* ctx = nullptr,
-                                           EngineCounters* counters = nullptr);
-
-template <typename Policy>
-Result<GeneralizedTable> ForestKAnonymizeWithPolicy(
-    const Dataset& dataset, const PrecomputedLoss& loss, size_t k,
-    const Policy& policy, RunContext* ctx = nullptr,
-    EngineCounters* counters = nullptr);
-
 }  // namespace kanon
 
 #endif  // KANON_ALGO_FOREST_H_

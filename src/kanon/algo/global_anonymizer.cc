@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "kanon/algo/core/closure_store.h"
-#include "kanon/algo/policy.h"
 #include "kanon/common/check.h"
 #include "kanon/common/failpoint.h"
 #include "kanon/graph/consistency_graph.h"
@@ -54,12 +53,9 @@ void CollapseToCommonClosure(const GeneralizationScheme& scheme,
 
 }  // namespace
 
-template <typename Policy>
-Result<GlobalAnonymizationResult> MakeGlobal1KAnonymousWithPolicy(
+Result<GlobalAnonymizationResult> MakeGlobal1KAnonymous(
     const Dataset& dataset, const PrecomputedLoss& loss, size_t k,
-    GeneralizedTable table, const Policy& policy, RunContext* ctx,
-    EngineCounters* counters) {
-  KANON_ASSERT_CLUSTER_POLICY(Policy);
+    GeneralizedTable table, RunContext* ctx, EngineCounters* counters) {
   const size_t n = dataset.num_rows();
   const size_t r = dataset.num_attributes();
   if (k < 1) {
@@ -110,12 +106,10 @@ Result<GlobalAnonymizationResult> MakeGlobal1KAnonymousWithPolicy(
   GlobalAnonymizerStats stats;
   for (uint32_t i = 0; i < n; ++i) {
     size_t steps_for_record = 0;
-    // The match-count stopping predicate is the policy's Ripe hook — the
-    // same size-k test every built-in policy supplies.
-    if (!policy.Ripe(matchable->matches[i].size(), k)) {
+    if (matchable->matches[i].size() < k) {
       ++stats.deficient_records;
     }
-    while (!policy.Ripe(matchable->matches[i].size(), k)) {
+    while (matchable->matches[i].size() < k) {
       // One checkpoint per upgrade step — each recomputes the matchable
       // edges, so this is the expensive unit of Algorithm 6.
       if (ctx != nullptr && ctx->CheckPoint("global/upgrade")) {
@@ -131,9 +125,7 @@ Result<GlobalAnonymizationResult> MakeGlobal1KAnonymousWithPolicy(
       double best_delta = std::numeric_limits<double>::infinity();
       for (uint32_t t : neighbors) {
         if (std::binary_search(matches.begin(), matches.end(), t)) continue;
-        // d_h = c(R_{j_h} + R̄_i) − c(R̄_i), attribute-wise; the accumulated
-        // price goes through the policy's MergeDelta hook (identity for
-        // every built-in) before the ranking.
+        // d_h = c(R_{j_h} + R̄_i) − c(R̄_i), attribute-wise.
         double delta = 0.0;
         for (size_t j = 0; j < r; ++j) {
           const SetId current = table.at(i, j);
@@ -141,7 +133,6 @@ Result<GlobalAnonymizationResult> MakeGlobal1KAnonymousWithPolicy(
               scheme.hierarchy(j).JoinValue(current, dataset.at(t, j));
           delta += loss.EntryCost(j, joined) - loss.EntryCost(j, current);
         }
-        delta = policy.MergeDelta(delta);
         if (delta < best_delta ||
             (delta == best_delta && t < best)) {
           best_delta = delta;
@@ -174,29 +165,5 @@ Result<GlobalAnonymizationResult> MakeGlobal1KAnonymousWithPolicy(
   AccountRun(loss, table, stats, counters);
   return GlobalAnonymizationResult{std::move(table), stats};
 }
-
-// The public entry pins the default-config policy — Algorithm 6 never
-// carried a distance parameter, and the hooks it consumes (Ripe,
-// MergeDelta) are identical across every built-in policy.
-Result<GlobalAnonymizationResult> MakeGlobal1KAnonymous(
-    const Dataset& dataset, const PrecomputedLoss& loss, size_t k,
-    GeneralizedTable table, RunContext* ctx, EngineCounters* counters) {
-  return MakeGlobal1KAnonymousWithPolicy(dataset, loss, k, std::move(table),
-                                         LogWeightedPolicy{}, ctx, counters);
-}
-
-// The (pipeline × distance) instantiation matrix (docs/policy_engine.md).
-#define KANON_INSTANTIATE_GLOBAL_PIPELINE(POLICY)                          \
-  template Result<GlobalAnonymizationResult> MakeGlobal1KAnonymousWithPolicy( \
-      const Dataset&, const PrecomputedLoss&, size_t, GeneralizedTable,    \
-      const POLICY&, RunContext*, EngineCounters*)
-
-KANON_INSTANTIATE_GLOBAL_PIPELINE(WeightedPolicy);
-KANON_INSTANTIATE_GLOBAL_PIPELINE(PlainPolicy);
-KANON_INSTANTIATE_GLOBAL_PIPELINE(LogWeightedPolicy);
-KANON_INSTANTIATE_GLOBAL_PIPELINE(RatioPolicy);
-KANON_INSTANTIATE_GLOBAL_PIPELINE(NergizCliftonPolicy);
-
-#undef KANON_INSTANTIATE_GLOBAL_PIPELINE
 
 }  // namespace kanon

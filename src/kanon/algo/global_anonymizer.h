@@ -51,17 +51,6 @@ Result<GlobalAnonymizationResult> MakeGlobal1KAnonymous(
     GeneralizedTable table, RunContext* ctx = nullptr,
     EngineCounters* counters = nullptr);
 
-/// Policy-parameterized variant (docs/policy_engine.md): the policy's
-/// MergeDelta hook transforms the upgrade prices of Algorithm 6 and Ripe is
-/// the match-count stopping predicate; every built-in distance policy keeps
-/// both at the identity defaults. Defined in global_anonymizer.cc and
-/// explicitly instantiated per (pipeline × distance).
-template <typename Policy>
-Result<GlobalAnonymizationResult> MakeGlobal1KAnonymousWithPolicy(
-    const Dataset& dataset, const PrecomputedLoss& loss, size_t k,
-    GeneralizedTable table, const Policy& policy, RunContext* ctx = nullptr,
-    EngineCounters* counters = nullptr);
-
 }  // namespace kanon
 
 #endif  // KANON_ALGO_GLOBAL_ANONYMIZER_H_

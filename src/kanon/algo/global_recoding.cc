@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "kanon/algo/core/closure_store.h"
-#include "kanon/algo/policy.h"
 #include "kanon/common/check.h"
 #include "kanon/common/failpoint.h"
 #include "kanon/common/parallel.h"
@@ -80,16 +79,14 @@ GeneralizedTable ApplyLevels(
 // Group-size check through the interned closure ids: one hash lookup per
 // row (duplicate rows are cache hits) instead of lexicographic map compares.
 // The store persists across ascent rounds, so ids stay dense and rows seen
-// in earlier rounds are already priced. The group-size test is the policy's
-// Ripe hook — the same size-k predicate every built-in policy supplies.
-template <typename Policy>
+// in earlier rounds are already priced.
 bool TableIsKAnonymous(ClosureStore* store, const GeneralizedTable& table,
-                       size_t k, const Policy& policy) {
+                       size_t k) {
   const std::vector<ClosureStore::Id> ids = store->InternTable(table);
   std::vector<size_t> counts(store->size(), 0);
   for (ClosureStore::Id id : ids) ++counts[id];
   for (ClosureStore::Id id : ids) {
-    if (!policy.Ripe(counts[id], k)) return false;
+    if (counts[id] < k) return false;
   }
   return true;
 }
@@ -111,12 +108,9 @@ SetId LevelAncestor(const Hierarchy& hierarchy, ValueCode value,
   return chain[std::min<size_t>(level, chain.size() - 1)];
 }
 
-template <typename Policy>
-Result<GlobalRecodingResult> GlobalRecodingKAnonymizeWithPolicy(
+Result<GlobalRecodingResult> GlobalRecodingKAnonymize(
     const Dataset& dataset, const PrecomputedLoss& loss, size_t k,
-    const Policy& policy, RunContext* ctx, int num_threads,
-    EngineCounters* counters) {
-  KANON_ASSERT_CLUSTER_POLICY(Policy);
+    RunContext* ctx, int num_threads, EngineCounters* counters) {
   const size_t n = dataset.num_rows();
   const size_t r = dataset.num_attributes();
   if (k < 1) {
@@ -144,7 +138,7 @@ Result<GlobalRecodingResult> GlobalRecodingKAnonymizeWithPolicy(
   GeneralizedTable current = ApplyLevels(dataset, loss.scheme_ptr(), tables,
                                          levels);
   PhaseSpan ascent_span(CurrentTracer(), "full-domain/ascent");
-  while (!TableIsKAnonymous(&store, current, k, policy)) {
+  while (!TableIsKAnonymous(&store, current, k)) {
     if (ctx != nullptr && ctx->CheckPoint("full-domain/ascent")) {
       // Degradation: jump every attribute to its top level. All records
       // become identical — k-anonymous for every k <= n.
@@ -173,10 +167,8 @@ Result<GlobalRecodingResult> GlobalRecodingKAnonymizeWithPolicy(
           }
           std::vector<uint32_t> trial = levels;
           ++trial[j];
-          // Candidate bumps are ranked by the policy's PairCost hook over
-          // the trial's table loss (identity for every built-in policy).
-          return policy.PairCost(loss.TableLoss(
-              ApplyLevels(dataset, loss.scheme_ptr(), tables, trial)));
+          return loss.TableLoss(
+              ApplyLevels(dataset, loss.scheme_ptr(), tables, trial));
         });
     KANON_CHECK(best.valid &&
                     best.value < std::numeric_limits<double>::infinity(),
@@ -188,30 +180,5 @@ Result<GlobalRecodingResult> GlobalRecodingKAnonymizeWithPolicy(
   store.ExportCounters(counters);
   return GlobalRecodingResult{std::move(current), std::move(levels)};
 }
-
-// The public entry pins the default-config policy — the full-domain ascent
-// never carried a distance parameter, and the hooks it consumes (PairCost,
-// Ripe) are identical across every built-in policy.
-Result<GlobalRecodingResult> GlobalRecodingKAnonymize(
-    const Dataset& dataset, const PrecomputedLoss& loss, size_t k,
-    RunContext* ctx, int num_threads, EngineCounters* counters) {
-  return GlobalRecodingKAnonymizeWithPolicy(dataset, loss, k,
-                                            LogWeightedPolicy{}, ctx,
-                                            num_threads, counters);
-}
-
-// The (pipeline × distance) instantiation matrix (docs/policy_engine.md).
-#define KANON_INSTANTIATE_FULL_DOMAIN_PIPELINE(POLICY)                     \
-  template Result<GlobalRecodingResult> GlobalRecodingKAnonymizeWithPolicy( \
-      const Dataset&, const PrecomputedLoss&, size_t, const POLICY&,       \
-      RunContext*, int, EngineCounters*)
-
-KANON_INSTANTIATE_FULL_DOMAIN_PIPELINE(WeightedPolicy);
-KANON_INSTANTIATE_FULL_DOMAIN_PIPELINE(PlainPolicy);
-KANON_INSTANTIATE_FULL_DOMAIN_PIPELINE(LogWeightedPolicy);
-KANON_INSTANTIATE_FULL_DOMAIN_PIPELINE(RatioPolicy);
-KANON_INSTANTIATE_FULL_DOMAIN_PIPELINE(NergizCliftonPolicy);
-
-#undef KANON_INSTANTIATE_FULL_DOMAIN_PIPELINE
 
 }  // namespace kanon

@@ -49,17 +49,6 @@ Result<GlobalRecodingResult> GlobalRecodingKAnonymize(
     RunContext* ctx = nullptr, int num_threads = 1,
     EngineCounters* counters = nullptr);
 
-/// Policy-parameterized variant (docs/policy_engine.md): the policy's
-/// PairCost hook ranks the per-attribute trial bumps of the ascent and Ripe
-/// is the group-size predicate of the k-anonymity check; every built-in
-/// distance policy keeps both at the identity defaults. Defined in
-/// global_recoding.cc and explicitly instantiated per (pipeline × distance).
-template <typename Policy>
-Result<GlobalRecodingResult> GlobalRecodingKAnonymizeWithPolicy(
-    const Dataset& dataset, const PrecomputedLoss& loss, size_t k,
-    const Policy& policy, RunContext* ctx = nullptr, int num_threads = 1,
-    EngineCounters* counters = nullptr);
-
 /// The per-attribute level count (level 0 .. NumLevels-1); exposed for
 /// tests and for reporting.
 size_t NumGeneralizationLevels(const Hierarchy& hierarchy);

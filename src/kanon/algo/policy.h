@@ -13,64 +13,46 @@ namespace kanon {
 
 /// The compile-time cluster-policy engine (docs/policy_engine.md).
 ///
-/// A ClusterPolicy bundles the per-pair decisions of the clustering
-/// pipelines as inlinable compile-time hooks, replacing the runtime
-/// `EvalDistance` switch that used to sit inside the O(n²) merge loops:
+/// A ClusterPolicy is the merge rule of Algorithms 1 and 2 — the only place
+/// where the cluster distances of Section V-A.2 are used — as inlinable
+/// compile-time members, replacing the runtime `EvalDistance` switch that
+/// used to sit inside the O(n²) merge loops:
 ///
 ///  - `Distance(size_a, size_b, size_union, d_a, d_b, d_union)` — the
-///    cluster distance of Section V-A.2 (eqs. 8–11 / Nergiz–Clifton),
-///    evaluated by the agglomerative engines per candidate pair.
+///    cluster distance (eqs. 8–11 / Nergiz–Clifton), evaluated by the
+///    agglomerative engine per candidate pair.
 ///  - `kAsymmetric` — whether dist(A, B) ≠ dist(B, A); the merge rule
 ///    evaluates both directions only when set (Nergiz–Clifton).
-///  - `PairCost(d)` — the scalar order key the cost-driven pipelines
-///    (forest edges, (k,1) candidates, repair partners, full-domain
-///    trials) rank candidates by, given a closure/union cost d.
-///  - `MergeDelta(delta)` — transform of an already-accumulated merge or
-///    upgrade price (greedy expansion, (1,k) repair, Algorithm 6).
-///  - `Ripe(size, k)` — the stopping predicate: when a cluster/component/
-///    match set leaves the working pool.
 ///  - `kName` — diagnostic label.
 ///
-/// Engines are templated on the policy and explicitly instantiated per
-/// (pipeline × distance); the runtime `DistanceFunction` enum is translated
-/// to a policy exactly once at pipeline entry via DispatchDistancePolicy.
-/// EvalDistance (algo/distance.h) remains as the scalar reference
-/// implementation that conformance tests and benches compare against.
+/// The agglomerative engine is templated on the policy and instantiated
+/// once per built-in in agglomerative.cc, the library's one enum-to-policy
+/// dispatch (DispatchDistancePolicy). The other pipelines rank raw closure
+/// costs and take no policy. EvalDistance (algo/distance.h) remains as the
+/// scalar reference implementation that conformance tests and benches
+/// compare against.
 template <typename P>
 concept ClusterPolicy = requires(const P p, size_t s, double d) {
   { P::kName } -> std::convertible_to<const char*>;
   { P::kAsymmetric } -> std::convertible_to<bool>;
   { p.Distance(s, s, s, d, d, d) } -> std::same_as<double>;
-  { p.PairCost(d) } -> std::same_as<double>;
-  { p.MergeDelta(d) } -> std::same_as<double>;
-  { p.Ripe(s, s) } -> std::same_as<bool>;
 };
 
-/// One readable diagnostic instead of a template backtrace: engines and the
-/// dispatcher expand this where a policy type is consumed, so a malformed
-/// policy fails on this message (tests/policy_negcomp.cc keeps it honest).
+/// One readable diagnostic instead of a template backtrace: the engine and
+/// the dispatcher expand this where a policy type is consumed, so a
+/// malformed policy fails on this message (tests/policy_negcomp.cc keeps it
+/// honest).
 #define KANON_ASSERT_CLUSTER_POLICY(P)                                        \
   static_assert(::kanon::ClusterPolicy<P>,                                    \
                 "policy does not satisfy the ClusterPolicy concept: it must " \
-                "provide kName, kAsymmetric, Distance(size_a, size_b, "       \
-                "size_union, d_a, d_b, d_union) -> double, PairCost(d) -> "   \
-                "double, MergeDelta(delta) -> double and Ripe(size, k) -> "   \
-                "bool; see docs/policy_engine.md")
-
-/// Shared hook defaults. The cost hooks are identities and the stopping
-/// predicate is the plain size-k test — exactly the behavior every pipeline
-/// had before the policy engine, so a policy that only overrides Distance
-/// changes nothing outside the agglomerative merge rule.
-struct PolicyDefaults {
-  static constexpr bool kAsymmetric = false;
-  double PairCost(double d_union) const { return d_union; }
-  double MergeDelta(double delta) const { return delta; }
-  bool Ripe(size_t cluster_size, size_t k) const { return cluster_size >= k; }
-};
+                "provide kName, kAsymmetric and Distance(size_a, size_b, "    \
+                "size_union, d_a, d_b, d_union) -> double; see "              \
+                "docs/policy_engine.md")
 
 /// Eq. (8): |A∪B|·d(A∪B) − |A|·d(A) − |B|·d(B). Favors balanced growth.
-struct WeightedPolicy : PolicyDefaults {
+struct WeightedPolicy {
   static constexpr const char* kName = "dist1(8)";
+  static constexpr bool kAsymmetric = false;
   double Distance(size_t size_a, size_t size_b, size_t size_union, double d_a,
                   double d_b, double d_union) const {
     KANON_DCHECK(size_a > 0 && size_b > 0 && size_union > 1);
@@ -81,8 +63,9 @@ struct WeightedPolicy : PolicyDefaults {
 };
 
 /// Eq. (9): d(A∪B) − d(A) − d(B). May be negative; unbalanced growth.
-struct PlainPolicy : PolicyDefaults {
+struct PlainPolicy {
   static constexpr const char* kName = "dist2(9)";
+  static constexpr bool kAsymmetric = false;
   double Distance([[maybe_unused]] size_t size_a, [[maybe_unused]] size_t size_b,
                   [[maybe_unused]] size_t size_union, double d_a, double d_b,
                   double d_union) const {
@@ -92,8 +75,9 @@ struct PlainPolicy : PolicyDefaults {
 };
 
 /// Eq. (10): (d(A∪B) − d(A) − d(B)) / log2|A∪B|. Favors growing one cluster.
-struct LogWeightedPolicy : PolicyDefaults {
+struct LogWeightedPolicy {
   static constexpr const char* kName = "dist3(10)";
+  static constexpr bool kAsymmetric = false;
   double Distance([[maybe_unused]] size_t size_a, [[maybe_unused]] size_t size_b,
                   size_t size_union, double d_a, double d_b,
                   double d_union) const {
@@ -104,8 +88,9 @@ struct LogWeightedPolicy : PolicyDefaults {
 
 /// Eq. (11): d(A∪B) / (d(A) + d(B) + ε). Relative cost increase. The only
 /// built-in policy with state: it carries the ε of DistanceParams.
-struct RatioPolicy : PolicyDefaults {
+struct RatioPolicy {
   static constexpr const char* kName = "dist4(11)";
+  static constexpr bool kAsymmetric = false;
   DistanceParams params;
   double Distance([[maybe_unused]] size_t size_a, [[maybe_unused]] size_t size_b,
                   [[maybe_unused]] size_t size_union, double d_a, double d_b,
@@ -124,7 +109,7 @@ struct RatioPolicy : PolicyDefaults {
 };
 
 /// Nergiz & Clifton's asymmetric variant: dist(A, B) = d(A∪B) − d(B).
-struct NergizCliftonPolicy : PolicyDefaults {
+struct NergizCliftonPolicy {
   static constexpr const char* kName = "distNC";
   static constexpr bool kAsymmetric = true;
   double Distance([[maybe_unused]] size_t size_a, [[maybe_unused]] size_t size_b,
@@ -144,8 +129,8 @@ KANON_ASSERT_CLUSTER_POLICY(NergizCliftonPolicy);
 
 /// The one runtime-to-compile-time boundary of the policy engine: translates
 /// a DistanceFunction (+ params) to its policy and invokes `fn` with it.
-/// Every pipeline entry calls this exactly once; no per-pair code dispatches
-/// on the enum afterwards.
+/// AgglomerativeCluster calls this exactly once per run; no per-pair code
+/// dispatches on the enum afterwards.
 template <typename Fn>
 auto DispatchDistancePolicy(DistanceFunction f, const DistanceParams& params,
                             Fn&& fn) {
@@ -157,7 +142,7 @@ auto DispatchDistancePolicy(DistanceFunction f, const DistanceParams& params,
     case DistanceFunction::kLogWeighted:
       return fn(LogWeightedPolicy{});
     case DistanceFunction::kRatio:
-      return fn(RatioPolicy{{}, params});
+      return fn(RatioPolicy{params});
     case DistanceFunction::kNergizClifton:
       return fn(NergizCliftonPolicy{});
   }

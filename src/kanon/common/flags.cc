@@ -1,6 +1,8 @@
 #include "kanon/common/flags.h"
 
+#include <cmath>
 #include <cstdlib>
+#include <sstream>
 
 #include "kanon/common/check.h"
 
@@ -68,6 +70,30 @@ bool FlagParser::GetBool(const std::string& name, bool default_value) const {
   if (it == values_.end()) return default_value;
   const std::string& v = it->second;
   return v == "true" || v == "1" || v == "yes" || v == "on";
+}
+
+Result<std::vector<double>> FlagParser::GetDoubleList(
+    const std::string& name) const {
+  std::vector<double> values;
+  auto it = values_.find(name);
+  if (it == values_.end()) return values;
+  std::stringstream stream(it->second);
+  std::string item;
+  while (std::getline(stream, item, ',')) {
+    char* end = nullptr;
+    const double value = std::strtod(item.c_str(), &end);
+    if (item.empty() || end != item.c_str() + item.size() ||
+        !std::isfinite(value)) {
+      return Status::InvalidArgument("bad --" + name + " entry '" + item +
+                                     "': not a finite number");
+    }
+    values.push_back(value);
+  }
+  if (values.empty()) {
+    return Status::InvalidArgument("--" + name +
+                                   " must list at least one number");
+  }
+  return values;
 }
 
 }  // namespace kanon

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "kanon/common/result.h"
 #include "kanon/common/status.h"
 
 namespace kanon {
@@ -28,6 +29,10 @@ class FlagParser {
   int64_t GetInt(const std::string& name, int64_t default_value) const;
   double GetDouble(const std::string& name, double default_value) const;
   bool GetBool(const std::string& name, bool default_value) const;
+  /// A comma-separated list of finite numbers, e.g. --attr-weights=2,1,1.
+  /// Empty when the flag is absent; InvalidArgument, naming the flag, for an
+  /// empty list or an entry that is not a finite number ("a", "1e999").
+  Result<std::vector<double>> GetDoubleList(const std::string& name) const;
 
   const std::vector<std::string>& positional() const { return positional_; }
 

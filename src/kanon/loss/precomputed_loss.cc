@@ -1,6 +1,7 @@
 #include "kanon/loss/precomputed_loss.h"
 
 #include <cmath>
+#include <string>
 
 #include "kanon/common/check.h"
 #include "kanon/common/parallel.h"
@@ -119,20 +120,33 @@ double PrecomputedLoss::ClosureCost(const Dataset& dataset,
   return RecordCost(scheme_->ClosureOfRows(dataset, rows));
 }
 
-PrecomputedLoss PrecomputedLoss::WithAttributeWeights(
+Result<PrecomputedLoss> PrecomputedLoss::WithAttributeWeights(
     const std::vector<double>& weights) const {
   const size_t r = offsets_.size() - 1;
-  KANON_CHECK(weights.size() == r, "one weight per attribute");
-  double sum = 0.0;
-  for (double w : weights) {
-    KANON_CHECK(std::isfinite(w) && w >= 0.0,
-                "attribute weights must be finite and non-negative");
-    sum += w;
+  if (weights.size() != r) {
+    return Status::InvalidArgument("expected " + std::to_string(r) +
+                                   " attribute weights, got " +
+                                   std::to_string(weights.size()));
   }
-  KANON_CHECK(sum > 0.0, "attribute weights must not all be zero");
+  double sum = 0.0;
+  for (size_t j = 0; j < r; ++j) {
+    if (!std::isfinite(weights[j]) || weights[j] < 0.0) {
+      return Status::InvalidArgument("attribute weight " + std::to_string(j) +
+                                     " must be finite and non-negative");
+    }
+    sum += weights[j];
+  }
+  if (sum <= 0.0) {
+    return Status::InvalidArgument("attribute weights must not all be zero");
+  }
+  const double r_over_sum = static_cast<double>(r) / sum;
+  if (!std::isfinite(sum) || !std::isfinite(r_over_sum)) {
+    return Status::InvalidArgument(
+        "attribute weights out of range: their sum and the attribute count "
+        "divided by it must both be finite");
+  }
   PrecomputedLoss reweighted = *this;
   reweighted.measure_name_ = measure_name_ + "+attr-weights";
-  const double r_over_sum = static_cast<double>(r) / sum;
   for (size_t j = 0; j < r; ++j) {
     // scale_j = w_j·r/Σw. For a uniform power-of-two weight (1.0 included)
     // the sum r·w, the quotient r/(r·w) = 1/w and the product w·(1/w) are

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "kanon/common/result.h"
 #include "kanon/data/dataset.h"
 #include "kanon/generalization/generalized_table.h"
 #include "kanon/generalization/scheme.h"
@@ -79,15 +80,18 @@ class PrecomputedLoss {
 
   /// A copy whose attribute-j cost row is scaled by w_j·r/Σw, so that
   /// RecordCost computes the weight-normalized average Σ_j w_j·cost_j / Σw
-  /// through the unchanged (1/r) kernels. The substrate of the
-  /// weighted-attribute cluster policy (algo/policy_weighted.h): every
-  /// pipeline prices clusters on the reweighted copy without knowing
-  /// weights exist. Uniform power-of-two weights (1.0 included) give scale
-  /// 1.0 exactly (bit-identical costs); doubling all weights leaves every
-  /// scale bit-identical.
-  /// Requires exactly one finite weight >= 0 per attribute with Σw > 0
-  /// (checked, not a Status: callers validate user input first).
-  PrecomputedLoss WithAttributeWeights(const std::vector<double>& weights) const;
+  /// through the unchanged (1/r) kernels. This is how attribute weights
+  /// reach the pipelines (AnonymizerConfig::attr_weights): every pipeline
+  /// prices clusters on the reweighted copy without knowing weights exist.
+  /// Uniform power-of-two weights (1.0 included) give scale 1.0 exactly
+  /// (bit-identical costs); doubling all weights leaves every scale
+  /// bit-identical.
+  /// The one validation of user-supplied weights: InvalidArgument unless
+  /// there is exactly one finite weight >= 0 per attribute, not all zero,
+  /// with Σw and r/Σw both finite (so no cost row is scaled by inf, and not
+  /// every row by 0).
+  Result<PrecomputedLoss> WithAttributeWeights(
+      const std::vector<double>& weights) const;
 
  private:
   std::shared_ptr<const GeneralizationScheme> scheme_;

@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "kanon/common/flags.h"
 #include "kanon/common/json_text.h"
@@ -266,6 +268,39 @@ TEST(FlagParserTest, RejectsBareDashes) {
   const char* argv[] = {"prog", "--"};
   FlagParser parser;
   EXPECT_FALSE(parser.Parse(2, argv).ok());
+}
+
+TEST(FlagParserTest, DoubleLists) {
+  const char* argv[] = {"prog", "--w=2,1,0.5", "--tiny=1e-320,0"};
+  FlagParser parser;
+  ASSERT_TRUE(parser.Parse(3, argv).ok());
+  const Result<std::vector<double>> w = parser.GetDoubleList("w");
+  ASSERT_TRUE(w.ok()) << w.status().ToString();
+  EXPECT_EQ(*w, (std::vector<double>{2.0, 1.0, 0.5}));
+  // A subnormal is a finite number; whether it is a usable weight is for
+  // the caller to decide.
+  const Result<std::vector<double>> tiny = parser.GetDoubleList("tiny");
+  ASSERT_TRUE(tiny.ok()) << tiny.status().ToString();
+  ASSERT_EQ(tiny->size(), 2u);
+  EXPECT_GT((*tiny)[0], 0.0);
+  const Result<std::vector<double>> absent = parser.GetDoubleList("absent");
+  ASSERT_TRUE(absent.ok());
+  EXPECT_TRUE(absent->empty());
+}
+
+TEST(FlagParserTest, DoubleListRejectsNonNumbersAndOverflow) {
+  for (const char* bad :
+       {"--w=a", "--w=1,a", "--w=1e999", "--w=-1e999", "--w=nan", "--w=inf",
+        "--w=1,,2", "--w=2x", "--w=", "--w=,"}) {
+    const char* argv[] = {"prog", bad};
+    FlagParser parser;
+    ASSERT_TRUE(parser.Parse(2, argv).ok());
+    const Result<std::vector<double>> list = parser.GetDoubleList("w");
+    ASSERT_FALSE(list.ok()) << bad;
+    EXPECT_EQ(list.status().code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_NE(list.status().message().find("--w"), std::string::npos)
+        << list.status().ToString();
+  }
 }
 
 TEST(TablePrinterTest, AlignsColumns) {

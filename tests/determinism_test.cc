@@ -9,7 +9,7 @@
 #include <memory>
 #include <vector>
 
-#include "kanon/algo/agglomerative_engine.h"
+#include "kanon/algo/agglomerative.h"
 #include "kanon/algo/anonymizer.h"
 #include "kanon/anonymity/verify.h"
 #include "kanon/check/campaign.h"

@@ -1,6 +1,5 @@
-// Tests for the weighted-attribute cluster policy (algo/policy_weighted.h)
-// — the policy landed to prove the engine's extensibility contract — and
-// for its AnonymizerConfig::attr_weights plumbing.
+// Tests for attribute weights: AnonymizerConfig::attr_weights runs every
+// pipeline on the reweighted loss of PrecomputedLoss::WithAttributeWeights.
 //
 // Determinism: uniform weights (power-of-two magnitudes, 1.0 included)
 // reweight every cost row by exactly 1.0, so the weighted run must be
@@ -13,10 +12,7 @@
 #include <cmath>
 #include <vector>
 
-#include "kanon/algo/agglomerative_engine.h"
 #include "kanon/algo/anonymizer.h"
-#include "kanon/algo/policy.h"
-#include "kanon/algo/policy_weighted.h"
 #include "kanon/loss/entropy_measure.h"
 #include "kanon/loss/precomputed_loss.h"
 #include "test_util.h"
@@ -38,7 +34,7 @@ constexpr AnonymizationMethod kAllMethods[] = {
     AnonymizationMethod::kFullDomain,
 };
 
-TEST(AttrWeightedPolicyTest, UniformWeightsAreByteIdenticalOnEveryPipeline) {
+TEST(AttrWeightsTest, UniformWeightsAreByteIdenticalOnEveryPipeline) {
   auto scheme = SmallScheme();
   const Dataset dataset = SmallRandomDataset(*scheme, 60, /*seed=*/41);
   const PrecomputedLoss loss(scheme, dataset, EntropyMeasure());
@@ -57,7 +53,7 @@ TEST(AttrWeightedPolicyTest, UniformWeightsAreByteIdenticalOnEveryPipeline) {
   }
 }
 
-TEST(AttrWeightedPolicyTest, DoublingAllWeightsIsAMetamorphicNoOp) {
+TEST(AttrWeightsTest, DoublingAllWeightsIsAMetamorphicNoOp) {
   auto scheme = SmallScheme();
   const Dataset dataset = SmallRandomDataset(*scheme, 60, /*seed=*/42);
   const PrecomputedLoss loss(scheme, dataset, EntropyMeasure());
@@ -76,7 +72,7 @@ TEST(AttrWeightedPolicyTest, DoublingAllWeightsIsAMetamorphicNoOp) {
   }
 }
 
-TEST(AttrWeightedPolicyTest, ExtremeWeightsSteerTheClustering) {
+TEST(AttrWeightsTest, ExtremeWeightsSteerTheClustering) {
   // Weight zip at zero: generalizing zip is free, so the run should prefer
   // coarsening zip and keep sex exact wherever the data allows — the
   // opposite emphasis of a heavy zip weight. The two runs must differ on
@@ -93,7 +89,7 @@ TEST(AttrWeightedPolicyTest, ExtremeWeightsSteerTheClustering) {
   EXPECT_FALSE(zip_free.table == sex_free.table);
 }
 
-TEST(AttrWeightedPolicyTest, ReportedLossStaysUnderTheOriginalMeasure) {
+TEST(AttrWeightsTest, ReportedLossStaysUnderTheOriginalMeasure) {
   // result.loss is Π under the unweighted measure even for weighted runs,
   // so runs with different weights stay comparable on one scale.
   auto scheme = SmallScheme();
@@ -106,7 +102,7 @@ TEST(AttrWeightedPolicyTest, ReportedLossStaysUnderTheOriginalMeasure) {
   EXPECT_EQ(result.loss, loss.TableLoss(result.table));
 }
 
-TEST(AttrWeightedPolicyTest, RejectsMalformedWeights) {
+TEST(AttrWeightsTest, RejectsMalformedWeights) {
   auto scheme = SmallScheme();
   const Dataset dataset = SmallRandomDataset(*scheme, 20, /*seed=*/45);
   const PrecomputedLoss loss(scheme, dataset, EntropyMeasure());
@@ -117,20 +113,27 @@ TEST(AttrWeightedPolicyTest, RejectsMalformedWeights) {
         std::vector<double>{1.0, 1.0, 1.0},             // wrong arity
         std::vector<double>{-1.0, 1.0},                 // negative
         std::vector<double>{0.0, 0.0},                  // all zero
-        std::vector<double>{std::nan(""), 1.0}}) {      // non-finite
+        std::vector<double>{std::nan(""), 1.0},         // non-finite
+        std::vector<double>{1e308, 1e308},              // Σw overflows
+        std::vector<double>{1e-320, 0.0}}) {            // r/Σw overflows
     config.attr_weights = bad;
-    const Result<AnonymizationResult> result =
-        Anonymize(dataset, loss, config);
-    EXPECT_FALSE(result.ok());
+    for (AnonymizationMethod method : kAllMethods) {
+      config.method = method;
+      const Result<AnonymizationResult> result =
+          Anonymize(dataset, loss, config);
+      EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+          << AnonymizationMethodName(method);
+    }
   }
 }
 
-TEST(AttrWeightedPolicyTest, WithAttributeWeightsScalesCostRows) {
+TEST(AttrWeightsTest, WithAttributeWeightsScalesCostRows) {
   auto scheme = SmallScheme();
   const Dataset dataset = SmallRandomDataset(*scheme, 20, /*seed=*/46);
   const PrecomputedLoss loss(scheme, dataset, EntropyMeasure());
   // r = 2, weights {3, 1}: scale_0 = 3·2/4 = 1.5, scale_1 = 1·2/4 = 0.5.
-  const PrecomputedLoss reweighted = loss.WithAttributeWeights({3.0, 1.0});
+  const PrecomputedLoss reweighted =
+      Unwrap(loss.WithAttributeWeights({3.0, 1.0}));
   for (size_t j = 0; j < 2; ++j) {
     const double scale = j == 0 ? 1.5 : 0.5;
     for (SetId s = 0; s < scheme->hierarchy(j).num_sets(); ++s) {
@@ -138,30 +141,12 @@ TEST(AttrWeightedPolicyTest, WithAttributeWeightsScalesCostRows) {
     }
   }
   // Power-of-two uniform weights reproduce the original costs bit for bit.
-  const PrecomputedLoss uniform = loss.WithAttributeWeights({2.0, 2.0});
+  const PrecomputedLoss uniform =
+      Unwrap(loss.WithAttributeWeights({2.0, 2.0}));
   for (size_t j = 0; j < 2; ++j) {
     for (SetId s = 0; s < scheme->hierarchy(j).num_sets(); ++s) {
       EXPECT_EQ(uniform.EntryCost(j, s), loss.EntryCost(j, s));
     }
-  }
-}
-
-TEST(AttrWeightedPolicyTest, DrivesTheHeaderEngineWithoutPipelineEdits) {
-  // The extensibility contract, exercised the way a downstream policy
-  // author would: build the policy, hand it straight to the header-templated
-  // agglomerative engine, no pipeline file or instantiation list touched.
-  auto scheme = SmallScheme();
-  const Dataset dataset = SmallRandomDataset(*scheme, 40, /*seed=*/47);
-  const PrecomputedLoss loss(scheme, dataset, EntropyMeasure());
-  const AttrWeightedPolicy<LogWeightedPolicy> policy =
-      Unwrap(AttrWeightedPolicy<LogWeightedPolicy>::Create(
-          LogWeightedPolicy{}, loss, {2.0, 1.0}));
-  AgglomerativeOptions options;
-  const Clustering clustering = Unwrap(AgglomerativeClusterWithPolicy(
-      dataset, policy.loss(), 3, options, policy));
-  EXPECT_TRUE(clustering.IsPartitionOf(dataset.num_rows()));
-  for (const auto& cluster : clustering.clusters) {
-    EXPECT_GE(cluster.size(), 3u);
   }
 }
 

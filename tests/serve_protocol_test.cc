@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "serve_test_util.h"
 #include "test_util.h"
@@ -199,6 +200,37 @@ TEST(ServeProtocolTest, MethodLevelParamErrorsAreTyped) {
         << "k=" << k << ": " << bad_k.Dump();
   }
 
+  EXPECT_EQ(server.SignalAndWait(SIGTERM), 0) << server.Log();
+}
+
+TEST(ServeProtocolTest, OutOfRangeAttrWeightsFailTheJobNotTheDaemon) {
+  // Σw overflows to +inf for the first list and r/Σw for the second; either
+  // used to reach the engine as NaN or zero cost rows. The job must end
+  // `failed` with the weight validation's message, and the same connection
+  // must keep working.
+  TestServer server;
+  Client client = server.Connect();
+  for (const std::vector<double>& list :
+       {std::vector<double>{1e308, 1e308, 1e308},
+        std::vector<double>{1e-320, 0.0, 0.0}}) {
+    Json weights = Json::Array();
+    for (double w : list) weights.Push(Json::Number(w));
+    Json params = Json::Object();
+    params.Set("csv", Json::Str(SyntheticCsv(8)));
+    params.Set("k", Json::Number(int64_t{2}));
+    params.Set("attr_weights", std::move(weights));
+    Json submitted = testing::Unwrap(client.Call("submit", std::move(params)));
+    const Json final_state = testing::Unwrap(
+        client.WaitJob(static_cast<uint64_t>(submitted.GetInt("job_id", 0))));
+    EXPECT_EQ(final_state.GetString("state", ""), "failed")
+        << final_state.Dump();
+    EXPECT_EQ(final_state.GetString("error", ""),
+              "InvalidArgument: attribute weights out of range: their sum "
+              "and the attribute count divided by it must both be finite")
+        << final_state.Dump();
+    Json pong = testing::Unwrap(client.Call("ping", Json::Object()));
+    EXPECT_TRUE(pong.GetBool("pong", false));
+  }
   EXPECT_EQ(server.SignalAndWait(SIGTERM), 0) << server.Log();
 }
 

@@ -11,7 +11,8 @@
 //             [--attr-weights=w1,w2,...]     # per-attribute loss weights
 //                                            # (docs/policy_engine.md); one
 //                                            # finite weight >= 0 per input
-//                                            # attribute, not all zero.
+//                                            # attribute, not all zero, with
+//                                            # a finite sum and r/sum.
 //                                            # Reported loss stays uniform.
 //             [--output=anonymized.csv]
 //             [--report]                     # print a utility report
@@ -70,7 +71,6 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <sstream>
 
 #include "kanon/algo/anonymizer.h"
 #include "kanon/anonymity/verify.h"
@@ -114,28 +114,6 @@ __attribute__((format(printf, 1, 2))) std::string Printf(const char* format,
 int UsageError(const Status& status) {
   std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
   return 2;
-}
-
-// Comma-separated per-attribute weights, e.g. "2,1,1". Count and range
-// validation happens in Anonymize, which knows the dataset arity.
-Result<std::vector<double>> ParseAttrWeights(const std::string& spec) {
-  std::vector<double> weights;
-  std::stringstream stream(spec);
-  std::string item;
-  while (std::getline(stream, item, ',')) {
-    char* end = nullptr;
-    const double w = std::strtod(item.c_str(), &end);
-    if (item.empty() || end != item.c_str() + item.size()) {
-      return Status::InvalidArgument("bad --attr-weights entry '" + item +
-                                     "'");
-    }
-    weights.push_back(w);
-  }
-  if (weights.empty()) {
-    return Status::InvalidArgument(
-        "--attr-weights must list at least one weight");
-  }
-  return weights;
 }
 
 // Generalization scheme: from the spec file, or suppression-only.
@@ -182,12 +160,10 @@ int SetUpRun(const FlagParser& flags, CliRun* run) {
   // 0 (the default) uses every core; the output does not depend on this.
   config.num_threads =
       ResolveNumThreads(static_cast<int>(flags.GetInt("threads", 0)));
-  if (flags.Has("attr-weights")) {
-    Result<std::vector<double>> weights =
-        ParseAttrWeights(flags.GetString("attr-weights", ""));
-    if (!weights.ok()) return UsageError(weights.status());
-    config.attr_weights = std::move(weights).value();
-  }
+  // Count and range validation happens in Anonymize, which knows the arity.
+  Result<std::vector<double>> weights = flags.GetDoubleList("attr-weights");
+  if (!weights.ok()) return UsageError(weights.status());
+  config.attr_weights = std::move(weights).value();
 
   // Execution controls: deadline, step budget, Ctrl-C cancellation.
   auto cancel_token = std::make_shared<CancellationToken>();

@@ -9,6 +9,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "kanon/common/flags.h"
 #include "kanon/serve/client.h"
@@ -85,12 +86,10 @@ Result<Json> SubmitParams(const FlagParser& flags) {
     params.Set("measure", Json::Str(flags.GetString("measure", "")));
   }
   if (flags.Has("attr-weights")) {
+    KANON_ASSIGN_OR_RETURN(std::vector<double> list,
+                           flags.GetDoubleList("attr-weights"));
     Json weights = Json::Array();
-    std::istringstream list(flags.GetString("attr-weights", ""));
-    std::string item;
-    while (std::getline(list, item, ',')) {
-      weights.Push(Json::Number(std::stod(item)));
-    }
+    for (double w : list) weights.Push(Json::Number(w));
     params.Set("attr_weights", std::move(weights));
   }
   if (flags.Has("timeout-ms")) {
