@@ -33,11 +33,14 @@
 #include "kanon/algo/agglomerative.h"
 #include "kanon/algo/core/closure_store.h"
 #include "kanon/algo/distance.h"
+#include "kanon/algo/kk_anonymizer.h"
 #include "kanon/algo/policy.h"
 #include "kanon/common/check.h"
 #include "kanon/common/parallel.h"
 #include "kanon/data/dataset.h"
+#include "kanon/generalization/generalized_table.h"
 #include "kanon/generalization/scheme.h"
+#include "kanon/graph/consistency_graph.h"
 #include "kanon/loss/entropy_measure.h"
 #include "kanon/loss/kernels.h"
 #include "kanon/loss/precomputed_loss.h"
@@ -469,6 +472,51 @@ KernelTiming BenchUnionSweep(const Dataset& dataset,
   return t;
 }
 
+// --- Kernel 7: the consistency graph V_{D,g(D)} of a (k,k) table — the
+// graph Algorithm 6 and the global (1,k) verifier match on. Legacy: the
+// ConsistentPair double loop. Columnar: BuildConsistencyGraph, one
+// ConsistencyIndex query (r ANDs of n/64 words) per original. Every
+// adjacency list must agree edge for edge, in order.
+BipartiteGraph ScalarConsistencyGraph(const Dataset& dataset,
+                                      const GeneralizedTable& table) {
+  BipartiteGraph graph(dataset.num_rows(), table.num_rows());
+  for (uint32_t i = 0; i < dataset.num_rows(); ++i) {
+    for (uint32_t t = 0; t < table.num_rows(); ++t) {
+      if (table.ConsistentPair(dataset, i, t)) graph.AddEdge(i, t);
+    }
+  }
+  return graph;
+}
+
+KernelTiming BenchConsistencyGraph(const Dataset& dataset,
+                                   const PrecomputedLoss& loss, int reps) {
+  constexpr size_t kK = 10;
+  const GeneralizedTable table = KKAnonymize(
+      dataset, loss, kK, K1Algorithm::kGreedyExpansion).value();
+  const size_t n = dataset.num_rows();
+  const BipartiteGraph scalar = ScalarConsistencyGraph(dataset, table);
+  const BipartiteGraph indexed = BuildConsistencyGraph(dataset, table);
+  KANON_CHECK(scalar.num_edges() == indexed.num_edges(),
+              "index-built consistency graph has a different edge count");
+  for (uint32_t i = 0; i < n; ++i) {
+    KANON_CHECK(scalar.Neighbors(i) == indexed.Neighbors(i),
+                "index-built consistency graph diverged from the double loop");
+  }
+
+  KernelTiming t;
+  t.name = "consistency_graph_index";
+  t.items = n * n;
+  t.legacy_ns = TimeNs(reps, [&] {
+    g_sink += static_cast<double>(
+        ScalarConsistencyGraph(dataset, table).num_edges());
+  });
+  t.columnar_ns = TimeNs(reps, [&] {
+    g_sink +=
+        static_cast<double>(BuildConsistencyGraph(dataset, table).num_edges());
+  });
+  return t;
+}
+
 // One sweep-dispatch row: a whole ParallelChunks sweep over n clusters of
 // the repair pass's per-item work (one flat-row UnionCost), cut at the
 // engine's grain, against the same loop run inline with no sweep at all.
@@ -618,6 +666,7 @@ int Main(int argc, char** argv) {
   }
   timings.push_back(BenchDistanceDispatch(single_costs, reps));
   timings.push_back(BenchUnionSweep(w.dataset, scheme, loss, kernels, reps));
+  timings.push_back(BenchConsistencyGraph(w.dataset, loss, reps));
   const std::vector<SweepTiming> sweeps =
       BenchSweepDispatch(w.dataset, scheme, loss, kernels, reps);
 

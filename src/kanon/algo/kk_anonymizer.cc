@@ -8,18 +8,13 @@
 #include "kanon/common/check.h"
 #include "kanon/common/failpoint.h"
 #include "kanon/common/parallel.h"
+#include "kanon/generalization/consistency_index.h"
 #include "kanon/loss/kernels.h"
 #include "kanon/telemetry/tracer.h"
 
 namespace kanon {
 
 namespace {
-
-// Chunk grain (ParallelChunkCount) of the (1,k) repair's consistency/price
-// scan: an item is one O(r) consistency test plus at most one O(r) price,
-// so a chunk must be long enough to outweigh handing it to a worker, and a
-// table of at most this many rows is scanned inline.
-constexpr size_t kRepairScanGrain = 256;
 
 Status ValidateArgs(const Dataset& dataset, const PrecomputedLoss& loss,
                     size_t k) {
@@ -299,7 +294,7 @@ Result<GeneralizedTable> K1GreedyExpansion(const Dataset& dataset,
 Result<GeneralizedTable> Make1KAnonymous(const Dataset& dataset,
                                          const PrecomputedLoss& loss, size_t k,
                                          GeneralizedTable table,
-                                         RunContext* ctx, int num_threads,
+                                         RunContext* ctx,
                                          EngineCounters* counters) {
   KANON_RETURN_NOT_OK(ValidateArgs(dataset, loss, k));
   if (table.num_rows() != dataset.num_rows()) {
@@ -312,15 +307,12 @@ Result<GeneralizedTable> Make1KAnonymous(const Dataset& dataset,
   const size_t r = dataset.num_attributes();
 
   // Upgrades applied for record i change what later records see, so the
-  // outer loop stays sequential (and keeps its per-record checkpoint); only
-  // the read-only consistency/price scan over the table fans out. Chunk
-  // results concatenated in chunk order rebuild the ascending-t candidate
-  // list of a serial scan, so the partial_sort below picks identical rows.
-  struct ScanPart {
-    size_t consistent = 0;
-    std::vector<std::pair<double, uint32_t>> candidates;
-  };
-  std::vector<ScanPart> parts(ParallelChunkCount(n, kRepairScanGrain));
+  // loop is sequential (and keeps its per-record checkpoint). ℓ is one
+  // popcount; only a record short of k consistent rows prices the rows
+  // outside its mask, in ascending t, so the partial_sort below picks the
+  // rows a full scan would.
+  ConsistencyIndex index(table);
+  std::vector<uint64_t> consistent_rows(index.num_words());
   std::vector<std::pair<double, uint32_t>> candidates;
   for (uint32_t i = 0; i < n; ++i) {
     if (ctx != nullptr && ctx->CheckPoint("kk/repair")) {
@@ -328,45 +320,24 @@ Result<GeneralizedTable> Make1KAnonymous(const Dataset& dataset,
     }
     KANON_FAILPOINT("kk.upgrade");
     const RowView record = dataset.row_view(i);
-    if (counters != nullptr) {
-      counters->parallel_chunks += ParallelChunkCount(n, kRepairScanGrain);
-    }
-    ParallelChunks(
-        n, num_threads, nullptr, "kk/repair",
-        [&](size_t chunk, size_t begin, size_t end) {
-          ScanPart& part = parts[chunk];
-          part.consistent = 0;
-          part.candidates.clear();
-          for (size_t t = begin; t < end; ++t) {
-            if (table.ConsistentPair(dataset, i, static_cast<uint32_t>(t))) {
-              ++part.consistent;
-            } else {
-              // Price of upgrading R̄_t to cover R_i: c(R_i + R̄_t) − c(R̄_t),
-              // computed attribute-wise to stay allocation-free.
-              double delta = 0.0;
-              for (size_t j = 0; j < r; ++j) {
-                const SetId current = table.at(t, j);
-                const SetId joined =
-                    scheme.hierarchy(j).JoinValue(current, record[j]);
-                delta += loss.EntryCost(j, joined) - loss.EntryCost(j, current);
-              }
-              part.candidates.emplace_back(delta / static_cast<double>(r),
-                                           static_cast<uint32_t>(t));
-            }
-          }
-        },
-        kRepairScanGrain);
     // ℓ = #generalized records consistent with R_i.
-    size_t consistent = 0;
-    candidates.clear();
-    for (const ScanPart& part : parts) {
-      consistent += part.consistent;
-      candidates.insert(candidates.end(), part.candidates.begin(),
-                        part.candidates.end());
-    }
+    const size_t consistent = index.Consistent(record, consistent_rows.data());
     if (consistent >= k) continue;
     const size_t deficit = k - consistent;
     if (counters != nullptr) counters->upgrade_steps += deficit;
+    candidates.clear();
+    for (uint32_t t = 0; t < n; ++t) {
+      if (ConsistencyIndex::Has(consistent_rows.data(), t)) continue;
+      // Price of upgrading R̄_t to cover R_i: c(R_i + R̄_t) − c(R̄_t),
+      // computed attribute-wise to stay allocation-free.
+      double delta = 0.0;
+      for (size_t j = 0; j < r; ++j) {
+        const SetId current = table.at(t, j);
+        const SetId joined = scheme.hierarchy(j).JoinValue(current, record[j]);
+        delta += loss.EntryCost(j, joined) - loss.EntryCost(j, current);
+      }
+      candidates.emplace_back(delta / static_cast<double>(r), t);
+    }
     KANON_CHECK(candidates.size() >= deficit,
                 "not enough records to generalize (k > n?)");
     std::partial_sort(candidates.begin(),
@@ -374,6 +345,7 @@ Result<GeneralizedTable> Make1KAnonymous(const Dataset& dataset,
                       candidates.end());
     for (size_t t = 0; t < deficit; ++t) {
       table.GeneralizeToCover(candidates[t].second, record);
+      index.Refresh(table, candidates[t].second);
     }
   }
   return table;
@@ -393,7 +365,7 @@ Result<GeneralizedTable> KKAnonymize(const Dataset& dataset,
   // flows into the repair stage's wholesale fallback — the final table is
   // (k,k)-anonymous either way.
   return Make1KAnonymous(dataset, loss, k, std::move(k1).value(), ctx,
-                         num_threads, counters);
+                         counters);
 }
 
 }  // namespace kanon

@@ -18,9 +18,9 @@ namespace kanon {
 /// suppressed — every suppressed record covers all n ≥ k originals, so
 /// (k,1)-anonymity is preserved.
 ///
-/// All functions here take `num_threads` (<= 0 resolves to the hardware
-/// concurrency) for the row-wise O(n²·r) scans; results are byte-identical
-/// at every thread count (see docs/parallelism.md). The optional `counters`
+/// The (k,1) functions take `num_threads` (<= 0 resolves to the hardware
+/// concurrency) for their row-wise O(n²·r) scans; results are
+/// byte-identical at every thread count (see docs/parallelism.md). The optional `counters`
 /// (not owned) accumulates engine telemetry — closure interning hit rates,
 /// upgrade steps, sweep chunks — also deterministic at every thread count.
 Result<GeneralizedTable> K1NearestNeighbors(const Dataset& dataset,
@@ -47,7 +47,9 @@ Result<GeneralizedTable> K1GreedyExpansion(const Dataset& dataset,
 /// them: a record R_i with only ℓ < k consistent generalized records picks
 /// the k−ℓ inconsistent records R̄_j minimizing c(R_i + R̄_j) − c(R̄_j) and
 /// replaces them with R_i + R̄_j. Applied to a (k,1)-anonymization this
-/// yields a (k,k)-anonymization. O(k·n²·r).
+/// yields a (k,k)-anonymization. ℓ comes from a ConsistencyIndex over
+/// `table` (O(n·r·n/64) in all); only a record with ℓ < k prices the rows,
+/// O(n·r) each.
 /// When `ctx` stops the run mid-repair, (1,k) is restored wholesale by fully
 /// suppressing the k cheapest-to-suppress records of `table` (every original
 /// is then consistent with those k rows; (k,1) is preserved because records
@@ -56,7 +58,6 @@ Result<GeneralizedTable> Make1KAnonymous(const Dataset& dataset,
                                          const PrecomputedLoss& loss, size_t k,
                                          GeneralizedTable table,
                                          RunContext* ctx = nullptr,
-                                         int num_threads = 1,
                                          EngineCounters* counters = nullptr);
 
 /// Which (k,1) algorithm seeds the (k,k) pipeline.

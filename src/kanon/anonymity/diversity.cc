@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "kanon/common/check.h"
+#include "kanon/generalization/consistency_index.h"
 #include "kanon/loss/table_metrics.h"
 
 namespace kanon {
@@ -69,13 +70,14 @@ bool IsConsistencyLDiverse(const Dataset& dataset,
                            const GeneralizedTable& table, size_t l) {
   KANON_CHECK(l >= 1, "l must be positive");
   CheckArgs(dataset, table);
+  const ConsistencyIndex index(table);
+  std::vector<uint64_t> consistent_rows(index.num_words());
   for (uint32_t i = 0; i < dataset.num_rows(); ++i) {
+    index.Consistent(dataset.row_view(i), consistent_rows.data());
     std::set<ValueCode> classes;
-    for (uint32_t t = 0; t < table.num_rows() && classes.size() < l; ++t) {
-      if (table.ConsistentPair(dataset, i, t)) {
-        classes.insert(dataset.class_of(t));
-      }
-    }
+    index.ForEachRow(consistent_rows.data(), [&](uint32_t t) {
+      if (classes.size() < l) classes.insert(dataset.class_of(t));
+    });
     if (classes.size() < l) return false;
   }
   return true;

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "kanon/common/check.h"
+#include "kanon/generalization/consistency_index.h"
 
 namespace kanon {
 
@@ -23,17 +24,12 @@ Result<std::vector<uint32_t>> LinkCandidates(
                                 "' out of its domain");
     }
   }
+  const ConsistencyIndex index(table);
+  std::vector<uint64_t> consistent_rows(index.num_words());
   std::vector<uint32_t> candidates;
-  for (uint32_t t = 0; t < table.num_rows(); ++t) {
-    bool consistent = true;
-    for (size_t j = 0; j < r && consistent; ++j) {
-      if (record[j] == kNoValue) continue;
-      consistent = scheme.hierarchy(j).Contains(table.at(t, j), record[j]);
-    }
-    if (consistent) {
-      candidates.push_back(t);
-    }
-  }
+  candidates.reserve(index.Consistent(record, consistent_rows.data()));
+  index.ForEachRow(consistent_rows.data(),
+                   [&](uint32_t t) { candidates.push_back(t); });
   return candidates;
 }
 
@@ -59,13 +55,12 @@ size_t MinLinkageSetSize(const Dataset& dataset,
   KANON_CHECK(dataset.num_attributes() == table.num_attributes(),
               "dataset/table arity mismatch");
   if (dataset.num_rows() == 0) return 0;
+  const ConsistencyIndex index(table);
+  std::vector<uint64_t> consistent_rows(index.num_words());
   size_t min_size = table.num_rows();
   for (uint32_t i = 0; i < dataset.num_rows(); ++i) {
-    size_t count = 0;
-    for (uint32_t t = 0; t < table.num_rows(); ++t) {
-      if (table.ConsistentPair(dataset, i, t)) ++count;
-    }
-    min_size = std::min(min_size, count);
+    min_size = std::min(
+        min_size, index.Consistent(dataset.row_view(i), consistent_rows.data()));
   }
   return min_size;
 }

@@ -17,9 +17,9 @@ namespace kanon {
 /// paper's anonymity notions bound from below — (1,k)-anonymity promises
 /// |LinkCandidates| ≥ k for every represented individual.
 ///
-/// The record may be *partial*: kNoValue entries are attributes the
-/// adversary does not know, matching every published subset.
-inline constexpr ValueCode kNoValue = static_cast<ValueCode>(0xFFFF);
+/// The record may be *partial*: kNoValue entries (kanon/data/attribute.h)
+/// are attributes the adversary does not know, matching every published
+/// subset.
 
 /// Indices of the published records consistent with `record` (attributes
 /// set to kNoValue are ignored). Returns an error if a known value is out

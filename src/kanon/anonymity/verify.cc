@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "kanon/generalization/consistency_index.h"
 #include "kanon/graph/consistency_graph.h"
 #include "kanon/graph/hopcroft_karp.h"
 #include "kanon/graph/matchable_edges.h"
@@ -65,6 +66,18 @@ Status ValidateVerifyArgs(const Dataset& dataset,
         "dataset/table arity mismatch: dataset has " +
         std::to_string(dataset.num_attributes()) +
         " attributes, table has " + std::to_string(table.num_attributes()));
+  }
+  // The ConsistencyIndex is addressed by value code, so every code the
+  // dataset can hold must lie inside the hierarchy's domain.
+  for (size_t j = 0; j < dataset.num_attributes(); ++j) {
+    const size_t data_size = dataset.schema().attribute(j).size();
+    const size_t hierarchy_size = table.scheme().hierarchy(j).domain_size();
+    if (data_size != hierarchy_size) {
+      return Status::InvalidArgument(
+          "attribute '" + dataset.schema().attribute(j).name() +
+          "': dataset domain has " + std::to_string(data_size) +
+          " values, hierarchy has " + std::to_string(hierarchy_size));
+    }
   }
   return Status::OK();
 }
@@ -154,11 +167,11 @@ Result<NotionWitness> WitnessKAnonymity(const GeneralizedTable& table,
 Result<NotionWitness> Witness1K(const Dataset& dataset,
                                 const GeneralizedTable& table, size_t k) {
   KANON_RETURN_NOT_OK(ValidateVerifyArgs(dataset, table, k));
+  const ConsistencyIndex index(table);
+  std::vector<uint64_t> consistent_rows(index.num_words());
   for (uint32_t i = 0; i < dataset.num_rows(); ++i) {
-    size_t degree = 0;
-    for (uint32_t t = 0; t < table.num_rows() && degree < k; ++t) {
-      if (table.ConsistentPair(dataset, i, t)) ++degree;
-    }
+    const size_t degree =
+        index.Consistent(dataset.row_view(i), consistent_rows.data());
     if (degree < k) {
       return Violation(AnonymityNotion::kOneK, i, /*in_table=*/false, degree,
                        i);
@@ -170,14 +183,18 @@ Result<NotionWitness> Witness1K(const Dataset& dataset,
 Result<NotionWitness> WitnessK1(const Dataset& dataset,
                                 const GeneralizedTable& table, size_t k) {
   KANON_RETURN_NOT_OK(ValidateVerifyArgs(dataset, table, k));
+  // Right degrees: every original adds one to each row of its mask.
+  const ConsistencyIndex index(table);
+  std::vector<uint64_t> consistent_rows(index.num_words());
+  std::vector<size_t> degree(table.num_rows(), 0);
+  for (uint32_t i = 0; i < dataset.num_rows(); ++i) {
+    index.Consistent(dataset.row_view(i), consistent_rows.data());
+    index.ForEachRow(consistent_rows.data(), [&](uint32_t t) { ++degree[t]; });
+  }
   for (uint32_t t = 0; t < table.num_rows(); ++t) {
-    size_t degree = 0;
-    for (uint32_t i = 0; i < dataset.num_rows() && degree < k; ++i) {
-      if (table.ConsistentPair(dataset, i, t)) ++degree;
-    }
-    if (degree < k) {
-      return Violation(AnonymityNotion::kKOne, t, /*in_table=*/true, degree,
-                       t);
+    if (degree[t] < k) {
+      return Violation(AnonymityNotion::kKOne, t, /*in_table=*/true,
+                       degree[t], t);
     }
   }
   return Satisfied(AnonymityNotion::kKOne);

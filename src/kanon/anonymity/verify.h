@@ -31,8 +31,9 @@ Result<AnonymityNotion> ParseNotionShortName(const std::string& name);
 
 /// The verifiers take untrusted (dataset, table, k) triples — e.g. files a
 /// user asks `kanon_cli --verify` about — so argument problems (k = 0,
-/// arity or row-count mismatches) surface as Status::InvalidArgument, never
-/// as process aborts.
+/// arity or row-count mismatches, a dataset attribute whose domain size is
+/// not its hierarchy's) surface as Status::InvalidArgument, never as
+/// process aborts.
 
 /// Definition 4.1: every generalized record is identical to at least k−1
 /// other generalized records.

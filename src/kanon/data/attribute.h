@@ -14,6 +14,11 @@ namespace kanon {
 /// Code of an attribute value within its domain (index into the label list).
 using ValueCode = uint16_t;
 
+/// An unknown value: the entry of a partial record (an adversary's linkage
+/// query) that matches every published subset. Domains hold at most 65535
+/// values, so no real code equals it.
+inline constexpr ValueCode kNoValue = static_cast<ValueCode>(0xFFFF);
+
 /// A finite categorical attribute domain A_j = {a_{j,1}, ..., a_{j,m_j}}
 /// (Section III of the paper). Values are stored as labels and addressed by
 /// dense codes 0..size()-1. Numeric attributes (e.g. age) are modeled as

@@ -1,6 +1,9 @@
 #include "kanon/graph/consistency_graph.h"
 
+#include <vector>
+
 #include "kanon/common/check.h"
+#include "kanon/generalization/consistency_index.h"
 
 namespace kanon {
 
@@ -9,12 +12,12 @@ BipartiteGraph BuildConsistencyGraph(const Dataset& dataset,
   KANON_CHECK(dataset.num_attributes() == table.num_attributes(),
               "dataset/table arity mismatch");
   BipartiteGraph graph(dataset.num_rows(), table.num_rows());
+  const ConsistencyIndex index(table);
+  std::vector<uint64_t> consistent_rows(index.num_words());
   for (uint32_t i = 0; i < dataset.num_rows(); ++i) {
-    for (uint32_t t = 0; t < table.num_rows(); ++t) {
-      if (table.ConsistentPair(dataset, i, t)) {
-        graph.AddEdge(i, t);
-      }
-    }
+    index.Consistent(dataset.row_view(i), consistent_rows.data());
+    index.ForEachRow(consistent_rows.data(),
+                     [&](uint32_t t) { graph.AddEdge(i, t); });
   }
   return graph;
 }

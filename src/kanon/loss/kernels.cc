@@ -1,6 +1,7 @@
 #include "kanon/loss/kernels.h"
 
 #include <algorithm>
+#include <vector>
 
 #include "kanon/common/check.h"
 
@@ -21,20 +22,44 @@ LossKernels::LossKernels(const Dataset& dataset, const PrecomputedLoss& loss)
         h.join_table(),
         loss.attr_costs(j),
         h.num_sets(),
+        h.domain_size(),
     };
+  }
+}
+
+namespace {
+
+// Per-thread scratch for the per-value gather tables, grown to the largest
+// domain the thread has seen: a warm sweep allocates nothing.
+template <typename T>
+T* ScratchTable(size_t size) {
+  thread_local std::vector<T> table;
+  if (table.size() < size) table.resize(size);
+  return table.data();
+}
+
+}  // namespace
+
+void LossKernels::AddJoinedCosts(const AttrTables& a, const SetId* join_row,
+                                 double* out) const {
+  // One cost per domain value, then one gather per row: the values and the
+  // ascending-attribute add order of costs[join_row[leaf[col[v]]]], so the
+  // same bits.
+  double* cost = ScratchTable<double>(a.domain_size);
+  for (size_t v = 0; v < a.domain_size; ++v) {
+    cost[v] = a.costs[join_row[a.leaf[v]]];
+  }
+  for (size_t v = 0; v < n_; ++v) {
+    out[v] += cost[a.col[v]];
   }
 }
 
 void LossKernels::PairCostSweep(uint32_t u, double* out) const {
   std::fill(out, out + n_, 0.0);
   for (const AttrTables& a : attrs_) {
-    // Row of the join table anchored at u's singleton: one packed column
-    // scan per attribute, gathering join-then-cost.
-    const SetId* join_row =
-        a.join + static_cast<size_t>(a.leaf[a.col[u]]) * a.num_sets;
-    for (size_t v = 0; v < n_; ++v) {
-      out[v] += a.costs[join_row[a.leaf[a.col[v]]]];
-    }
+    // Row of the join table anchored at u's singleton.
+    const size_t anchor = a.leaf[a.col[u]];
+    AddJoinedCosts(a, a.join + anchor * a.num_sets, out);
   }
   for (size_t v = 0; v < n_; ++v) {
     out[v] /= r_as_double_;
@@ -47,11 +72,8 @@ void LossKernels::JoinedCostSweep(const GeneralizedRecord& closure,
   std::fill(out, out + n_, 0.0);
   for (size_t j = 0; j < attrs_.size(); ++j) {
     const AttrTables& a = attrs_[j];
-    const SetId* join_row =
-        a.join + static_cast<size_t>(closure[j]) * a.num_sets;
-    for (size_t v = 0; v < n_; ++v) {
-      out[v] += a.costs[join_row[a.leaf[a.col[v]]]];
-    }
+    AddJoinedCosts(a, a.join + static_cast<size_t>(closure[j]) * a.num_sets,
+                   out);
   }
   for (size_t v = 0; v < n_; ++v) {
     out[v] /= r_as_double_;
@@ -66,9 +88,14 @@ void LossKernels::CoverageSweep(const GeneralizedRecord& closure,
     const AttrTables& a = attrs_[j];
     const SetId cj = closure[j];
     const SetId* join_row = a.join + static_cast<size_t>(cj) * a.num_sets;
-    // R_v ∈ closure[j] iff joining changes nothing (lattice containment).
+    // Value v ∈ closure[j] iff joining it changes nothing (lattice
+    // containment); one 0/1 entry per domain value, one gather per row.
+    uint8_t* in_closure = ScratchTable<uint8_t>(a.domain_size);
+    for (size_t v = 0; v < a.domain_size; ++v) {
+      in_closure[v] = static_cast<uint8_t>(join_row[a.leaf[v]] == cj);
+    }
     for (size_t v = 0; v < n_; ++v) {
-      covered[v] &= static_cast<uint8_t>(join_row[a.leaf[a.col[v]]] == cj);
+      covered[v] &= in_closure[a.col[v]];
     }
   }
 }

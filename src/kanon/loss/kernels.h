@@ -61,7 +61,13 @@ class LossKernels {
     const SetId* join;      // num_sets x num_sets, row-major.
     const double* costs;    // SetId -> per-entry cost.
     size_t num_sets;
+    size_t domain_size;     // |A_j|: the packed column's codes are below it.
   };
+
+  // out[v] += costs[join_row[leaf[col[v]]]] for every row v, through a
+  // per-call table of the domain's joined costs.
+  void AddJoinedCosts(const AttrTables& a, const SetId* join_row,
+                      double* out) const;
 
   std::vector<AttrTables> attrs_;
   size_t n_;

@@ -1,8 +1,13 @@
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "kanon/algo/agglomerative.h"
 #include "kanon/algo/kk_anonymizer.h"
 #include "kanon/anonymity/verify.h"
+#include "kanon/datasets/art.h"
 #include "kanon/loss/entropy_measure.h"
 #include "kanon/loss/lm_measure.h"
 #include "test_util.h"
@@ -156,6 +161,83 @@ TEST(KKTest, KEqualsOneIsIdentity) {
   for (size_t i = 0; i < d.num_rows(); ++i) {
     EXPECT_EQ(t.record(i), scheme->Identity(d.row(i)));
   }
+}
+
+// Algorithm 5 as a plain double loop: for each record, test every row with
+// ConsistentPair, price every inconsistent row, partial_sort the prices and
+// upgrade the cheapest. The reference Make1KAnonymous must replay exactly.
+GeneralizedTable ScalarRepair(const Dataset& d, const PrecomputedLoss& loss,
+                              size_t k, GeneralizedTable table,
+                              size_t* upgrade_steps) {
+  const GeneralizationScheme& scheme = loss.scheme();
+  const size_t n = d.num_rows();
+  const size_t r = d.num_attributes();
+  std::vector<std::pair<double, uint32_t>> candidates;
+  for (uint32_t i = 0; i < n; ++i) {
+    const RowView record = d.row_view(i);
+    size_t consistent = 0;
+    candidates.clear();
+    for (uint32_t t = 0; t < n; ++t) {
+      if (table.ConsistentPair(d, i, t)) {
+        ++consistent;
+        continue;
+      }
+      double delta = 0.0;
+      for (size_t j = 0; j < r; ++j) {
+        const SetId current = table.at(t, j);
+        const SetId joined = scheme.hierarchy(j).JoinValue(current, record[j]);
+        delta += loss.EntryCost(j, joined) - loss.EntryCost(j, current);
+      }
+      candidates.emplace_back(delta / static_cast<double>(r), t);
+    }
+    if (consistent >= k) continue;
+    const size_t deficit = k - consistent;
+    *upgrade_steps += deficit;
+    std::partial_sort(candidates.begin(),
+                      candidates.begin() + static_cast<ptrdiff_t>(deficit),
+                      candidates.end());
+    for (size_t t = 0; t < deficit; ++t) {
+      table.GeneralizeToCover(candidates[t].second, record);
+    }
+  }
+  return table;
+}
+
+TEST(KKTest, Make1KReplaysScalarRepairExactly) {
+  auto small = SmallScheme();
+  Workload art = Unwrap(MakeArtWorkload(70, 11));
+  const std::pair<Dataset, std::shared_ptr<const GeneralizationScheme>>
+      inputs[] = {{SmallRandomDataset(*small, 40, 12), small},
+                  {art.dataset, art.scheme}};
+  size_t total_steps = 0;
+  for (const auto& [d, scheme] : inputs) {
+    const size_t n = d.num_rows();
+    PrecomputedLoss loss(scheme, d, EntropyMeasure());
+    for (K1Algorithm algo :
+         {K1Algorithm::kNearestNeighbors, K1Algorithm::kGreedyExpansion}) {
+      for (size_t k : {size_t{1}, size_t{2}, size_t{10}, n}) {
+        SCOPED_TRACE("n=" + std::to_string(n) + " k=" + std::to_string(k) +
+                     (algo == K1Algorithm::kGreedyExpansion ? " greedy"
+                                                            : " nn"));
+        GeneralizedTable k1 =
+            Unwrap(algo == K1Algorithm::kGreedyExpansion
+                       ? K1GreedyExpansion(d, loss, k)
+                       : K1NearestNeighbors(d, loss, k));
+        size_t expected_steps = 0;
+        const GeneralizedTable expected =
+            ScalarRepair(d, loss, k, k1, &expected_steps);
+        EXPECT_TRUE(Unwrap(Make1KAnonymous(d, loss, k, k1)) == expected);
+        // The pipeline's counters carry the repair's upgrade steps.
+        EngineCounters counters;
+        const GeneralizedTable kk = Unwrap(
+            KKAnonymize(d, loss, k, algo, nullptr, 1, &counters));
+        EXPECT_TRUE(kk == expected);
+        EXPECT_EQ(counters.upgrade_steps, expected_steps);
+        total_steps += expected_steps;
+      }
+    }
+  }
+  EXPECT_GT(total_steps, 0u);  // The replay did exercise upgrades.
 }
 
 TEST(KKTest, Make1KRequiresAlignedTable) {

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include "kanon/algo/kk_anonymizer.h"
 #include "kanon/anonymity/verify.h"
+#include "kanon/datasets/adult.h"
+#include "kanon/datasets/art.h"
+#include "kanon/loss/entropy_measure.h"
 #include "test_util.h"
 
 namespace kanon {
@@ -193,6 +197,73 @@ TEST(VerifyTest, WitnessRejectsBadArguments) {
   GeneralizedTable short_table(scheme);
   short_table.AppendRecord(scheme->Suppressed());
   EXPECT_FALSE(WitnessGlobal1K(d, short_table, 2).ok());
+}
+
+TEST(VerifyTest, RejectsDatasetDomainOtherThanHierarchy) {
+  // Same arity, but the dataset's zip domain has 10 values where the
+  // hierarchy has 8: a code the consistency index does not cover.
+  auto scheme = SmallScheme();
+  GeneralizedTable t = PairTable(scheme, FourRows(*scheme));
+  AttributeDomain zip = AttributeDomain::IntegerRange("zip", 0, 9);
+  AttributeDomain sex = Unwrap(AttributeDomain::Create("sex", {"M", "F"}));
+  Dataset wide(Unwrap(Schema::Create({zip, sex})));
+  KANON_CHECK(wide.AppendRow({9, 0}).ok());
+  for (AnonymityNotion notion :
+       {AnonymityNotion::kOneK, AnonymityNotion::kKOne, AnonymityNotion::kKK,
+        AnonymityNotion::kGlobalOneK}) {
+    const Result<NotionWitness> w = WitnessNotion(notion, wide, t, 1);
+    ASSERT_FALSE(w.ok()) << AnonymityNotionName(notion);
+    EXPECT_EQ(w.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(w.status().message().find("'zip'"), std::string::npos)
+        << w.status().ToString();
+  }
+  EXPECT_FALSE(AnalyzeAnonymity(wide, t, 1).ok());
+}
+
+// (row, side, degree) of a failing witness.
+void ExpectWitness(const Result<NotionWitness>& w, size_t row, bool in_table,
+                   size_t observed) {
+  ASSERT_TRUE(w.ok()) << w.status().ToString();
+  EXPECT_FALSE(w->satisfied);
+  EXPECT_EQ(w->row, row);
+  EXPECT_EQ(w->row_in_table, in_table);
+  EXPECT_EQ(w->observed, observed);
+  EXPECT_EQ(w->cluster, row);
+}
+
+TEST(VerifyTest, WitnessesPinnedOnGeneratedTables) {
+  // The witnesses the scalar ConsistentPair scans reported on generated
+  // tables of 130 rows (two bitset words), pinned so that the consistency
+  // index names the same row, side and degree.
+  Workload art = Unwrap(MakeArtWorkload(130, 16));
+  PrecomputedLoss art_loss(art.scheme, art.dataset, EntropyMeasure());
+  const Dataset& a = art.dataset;
+  const GeneralizedTable art_k1 = Unwrap(K1GreedyExpansion(a, art_loss, 5));
+  ExpectWitness(Witness1K(a, art_k1, 2), 17, false, 1);
+  ExpectWitness(Witness1K(a, art_k1, 3), 16, false, 2);
+  const GeneralizedTable art_kk =
+      Unwrap(KKAnonymize(a, art_loss, 3, K1Algorithm::kGreedyExpansion));
+  ExpectWitness(WitnessKK(a, art_kk, 4), 37, false, 3);
+  ExpectWitness(WitnessGlobal1K(a, art_kk, 2), 6, false, 1);
+
+  Workload adult = Unwrap(MakeAdultWorkload(130, 16));
+  PrecomputedLoss adult_loss(adult.scheme, adult.dataset, EntropyMeasure());
+  const Dataset& d = adult.dataset;
+  const GeneralizedTable adult_k1 = Unwrap(K1GreedyExpansion(d, adult_loss, 3));
+  ExpectWitness(WitnessK1(d, adult_k1, 4), 1, true, 3);
+  const GeneralizedTable adult_kk =
+      Unwrap(KKAnonymize(d, adult_loss, 5, K1Algorithm::kGreedyExpansion));
+  ExpectWitness(WitnessKK(d, adult_kk, 6), 25, false, 5);
+  ExpectWitness(WitnessGlobal1K(d, adult_kk, 2), 47, false, 1);
+
+  // Rows 0..69 fully suppressed: every original has degree >= 70, and the
+  // first short table row sits in the second word.
+  GeneralizedTable prefix = GeneralizedTable::Identity(art.scheme, a);
+  for (size_t t = 0; t < 70; ++t) prefix.SetRecord(t, art.scheme->Suppressed());
+  EXPECT_TRUE(Unwrap(Witness1K(a, prefix, 70)).satisfied);
+  ExpectWitness(WitnessK1(a, prefix, 3), 70, true, 1);
+  ExpectWitness(WitnessKK(a, prefix, 3), 70, true, 1);
+  ExpectWitness(WitnessKK(a, prefix, 71), 0, false, 70);
 }
 
 TEST(VerifyTest, NotionNamesAndDispatch) {
