@@ -1,6 +1,5 @@
 #include "kanon/algo/anonymizer.h"
 
-#include <map>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -11,6 +10,7 @@
 #include "kanon/algo/global_recoding.h"
 #include "kanon/algo/kk_anonymizer.h"
 #include "kanon/common/timer.h"
+#include "kanon/loss/table_metrics.h"
 
 namespace kanon {
 
@@ -162,14 +162,12 @@ void PublishResultMetrics(const AnonymizationResult& result,
   metrics->GetGauge("run.elapsed_seconds", /*deterministic=*/false)
       ->Set(result.elapsed_seconds);
   // Equivalence-class (cluster) size distribution of the published table.
-  std::map<GeneralizedRecord, size_t> classes;
-  for (size_t row = 0; row < result.table.num_rows(); ++row) {
-    ++classes[result.table.record(row)];
-  }
+  const std::vector<std::vector<uint32_t>> classes =
+      GroupIdenticalRecords(result.table);
   Histogram* const sizes = metrics->GetHistogram(
       "cluster.size", {1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 128, 256});
-  for (const auto& [record, size] : classes) {
-    sizes->Observe(static_cast<double>(size));
+  for (const std::vector<uint32_t>& rows : classes) {
+    sizes->Observe(static_cast<double>(rows.size()));
   }
   metrics->GetCounter("run.clusters")->Set(classes.size());
 }

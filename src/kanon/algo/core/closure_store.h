@@ -49,7 +49,7 @@ class ClosureStore {
 
   /// Interns every row of a generalized table; the result has one id per
   /// row. This is the dedup-accounting hook the table-producing pipelines
-  /// ((k,k), global, full-domain) use to surface closure reuse.
+  /// ((k,k), global) use to surface closure reuse.
   std::vector<Id> InternTable(const GeneralizedTable& table);
 
   const GeneralizedRecord& record(Id id) const {

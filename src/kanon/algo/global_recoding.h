@@ -30,7 +30,10 @@ namespace kanon {
 /// The solver is a greedy full-domain ascent: starting from all-exact, it
 /// repeatedly raises the level of the attribute whose increment yields the
 /// smallest information loss until the table is k-anonymous. All-suppressed
-/// is k-anonymous for every k ≤ n, so the search always terminates.
+/// is k-anonymous for every k ≤ n, so the search always terminates. It works
+/// on the distinct QI tuples and a row → tuple map (Incognito's frequency
+/// set): a trial prices each tuple once, and the n-row table is built only
+/// for the chosen levels.
 struct GlobalRecodingResult {
   GeneralizedTable table;
   /// Chosen level per attribute.
@@ -39,7 +42,7 @@ struct GlobalRecodingResult {
 
 /// When `ctx` stops the ascent, every attribute jumps to its top level
 /// (all records identical — k-anonymous for every k ≤ n). The per-attribute
-/// trial tables of each ascent are evaluated across `num_threads` threads
+/// trials of each ascent are evaluated across `num_threads` threads
 /// (<= 0: hardware concurrency); the chosen levels are byte-identical at
 /// every thread count. The optional `counters` (not owned) accumulates
 /// engine telemetry: level bumps (upgrade_steps), trial-sweep chunks, and

@@ -3,6 +3,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "kanon/common/result.h"
@@ -29,14 +30,21 @@ struct CsvOptions {
   bool skip_rows_with_missing = true;
 };
 
-/// Streaming row iterator over a CSV stream: the bounded-memory core every
-/// whole-file reader in this header is a thin wrapper over, and what the
-/// out-of-core sharded driver (src/kanon/shard/) ingests multi-million-row
-/// files through. Memory use is one line, however long the file.
+/// Row iterator over CSV text: the one tokenizer behind every CSV reader of
+/// the library (the whole-file readers in this header, the out-of-core
+/// sharded driver in src/kanon/shard/, and ReadGeneralizedCsv). Each line is
+/// split in place into `std::string_view` fields, trimmed by Trim()'s
+/// isspace rules; nothing is copied until a caller asks for strings.
 ///
-/// Next() applies the same hardened parsing as the whole-file readers: CRLF
-/// endings and a UTF-8 BOM on the first line are tolerated, blank lines and
-/// rows carrying the missing-value marker are skipped, over-long lines and
+/// It reads from one of two sources:
+///   - a stream, one line at a time: memory is one line, however long the
+///     input (what the whole-file readers and the sharded driver ingest
+///     through);
+///   - caller-owned text, in place.
+///
+/// Next() applies the same hardened parsing to every source: CRLF endings
+/// and a UTF-8 BOM on the first line are tolerated, blank lines and rows
+/// carrying the missing-value marker are skipped, over-long lines and
 /// truncated streams (stream errors) are reported as Status failures. With
 /// options.has_header the header line is consumed (and exposed via
 /// header()) before the first data row; an input that ends before the
@@ -52,13 +60,21 @@ struct CsvOptions {
 ///   }
 class RowReader {
  public:
-  /// `input` must outlive the reader.
+  /// Streams `input` one line at a time; `input` must outlive the reader.
   RowReader(std::istream& input, CsvOptions options = CsvOptions());
+
+  /// Reads rows in place out of `text`, which must outlive the reader.
+  RowReader(std::string_view text, CsvOptions options = CsvOptions());
 
   /// Advances to the next data row. Returns true with `*fields` filled,
   /// false at a clean end of input, or an error Status on malformed or
   /// truncated input.
   Result<bool> Next(std::vector<std::string>* fields);
+
+  /// Next() without the copies: `*fields` views the row's text. On a
+  /// streaming reader the views last until the next call; otherwise as
+  /// long as the text they point into.
+  Result<bool> NextFields(std::vector<std::string_view>* fields);
 
   /// The header row's fields. Populated once Next() has been called at
   /// least once (on a has_header stream); empty otherwise.
@@ -73,12 +89,19 @@ class RowReader {
   size_t rows_read() const { return rows_read_; }
 
  private:
-  std::istream& input_;
+  // The next physical line, without its '\n'; false at the end of input.
+  bool NextLine(std::string_view* line);
+
+  std::istream* input_ = nullptr;  // Null when reading text.
+  std::string line_;               // The current line of a stream.
+  std::string_view text_;          // The text, when not streaming.
+  size_t text_pos_ = 0;
   const CsvOptions options_;
   std::vector<std::string> header_;
+  std::vector<std::string_view> views_;  // Next()'s scratch.
   bool saw_header_ = false;
   bool done_ = false;
-  size_t line_number_ = 0;      // Lines consumed from the stream.
+  size_t line_number_ = 0;      // Lines consumed from the input.
   size_t row_line_number_ = 0;  // Line of the last returned row.
   size_t rows_read_ = 0;
 };
@@ -104,11 +127,16 @@ Result<Dataset> ReadCsvFile(const Schema& schema, const std::string& path,
 
 /// Reads a CSV and infers an attribute domain per column from the distinct
 /// values seen (labels sorted lexicographically). With a header, attribute
-/// names come from it; otherwise they are "col0", "col1", ....
+/// names come from it; otherwise they are "col0", "col1", .... Lines are
+/// tokenized in place one at a time; each column's labels are interned
+/// through a hash table and renumbered in sorted order.
 Result<Dataset> ReadCsvInferSchema(std::istream& input,
                                    const CsvOptions& options = CsvOptions());
 Result<Dataset> ReadCsvInferSchemaFile(
     const std::string& path, const CsvOptions& options = CsvOptions());
+/// The same, over CSV text already in memory (tokenized in place).
+Result<Dataset> ReadCsvInferSchemaText(
+    std::string_view text, const CsvOptions& options = CsvOptions());
 
 /// Writes a dataset (value labels, with a header; the class column, when
 /// present, is appended as the last column).

@@ -27,6 +27,31 @@ const ValueCode* Dataset::column(size_t attr) const {
   return columns_->data() + attr * n;
 }
 
+Result<Dataset> Dataset::FromCells(Schema schema,
+                                   std::vector<ValueCode> cells) {
+  const size_t r = schema.num_attributes();
+  if (r == 0 ? !cells.empty() : cells.size() % r != 0) {
+    return Status::InvalidArgument(
+        std::to_string(cells.size()) + " cells do not fill rows of " +
+        std::to_string(r) + " attributes");
+  }
+  std::vector<size_t> sizes(r);
+  for (size_t j = 0; j < r; ++j) sizes[j] = schema.attribute(j).size();
+  for (size_t row = 0; row < cells.size(); row += r) {
+    for (size_t j = 0; j < r; ++j) {
+      if (cells[row + j] >= sizes[j]) {
+        return Status::OutOfRange("value code " +
+                                  std::to_string(cells[row + j]) +
+                                  " out of range for attribute '" +
+                                  schema.attribute(j).name() + "'");
+      }
+    }
+  }
+  Dataset dataset(std::move(schema));
+  dataset.cells_ = std::move(cells);
+  return dataset;
+}
+
 Status Dataset::AppendRow(const Record& record) {
   if (record.size() != num_attributes()) {
     return Status::InvalidArgument(

@@ -76,6 +76,11 @@ class Dataset {
 
   explicit Dataset(Schema schema) : schema_(std::move(schema)) {}
 
+  /// A dataset over `schema` holding the row-major `cells` (n x r codes,
+  /// each in range for its attribute): AppendRow in bulk, one move.
+  static Result<Dataset> FromCells(Schema schema,
+                                   std::vector<ValueCode> cells);
+
   const Schema& schema() const { return schema_; }
   size_t num_rows() const {
     return schema_.num_attributes() == 0

@@ -1,9 +1,10 @@
 #include "kanon/generalization/generalized_csv.h"
 
 #include <fstream>
-#include <sstream>
+#include <string_view>
 
 #include "kanon/common/text.h"
+#include "kanon/data/csv.h"
 
 namespace kanon {
 
@@ -31,7 +32,7 @@ std::string CellText(const Hierarchy& h, const AttributeDomain& domain,
 }
 
 Result<SetId> ParseCell(const Hierarchy& h, const AttributeDomain& domain,
-                        const std::string& text) {
+                        std::string_view text) {
   if (text == "*") {
     return h.FullSetId();
   }
@@ -45,13 +46,13 @@ Result<SetId> ParseCell(const Hierarchy& h, const AttributeDomain& domain,
     }
     Result<SetId> id = h.IdOf(set);
     if (!id.ok()) {
-      return Status::InvalidArgument("subset " + text +
+      return Status::InvalidArgument("subset " + std::string(text) +
                                      " is not permissible for attribute '" +
                                      domain.name() + "'");
     }
     return id;
   }
-  KANON_ASSIGN_OR_RETURN(ValueCode code, domain.CodeOf(text));
+  KANON_ASSIGN_OR_RETURN(ValueCode code, domain.CodeOf(std::string(text)));
   return h.LeafOf(code);
 }
 
@@ -61,19 +62,40 @@ Status WriteGeneralizedCsv(const GeneralizedTable& table,
                            std::ostream& output) {
   const GeneralizationScheme& scheme = table.scheme();
   const Schema& schema = scheme.schema();
-  for (size_t j = 0; j < schema.num_attributes(); ++j) {
-    if (j > 0) output << ',';
-    output << schema.attribute(j).name();
+  const size_t r = schema.num_attributes();
+  // Each used (attribute, subset) cell text is rendered once; rows are
+  // appended into one buffer that goes out in ~1 MiB writes.
+  std::vector<std::vector<std::string>> texts(r);
+  std::vector<std::vector<bool>> rendered(r);
+  for (size_t j = 0; j < r; ++j) {
+    texts[j].resize(scheme.hierarchy(j).num_sets());
+    rendered[j].resize(scheme.hierarchy(j).num_sets(), false);
   }
-  output << '\n';
+  constexpr size_t kFlushBytes = size_t{1} << 20;
+  std::string buffer;
+  for (size_t j = 0; j < r; ++j) {
+    if (j > 0) buffer += ',';
+    buffer += schema.attribute(j).name();
+  }
+  buffer += '\n';
   for (size_t i = 0; i < table.num_rows(); ++i) {
-    for (size_t j = 0; j < schema.num_attributes(); ++j) {
-      if (j > 0) output << ',';
-      output << CellText(scheme.hierarchy(j), schema.attribute(j),
-                         table.at(i, j));
+    for (size_t j = 0; j < r; ++j) {
+      if (j > 0) buffer += ',';
+      const SetId set = table.at(i, j);
+      if (!rendered[j][set]) {
+        texts[j][set] =
+            CellText(scheme.hierarchy(j), schema.attribute(j), set);
+        rendered[j][set] = true;
+      }
+      buffer += texts[j][set];
     }
-    output << '\n';
+    buffer += '\n';
+    if (buffer.size() >= kFlushBytes) {
+      output.write(buffer.data(), static_cast<std::streamsize>(buffer.size()));
+      buffer.clear();
+    }
   }
+  output.write(buffer.data(), static_cast<std::streamsize>(buffer.size()));
   if (!output) {
     return Status::IOError("failed writing generalized CSV output");
   }
@@ -97,14 +119,19 @@ Result<GeneralizedTable> ReadGeneralizedCsv(
   const Schema& schema = scheme->schema();
   GeneralizedTable table(scheme);
 
-  std::string line;
+  // The shared CSV tokenizer, with the header taken as the first row (so an
+  // empty input keeps this reader's own message) and no missing marker: a
+  // "?" cell is an unknown label here, not a row to skip.
+  CsvOptions options;
+  options.has_header = false;
+  options.skip_rows_with_missing = false;
+  RowReader reader(input, options);
+  std::vector<std::string_view> fields;
   bool saw_header = false;
-  size_t line_number = 0;
-  while (std::getline(input, line)) {
-    ++line_number;
-    if (Trim(line).empty()) continue;
-    std::vector<std::string> fields = Split(line, ',');
-    for (std::string& f : fields) f = std::string(Trim(f));
+  GeneralizedRecord record(schema.num_attributes());
+  while (true) {
+    KANON_ASSIGN_OR_RETURN(bool got, reader.NextFields(&fields));
+    if (!got) break;
     if (!saw_header) {
       if (fields.size() != schema.num_attributes()) {
         return Status::InvalidArgument("header has " +
@@ -115,20 +142,21 @@ Result<GeneralizedTable> ReadGeneralizedCsv(
       for (size_t j = 0; j < fields.size(); ++j) {
         if (fields[j] != schema.attribute(j).name()) {
           return Status::InvalidArgument(
-              "header column '" + fields[j] + "' does not match attribute '" +
-              schema.attribute(j).name() + "'");
+              "header column '" + std::string(fields[j]) +
+              "' does not match attribute '" + schema.attribute(j).name() +
+              "'");
         }
       }
       saw_header = true;
       continue;
     }
+    const size_t line_number = reader.line_number();
     if (fields.size() != schema.num_attributes()) {
       return Status::InvalidArgument("line " + std::to_string(line_number) +
                                      " has " + std::to_string(fields.size()) +
                                      " fields; expected " +
                                      std::to_string(schema.num_attributes()));
     }
-    GeneralizedRecord record(fields.size());
     for (size_t j = 0; j < fields.size(); ++j) {
       Result<SetId> id =
           ParseCell(scheme->hierarchy(j), schema.attribute(j), fields[j]);

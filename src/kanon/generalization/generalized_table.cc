@@ -2,6 +2,25 @@
 
 namespace kanon {
 
+GeneralizedTable GeneralizedTable::FromCells(
+    std::shared_ptr<const GeneralizationScheme> scheme,
+    std::vector<SetId> cells) {
+  GeneralizedTable table(std::move(scheme));
+  const size_t r = table.num_attributes();
+  KANON_CHECK(r > 0 && cells.size() % r == 0, "cells do not fill whole rows");
+  std::vector<size_t> num_sets(r);
+  for (size_t j = 0; j < r; ++j) {
+    num_sets[j] = table.scheme_->hierarchy(j).num_sets();
+  }
+  for (size_t row = 0; row < cells.size(); row += r) {
+    for (size_t j = 0; j < r; ++j) {
+      KANON_CHECK(cells[row + j] < num_sets[j], "set id out of range");
+    }
+  }
+  table.cells_ = std::move(cells);
+  return table;
+}
+
 GeneralizedTable GeneralizedTable::Identity(
     std::shared_ptr<const GeneralizationScheme> scheme,
     const Dataset& dataset) {

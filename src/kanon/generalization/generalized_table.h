@@ -22,6 +22,12 @@ class GeneralizedTable {
     KANON_CHECK(scheme_ != nullptr, "scheme must not be null");
   }
 
+  /// A table over `scheme` holding the row-major `cells` (n x r set ids,
+  /// each in range for its attribute): AppendRecord in bulk, one move.
+  static GeneralizedTable FromCells(
+      std::shared_ptr<const GeneralizationScheme> scheme,
+      std::vector<SetId> cells);
+
   /// The identity generalization of `dataset`: R̄_i = R_i with every value
   /// mapped to its singleton subset.
   static GeneralizedTable Identity(
@@ -46,6 +52,13 @@ class GeneralizedTable {
 
   /// Copies out row `row` (R̄_row).
   GeneralizedRecord record(size_t row) const;
+
+  /// Zero-copy view of row `row`: its r set ids in the row-major cells.
+  /// Invalidated by AppendRecord.
+  const SetId* row_data(size_t row) const {
+    KANON_DCHECK(row < num_rows());
+    return cells_.data() + row * num_attributes();
+  }
 
   /// Overwrites row `row`.
   void SetRecord(size_t row, const GeneralizedRecord& record);

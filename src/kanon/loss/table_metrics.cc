@@ -1,22 +1,32 @@
 #include "kanon/loss/table_metrics.h"
 
 #include <algorithm>
-#include <map>
+#include <numeric>
 
 #include "kanon/common/check.h"
+#include "kanon/common/distinct_rows.h"
 
 namespace kanon {
 
 std::vector<std::vector<uint32_t>> GroupIdenticalRecords(
     const GeneralizedTable& table) {
-  std::map<GeneralizedRecord, std::vector<uint32_t>> groups;
+  const size_t r = table.num_attributes();
+  const DistinctRows records = NumberDistinctRows(
+      table.num_rows(), r, [&table](size_t i) { return table.row_data(i); });
+  // Hash-grouped, then ordered by record: the order a std::map keyed by
+  // GeneralizedRecord (lexicographic) gives.
+  std::vector<uint32_t> order(records.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    const SetId* x = &records.codes[a * r];
+    const SetId* y = &records.codes[b * r];
+    return std::lexicographical_compare(x, x + r, y, y + r);
+  });
+  std::vector<uint32_t> group_of(records.size());
+  for (uint32_t g = 0; g < order.size(); ++g) group_of[order[g]] = g;
+  std::vector<std::vector<uint32_t>> out(records.size());
   for (size_t i = 0; i < table.num_rows(); ++i) {
-    groups[table.record(i)].push_back(static_cast<uint32_t>(i));
-  }
-  std::vector<std::vector<uint32_t>> out;
-  out.reserve(groups.size());
-  for (auto& [record, rows] : groups) {
-    out.push_back(std::move(rows));
+    out[group_of[records.id_of_row[i]]].push_back(static_cast<uint32_t>(i));
   }
   return out;
 }

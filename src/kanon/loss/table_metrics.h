@@ -11,6 +11,9 @@ namespace kanon {
 
 /// Partitions the rows of a generalized table into groups of identical
 /// generalized records (the anonymity groups of a k-anonymized table).
+/// Groups are ordered by their record (lexicographic set ids) and hold
+/// ascending row indices. Rows are grouped by hash, so the cost is one
+/// probe per row plus a sort of the groups.
 std::vector<std::vector<uint32_t>> GroupIdenticalRecords(
     const GeneralizedTable& table);
 

@@ -38,8 +38,7 @@ uint64_t SchemaFingerprint(const Schema& schema) {
 Result<ParsedTable> ParseCsvAndSpec(const std::string& csv_text,
                                     const std::string& spec_text,
                                     SchemeCache* cache) {
-  std::istringstream csv_stream(csv_text);
-  KANON_ASSIGN_OR_RETURN(Dataset dataset, ReadCsvInferSchema(csv_stream));
+  KANON_ASSIGN_OR_RETURN(Dataset dataset, ReadCsvInferSchemaText(csv_text));
   std::shared_ptr<const GeneralizationScheme> scheme;
   if (cache != nullptr) {
     KANON_ASSIGN_OR_RETURN(scheme, cache->Get(spec_text, dataset.schema()));

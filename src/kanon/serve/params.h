@@ -39,11 +39,12 @@ struct ParsedTable {
       : dataset(std::move(dataset_in)), scheme(std::move(scheme_in)) {}
 };
 
-/// Parses `csv_text` (schema inferred) and codes a scheme from `spec_text`
-/// (empty = suppression-only hierarchies everywhere). When `cache` is
-/// non-null the parsed scheme is interned there, so resubmissions of the
-/// same (spec, schema) shape share one hierarchy object — the
-/// "load schemas/hierarchies once" half of the service's hot-state story.
+/// Tokenizes `csv_text` in place (schema inferred, no stream copy) and
+/// codes a scheme from `spec_text` (empty = suppression-only hierarchies
+/// everywhere). When `cache` is non-null the parsed scheme is interned
+/// there, so resubmissions of the same (spec, schema) shape share one
+/// hierarchy object — the "load schemas/hierarchies once" half of the
+/// service's hot-state story.
 class SchemeCache;
 Result<ParsedTable> ParseCsvAndSpec(const std::string& csv_text,
                                     const std::string& spec_text,
