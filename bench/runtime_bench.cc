@@ -8,7 +8,6 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -26,7 +25,6 @@
 #include "kanon/graph/matchable_edges.h"
 #include "kanon/loss/entropy_measure.h"
 #include "kanon/shard/driver.h"
-#include "kanon/telemetry/tracer.h"
 
 namespace kanon {
 namespace {
@@ -259,68 +257,6 @@ int RunSpeedupJson(size_t n) {
   return 0;
 }
 
-// --phase_json mode: runs each pipeline once under a telemetry Tracer and
-// prints one JSON line per lane-0 engine phase with its inclusive wall
-// time, span count, item payload, and share of the pipeline total — the
-// machine-readable "where does the time go" breakdown behind the
-// complexity claims. Phases nest (e.g. agglomerative/rescan runs inside
-// agglomerative/heap-drain), so fractions need not sum to 1.
-int RunPhaseJson(size_t n) {
-  const Workload w = bench::MustArtWorkload(n, 99);
-  const PrecomputedLoss loss(w.scheme, w.dataset, EntropyMeasure());
-
-  for (AnonymizationMethod method :
-       {AnonymizationMethod::kAgglomerative,
-        AnonymizationMethod::kKKGreedyExpansion, AnonymizationMethod::kGlobal}) {
-    Tracer tracer;
-    AnonymizerConfig config;
-    config.k = 10;
-    config.method = method;
-    config.num_threads = DefaultNumThreads();
-    config.tracer = &tracer;
-    const Result<AnonymizationResult> result =
-        Anonymize(w.dataset, loss, config);
-    KANON_CHECK(result.ok(), result.status().ToString());
-
-    struct PhaseAgg {
-      double seconds = 0.0;
-      uint64_t spans = 0;
-      uint64_t items = 0;
-    };
-    std::map<std::string, PhaseAgg> phases;  // Sorted, stable output order.
-    double total_seconds = 0.0;
-    for (const SpanEvent& event : tracer.lane_events(0)) {
-      if (std::strcmp(event.category, "phase") != 0) continue;
-      const double seconds =
-          (event.wall_end_us - event.wall_begin_us) * 1e-6;
-      if (std::strncmp(event.name, "pipeline/", 9) == 0) {
-        total_seconds = seconds;
-        continue;
-      }
-      PhaseAgg& agg = phases[event.name];
-      agg.seconds += seconds;
-      ++agg.spans;
-      agg.items += event.items;
-    }
-    for (const auto& [phase, agg] : phases) {
-      std::printf(
-          "{\"bench\":\"%s\",\"n\":%zu,\"phase\":\"%s\","
-          "\"spans\":%llu,\"seconds\":%.6f,\"fraction\":%.3f,"
-          "\"items\":%llu}\n",
-          MethodShortName(method), n, phase.c_str(),
-          static_cast<unsigned long long>(agg.spans), agg.seconds,
-          total_seconds > 0.0 ? agg.seconds / total_seconds : 0.0,
-          static_cast<unsigned long long>(agg.items));
-    }
-    std::printf(
-        "{\"bench\":\"%s\",\"n\":%zu,\"phase\":\"total\",\"spans\":1,"
-        "\"seconds\":%.6f,\"fraction\":1.000,\"items\":%llu}\n",
-        MethodShortName(method), n, total_seconds,
-        static_cast<unsigned long long>(n));
-  }
-  return 0;
-}
-
 // --shard_json mode: sweeps the out-of-core sharded driver over shard
 // counts on one ART workload and prints one JSON line per count with the
 // wall time, the global loss (the utility price of partitioning), and the
@@ -367,10 +303,8 @@ int RunShardJson(size_t n) {
 
 int main(int argc, char** argv) {
   bool speedup = false;
-  bool phase = false;
   bool shard = false;
   size_t speedup_n = 2000;
-  size_t phase_n = 1000;
   size_t shard_n = 8000;
   std::vector<char*> passthrough;
   for (int i = 0; i < argc; ++i) {
@@ -378,10 +312,6 @@ int main(int argc, char** argv) {
       speedup = true;
     } else if (std::strncmp(argv[i], "--speedup_n=", 12) == 0) {
       speedup_n = static_cast<size_t>(std::stoul(argv[i] + 12));
-    } else if (std::strcmp(argv[i], "--phase_json") == 0) {
-      phase = true;
-    } else if (std::strncmp(argv[i], "--phase_n=", 10) == 0) {
-      phase_n = static_cast<size_t>(std::stoul(argv[i] + 10));
     } else if (std::strcmp(argv[i], "--shard_json") == 0) {
       shard = true;
     } else if (std::strncmp(argv[i], "--shard_n=", 10) == 0) {
@@ -392,9 +322,6 @@ int main(int argc, char** argv) {
   }
   if (shard) {
     return kanon::RunShardJson(shard_n);
-  }
-  if (phase) {
-    return kanon::RunPhaseJson(phase_n);
   }
   if (speedup) {
     return kanon::RunSpeedupJson(speedup_n);

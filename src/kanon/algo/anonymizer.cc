@@ -68,7 +68,6 @@ Result<GeneralizedTable> RunPipeline(const Dataset& dataset,
     case AnonymizationMethod::kModifiedAgglomerative: {
       AgglomerativeOptions options;
       options.distance = config.distance;
-      options.params = config.params;
       options.modified =
           config.method == AnonymizationMethod::kModifiedAgglomerative;
       options.run_context = ctx;
@@ -138,13 +137,13 @@ AnonymityNotion PromisedNotion(AnonymizationMethod method) {
 
 void PublishCounters(const EngineCounters& counters, MetricsRegistry* metrics) {
   if (metrics == nullptr) return;
-  metrics->GetCounter("engine.merges")->Set(counters.merges);
-  metrics->GetCounter("engine.rescans")->Set(counters.rescans);
-  metrics->GetCounter("engine.heap_rebuilds")->Set(counters.heap_rebuilds);
-  metrics->GetCounter("engine.closure_hits")->Set(counters.closure_hits);
-  metrics->GetCounter("engine.closure_misses")->Set(counters.closure_misses);
-  metrics->GetCounter("engine.upgrade_steps")->Set(counters.upgrade_steps);
-  metrics->GetCounter("engine.parallel_chunks")->Set(counters.parallel_chunks);
+  metrics->GetCounter("engine.merges")->Add(counters.merges);
+  metrics->GetCounter("engine.rescans")->Add(counters.rescans);
+  metrics->GetCounter("engine.heap_rebuilds")->Add(counters.heap_rebuilds);
+  metrics->GetCounter("engine.closure_hits")->Add(counters.closure_hits);
+  metrics->GetCounter("engine.closure_misses")->Add(counters.closure_misses);
+  metrics->GetCounter("engine.upgrade_steps")->Add(counters.upgrade_steps);
+  metrics->GetCounter("engine.parallel_chunks")->Add(counters.parallel_chunks);
   metrics->GetGauge("engine.closure_hit_rate")
       ->Set(counters.closure_hit_rate());
 }
@@ -152,12 +151,12 @@ void PublishCounters(const EngineCounters& counters, MetricsRegistry* metrics) {
 void PublishResultMetrics(const AnonymizationResult& result,
                           MetricsRegistry* metrics) {
   if (metrics == nullptr) return;
-  metrics->GetCounter("run.rows")->Set(result.table.num_rows());
+  metrics->GetCounter("run.rows")->Add(result.table.num_rows());
   metrics->GetCounter("run.iterations_completed")
-      ->Set(result.iterations_completed);
+      ->Add(result.iterations_completed);
   metrics->GetCounter("run.records_suppressed")
-      ->Set(result.records_suppressed);
-  metrics->GetCounter("run.degraded")->Set(result.degraded ? 1 : 0);
+      ->Add(result.records_suppressed);
+  metrics->GetCounter("run.degraded")->Add(result.degraded ? 1 : 0);
   metrics->GetGauge("run.loss")->Set(result.loss);
   metrics->GetGauge("run.elapsed_seconds", /*deterministic=*/false)
       ->Set(result.elapsed_seconds);
@@ -169,7 +168,7 @@ void PublishResultMetrics(const AnonymizationResult& result,
   for (const std::vector<uint32_t>& rows : classes) {
     sizes->Observe(static_cast<double>(rows.size()));
   }
-  metrics->GetCounter("run.clusters")->Set(classes.size());
+  metrics->GetCounter("run.clusters")->Add(classes.size());
 }
 
 Result<AnonymizationResult> Anonymize(const Dataset& dataset,

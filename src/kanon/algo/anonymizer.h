@@ -59,7 +59,6 @@ struct AnonymizerConfig {
   AnonymizationMethod method = AnonymizationMethod::kAgglomerative;
   /// Used by the agglomerative methods only.
   DistanceFunction distance = DistanceFunction::kLogWeighted;
-  DistanceParams params;
   /// Per-attribute weights for the information-loss measure (empty = uniform,
   /// the default). With weights, every pipeline prices records by the
   /// weighted average Σ_j w_j·cost_j / Σw instead of (1/r)·Σ_j cost_j: the
@@ -118,13 +117,16 @@ struct AnonymizationResult {
 
 /// Publishes the engine counters into `metrics` as typed metrics: one
 /// `engine.<field>` counter per EngineCounters field plus the
-/// `engine.closure_hit_rate` gauge. All deterministic. Null registry = no-op.
+/// `engine.closure_hit_rate` gauge. All deterministic. Counters add to what
+/// the registry holds, so runs that share a registry sum; gauges keep the
+/// last run's value. Null registry = no-op.
 void PublishCounters(const EngineCounters& counters, MetricsRegistry* metrics);
 
 /// Publishes run-level outcome metrics (`run.*` counters/gauges — loss,
 /// iterations, suppression, degradation; `run.elapsed_seconds` is flagged
 /// nondeterministic) and the `cluster.size` histogram of equivalence-class
-/// sizes in the final table. Null registry = no-op.
+/// sizes in the final table. Counters add up across runs, as above. Null
+/// registry = no-op.
 void PublishResultMetrics(const AnonymizationResult& result,
                           MetricsRegistry* metrics);
 

@@ -3,6 +3,8 @@
 #include <cerrno>
 #include <cstring>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -91,6 +93,42 @@ Status WriteFrame(int fd, const std::string& payload) {
     done += static_cast<size_t>(n);
   }
   return Status::OK();
+}
+
+Result<TcpListener> ListenTcp(const std::string& address, int port,
+                              int backlog) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) {
+    return Status::IOError(std::string("socket: ") + std::strerror(errno));
+  }
+  auto fail = [fd](Status status) {
+    ::close(fd);
+    return status;
+  };
+  int one = 1;
+  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  sockaddr_in addr;
+  std::memset(&addr, 0, sizeof(addr));
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  if (::inet_pton(AF_INET, address.c_str(), &addr.sin_addr) != 1) {
+    return fail(Status::InvalidArgument("bad bind address '" + address + "'"));
+  }
+  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    return fail(Status::IOError(std::string("bind: ") + std::strerror(errno)));
+  }
+  if (::listen(fd, backlog) != 0) {
+    return fail(
+        Status::IOError(std::string("listen: ") + std::strerror(errno)));
+  }
+  sockaddr_in bound;
+  socklen_t bound_len = sizeof(bound);
+  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &bound_len) !=
+      0) {
+    return fail(
+        Status::IOError(std::string("getsockname: ") + std::strerror(errno)));
+  }
+  return TcpListener{fd, ntohs(bound.sin_port)};
 }
 
 }  // namespace serve

@@ -38,6 +38,18 @@ Result<std::string> ReadFrame(int fd, size_t max_payload);
 /// Writes one frame (prefix + payload), looping until complete.
 Status WriteFrame(int fd, const std::string& payload);
 
+/// A bound, listening TCP socket and the port it got (the one asked for,
+/// or the kernel's pick for port 0). The caller owns `fd`.
+struct TcpListener {
+  int fd = -1;
+  int port = 0;
+};
+
+/// Opens an IPv4 listening socket on `address`:`port` with SO_REUSEADDR.
+/// On any error the socket is closed and nothing is returned.
+Result<TcpListener> ListenTcp(const std::string& address, int port,
+                              int backlog);
+
 }  // namespace serve
 }  // namespace kanon
 

@@ -1,15 +1,13 @@
 #include "kanon/serve/http_exporter.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstring>
 #include <utility>
 
+#include "kanon/serve/framing.h"
 #include "kanon/telemetry/prometheus.h"
 
 namespace kanon {
@@ -49,36 +47,10 @@ HttpExporter::HttpExporter(HttpExporterOptions options)
 HttpExporter::~HttpExporter() { Stop(); }
 
 Status HttpExporter::Start() {
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    return Status::IOError(std::string("socket: ") + std::strerror(errno));
-  }
-  int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(options_.port));
-  if (::inet_pton(AF_INET, options_.bind_address.c_str(), &addr.sin_addr) !=
-      1) {
-    return Status::InvalidArgument("bad bind address '" +
-                                   options_.bind_address + "'");
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    return Status::IOError(std::string("bind: ") + std::strerror(errno));
-  }
-  if (::listen(listen_fd_, 16) != 0) {
-    return Status::IOError(std::string("listen: ") + std::strerror(errno));
-  }
-  sockaddr_in bound;
-  socklen_t bound_len = sizeof(bound);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound),
-                    &bound_len) != 0) {
-    return Status::IOError(std::string("getsockname: ") +
-                           std::strerror(errno));
-  }
-  port_ = ntohs(bound.sin_port);
+  KANON_ASSIGN_OR_RETURN(TcpListener listener,
+                         ListenTcp(options_.bind_address, options_.port, 16));
+  listen_fd_ = listener.fd;
+  port_ = listener.port;
   accept_thread_ = std::thread([this] { AcceptLoop(); });
   return Status::OK();
 }

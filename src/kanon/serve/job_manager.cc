@@ -5,12 +5,33 @@
 #include <sstream>
 #include <thread>
 
+#include "kanon/anonymity/verify.h"
+#include "kanon/common/failpoint.h"
 #include "kanon/generalization/generalized_csv.h"
-#include "kanon/serve/params.h"
 #include "kanon/telemetry/trace_export.h"
 
 namespace kanon {
 namespace serve {
+namespace {
+
+/// Completed capture_trace renderings kept for fetch_trace (LRU).
+constexpr size_t kTraceCacheCapacity = 8;
+
+/// Checks `table` against the notion the request's method promises (Defs
+/// 4.1, 4.4 and 4.6): the check kanon_cli makes before it writes a table.
+/// A violation is an error carrying the witness text.
+Status VerifyPromise(const JobRequest& request, const GeneralizedTable& table) {
+  KANON_FAILPOINT("serve.verify");
+  const size_t k = request.config.k;
+  KANON_ASSIGN_OR_RETURN(
+      NotionWitness witness,
+      WitnessNotion(PromisedNotion(request.config.method), request.dataset,
+                    table, k));
+  if (!witness.satisfied) return Status::Internal(witness.ToString(k));
+  return Status::OK();
+}
+
+}  // namespace
 
 const char* JobStateName(JobState state) {
   switch (state) {
@@ -47,11 +68,14 @@ struct JobManager::Job {
 
 JobManager::JobManager(const JobManagerOptions& options,
                        RunContext* server_context, MetricsRegistry* metrics,
-                       TableStore* store)
+                       TableStore* store, Logger* logger,
+                       FlightRecorder* flight)
     : options_(options),
       server_context_(server_context),
       metrics_(metrics),
-      store_(store) {
+      store_(store),
+      logger_(logger),
+      flight_(flight) {
   if (metrics_ != nullptr) {
     jobs_accepted_ = metrics_->GetCounter("serve.jobs_accepted");
     jobs_rejected_ = metrics_->GetCounter("serve.jobs_rejected");
@@ -61,8 +85,6 @@ JobManager::JobManager(const JobManagerOptions& options,
     jobs_deadline_expired_ =
         metrics_->GetCounter("serve.jobs_deadline_expired");
     jobs_cancelled_ = metrics_->GetCounter("serve.jobs_cancelled");
-    loss_cache_hits_ = metrics_->GetCounter("serve.loss_cache_hits");
-    loss_cache_misses_ = metrics_->GetCounter("serve.loss_cache_misses");
     queue_depth_gauge_ =
         metrics_->GetGauge("serve.queue_depth", /*deterministic=*/false);
     jobs_running_gauge_ =
@@ -87,14 +109,14 @@ Result<uint64_t> JobManager::Submit(JobRequest request, SubmitDenied* denied) {
   if (draining_) {
     *denied = SubmitDenied::kDraining;
     if (jobs_rejected_ != nullptr) jobs_rejected_->Add();
-    KANON_LOG_EVENT(options_.logger, options_.flight, LogLevel::kWarn,
+    KANON_LOG_EVENT(logger_, flight_, LogLevel::kWarn,
                     "job.rejected", LogField::Str("reason", "draining"));
     return Status::FailedPrecondition("server is draining");
   }
   if (queue_.size() >= options_.queue_bound) {
     *denied = SubmitDenied::kOverloaded;
     if (jobs_rejected_ != nullptr) jobs_rejected_->Add();
-    KANON_LOG_EVENT(options_.logger, options_.flight, LogLevel::kWarn,
+    KANON_LOG_EVENT(logger_, flight_, LogLevel::kWarn,
                     "job.rejected", LogField::Str("reason", "overloaded"),
                     LogField::U64("queue_depth", queue_.size()));
     return Status::FailedPrecondition(
@@ -121,12 +143,12 @@ Result<uint64_t> JobManager::Submit(JobRequest request, SubmitDenied* denied) {
   {
     const Job& admitted = *jobs_.at(id);
     KANON_LOG_EVENT(
-        options_.logger, options_.flight, LogLevel::kInfo, "job.admitted",
+        logger_, flight_, LogLevel::kInfo, "job.admitted",
         LogField::U64("job_id", id),
         LogField::U64("rows", admitted.request.dataset.num_rows()),
-        LogField::U64("k", admitted.request.k),
+        LogField::U64("k", admitted.request.config.k),
         LogField::Str("method",
-                      AnonymizationMethodName(admitted.request.method)),
+                      AnonymizationMethodName(admitted.request.config.method)),
         LogField::U64("queue_depth", queue_.size()),
         LogField::Bool("capture_trace", admitted.request.capture_trace));
   }
@@ -167,47 +189,13 @@ void JobManager::WorkerLoop() {
   }
 }
 
-std::shared_ptr<const PrecomputedLoss> JobManager::LossFor(
-    const JobRequest& request) {
-  // Key the memo on scheme *identity* (the SchemeCache interns schemes, so
-  // equal spec+schema shapes share a pointer), the exact cell contents, and
-  // the measure. A miss can never alias: a different scheme object hashes
-  // differently even when semantically equal, which only costs a rebuild.
-  const GeneralizationScheme* scheme_ptr = request.scheme.get();
-  uint64_t key = Fnv1a(&scheme_ptr, sizeof(scheme_ptr));
-  key = Fnv1a(request.measure_name.data(), request.measure_name.size(), key);
-  key ^= DatasetFingerprint(request.dataset);
-  {
-    std::lock_guard<std::mutex> lock(loss_mu_);
-    for (const LossEntry& entry : loss_cache_) {
-      if (entry.key == key) {
-        if (loss_cache_hits_ != nullptr) loss_cache_hits_->Add();
-        return entry.loss;
-      }
-    }
-  }
-  if (loss_cache_misses_ != nullptr) loss_cache_misses_->Add();
-  Result<std::unique_ptr<LossMeasure>> measure =
-      MakeMeasure(request.measure_name);
-  if (!measure.ok()) return nullptr;
-  auto loss = std::make_shared<const PrecomputedLoss>(
-      request.scheme, request.dataset, *measure.value(),
-      options_.job_threads);
-  std::lock_guard<std::mutex> lock(loss_mu_);
-  if (loss_cache_.size() >= options_.loss_cache_capacity &&
-      !loss_cache_.empty()) {
-    loss_cache_.pop_front();
-  }
-  loss_cache_.push_back(LossEntry{key, loss});
-  return loss;
-}
-
 void JobManager::RunJob(Job* job) {
+  JobRequest& request = job->request;
   {
     std::lock_guard<std::mutex> lock(job->mu);
     job->state = JobState::kRunning;
   }
-  KANON_LOG_EVENT(options_.logger, options_.flight, LogLevel::kInfo,
+  KANON_LOG_EVENT(logger_, flight_, LogLevel::kInfo,
                   "job.started", LogField::U64("job_id", job->id));
 
   // Per-job trace capture. The Tracer is constructed here, on the worker
@@ -215,7 +203,7 @@ void JobManager::RunJob(Job* job) {
   // coordinator lane — to the constructing thread, and this thread is the
   // one that runs the pipeline.
   std::unique_ptr<Tracer> tracer;
-  if (job->request.capture_trace) tracer = std::make_unique<Tracer>();
+  if (request.capture_trace) tracer = std::make_unique<Tracer>();
 
   // Execution controls: fork the server's root budget (linked cancellation,
   // child deadline/steps can never exceed what the server has left), then
@@ -226,20 +214,18 @@ void JobManager::RunJob(Job* job) {
     ctx = server_context_->Fork(1.0);
   }
   ctx.set_cancel_token(job->cancel);
-  int64_t timeout_ms = job->request.timeout_ms;
+  int64_t timeout_ms = request.timeout_ms;
   if (timeout_ms <= 0) timeout_ms = options_.default_timeout_ms;
   if (timeout_ms > 0) {
     const double limit = static_cast<double>(timeout_ms) / 1000.0;
     ctx.ArmDeadline(std::min(limit, ctx.RemainingSeconds()));
   }
-  if (job->request.max_steps > 0) {
-    const size_t steps = static_cast<size_t>(job->request.max_steps);
+  if (request.max_steps > 0) {
+    const size_t steps = static_cast<size_t>(request.max_steps);
     if (steps < ctx.RemainingSteps()) ctx.set_step_budget(steps);
   }
-  Logger* const logger = options_.logger;
-  FlightRecorder* const flight = options_.flight;
   ctx.set_progress_observer(
-      [job, logger, flight](const RunProgress& progress) {
+      [this, job](const RunProgress& progress) {
         bool stage_changed = false;
         {
           std::lock_guard<std::mutex> lock(job->mu);
@@ -251,7 +237,7 @@ void JobManager::RunJob(Job* job) {
         // every 64 steps) go to the flight recorder: they are exactly
         // what a post-mortem needs to place the crash inside the run.
         if (stage_changed) {
-          KANON_LOG_EVENT(logger, flight, LogLevel::kDebug, "job.stage",
+          KANON_LOG_EVENT(logger_, flight_, LogLevel::kDebug, "job.stage",
                           LogField::U64("job_id", job->id),
                           LogField::Str("stage", progress.stage),
                           LogField::U64("steps", progress.steps));
@@ -261,79 +247,55 @@ void JobManager::RunJob(Job* job) {
 
   // Test hook: occupy the worker slot, cancellably, before running — how
   // the concurrency suite makes "queue full" a deterministic state.
-  if (options_.enable_test_hooks && job->request.debug_sleep_ms > 0) {
+  if (options_.enable_test_hooks && request.debug_sleep_ms > 0) {
     // Elapsed time is compared in milliseconds: now + debug_sleep_ms would
     // overflow the clock for a clamped INT64_MAX.
     const auto start = std::chrono::steady_clock::now();
     while (std::chrono::duration_cast<std::chrono::milliseconds>(
                std::chrono::steady_clock::now() - start)
-                   .count() < job->request.debug_sleep_ms &&
+                   .count() < request.debug_sleep_ms &&
            ctx.StopRequested() == StopReason::kNone) {
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
   }
 
-  AnonymizerConfig config;
-  config.k = job->request.k;
-  config.method = job->request.method;
-  config.distance = job->request.distance;
-  config.attr_weights = job->request.attr_weights;
+  // A copy, so the job record never holds pointers to this frame's context
+  // and tracer.
+  AnonymizerConfig config = request.config;
   config.num_threads = options_.job_threads;
   config.run_context = &ctx;
   config.metrics = metrics_;  // Service-wide engine.*/run.* aggregates.
   config.tracer = tracer.get();
 
-  const std::shared_ptr<const PrecomputedLoss> loss =
-      LossFor(job->request);
-  Result<AnonymizationResult> result =
-      loss == nullptr
-          ? Result<AnonymizationResult>(Status::InvalidArgument(
-                "unknown measure '" + job->request.measure_name + "'"))
-          : Anonymize(job->request.dataset, *loss, config);
+  const PrecomputedLoss loss(request.scheme, request.dataset, *request.measure,
+                             options_.job_threads);
+  Result<AnonymizationResult> result = Anonymize(request.dataset, loss, config);
 
   // From here on the run is finished, so reading the tracer is safe. The
   // trace is cached for every terminal state (the trace of a failed job is
   // precisely the one worth retrieving), and before that state is
   // published, so a client that polls `done` can fetch it at once.
   if (tracer != nullptr) StoreTrace(job->id, ChromeTraceJson(*tracer));
-  if (!result.ok()) {
-    {
-      std::lock_guard<std::mutex> lock(job->mu);
-      job->state = JobState::kFailed;
-      job->outcome.state = JobState::kFailed;
-      job->outcome.error = result.status().ToString();
-    }
-    if (jobs_failed_ != nullptr) jobs_failed_->Add();
-    KANON_LOG_EVENT(options_.logger, options_.flight, LogLevel::kError,
-                    "job.failed", LogField::U64("job_id", job->id),
-                    LogField::Str("error", result.status().ToString()));
-    return;
+  if (!result.ok()) return FailJob(job, result.status());
+  // Verified before anything leaves the job: a violating table is neither
+  // fetchable nor published.
+  if (Status verified = VerifyPromise(request, result->table); !verified.ok()) {
+    return FailJob(job, verified);
   }
-
   std::ostringstream csv;
-  const Status csv_status = WriteGeneralizedCsv(result->table, csv);
-  if (!csv_status.ok()) {
-    {
-      std::lock_guard<std::mutex> lock(job->mu);
-      job->state = JobState::kFailed;
-      job->outcome.state = JobState::kFailed;
-      job->outcome.error = csv_status.ToString();
-    }
-    if (jobs_failed_ != nullptr) jobs_failed_->Add();
-    KANON_LOG_EVENT(options_.logger, options_.flight, LogLevel::kError,
-                    "job.failed", LogField::U64("job_id", job->id),
-                    LogField::Str("error", csv_status.ToString()));
-    return;
+  if (Status written = WriteGeneralizedCsv(result->table, csv);
+      !written.ok()) {
+    return FailJob(job, written);
   }
 
-  if (!job->request.publish_as.empty() && store_ != nullptr) {
+  if (!request.publish_as.empty() && store_ != nullptr) {
     // Publishing moves the dataset and table into the read-path store; the
     // job keeps only the serialized CSV. A full store is not a job failure
     // — the result is still fetchable — so it only logs as one would.
     Status published = store_->Register(
-        job->request.publish_as,
-        std::make_shared<PublishedTable>(job->request.scheme,
-                                         std::move(job->request.dataset),
+        request.publish_as,
+        std::make_shared<PublishedTable>(request.scheme,
+                                         std::move(request.dataset),
                                          result->table));
     if (!published.ok()) {
       std::lock_guard<std::mutex> lock(job->mu);
@@ -369,7 +331,7 @@ void JobManager::RunJob(Job* job) {
   if (job_seconds_window_ != nullptr) {
     job_seconds_window_->Observe(result->elapsed_seconds);
   }
-  KANON_LOG_EVENT(options_.logger, options_.flight, LogLevel::kInfo,
+  KANON_LOG_EVENT(logger_, flight_, LogLevel::kInfo,
                   "job.done", LogField::U64("job_id", job->id),
                   LogField::Dbl("seconds", result->elapsed_seconds),
                   LogField::Dbl("loss", result->loss),
@@ -377,7 +339,7 @@ void JobManager::RunJob(Job* job) {
                   LogField::Str("stop_reason",
                                 StopReasonName(result->stop_reason)));
   if (result->degraded) {
-    KANON_LOG_EVENT(options_.logger, options_.flight, LogLevel::kWarn,
+    KANON_LOG_EVENT(logger_, flight_, LogLevel::kWarn,
                     "job.degraded", LogField::U64("job_id", job->id),
                     LogField::Str("stage", result->degraded_stage),
                     LogField::Str("stop_reason",
@@ -385,9 +347,22 @@ void JobManager::RunJob(Job* job) {
   }
 }
 
+void JobManager::FailJob(Job* job, const Status& status) {
+  {
+    std::lock_guard<std::mutex> lock(job->mu);
+    job->state = JobState::kFailed;
+    job->outcome.state = JobState::kFailed;
+    job->outcome.error = status.ToString();
+  }
+  if (jobs_failed_ != nullptr) jobs_failed_->Add();
+  KANON_LOG_EVENT(logger_, flight_, LogLevel::kError, "job.failed",
+                  LogField::U64("job_id", job->id),
+                  LogField::Str("error", status.ToString()));
+}
+
 void JobManager::StoreTrace(uint64_t job_id, std::string trace_json) {
   std::lock_guard<std::mutex> lock(trace_mu_);
-  if (trace_cache_.size() >= options_.trace_cache_capacity &&
+  if (trace_cache_.size() >= kTraceCacheCapacity &&
       !trace_cache_.empty()) {
     trace_cache_.pop_front();
   }
@@ -427,7 +402,7 @@ Result<std::string> JobManager::FetchTrace(uint64_t id) const {
   }
   return Status::NotFound("trace for job " + std::to_string(id) +
                           " was evicted (trace cache holds " +
-                          std::to_string(options_.trace_cache_capacity) +
+                          std::to_string(kTraceCacheCapacity) +
                           ")");
 }
 

@@ -17,7 +17,7 @@
 #include "kanon/common/run_context.h"
 #include "kanon/data/dataset.h"
 #include "kanon/generalization/scheme.h"
-#include "kanon/loss/precomputed_loss.h"
+#include "kanon/loss/measure.h"
 #include "kanon/serve/table_store.h"
 #include "kanon/telemetry/flight_recorder.h"
 #include "kanon/telemetry/log.h"
@@ -31,11 +31,13 @@ namespace serve {
 struct JobRequest {
   Dataset dataset;
   std::shared_ptr<const GeneralizationScheme> scheme;
-  std::string measure_name = "EM";
-  size_t k = 5;
-  AnonymizationMethod method = AnonymizationMethod::kAgglomerative;
-  DistanceFunction distance = DistanceFunction::kRatio;
-  std::vector<double> attr_weights;
+  /// The measure the request names (never null), built once when `submit`
+  /// validated the name.
+  std::unique_ptr<LossMeasure> measure;
+  /// The run the request asks for: k, method, distance and attribute
+  /// weights. The worker runs a copy that adds only the threads, the
+  /// RunContext and the telemetry sinks.
+  AnonymizerConfig config;
   /// Per-request execution bounds, intersected with whatever budget is
   /// left on the server's root RunContext.
   int64_t timeout_ms = 0;
@@ -98,14 +100,6 @@ struct JobManagerOptions {
   int64_t default_timeout_ms = 0;
   /// Honor JobRequest::debug_sleep_ms (tests only; kanond --test-hooks).
   bool enable_test_hooks = false;
-  /// Distinct (scheme, dataset, measure) PrecomputedLoss tables kept hot.
-  size_t loss_cache_capacity = 4;
-  /// Completed capture_trace renderings kept for fetch_trace (LRU).
-  size_t trace_cache_capacity = 8;
-  /// Observability sinks (not owned, may be null): the structured log and
-  /// the crash flight recorder receive one record per job lifecycle event.
-  Logger* logger = nullptr;
-  FlightRecorder* flight = nullptr;
 };
 
 /// The service's execution core: a bounded FIFO of jobs drained by a fixed
@@ -113,18 +107,19 @@ struct JobManagerOptions {
 /// RunContext forked from the server's root context (linked cancellation,
 /// budget intersection), publishes progress through the RunContext
 /// observer, and lands its outcome — including the serialized CSV — in an
-/// in-memory job record that `poll`/`fetch` read.
-///
-/// Hot-state caching: PrecomputedLoss tables are memoized across jobs by
-/// (scheme identity, dataset fingerprint, measure), so resubmitting a
-/// table skips the cost-table build entirely (serve.loss_cache_hits).
+/// in-memory job record that `poll`/`fetch` read. A result is verified
+/// against the notion its method promises before it is serialized or
+/// published.
 class JobManager {
  public:
   /// `server_context` (not owned, may be null) is the root every job forks
   /// from; `metrics` (not owned, may be null) receives the serve.* catalog;
-  /// `store` (not owned, may be null) receives publish_as results.
+  /// `store` (not owned, may be null) receives publish_as results;
+  /// `logger` and `flight` (not owned, may be null) receive one record per
+  /// job lifecycle event.
   JobManager(const JobManagerOptions& options, RunContext* server_context,
-             MetricsRegistry* metrics, TableStore* store);
+             MetricsRegistry* metrics, TableStore* store, Logger* logger,
+             FlightRecorder* flight);
   ~JobManager();
 
   JobManager(const JobManager&) = delete;
@@ -168,12 +163,15 @@ class JobManager {
 
   void WorkerLoop();
   void RunJob(Job* job);
-  std::shared_ptr<const PrecomputedLoss> LossFor(const JobRequest& request);
+  /// The one exit of a job that fails: state, error, counter and log.
+  void FailJob(Job* job, const Status& status);
 
   const JobManagerOptions options_;
   RunContext* const server_context_;
   MetricsRegistry* const metrics_;
   TableStore* const store_;
+  Logger* const logger_;
+  FlightRecorder* const flight_;
 
   // serve.* metrics, registered once (null when metrics_ is null).
   Counter* jobs_accepted_ = nullptr;
@@ -183,8 +181,6 @@ class JobManager {
   Counter* jobs_degraded_ = nullptr;
   Counter* jobs_deadline_expired_ = nullptr;
   Counter* jobs_cancelled_ = nullptr;
-  Counter* loss_cache_hits_ = nullptr;
-  Counter* loss_cache_misses_ = nullptr;
   Gauge* queue_depth_gauge_ = nullptr;
   Gauge* jobs_running_gauge_ = nullptr;
   Histogram* job_seconds_ = nullptr;
@@ -200,14 +196,6 @@ class JobManager {
   bool draining_ = false;
   bool workers_joined_ = false;
   std::vector<std::thread> workers_;
-
-  // PrecomputedLoss memo: key -> entry; insertion-ordered eviction.
-  struct LossEntry {
-    uint64_t key;
-    std::shared_ptr<const PrecomputedLoss> loss;
-  };
-  mutable std::mutex loss_mu_;
-  std::list<LossEntry> loss_cache_;
 
   // Rendered capture_trace results: job id -> Chrome-trace JSON, most
   // recently used at the back; lookups refresh recency, inserts evict

@@ -7,20 +7,9 @@
 
 namespace kanon {
 namespace serve {
+namespace {
 
-uint64_t DatasetFingerprint(const Dataset& dataset) {
-  const size_t n = dataset.num_rows();
-  const size_t r = dataset.num_attributes();
-  uint64_t hash = Fnv1a(&n, sizeof(n));
-  hash = Fnv1a(&r, sizeof(r), hash);
-  hash = Fnv1a(nullptr, 0, SchemaFingerprint(dataset.schema()) ^ hash);
-  for (size_t i = 0; i < n; ++i) {
-    const RowView row = dataset.row_view(i);
-    hash = Fnv1a(row.data(), r * sizeof(ValueCode), hash);
-  }
-  return hash;
-}
-
+/// Fingerprint of a schema (attribute names and domain sizes).
 uint64_t SchemaFingerprint(const Schema& schema) {
   uint64_t hash = Fnv1a(nullptr, 0);
   for (size_t j = 0; j < schema.num_attributes(); ++j) {
@@ -35,28 +24,7 @@ uint64_t SchemaFingerprint(const Schema& schema) {
   return hash;
 }
 
-Result<ParsedTable> ParseCsvAndSpec(const std::string& csv_text,
-                                    const std::string& spec_text,
-                                    SchemeCache* cache) {
-  KANON_ASSIGN_OR_RETURN(Dataset dataset, ReadCsvInferSchemaText(csv_text));
-  std::shared_ptr<const GeneralizationScheme> scheme;
-  if (cache != nullptr) {
-    KANON_ASSIGN_OR_RETURN(scheme, cache->Get(spec_text, dataset.schema()));
-  } else if (spec_text.empty()) {
-    KANON_ASSIGN_OR_RETURN(
-        GeneralizationScheme parsed,
-        GeneralizationScheme::SuppressionOnly(dataset.schema()));
-    scheme =
-        std::make_shared<const GeneralizationScheme>(std::move(parsed));
-  } else {
-    std::istringstream spec_stream(spec_text);
-    KANON_ASSIGN_OR_RETURN(GeneralizationScheme parsed,
-                           ParseSchemeSpec(dataset.schema(), spec_stream));
-    scheme =
-        std::make_shared<const GeneralizationScheme>(std::move(parsed));
-  }
-  return ParsedTable(std::move(dataset), std::move(scheme));
-}
+}  // namespace
 
 SchemeCache::SchemeCache(size_t capacity, MetricsRegistry* metrics)
     : capacity_(capacity == 0 ? 1 : capacity) {
@@ -102,6 +70,15 @@ Result<std::shared_ptr<const GeneralizationScheme>> SchemeCache::Get(
 size_t SchemeCache::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return schemes_.size();
+}
+
+Result<ParsedTable> ParseCsvAndSpec(const std::string& csv_text,
+                                    const std::string& spec_text,
+                                    SchemeCache& cache) {
+  KANON_ASSIGN_OR_RETURN(Dataset dataset, ReadCsvInferSchemaText(csv_text));
+  KANON_ASSIGN_OR_RETURN(std::shared_ptr<const GeneralizationScheme> scheme,
+                         cache.Get(spec_text, dataset.schema()));
+  return ParsedTable(std::move(dataset), std::move(scheme));
 }
 
 }  // namespace serve

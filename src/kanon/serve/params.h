@@ -21,13 +21,6 @@ namespace serve {
 /// it.
 using kanon::Fnv1a;
 
-/// Fingerprint of a dataset's coded cells plus its shape — the key the
-/// hot-state caches use to recognize a resubmitted table.
-uint64_t DatasetFingerprint(const Dataset& dataset);
-
-/// Fingerprint of a schema (attribute names and domain sizes).
-uint64_t SchemaFingerprint(const Schema& schema);
-
 /// A dataset and the scheme it is coded against, built from inline CSV and
 /// spec text — the ingestion step shared by `submit` and `register_table`.
 struct ParsedTable {
@@ -38,17 +31,6 @@ struct ParsedTable {
               std::shared_ptr<const GeneralizationScheme> scheme_in)
       : dataset(std::move(dataset_in)), scheme(std::move(scheme_in)) {}
 };
-
-/// Tokenizes `csv_text` in place (schema inferred, no stream copy) and
-/// codes a scheme from `spec_text` (empty = suppression-only hierarchies
-/// everywhere). When `cache` is non-null the parsed scheme is interned
-/// there, so resubmissions of the same (spec, schema) shape share one
-/// hierarchy object — the "load schemas/hierarchies once" half of the
-/// service's hot-state story.
-class SchemeCache;
-Result<ParsedTable> ParseCsvAndSpec(const std::string& csv_text,
-                                    const std::string& spec_text,
-                                    SchemeCache* cache);
 
 /// A bounded intern table for parsed generalization schemes, keyed by
 /// (spec text, schema) fingerprints. Thread-safe. Hits mean a request
@@ -73,6 +55,14 @@ class SchemeCache {
   std::unordered_map<uint64_t, std::shared_ptr<const GeneralizationScheme>>
       schemes_;
 };
+
+/// Tokenizes `csv_text` in place (schema inferred, no stream copy) and
+/// takes its scheme for `spec_text` (empty = suppression-only hierarchies
+/// everywhere) from `cache`, so resubmissions of the same (spec, schema)
+/// shape share one hierarchy object — the service's hot state.
+Result<ParsedTable> ParseCsvAndSpec(const std::string& csv_text,
+                                    const std::string& spec_text,
+                                    SchemeCache& cache);
 
 }  // namespace serve
 }  // namespace kanon

@@ -1,7 +1,5 @@
 #include "kanon/serve/server.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -81,13 +79,6 @@ Json IdList(const std::vector<uint32_t>& ids) {
   return out;
 }
 
-JobManagerOptions JobOptionsWithSinks(const ServerOptions& options) {
-  JobManagerOptions jobs = options.jobs;
-  if (jobs.logger == nullptr) jobs.logger = options.logger;
-  if (jobs.flight == nullptr) jobs.flight = options.flight;
-  return jobs;
-}
-
 }  // namespace
 
 Server::Server(const ServerOptions& options, RunContext* server_context,
@@ -97,8 +88,9 @@ Server::Server(const ServerOptions& options, RunContext* server_context,
       metrics_(metrics),
       tables_(options.table_store_capacity),
       schemes_(options.scheme_cache_capacity, metrics),
-      jobs_(std::make_unique<JobManager>(JobOptionsWithSinks(options),
-                                         server_context, metrics, &tables_)),
+      jobs_(std::make_unique<JobManager>(options.jobs, server_context, metrics,
+                                         &tables_, options.logger,
+                                         options.flight)),
       logger_(options.logger),
       flight_(options.flight),
       start_time_(std::chrono::steady_clock::now()) {
@@ -139,36 +131,10 @@ Server::~Server() {
 }
 
 Status Server::Start() {
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    return Status::IOError(std::string("socket: ") + std::strerror(errno));
-  }
-  int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(options_.port));
-  if (::inet_pton(AF_INET, options_.bind_address.c_str(), &addr.sin_addr) !=
-      1) {
-    return Status::InvalidArgument("bad bind address '" +
-                                   options_.bind_address + "'");
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    return Status::IOError(std::string("bind: ") + std::strerror(errno));
-  }
-  if (::listen(listen_fd_, 64) != 0) {
-    return Status::IOError(std::string("listen: ") + std::strerror(errno));
-  }
-  sockaddr_in bound;
-  socklen_t bound_len = sizeof(bound);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound),
-                    &bound_len) != 0) {
-    return Status::IOError(std::string("getsockname: ") +
-                           std::strerror(errno));
-  }
-  port_ = ntohs(bound.sin_port);
+  KANON_ASSIGN_OR_RETURN(TcpListener listener,
+                         ListenTcp(options_.bind_address, options_.port, 64));
+  listen_fd_ = listener.fd;
+  port_ = listener.port;
   return Status::OK();
 }
 
@@ -363,7 +329,7 @@ std::string Server::HandleSubmit(const Request& request, uint64_t request_id) {
                          "params.csv (string) is required");
   }
   Result<ParsedTable> parsed = ParseCsvAndSpec(
-      csv->string_value(), params.GetString("spec", ""), &schemes_);
+      csv->string_value(), params.GetString("spec", ""), schemes_);
   if (!parsed.ok()) {
     return ErrorResponse(request.id, ErrorCode::kInvalidParams,
                          parsed.status().ToString());
@@ -384,28 +350,30 @@ std::string Server::HandleSubmit(const Request& request, uint64_t request_id) {
                              std::to_string(job.dataset.num_rows()) +
                              " rows");
   }
-  job.k = static_cast<size_t>(k);
+  job.config.k = static_cast<size_t>(k);
   Result<AnonymizationMethod> method =
       ParseMethodShortName(params.GetString("method", "agglomerative"));
   if (!method.ok()) {
     return ErrorResponse(request.id, ErrorCode::kInvalidParams,
                          method.status().message());
   }
-  job.method = *method;
+  job.config.method = *method;
   Result<DistanceFunction> distance =
       ParseDistanceShortName(params.GetString("distance", "4"));
   if (!distance.ok()) {
     return ErrorResponse(request.id, ErrorCode::kInvalidParams,
                          distance.status().message());
   }
-  job.distance = *distance;
-  job.measure_name = params.GetString("measure", "EM");
-  // Validated here so a bad measure is a typed request error, not a job
-  // that fails later.
-  if (!MakeMeasure(job.measure_name).ok()) {
+  job.config.distance = *distance;
+  // Built here so a bad measure is a typed request error, not a job that
+  // fails later.
+  Result<std::unique_ptr<LossMeasure>> measure =
+      MakeMeasure(params.GetString("measure", "EM"));
+  if (!measure.ok()) {
     return ErrorResponse(request.id, ErrorCode::kInvalidParams,
-                         "unknown measure '" + job.measure_name + "'");
+                         measure.status().message());
   }
+  job.measure = std::move(measure).value();
   if (const Json* weights = params.Find("attr_weights"); weights != nullptr) {
     // kanon_cli --attr-weights=2,1 runs weighted, so a weight list the
     // daemon cannot read must not quietly run unweighted.
@@ -418,7 +386,7 @@ std::string Server::HandleSubmit(const Request& request, uint64_t request_id) {
         return ErrorResponse(request.id, ErrorCode::kInvalidParams,
                              "params.attr_weights must be numbers");
       }
-      job.attr_weights.push_back(w.number_value());
+      job.config.attr_weights.push_back(w.number_value());
     }
   }
   job.timeout_ms = params.GetInt("timeout_ms", 0);
@@ -512,7 +480,7 @@ std::string Server::HandleRegisterTable(const Request& request) {
         "params.csv and params.generalized_csv (strings) are required");
   }
   Result<ParsedTable> parsed = ParseCsvAndSpec(
-      csv->string_value(), params.GetString("spec", ""), &schemes_);
+      csv->string_value(), params.GetString("spec", ""), schemes_);
   if (!parsed.ok()) {
     return ErrorResponse(request.id, ErrorCode::kInvalidParams,
                          parsed.status().ToString());

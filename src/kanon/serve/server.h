@@ -35,8 +35,8 @@ struct ServerOptions {
   /// After drain completes, how long existing connections may linger (e.g.
   /// to fetch a result that finished during drain) before being severed.
   int64_t drain_grace_ms = 5000;
-  /// Observability sinks (not owned, may be null). They are also handed
-  /// to the JobManager unless options.jobs names its own.
+  /// Observability sinks (not owned, may be null), shared with the
+  /// JobManager.
   Logger* logger = nullptr;
   FlightRecorder* flight = nullptr;
   JobManagerOptions jobs;
@@ -46,7 +46,7 @@ struct ServerOptions {
 /// JSON frames (docs/serving.md). One OS thread per connection (the
 /// protocol is request/response, connections are few and long-lived), one
 /// bounded JobManager pool for the write path, and lock-free reads of the
-/// shared hot state (scheme cache, loss memo, published tables) for the
+/// shared hot state (scheme cache, published tables) for the
 /// fast query path.
 ///
 /// Lifecycle: Start() binds and listens; Run() serves until

@@ -2,6 +2,7 @@
 
 #include <fstream>
 #include <functional>
+#include <iomanip>
 #include <map>
 #include <sstream>
 #include <utility>
@@ -42,7 +43,8 @@ bool MethodComposes(AnonymizationMethod method) {
 /// Everything that must match between the run that wrote a work dir and
 /// the run trying to resume it. The thread count is deliberately absent:
 /// output is thread-count invariant (docs/parallelism.md), so a resume may
-/// use a different --threads.
+/// use a different --threads. Weights are appended only when set, so an
+/// unweighted work dir keeps the fingerprint it was written with.
 std::string FingerprintOf(const AnonymizerConfig& base,
                           const LossMeasure& measure, size_t num_shards,
                           size_t prefix) {
@@ -51,6 +53,12 @@ std::string FingerprintOf(const AnonymizerConfig& base,
       << ";distance=" << static_cast<int>(base.distance)
       << ";measure=" << measure.name() << ";shards=" << num_shards
       << ";prefix=" << prefix;
+  if (!base.attr_weights.empty()) {
+    out << ";weights=" << std::setprecision(17);
+    for (size_t j = 0; j < base.attr_weights.size(); ++j) {
+      out << (j == 0 ? "" : ",") << base.attr_weights[j];
+    }
+  }
   return out.str();
 }
 

@@ -5,7 +5,7 @@
 // same pipelines, not a reimplementation. On top of byte-identity, the
 // read path (verify/attack against published tables) must answer the
 // paper's Definition 4.1/4.4 checks and the Section IV-A match-reduction
-// attack, and the hot-state caches must actually hit on resubmission.
+// attack, and the scheme cache must actually hit on resubmission.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -216,7 +216,52 @@ TEST(ServeE2eTest, TraceIsFetchableAsSoonAsPollSaysDone) {
   }
 }
 
-TEST(ServeE2eTest, ResubmissionHitsSchemeAndLossCaches) {
+TEST(ServeE2eTest, FailedVerificationFailsTheJobAndPublishesNothing) {
+  // No engine emits a table that violates its notion, so the serve.verify
+  // failpoint stands in for a violation: the job must end `failed`, with
+  // nothing fetchable, nothing registered and the failure flight-recorded.
+  TestServer server({{}, {{"KANON_FAILPOINTS", "serve.verify"}}});
+  Client client = server.Connect();
+  Json submit_params = Json::Object();
+  submit_params.Set("publish_as", Json::Str("unverified"));
+  const uint64_t job_id =
+      SubmitJob(client, SyntheticCsv(24), 2, std::move(submit_params));
+  Json final_state = testing::Unwrap(client.WaitJob(job_id));
+  EXPECT_EQ(final_state.GetString("state", ""), "failed")
+      << final_state.Dump();
+  EXPECT_NE(final_state.GetString("error", "").find("'serve.verify'"),
+            std::string::npos)
+      << final_state.Dump();
+
+  Json fetch = Json::Object();
+  fetch.Set("job_id", Json::Number(static_cast<int64_t>(job_id)));
+  EXPECT_FALSE(client.Call("fetch", std::move(fetch)).ok());
+  Json verify = Json::Object();
+  verify.Set("table", Json::Str("unverified"));
+  verify.Set("k", Json::Number(int64_t{2}));
+  Json response = testing::Unwrap(client.CallRaw("verify", std::move(verify)));
+  const Json* error = response.Find("error");
+  ASSERT_NE(error, nullptr) << response.Dump();
+  EXPECT_EQ(error->GetString("code", ""), "not_found");
+
+  Json metrics = testing::Unwrap(client.Call("metrics", Json::Object()));
+  const Json* counters = metrics.Find("counters");
+  ASSERT_NE(counters, nullptr);
+  EXPECT_EQ(counters->GetInt("serve.jobs_failed", -1), 1);
+  EXPECT_EQ(counters->GetInt("serve.jobs_completed", -1), 0);
+
+  Json flight =
+      testing::Unwrap(client.Call("flight_recorder", Json::Object()));
+  const Json* events = flight.Find("events");
+  ASSERT_NE(events, nullptr);
+  bool saw_failed = false;
+  for (const Json& event : events->array_items()) {
+    saw_failed |= event.GetString("event", "") == "job.failed";
+  }
+  EXPECT_TRUE(saw_failed);
+}
+
+TEST(ServeE2eTest, ResubmissionHitsSchemeCache) {
   TestServer server;
   Client client = server.Connect();
   const std::string csv = SyntheticCsv(20);
@@ -227,7 +272,6 @@ TEST(ServeE2eTest, ResubmissionHitsSchemeAndLossCaches) {
   const Json* counters = metrics.Find("counters");
   ASSERT_NE(counters, nullptr);
   EXPECT_GE(counters->GetInt("serve.scheme_cache_hits", -1), 1);
-  EXPECT_GE(counters->GetInt("serve.loss_cache_hits", -1), 1);
   EXPECT_EQ(counters->GetInt("serve.jobs_completed", -1), 2);
 }
 

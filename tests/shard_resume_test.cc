@@ -168,6 +168,16 @@ TEST_F(ShardResumeTest, ResumeRejectsMismatchedConfigurationOrInput) {
   ASSERT_FALSE(wrong_k.ok());
   EXPECT_EQ(wrong_k.status().code(), StatusCode::kInvalidArgument);
 
+  // Attribute weights: they change every shard's table, so a resume under
+  // other weights must not republish the old checkpoints.
+  AnonymizerConfig weighted = Config(1);
+  weighted.attr_weights.assign(dataset_->num_attributes(), 1.0);
+  weighted.attr_weights[0] = 5.0;
+  const auto wrong_weights = shard::ShardedAnonymize(
+      *dataset_, scheme_, EntropyMeasure(), weighted, Options(dir, true));
+  ASSERT_FALSE(wrong_weights.ok());
+  EXPECT_EQ(wrong_weights.status().code(), StatusCode::kInvalidArgument);
+
   // Different input data: the input checksum no longer matches.
   const Dataset other_data = SmallRandomDataset(*scheme_, 60, 78);
   const auto wrong_input = shard::ShardedAnonymize(

@@ -606,6 +606,27 @@ TEST(TelemetryDeterminismTest, LaneZeroSpansAndMetricsIdenticalAcrossThreads) {
   }
 }
 
+TEST(TelemetryDeterminismTest, RunsSharingARegistryAddUpTheirCounters) {
+  // kanond and the sharded driver publish every run into one registry, so
+  // its engine.* and run.* counters must sum the runs, not keep the last.
+  const auto scheme = SmallScheme();
+  const Dataset d = SmallRandomDataset(*scheme, 60, 11);
+  const PrecomputedLoss loss(scheme, d, EntropyMeasure());
+  MetricsRegistry metrics;
+  AnonymizerConfig config;
+  config.k = 3;
+  config.metrics = &metrics;
+  const AnonymizationResult first = Unwrap(Anonymize(d, loss, config));
+  ASSERT_GT(first.counters.merges, 0u);
+  EXPECT_EQ(metrics.GetCounter("engine.merges")->value(),
+            first.counters.merges);
+  EXPECT_EQ(metrics.GetCounter("run.rows")->value(), d.num_rows());
+  Unwrap(Anonymize(d, loss, config));
+  EXPECT_EQ(metrics.GetCounter("engine.merges")->value(),
+            2 * first.counters.merges);
+  EXPECT_EQ(metrics.GetCounter("run.rows")->value(), 2 * d.num_rows());
+}
+
 TEST(TelemetryDeterminismTest, WorkerLanesAppearUnderParallelRuns) {
   const auto scheme = SmallScheme();
   const Dataset d = SmallRandomDataset(*scheme, 200, 11);

@@ -1,9 +1,9 @@
 // kanond: the k-anonymization service daemon (docs/serving.md).
 //
-// Loads nothing per request: parsed generalization hierarchies, precomputed
-// loss tables and published tables stay resident across requests, while the
-// bounded job queue and worker pool run the existing pipelines under
-// per-request deadlines forked from the server's own budget. SIGTERM (or
+// Parsed generalization hierarchies and published tables stay resident
+// across requests, while the bounded job queue and worker pool run the
+// existing pipelines under per-request deadlines forked from the server's
+// own budget and verify each table before it is published. SIGTERM (or
 // the `shutdown` method) drains gracefully: every admitted job completes,
 // connected clients get a grace window to collect results, then the process
 // exits 0.
