@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 #include <utility>
 
 #include "kanon/algo/core/closure_store.h"
 #include "kanon/common/check.h"
+#include "kanon/common/distinct_rows.h"
 #include "kanon/common/failpoint.h"
 #include "kanon/common/parallel.h"
 #include "kanon/generalization/consistency_index.h"
@@ -105,12 +107,13 @@ GeneralizedTable SuppressKRows(const PrecomputedLoss& loss, size_t k,
 
 // Post-emit telemetry shared by the (k,1) sweeps: one interning pass over
 // the finished table counts its distinct closures (hits = duplicate rows,
-// deterministic at every thread count because the rows are), plus the sweep
-// geometry. Pure accounting — the table is returned untouched.
+// deterministic at every thread count because the rows are), plus the
+// chunks the stage's sweeps ran. Pure accounting — the table is returned
+// untouched.
 void AccountSweep(const PrecomputedLoss& loss, const GeneralizedTable& table,
-                  size_t sweep_items, EngineCounters* counters) {
+                  size_t chunks, EngineCounters* counters) {
   if (counters == nullptr) return;
-  counters->parallel_chunks += ParallelChunkCount(sweep_items);
+  counters->parallel_chunks += chunks;
   PhaseSpan span(CurrentTracer(), "kk/closure-intern");
   span.set_items(table.num_rows());
   ClosureStore store(loss);
@@ -185,7 +188,7 @@ Result<GeneralizedTable> K1NearestNeighbors(const Dataset& dataset,
     table = EmitWithSuppressedHoles(scheme, "kk/k1-nn", ctx, std::move(rows),
                                     done, std::move(table));
   }
-  AccountSweep(loss, table, n, counters);
+  AccountSweep(loss, table, ParallelChunkCount(n), counters);
   return table;
 }
 
@@ -200,94 +203,123 @@ Result<GeneralizedTable> K1GreedyExpansion(const Dataset& dataset,
   const size_t n = dataset.num_rows();
   const size_t r = dataset.num_attributes();
 
-  // Like K1NearestNeighbors, each record grows its cluster independently;
-  // the whole greedy expansion of record i is one parallel item.
+  // Record i's cluster always holds exactly the rows its closure C covers
+  // (capped at k), so its expansion is a function of C alone: C is final
+  // once it covers k rows, and otherwise grows to C ⊔ R_best, R_best being
+  // the uncovered row with the smallest c(C ⊔ R_j) − c(C) (strict <,
+  // ascending j). Records whose chains meet share the rest of the work, so
+  // the expansion runs once per distinct closure, level by level: each
+  // level prices its frontier in one parallel sweep, then interns the
+  // successors serially in frontier order — closure ids, and with them the
+  // next frontier, do not depend on the thread count.
   const LossKernels kernels(dataset, loss);
-  std::vector<GeneralizedRecord> rows(n);
-  std::vector<uint8_t> done(n, 0);
-  std::vector<Status> errors(ParallelChunkCount(n));
-  const SweepStatus sweep = ParallelChunks(
-      n, num_threads, ctx, "kk/k1-greedy",
-      [&](size_t chunk, size_t begin, size_t end) {
-        std::vector<bool> in_cluster(n, false);
-        std::vector<uint8_t> covered(n);
-        std::vector<double> joined(n);
-        for (size_t i = begin; i < end; ++i) {
-          if (failpoint::AnyArmed()) {
-            Status s = failpoint::Check("kk.closure");
-            if (!s.ok()) {
-              errors[chunk] = std::move(s);
-              return;
-            }
-          }
-          GeneralizedRecord closure =
-              scheme.Identity(dataset.row_view(i));
-          double closure_cost = loss.RecordCost(closure);
-          size_t cluster_size = 1;
-          in_cluster.assign(n, false);
-          in_cluster[i] = true;
+  const RowCoverIndex cover(dataset, scheme);
+  RowInterner closures(r);
+  std::vector<uint32_t> start(n);
+  for (size_t i = 0; i < n; ++i) {
+    start[i] = closures.Intern(scheme.Identity(dataset.row_view(i)).data());
+  }
+  // link[id]: the successor of closure id, id itself once final, or
+  // kPending while its step has not run.
+  constexpr uint32_t kPending = std::numeric_limits<uint32_t>::max();
+  std::vector<uint32_t> link(closures.size(), kPending);
+  std::vector<uint32_t> frontier(closures.size());
+  std::iota(frontier.begin(), frontier.end(), 0u);
 
-          while (cluster_size < k) {
-            // One scan per closure change. Records already inside the
-            // closure cost nothing to add; absorb them greedily up to k.
-            // Coverage and joined costs depend only on the (fixed) closure,
-            // so two columnar sweeps precompute them and the sequential
-            // replay below makes exactly the decisions of the scalar scan.
-            kernels.CoverageSweep(closure, covered.data());
+  enum Step : uint8_t { kNotRun, kFinal, kGrown };
+  std::vector<Step> steps;
+  std::vector<SetId> grown;  // Successor of frontier item f at f * r.
+  std::vector<uint32_t> next;
+  size_t chunks_run = 0;
+  while (!frontier.empty()) {
+    const size_t m = frontier.size();
+    steps.assign(m, kNotRun);
+    grown.resize(m * r);
+    std::vector<Status> errors(ParallelChunkCount(m));
+    std::vector<uint8_t> chunk_ran(errors.size(), 0);
+    const SweepStatus sweep = ParallelChunks(
+        m, num_threads, ctx, "kk/k1-greedy",
+        [&](size_t chunk, size_t begin, size_t end) {
+          chunk_ran[chunk] = 1;
+          GeneralizedRecord closure(r);
+          std::vector<uint64_t> covered(cover.num_words());
+          std::vector<double> joined(n);
+          for (size_t f = begin; f < end; ++f) {
+            if (failpoint::AnyArmed()) {
+              Status s = failpoint::Check("kk.closure");
+              if (!s.ok()) {
+                errors[chunk] = std::move(s);
+                return;
+              }
+            }
+            const SetId* c = closures.row(frontier[f]);
+            if (cover.Covered(c, covered.data()) >= k) {
+              steps[f] = kFinal;
+              continue;
+            }
+            closure.assign(c, c + r);
+            const double closure_cost = loss.RecordCost(closure);
             kernels.JoinedCostSweep(closure, joined.data());
             uint32_t best = std::numeric_limits<uint32_t>::max();
             double best_delta = std::numeric_limits<double>::infinity();
-            bool absorbed_free = false;
-            for (uint32_t j = 0; j < n && cluster_size < k; ++j) {
-              if (in_cluster[j]) continue;
-              if (covered[j]) {
-                // dist(S_i, R_j) = d(S_i ∪ {R_j}) − d(S_i) = 0: minimal.
-                in_cluster[j] = true;
-                ++cluster_size;
-                absorbed_free = true;
-                continue;
-              }
-              // dist(S_i, R_j) = d(S_i ∪ {R_j}) − d(S_i).
+            for (uint32_t j = 0; j < n; ++j) {
+              if (ConsistencyIndex::Has(covered.data(), j)) continue;
+              // dist(S, R_j) = d(S ∪ {R_j}) − d(S).
               const double delta = joined[j] - closure_cost;
               if (delta < best_delta) {
                 best_delta = delta;
                 best = j;
               }
             }
-            if (cluster_size >= k) break;
-            if (absorbed_free) {
-              // Cluster grew without changing the closure; candidates from
-              // this scan remain valid, but rescanning keeps the code simple
-              // and the work is bounded by k scans per record.
-              continue;
-            }
-            KANON_CHECK(
-                best != std::numeric_limits<uint32_t>::max(),
-                "expansion must find a record while cluster_size < k <= n");
-            in_cluster[best] = true;
-            ++cluster_size;
+            KANON_CHECK(best != std::numeric_limits<uint32_t>::max(),
+                        "expansion must find a record while fewer than "
+                        "k <= n rows are covered");
+            SetId* out = grown.data() + f * r;
             for (size_t a = 0; a < r; ++a) {
-              closure[a] = scheme.hierarchy(a).JoinValue(closure[a],
-                                                         dataset.at(best, a));
+              out[a] = scheme.hierarchy(a).JoinValue(closure[a],
+                                                     dataset.at(best, a));
             }
-            closure_cost = loss.RecordCost(closure);
+            steps[f] = kGrown;
           }
-          rows[i] = std::move(closure);
-          done[i] = 1;
-        }
-      });
-  KANON_RETURN_NOT_OK(FirstError(std::move(errors)));
-
-  GeneralizedTable table(loss.scheme_ptr());
-  if (sweep.completed) {
-    for (size_t i = 0; i < n; ++i) {
-      table.AppendRecord(std::move(rows[i]));
+        });
+    KANON_RETURN_NOT_OK(FirstError(std::move(errors)));
+    for (uint8_t ran : chunk_ran) chunks_run += ran;
+    next.clear();
+    for (size_t f = 0; f < m; ++f) {
+      if (steps[f] == kNotRun) continue;
+      const uint32_t id = frontier[f];
+      if (steps[f] == kFinal) {
+        link[id] = id;
+        continue;
+      }
+      bool fresh = false;
+      link[id] = closures.Intern(grown.data() + f * r, &fresh);
+      if (fresh) {
+        link.push_back(kPending);
+        next.push_back(link[id]);
+      }
     }
-  } else {
-    table = EmitWithSuppressedHoles(scheme, "kk/k1-greedy", ctx,
-                                    std::move(rows), done, std::move(table));
+    if (!sweep.completed) break;
+    frontier.swap(next);
   }
-  AccountSweep(loss, table, n, counters);
+
+  // Each record publishes the final closure at the end of its chain; a
+  // chain cut by a stop ends at a pending closure and is suppressed.
+  std::vector<GeneralizedRecord> rows(n);
+  std::vector<uint8_t> done(n, 0);
+  for (size_t i = 0; i < n; ++i) {
+    uint32_t id = start[i];
+    while (link[id] != kPending && link[id] != id) id = link[id];
+    if (link[id] == id) {
+      const SetId* c = closures.row(id);
+      rows[i].assign(c, c + r);
+      done[i] = 1;
+    }
+  }
+  GeneralizedTable table = EmitWithSuppressedHoles(
+      scheme, "kk/k1-greedy", ctx, std::move(rows), done,
+      GeneralizedTable(loss.scheme_ptr()));
+  AccountSweep(loss, table, chunks_run, counters);
   return table;
 }
 

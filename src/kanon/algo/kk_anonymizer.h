@@ -20,9 +20,10 @@ namespace kanon {
 ///
 /// The (k,1) functions take `num_threads` (<= 0 resolves to the hardware
 /// concurrency) for their row-wise O(n²·r) scans; results are
-/// byte-identical at every thread count (see docs/parallelism.md). The optional `counters`
-/// (not owned) accumulates engine telemetry — closure interning hit rates,
-/// upgrade steps, sweep chunks — also deterministic at every thread count.
+/// byte-identical at every thread count (see docs/parallelism.md). The
+/// optional `counters` (not owned) accumulates engine telemetry — closure
+/// interning hit rates, upgrade steps, sweep chunks — also deterministic at
+/// every thread count.
 Result<GeneralizedTable> K1NearestNeighbors(const Dataset& dataset,
                                             const PrecomputedLoss& loss,
                                             size_t k,
@@ -34,7 +35,11 @@ Result<GeneralizedTable> K1NearestNeighbors(const Dataset& dataset,
 /// a cluster of size k by repeatedly adding the record whose inclusion
 /// increases the closure cost the least. No approximation guarantee, but
 /// consistently better than Algorithm 3 in the paper's experiments.
-/// O(k·n²·r) worst case.
+/// O(k·n²·r) worst case. A record's expansion depends only on its current
+/// closure, so each step runs once per distinct closure, not per record:
+/// level by level over a frontier of closures, with coverage from a
+/// RowCoverIndex. A stop between levels suppresses the records whose
+/// closures were still growing.
 Result<GeneralizedTable> K1GreedyExpansion(const Dataset& dataset,
                                            const PrecomputedLoss& loss,
                                            size_t k,

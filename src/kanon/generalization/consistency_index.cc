@@ -1,6 +1,7 @@
 #include "kanon/generalization/consistency_index.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "kanon/common/check.h"
 
@@ -53,6 +54,52 @@ size_t ConsistencyIndex::Consistent(RowView record, uint64_t* mask) const {
     std::fill(mask, mask + num_words_, ~uint64_t{0});
     if (num_rows_ % 64 != 0) {
       mask[num_words_ - 1] = (uint64_t{1} << (num_rows_ % 64)) - 1;
+    }
+  }
+  size_t count = 0;
+  for (size_t w = 0; w < num_words_; ++w) count += std::popcount(mask[w]);
+  return count;
+}
+
+RowCoverIndex::RowCoverIndex(const Dataset& dataset,
+                             const GeneralizationScheme& scheme)
+    : num_words_((dataset.num_rows() + 63) / 64) {
+  const size_t n = dataset.num_rows();
+  const size_t r = scheme.num_attributes();
+  KANON_CHECK(dataset.num_attributes() == r, "dataset/scheme arity mismatch");
+  offsets_.assign(r + 1, 0);
+  for (size_t j = 0; j < r; ++j) {
+    offsets_[j + 1] = offsets_[j] + scheme.hierarchy(j).num_sets();
+  }
+  bits_.assign(offsets_[r] * num_words_, 0);
+  std::vector<uint8_t> in_set;
+  for (size_t j = 0; j < r; ++j) {
+    const Hierarchy& h = scheme.hierarchy(j);
+    const ValueCode* column = dataset.column(j);
+    in_set.resize(h.domain_size());
+    for (SetId s = 0; s < h.num_sets(); ++s) {
+      for (ValueCode v = 0; v < h.domain_size(); ++v) {
+        in_set[v] = h.Contains(s, v) ? 1 : 0;
+      }
+      uint64_t* bits = bits_.data() + (offsets_[j] + s) * num_words_;
+      for (size_t t = 0; t < n; ++t) {
+        bits[t >> 6] |= uint64_t{in_set[column[t]]} << (t & 63);
+      }
+    }
+  }
+}
+
+size_t RowCoverIndex::Covered(const SetId* record, uint64_t* mask) const {
+  const size_t r = offsets_.size() - 1;
+  KANON_DCHECK(r > 0);
+  for (size_t j = 0; j < r; ++j) {
+    KANON_DCHECK(offsets_[j] + record[j] < offsets_[j + 1]);
+    const uint64_t* bits =
+        bits_.data() + (offsets_[j] + record[j]) * num_words_;
+    if (j == 0) {
+      std::copy(bits, bits + num_words_, mask);
+    } else {
+      for (size_t w = 0; w < num_words_; ++w) mask[w] &= bits[w];
     }
   }
   size_t count = 0;

@@ -29,11 +29,10 @@ LossKernels::LossKernels(const Dataset& dataset, const PrecomputedLoss& loss)
 
 namespace {
 
-// Per-thread scratch for the per-value gather tables, grown to the largest
+// Per-thread scratch for the per-value gather table, grown to the largest
 // domain the thread has seen: a warm sweep allocates nothing.
-template <typename T>
-T* ScratchTable(size_t size) {
-  thread_local std::vector<T> table;
+double* ScratchTable(size_t size) {
+  thread_local std::vector<double> table;
   if (table.size() < size) table.resize(size);
   return table.data();
 }
@@ -45,7 +44,7 @@ void LossKernels::AddJoinedCosts(const AttrTables& a, const SetId* join_row,
   // One cost per domain value, then one gather per row: the values and the
   // ascending-attribute add order of costs[join_row[leaf[col[v]]]], so the
   // same bits.
-  double* cost = ScratchTable<double>(a.domain_size);
+  double* cost = ScratchTable(a.domain_size);
   for (size_t v = 0; v < a.domain_size; ++v) {
     cost[v] = a.costs[join_row[a.leaf[v]]];
   }
@@ -77,26 +76,6 @@ void LossKernels::JoinedCostSweep(const GeneralizedRecord& closure,
   }
   for (size_t v = 0; v < n_; ++v) {
     out[v] /= r_as_double_;
-  }
-}
-
-void LossKernels::CoverageSweep(const GeneralizedRecord& closure,
-                                uint8_t* covered) const {
-  KANON_DCHECK(closure.size() == attrs_.size());
-  std::fill(covered, covered + n_, uint8_t{1});
-  for (size_t j = 0; j < attrs_.size(); ++j) {
-    const AttrTables& a = attrs_[j];
-    const SetId cj = closure[j];
-    const SetId* join_row = a.join + static_cast<size_t>(cj) * a.num_sets;
-    // Value v ∈ closure[j] iff joining it changes nothing (lattice
-    // containment); one 0/1 entry per domain value, one gather per row.
-    uint8_t* in_closure = ScratchTable<uint8_t>(a.domain_size);
-    for (size_t v = 0; v < a.domain_size; ++v) {
-      in_closure[v] = static_cast<uint8_t>(join_row[a.leaf[v]] == cj);
-    }
-    for (size_t v = 0; v < n_; ++v) {
-      covered[v] &= in_closure[a.col[v]];
-    }
   }
 }
 

@@ -40,11 +40,6 @@ class LossKernels {
   /// absorbing row v into this cluster closure" scan.
   void JoinedCostSweep(const GeneralizedRecord& closure, double* out) const;
 
-  /// covered[v] = 1 iff `closure` is already consistent with R_v (the join
-  /// with R_v changes nothing in any attribute), else 0.
-  void CoverageSweep(const GeneralizedRecord& closure,
-                     uint8_t* covered) const;
-
   /// Single-row joined cost c(closure + R_row) through the raw tables;
   /// identical arithmetic to the sweep.
   double JoinedCost(const GeneralizedRecord& closure, uint32_t row) const;

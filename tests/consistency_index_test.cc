@@ -175,5 +175,49 @@ TEST(ConsistencyIndexTest, EmptyTable) {
   EXPECT_EQ(graph.num_edges(), 0u);
 }
 
+// RowCoverIndex, the dual query, against GeneralizationScheme::Consistent:
+// for identity, suppressed and closure records, the covered rows, their
+// count and clear padding bits.
+void ExpectCoverMatchesScalar(const Dataset& d,
+                              const GeneralizationScheme& scheme,
+                              uint64_t seed, const std::string& name) {
+  const size_t n = d.num_rows();
+  const RowCoverIndex cover(d, scheme);
+  ASSERT_EQ(cover.num_words(), (n + 63) / 64);
+  Rng rng(seed);
+  std::vector<GeneralizedRecord> records = {scheme.Suppressed()};
+  for (size_t q = 0; q < 24; ++q) {
+    std::vector<uint32_t> rows(1 + q % 4);
+    for (uint32_t& row : rows) row = rng.NextBounded(n);
+    records.push_back(scheme.ClosureOfRows(d, rows));
+  }
+  std::vector<uint64_t> mask(cover.num_words());
+  for (size_t q = 0; q < records.size(); ++q) {
+    const size_t count = cover.Covered(records[q].data(), mask.data());
+    size_t expected = 0;
+    for (uint32_t t = 0; t < n; ++t) {
+      const bool consistent = scheme.Consistent(d.row_view(t), records[q]);
+      expected += consistent ? 1 : 0;
+      ASSERT_EQ(ConsistencyIndex::Has(mask.data(), t), consistent)
+          << name << " record " << q << " row " << t;
+    }
+    EXPECT_EQ(count, expected) << name << " record " << q;
+    if (n % 64 != 0) {
+      EXPECT_EQ(mask.back() >> (n % 64), 0u) << name << " record " << q;
+    }
+  }
+}
+
+TEST(ConsistencyIndexTest, RowCoverMatchesScalarConsistency) {
+  for (size_t n : kSizes) {
+    const Workload art = Unwrap(MakeArtWorkload(n, 4000 + n));
+    ExpectCoverMatchesScalar(art.dataset, *art.scheme, n,
+                             "ART n=" + std::to_string(n));
+    const Workload adult = Unwrap(MakeAdultWorkload(n, 5000 + n));
+    ExpectCoverMatchesScalar(adult.dataset, *adult.scheme, n,
+                             "Adult n=" + std::to_string(n));
+  }
+}
+
 }  // namespace
 }  // namespace kanon

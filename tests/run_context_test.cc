@@ -13,6 +13,7 @@
 #include "kanon/anonymity/verify.h"
 #include "kanon/common/failpoint.h"
 #include "kanon/common/run_context.h"
+#include "kanon/datasets/art.h"
 #include "kanon/loss/entropy_measure.h"
 #include "test_util.h"
 
@@ -352,6 +353,56 @@ TEST_F(ClosureFailpointTest, SkipCountDelaysInjection) {
   // Skip past every hit and the run succeeds.
   failpoint::Arm("agglomerative.closure", /*after=*/1000000);
   EXPECT_TRUE(Anonymize(d, loss, config).ok());
+}
+
+// Algorithm 4 advances level by level, one step per level. A step budget
+// that stops it between levels must still give a (k,1)-anonymous table:
+// every record whose closure was final by then publishes exactly the
+// closure of an unbounded run, and every other record is fully suppressed
+// and counted. The cut is between sweeps, so the table is the same at every
+// thread count.
+TEST(RunContextTest, GreedyExpansionStoppedBetweenLevelsKeepsFinishedRows) {
+  const Workload w = Unwrap(MakeArtWorkload(120, 19));
+  const PrecomputedLoss loss(w.scheme, w.dataset, EntropyMeasure());
+  const size_t k = 10;
+  const GeneralizedRecord star = w.scheme->Suppressed();
+  const GeneralizedTable full =
+      Unwrap(K1GreedyExpansion(w.dataset, loss, k));
+  bool saw_mixed = false;
+  for (size_t budget = 1;; ++budget) {
+    ASSERT_LT(budget, 64u) << "the expansion never finished";
+    std::vector<GeneralizedTable> tables;
+    RunStats last;
+    for (int threads : {1, 4}) {
+      RunContext ctx;
+      ctx.set_step_budget(budget);
+      tables.push_back(
+          Unwrap(K1GreedyExpansion(w.dataset, loss, k, &ctx, threads)));
+      last = ctx.stats();
+    }
+    const GeneralizedTable& table = tables[0];
+    EXPECT_TRUE(tables[1] == table) << "budget " << budget;
+    EXPECT_TRUE(Unwrap(IsK1Anonymous(w.dataset, table, k)))
+        << "budget " << budget;
+    size_t finished = 0;
+    size_t suppressed = 0;
+    for (size_t i = 0; i < table.num_rows(); ++i) {
+      if (table.record(i) == full.record(i)) {
+        ++finished;
+      } else {
+        EXPECT_EQ(table.record(i), star) << "budget " << budget << " row " << i;
+        ++suppressed;
+      }
+    }
+    EXPECT_EQ(last.records_suppressed, suppressed);
+    if (!last.degraded) {
+      EXPECT_EQ(suppressed, 0u);
+      break;
+    }
+    EXPECT_EQ(last.degraded_stage, "kk/k1-greedy");
+    if (finished > 0 && suppressed > 0) saw_mixed = true;
+  }
+  EXPECT_TRUE(saw_mixed) << "no budget stopped the expansion between levels";
 }
 
 // Regression for the degraded-accounting bug: the wholesale (1,k) fallback
