@@ -31,7 +31,6 @@
 
 #include "bench_common.h"
 #include "kanon/algo/agglomerative.h"
-#include "kanon/algo/core/closure_store.h"
 #include "kanon/algo/distance.h"
 #include "kanon/algo/kk_anonymizer.h"
 #include "kanon/algo/policy.h"
@@ -393,16 +392,17 @@ KernelTiming BenchDistanceDispatch(const std::vector<double>& single_costs,
 }
 
 // Clusters shaped like the agglomerative engine's mid-run state: closures
-// of 1-12 random rows, interned in creation order into one ClosureStore
-// (so the store's records sit in scattered map nodes, as in a run).
+// of 1-12 random rows in creation order, each both as its own heap record
+// (scattered allocations, as the engine's closures once were) and as a row
+// of one flat array.
 struct ClusterClosures {
-  std::vector<ClosureStore::Id> ids;  // Cluster -> stored closure.
-  std::vector<SetId> rows;            // Cluster -> its closure, flat.
+  std::vector<GeneralizedRecord> records;  // Cluster -> its own record.
+  std::vector<SetId> rows;                 // Cluster -> its closure, flat.
 };
 
 ClusterClosures MakeClusterClosures(const Dataset& dataset,
                                     const GeneralizationScheme& scheme,
-                                    ClosureStore* store, size_t clusters) {
+                                    size_t clusters) {
   const size_t n = dataset.num_rows();
   const size_t r = scheme.num_attributes();
   ClusterClosures out;
@@ -417,10 +417,8 @@ ClusterClosures MakeClusterClosures(const Dataset& dataset,
   for (size_t c = 0; c < clusters; ++c) {
     members.assign(1 + next() % 12, 0);
     for (uint32_t& row : members) row = static_cast<uint32_t>(next() % n);
-    const ClosureStore::Id id =
-        store->Intern(scheme.ClosureOfRows(dataset, members));
-    out.ids.push_back(id);
-    const GeneralizedRecord& record = store->record(id);
+    out.records.push_back(scheme.ClosureOfRows(dataset, members));
+    const GeneralizedRecord& record = out.records.back();
     out.rows.insert(out.rows.end(), record.begin(), record.begin() + r);
   }
   return out;
@@ -428,22 +426,20 @@ ClusterClosures MakeClusterClosures(const Dataset& dataset,
 
 // --- Kernel 6: d(A ∪ X) of one cluster against every cluster, the pricing
 // step of the agglomerative repair pass and rescans. Legacy: each closure
-// read through the ClosureStore (id -> record pointer -> map node -> vector
-// data), as the engine did. Columnar: the flat per-cluster rows the engine
+// read through its own heap record (vector -> data), as the engine did
+// before it kept flat rows. Columnar: the flat per-cluster rows the engine
 // keeps now. Same kernel, same arithmetic; only the row source differs.
 KernelTiming BenchUnionSweep(const Dataset& dataset,
                              const GeneralizationScheme& scheme,
-                             const PrecomputedLoss& loss,
                              const LossKernels& kernels, int reps) {
   constexpr size_t kClusters = 8000;
   constexpr size_t kAnchors = 64;
   const size_t r = scheme.num_attributes();
-  ClosureStore store(loss);
   const ClusterClosures clusters =
-      MakeClusterClosures(dataset, scheme, &store, kClusters);
-  const auto via_store = [&](size_t a, size_t x) {
-    return kernels.UnionCost(store.record(clusters.ids[a]).data(),
-                             store.record(clusters.ids[x]).data());
+      MakeClusterClosures(dataset, scheme, kClusters);
+  const auto via_records = [&](size_t a, size_t x) {
+    return kernels.UnionCost(clusters.records[a].data(),
+                             clusters.records[x].data());
   };
   const auto via_rows = [&](size_t a, size_t x) {
     return kernels.UnionCost(clusters.rows.data() + a * r,
@@ -451,8 +447,8 @@ KernelTiming BenchUnionSweep(const Dataset& dataset,
   };
   for (size_t a = 0; a < kClusters; a += 97) {
     for (size_t x = 0; x < kClusters; ++x) {
-      KANON_CHECK(via_store(a, x) == via_rows(a, x),
-                  "flat closure rows diverged from the ClosureStore path");
+      KANON_CHECK(via_records(a, x) == via_rows(a, x),
+                  "flat closure rows diverged from the per-record path");
     }
   }
 
@@ -467,7 +463,7 @@ KernelTiming BenchUnionSweep(const Dataset& dataset,
     }
     g_sink += sink;
   };
-  t.legacy_ns = TimeNs(reps, [&] { sweep(via_store); });
+  t.legacy_ns = TimeNs(reps, [&] { sweep(via_records); });
   t.columnar_ns = TimeNs(reps, [&] { sweep(via_rows); });
   return t;
 }
@@ -530,15 +526,13 @@ struct SweepTiming {
 
 std::vector<SweepTiming> BenchSweepDispatch(
     const Dataset& dataset, const GeneralizationScheme& scheme,
-    const PrecomputedLoss& loss, const LossKernels& kernels, int reps) {
+    const LossKernels& kernels, int reps) {
   constexpr size_t kSweeps = 2000;
   const size_t grain = internal::kAgglomerativeCheapSweepGrain;
   const size_t r = scheme.num_attributes();
   std::vector<SweepTiming> out;
   for (size_t n : {512u, 2048u, 8000u}) {
-    ClosureStore store(loss);
-    const ClusterClosures clusters =
-        MakeClusterClosures(dataset, scheme, &store, n);
+    const ClusterClosures clusters = MakeClusterClosures(dataset, scheme, n);
     const SetId* rows = clusters.rows.data();
     std::vector<double> partials(ParallelChunkCount(n, grain));
     const auto items = [&](size_t anchor, size_t begin, size_t end) {
@@ -665,10 +659,10 @@ int Main(int argc, char** argv) {
     single_costs[i] = loss.RecordCost(singles[i]);
   }
   timings.push_back(BenchDistanceDispatch(single_costs, reps));
-  timings.push_back(BenchUnionSweep(w.dataset, scheme, loss, kernels, reps));
+  timings.push_back(BenchUnionSweep(w.dataset, scheme, kernels, reps));
   timings.push_back(BenchConsistencyGraph(w.dataset, loss, reps));
   const std::vector<SweepTiming> sweeps =
-      BenchSweepDispatch(w.dataset, scheme, loss, kernels, reps);
+      BenchSweepDispatch(w.dataset, scheme, kernels, reps);
 
   std::printf("micro_bench: ART n=%zu r=%zu, 1 thread, best of %d reps\n", n,
               scheme.num_attributes(), reps);

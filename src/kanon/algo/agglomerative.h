@@ -42,11 +42,10 @@ struct AgglomerativeOptions {
   /// 1 runs single-threaded. The clustering is byte-identical at every
   /// thread count (see docs/parallelism.md).
   int num_threads = 1;
-  /// Testing hooks for the stale-entry heap maintenance: check for a
+  /// Testing hook for the stale-entry heap maintenance: check for a
   /// rebuild on every stale entry instead of waiting for the half-stale
-  /// threshold, and observe how many rebuilds happened.
+  /// threshold (counters->heap_rebuilds counts them).
   bool aggressive_heap_rebuild = false;
-  size_t* heap_rebuilds_out = nullptr;
   /// Optional engine telemetry (merges, rescans, heap rebuilds, closure
   /// cache hits, parallel chunks). Not owned; accumulated into, never reset.
   /// Deterministic at every thread count.

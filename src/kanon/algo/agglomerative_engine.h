@@ -75,9 +75,6 @@ class AgglomerativeEngine {
     } else {
       DistributeLeftover();
     }
-    if (options_.heap_rebuilds_out != nullptr) {
-      *options_.heap_rebuilds_out = heap_.rebuilds();
-    }
     store_.ExportCounters(options_.counters);
     Clustering out;
     for (uint32_t id : final_) {
@@ -132,8 +129,8 @@ class AgglomerativeEngine {
     c.cost = store_.cost(closure);
     const size_t end = (static_cast<size_t>(id) + 1) * num_attrs_;
     if (rows_.size() < end) rows_.resize(std::max(end, 2 * rows_.size()));
-    const GeneralizedRecord& record = store_.record(closure);
-    std::copy(record.begin(), record.end(),
+    const SetId* row = store_.row(closure);
+    std::copy(row, row + num_attrs_,
               rows_.begin() + static_cast<ptrdiff_t>(end - num_attrs_));
   }
 
@@ -195,15 +192,19 @@ class AgglomerativeEngine {
       clusters_.Activate(clusters_.Add(std::move(single)));
     }
     // Singleton closures, O(n·r); items are disjoint slots. The raw
-    // closures land in a scratch array and intern serially after the
-    // barrier — ClosureStore is single-threaded by design, and the serial
-    // pass prices each distinct closure exactly once.
-    std::vector<GeneralizedRecord> raw(n);
+    // closures land in one flat n x r scratch array and intern serially
+    // after the barrier — ClosureStore is single-threaded by design, and the
+    // serial pass prices each distinct closure exactly once.
+    std::vector<SetId> raw(n * num_attrs_);
     CountChunks(n, kAgglomerativeCheapSweepGrain);
     const SweepStatus closures = ParallelFor(
         n, options_.num_threads, ctx_, "agglomerative/init",
         [&](size_t i) {
-          raw[i] = scheme_.Identity(dataset_.row_view(i));
+          const RowView row = dataset_.row_view(i);
+          SetId* out = raw.data() + i * num_attrs_;
+          for (size_t j = 0; j < num_attrs_; ++j) {
+            out[j] = scheme_.hierarchy(j).LeafOf(row[j]);
+          }
         },
         /*done=*/nullptr, kAgglomerativeCheapSweepGrain);
     // A stop here leaves the closures unset; the degraded wind-down pools
@@ -214,7 +215,7 @@ class AgglomerativeEngine {
       intern_span.set_items(n);
       rows_.reserve(2 * n * num_attrs_);
       for (uint32_t i = 0; i < n; ++i) {
-        SetClosure(i, store_.Intern(raw[i]));
+        SetClosure(i, store_.Intern(raw.data() + i * num_attrs_));
       }
     }
     raw.clear();
@@ -374,7 +375,7 @@ class AgglomerativeEngine {
       ejected.push_back(c.members[eject_pos]);
       c.members.erase(c.members.begin() +
                       static_cast<ptrdiff_t>(eject_pos));
-      SetClosure(id, store_.Intern(loo[eject_pos]));
+      SetClosure(id, store_.Intern(loo[eject_pos].data()));
     }
     return ejected;
   }
@@ -383,7 +384,8 @@ class AgglomerativeEngine {
     ClusterData single;
     single.members = {row};
     const uint32_t id = NewCluster(std::move(single));
-    SetClosure(id, store_.Intern(scheme_.Identity(dataset_.row_view(row))));
+    SetClosure(id,
+               store_.Intern(scheme_.Identity(dataset_.row_view(row)).data()));
     return id;
   }
 
@@ -429,15 +431,15 @@ class AgglomerativeEngine {
   // wind-down's straggler path.
   void AttachToNearestFinal(const std::vector<uint32_t>& leftover) {
     for (uint32_t row : leftover) {
-      const ClosureStore::Id single =
-          store_.Intern(scheme_.Identity(dataset_.row_view(row)));
-      const SetId* single_row = store_.record(single).data();
+      const GeneralizedRecord single_row =
+          scheme_.Identity(dataset_.row_view(row));
+      const ClosureStore::Id single = store_.Intern(single_row.data());
       size_t best_pos = 0;
       double best_dist = kInfDist;
       for (size_t pos = 0; pos < final_.size(); ++pos) {
         const ClusterData& target = clusters_.cluster(final_[pos]);
         const double d_union =
-            kernels_.UnionCost(single_row, Row(final_[pos]));
+            kernels_.UnionCost(single_row.data(), Row(final_[pos]));
         const double d = policy_.Distance(
             1, target.members.size(), target.members.size() + 1,
             store_.cost(single), target.cost, d_union);

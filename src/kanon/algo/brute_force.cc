@@ -176,7 +176,8 @@ Result<GeneralizedTable> OptimalK1BruteForce(const Dataset& dataset,
       const double cost = store.cost(closure);
       if (cost < best_cost) {
         best_cost = cost;
-        best_closure = store.record(closure);
+        best_closure.assign(store.row(closure),
+                            store.row(closure) + best_closure.size());
       }
     } while (NextCombination(&pick, m));
     table.AppendRecord(best_closure);

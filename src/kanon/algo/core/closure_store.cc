@@ -1,33 +1,31 @@
 #include "kanon/algo/core/closure_store.h"
 
-#include <utility>
-
 namespace kanon {
 
-ClosureStore::Id ClosureStore::Intern(const GeneralizedRecord& record) {
-  const auto it = index_.find(record);
-  if (it != index_.end()) {
+ClosureStore::Id ClosureStore::Intern(const SetId* record) {
+  bool fresh = false;
+  const Id id = rows_.Intern(record, &fresh);
+  if (fresh) {
+    costs_.push_back(loss_.RecordCost(record));
+  } else {
     ++hits_;
-    return it->second;
   }
-  const Id id = static_cast<Id>(records_.size());
-  KANON_CHECK(id != kInvalidId, "closure store exhausted its id space");
-  // Price before publishing: a failed RecordCost (DCHECK) must not leave a
-  // half-installed entry behind.
-  const double cost = loss_.RecordCost(record);
-  const auto inserted = index_.emplace(record, id);
-  records_.push_back(&inserted.first->first);
-  costs_.push_back(cost);
   return id;
 }
 
 ClosureStore::Id ClosureStore::InternJoin(Id a, Id b) {
-  return Intern(loss_.scheme().JoinRecords(record(a), record(b)));
+  const GeneralizationScheme& scheme = loss_.scheme();
+  const SetId* row_a = row(a);
+  const SetId* row_b = row(b);
+  for (size_t j = 0; j < joined_.size(); ++j) {
+    joined_[j] = scheme.hierarchy(j).Join(row_a[j], row_b[j]);
+  }
+  return Intern(joined_.data());
 }
 
 ClosureStore::Id ClosureStore::InternClosureOfRows(
     const Dataset& dataset, const std::vector<uint32_t>& rows) {
-  return Intern(loss_.scheme().ClosureOfRows(dataset, rows));
+  return Intern(loss_.scheme().ClosureOfRows(dataset, rows).data());
 }
 
 std::vector<ClosureStore::Id> ClosureStore::InternTable(
@@ -35,7 +33,7 @@ std::vector<ClosureStore::Id> ClosureStore::InternTable(
   std::vector<Id> ids;
   ids.reserve(table.num_rows());
   for (size_t t = 0; t < table.num_rows(); ++t) {
-    ids.push_back(Intern(table.record(t)));
+    ids.push_back(Intern(table.row_data(t)));
   }
   return ids;
 }

@@ -2,22 +2,23 @@
 #define KANON_ALGO_CORE_CLOSURE_STORE_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "kanon/algo/core/engine_counters.h"
-#include "kanon/common/hash.h"
+#include "kanon/common/distinct_rows.h"
 #include "kanon/generalization/generalized_table.h"
 #include "kanon/generalization/scheme.h"
 #include "kanon/loss/precomputed_loss.h"
 
 namespace kanon {
 
-/// Hash-consed store of GeneralizedRecord closures with memoized
+/// Hash-consed store of generalized-record closures with memoized
 /// generalization cost. Every engine that materializes closures routes them
 /// through one store per run: identical closures are kept (and priced via
 /// PrecomputedLoss::RecordCost) exactly once, and the id is a dense handle
-/// that is cheaper to copy and compare than the record itself.
+/// that is cheaper to copy and compare than the record itself. The closures
+/// are the rows of one RowInterner, r set ids each, numbered in first-sight
+/// order.
 ///
 /// Intern() is atomic — it either returns an existing id or fully installs
 /// the new closure before returning — so a run wound down by a RunContext
@@ -32,13 +33,18 @@ class ClosureStore {
 
   /// The loss binds the store to one (scheme, dataset) pair; it must
   /// outlive the store.
-  explicit ClosureStore(const PrecomputedLoss& loss) : loss_(loss) {}
+  explicit ClosureStore(const PrecomputedLoss& loss)
+      : loss_(loss),
+        rows_(loss.scheme().num_attributes()),
+        joined_(loss.scheme().num_attributes()) {}
 
   ClosureStore(const ClosureStore&) = delete;
   ClosureStore& operator=(const ClosureStore&) = delete;
 
-  /// Returns the id of `record`, installing (and pricing) it on first sight.
-  Id Intern(const GeneralizedRecord& record);
+  /// Returns the id of the closure whose r set ids are at `record`,
+  /// installing (and pricing) it on first sight. `record` must not point
+  /// into the store.
+  Id Intern(const SetId* record);
 
   /// Convenience: interns the attribute-wise join of two stored closures.
   Id InternJoin(Id a, Id b);
@@ -52,9 +58,11 @@ class ClosureStore {
   /// ((k,k), global) use to surface closure reuse.
   std::vector<Id> InternTable(const GeneralizedTable& table);
 
-  const GeneralizedRecord& record(Id id) const {
-    KANON_DCHECK(id < records_.size());
-    return *records_[id];
+  /// The r set ids of a stored closure. Valid until the next Intern: the
+  /// rows live in one array that grows as closures are added.
+  const SetId* row(Id id) const {
+    KANON_DCHECK(id < size());
+    return rows_.row(id);
   }
 
   /// Memoized c(R̄) of a stored closure.
@@ -66,9 +74,9 @@ class ClosureStore {
   const PrecomputedLoss& loss() const { return loss_; }
 
   /// Distinct closures stored (== misses()).
-  size_t size() const { return records_.size(); }
+  size_t size() const { return rows_.size(); }
   size_t hits() const { return hits_; }
-  size_t misses() const { return records_.size(); }
+  size_t misses() const { return rows_.size(); }
 
   /// Copies the store's cache statistics into shared engine counters.
   void ExportCounters(EngineCounters* counters) const {
@@ -78,21 +86,10 @@ class ClosureStore {
   }
 
  private:
-  struct RecordHash {
-    size_t operator()(const GeneralizedRecord& record) const {
-      // FNV-1a over the set ids; closures are short (one id per attribute).
-      uint64_t h = kFnv1aOffsetBasis;
-      for (SetId id : record) h = Fnv1aWord(h, id);
-      return static_cast<size_t>(h);
-    }
-  };
-
   const PrecomputedLoss& loss_;
-  // Node-based map: rehashing never moves the keys, so records_ may hold
-  // stable pointers into it instead of duplicating every closure.
-  std::unordered_map<GeneralizedRecord, Id, RecordHash> index_;
-  std::vector<const GeneralizedRecord*> records_;
+  RowInterner rows_;
   std::vector<double> costs_;
+  GeneralizedRecord joined_;  // InternJoin's scratch row.
   size_t hits_ = 0;
 };
 

@@ -85,11 +85,11 @@ GeneralizedTable SuppressKRows(const PrecomputedLoss& loss, size_t k,
   std::vector<std::pair<double, uint32_t>> order;  // (−cost, row).
   size_t already = 0;
   for (uint32_t t = 0; t < n; ++t) {
-    const GeneralizedRecord rec = table.record(t);
-    if (rec == star) {
+    const SetId* row = table.row_data(t);
+    if (std::equal(star.begin(), star.end(), row)) {
       ++already;
     } else {
-      order.emplace_back(-store.cost(store.Intern(rec)), t);
+      order.emplace_back(-store.cost(store.Intern(row)), t);
     }
   }
   store.ExportCounters(counters);

@@ -43,6 +43,19 @@ struct PipelineOutcome {
   std::optional<AnonymizationResult> result;
 };
 
+// The configuration of one trial run of `method`, plain or sharded.
+AnonymizerConfig TrialRunConfig(const TrialData& data,
+                                AnonymizationMethod method, int num_threads,
+                                RunContext* ctx) {
+  AnonymizerConfig config;
+  config.k = data.config.k;
+  config.method = method;
+  config.distance = data.config.distance;
+  config.num_threads = num_threads;
+  config.run_context = ctx;
+  return config;
+}
+
 PipelineOutcome RunPipeline(const TrialData& data, AnonymizationMethod method,
                             int num_threads, RunContext* ctx) {
   PipelineOutcome outcome;
@@ -53,13 +66,8 @@ PipelineOutcome RunPipeline(const TrialData& data, AnonymizationMethod method,
     return outcome;
   }
   const PrecomputedLoss loss(data.scheme, data.dataset, *measure.value(), 1);
-  AnonymizerConfig config;
-  config.k = data.config.k;
-  config.method = method;
-  config.distance = data.config.distance;
-  config.num_threads = num_threads;
-  config.run_context = ctx;
-  Result<AnonymizationResult> result = Anonymize(data.dataset, loss, config);
+  Result<AnonymizationResult> result = Anonymize(
+      data.dataset, loss, TrialRunConfig(data, method, num_threads, ctx));
   if (result.ok()) {
     outcome.ran = true;
     outcome.result = std::move(result).value();
@@ -379,30 +387,15 @@ PropertyResult SuppressionAccounting(const TrialData& data) {
   const size_t budget =
       1 + static_cast<size_t>(rng.NextBounded(2 * data.num_rows() + 4));
 
-  Result<std::unique_ptr<LossMeasure>> measure =
-      MakeMeasure(data.config.measure);
-  if (!measure.ok()) {
-    return Fail("harness-error:measure", measure.status().ToString());
-  }
-  const PrecomputedLoss loss(data.scheme, data.dataset, *measure.value(), 1);
   RunContext ctx;
   ctx.set_step_budget(budget);
-  AnonymizerConfig config;
-  config.k = data.config.k;
-  config.method = method;
-  config.distance = data.config.distance;
-  config.num_threads = 1;
-  config.run_context = &ctx;
-  Result<AnonymizationResult> run = Anonymize(data.dataset, loss, config);
-  if (!run.ok()) {
-    if (run.status().code() == StatusCode::kInvalidArgument &&
-        data.config.k > data.num_rows()) {
-      return Pass();
-    }
-    return Fail(ErrorKind("pipeline-error", run.status(), method),
-                run.status().ToString());
+  PipelineOutcome run = RunPipeline(data, method, 1, &ctx);
+  if (run.rejected) return Pass();
+  if (!run.ran) {
+    return Fail(ErrorKind("pipeline-error", run.error, method),
+                run.error.ToString());
   }
-  const AnonymizationResult& result = run.value();
+  const AnonymizationResult& result = *run.result;
   const std::string suffix = std::string(":") + MethodShortName(method);
   if (result.degraded != (result.stop_reason != StopReason::kNone)) {
     return Fail("accounting:degraded-flag" + suffix,
@@ -601,21 +594,13 @@ PropertyResult WitnessConsistent(const TrialData& data) {
 }
 
 // First configured method whose per-shard outputs compose into a global
-// k-guarantee (the per-record methods; see shard/driver.h). Nullopt when
-// the trial exercises only relational notions — those properties are
+// k-guarantee: one that promises k-anonymity (see shard/driver.h). Nullopt
+// when the trial exercises only relational notions — those properties are
 // vacuous then.
 std::optional<AnonymizationMethod> FirstComposableMethod(
     const TrialData& data) {
   for (AnonymizationMethod method : data.config.methods) {
-    switch (method) {
-      case AnonymizationMethod::kAgglomerative:
-      case AnonymizationMethod::kModifiedAgglomerative:
-      case AnonymizationMethod::kForest:
-      case AnonymizationMethod::kFullDomain:
-        return method;
-      default:
-        break;
-    }
+    if (PromisedNotion(method) == AnonymityNotion::kKAnonymity) return method;
   }
   return std::nullopt;
 }
@@ -640,11 +625,6 @@ ShardedOutcome RunSharded(const TrialData& data, AnonymizationMethod method,
     outcome.error = measure.status();
     return outcome;
   }
-  AnonymizerConfig config;
-  config.k = data.config.k;
-  config.method = method;
-  config.distance = data.config.distance;
-  config.num_threads = 1;
   shard::ShardOptions options;
   options.num_shards = num_shards;
   namespace fs = std::filesystem;
@@ -658,7 +638,8 @@ ShardedOutcome RunSharded(const TrialData& data, AnonymizationMethod method,
   }
   options.work_dir = dir;
   Result<shard::ShardedResult> result = shard::ShardedAnonymize(
-      data.dataset, data.scheme, *measure.value(), config, options);
+      data.dataset, data.scheme, *measure.value(),
+      TrialRunConfig(data, method, 1, nullptr), options);
   std::error_code ec;
   fs::remove_all(dir, ec);  // Scratch only; best-effort cleanup.
   if (result.ok()) {

@@ -5,6 +5,7 @@
 
 #include "kanon/common/failpoint.h"
 #include "kanon/common/text.h"
+#include "kanon/loss/measure.h"
 
 namespace kanon {
 namespace check {
@@ -172,6 +173,7 @@ Result<ReproCase> ParseRepro(const std::string& text) {
       if (k == 0) return MalformedLine(line_number, "k must be >= 1");
       repro.data.config.k = static_cast<size_t>(k);
     } else if (keyword == "measure" && tokens.size() == 2) {
+      KANON_RETURN_NOT_OK(MakeMeasure(tokens[1]).status());
       repro.data.config.measure = tokens[1];
     } else if (keyword == "distance" && tokens.size() == 2) {
       KANON_ASSIGN_OR_RETURN(repro.data.config.distance,

@@ -8,9 +8,9 @@
 namespace kanon {
 
 /// FNV-1a 64-bit: the one non-cryptographic hash of the library. It keys the
-/// daemon's caches, checksums the shard journals, forks RNG substreams by
-/// label and hashes closures. Journals on disk store its digests, so the
-/// constants and the byte order of the loop must never change.
+/// daemon's caches, checksums the shard journals and forks RNG substreams
+/// by label. Journals on disk store its digests, so the constants and the
+/// byte order of the loop must never change.
 inline constexpr uint64_t kFnv1aOffsetBasis = 14695981039346656037ull;
 inline constexpr uint64_t kFnv1aPrime = 1099511628211ull;
 
@@ -25,12 +25,6 @@ inline uint64_t Fnv1a(const void* data, size_t len,
     hash *= kFnv1aPrime;
   }
   return hash;
-}
-
-/// One FNV-1a round over a whole word rather than a byte: the cheap form
-/// for hash-table keys made of small integers.
-inline uint64_t Fnv1aWord(uint64_t hash, uint64_t word) {
-  return (hash ^ word) * kFnv1aPrime;
 }
 
 /// Running FNV-1a over bytes fed in pieces.

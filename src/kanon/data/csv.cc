@@ -276,8 +276,8 @@ Result<Schema> InferCsvSchemaFile(const std::string& path,
 
 namespace {
 
-Status ValidateHeader(const Schema& schema,
-                      const std::vector<std::string>& header) {
+Status CheckHeader(const Schema& schema,
+                   const std::vector<std::string>& header) {
   if (header.size() != schema.num_attributes()) {
     return Status::InvalidArgument(
         "CSV header has " + std::to_string(header.size()) +
@@ -295,29 +295,46 @@ Status ValidateHeader(const Schema& schema,
 
 }  // namespace
 
-Result<Dataset> ReadCsv(const Schema& schema, std::istream& input,
-                        const CsvOptions& options) {
-  // Streams through RowReader: rows go straight into the coded Dataset, so
-  // peak memory is the dataset plus one line of text.
+Status ForEachCsvRow(
+    std::istream& input, const Schema& schema, const CsvOptions& options,
+    const std::function<Status(uint64_t, const std::vector<std::string>&)>&
+        row) {
   RowReader reader(input, options);
-  Dataset dataset(schema);
   std::vector<std::string> fields;
   bool header_checked = !options.has_header;
-  while (true) {
+  for (uint64_t index = 0;; ++index) {
     KANON_ASSIGN_OR_RETURN(bool got, reader.Next(&fields));
     if (!header_checked && reader.header_seen()) {
-      KANON_RETURN_NOT_OK(ValidateHeader(schema, reader.header()));
+      KANON_RETURN_NOT_OK(CheckHeader(schema, reader.header()));
       header_checked = true;
     }
-    if (!got) break;
-    // AppendRowLabels rejects short/long rows and unknown labels, so a
-    // truncated final line cannot slip in as a narrower record.
-    Status s = dataset.AppendRowLabels(fields);
+    if (!got) return Status::OK();
+    // A short or long row is an error, so a truncated final line cannot
+    // slip in as a narrower record.
+    if (fields.size() != schema.num_attributes()) {
+      return Status::InvalidArgument(
+          "line " + std::to_string(reader.line_number()) + " has " +
+          std::to_string(fields.size()) + " fields; schema has " +
+          std::to_string(schema.num_attributes()));
+    }
+    Status s = row(index, fields);
     if (!s.ok()) {
       return Status(s.code(), "line " + std::to_string(reader.line_number()) +
                                   ": " + s.message());
     }
   }
+}
+
+Result<Dataset> ReadCsv(const Schema& schema, std::istream& input,
+                        const CsvOptions& options) {
+  // Rows go straight into the coded Dataset, so peak memory is the dataset
+  // plus one line of text.
+  Dataset dataset(schema);
+  KANON_RETURN_NOT_OK(ForEachCsvRow(
+      input, schema, options,
+      [&dataset](uint64_t, const std::vector<std::string>& fields) {
+        return dataset.AppendRowLabels(fields);
+      }));
   return dataset;
 }
 

@@ -1,6 +1,8 @@
 #ifndef KANON_DATA_CSV_H_
 #define KANON_DATA_CSV_H_
 
+#include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <string>
 #include <string_view>
@@ -117,9 +119,19 @@ Result<Schema> InferCsvSchema(std::istream& input,
 Result<Schema> InferCsvSchemaFile(const std::string& path,
                                   const CsvOptions& options = CsvOptions());
 
-/// Reads a dataset whose columns match `schema` (by position). Unknown value
-/// labels produce an error. A header row, when present, is validated against
-/// the attribute names.
+/// Streams the data rows of a CSV whose columns match `schema` (by
+/// position) through `row(index, fields)`, index counting from 0. A header
+/// row, when present, must name the attributes in order, and every row must
+/// carry one field per attribute. Errors of the check and of `row` name the
+/// input line. Memory is one line of text: this is both passes of the
+/// sharded driver's ingestion.
+Status ForEachCsvRow(
+    std::istream& input, const Schema& schema, const CsvOptions& options,
+    const std::function<Status(uint64_t, const std::vector<std::string>&)>&
+        row);
+
+/// Reads a dataset whose columns match `schema` (ForEachCsvRow's checks).
+/// Unknown value labels produce an error.
 Result<Dataset> ReadCsv(const Schema& schema, std::istream& input,
                         const CsvOptions& options = CsvOptions());
 Result<Dataset> ReadCsvFile(const Schema& schema, const std::string& path,

@@ -114,15 +114,6 @@ bool GeneralizationScheme::Consistent(RowView record,
   return true;
 }
 
-bool GeneralizationScheme::ConsistentRow(const Dataset& dataset, size_t row,
-                                         const GeneralizedRecord& gen) const {
-  KANON_DCHECK(gen.size() == hierarchies_.size());
-  for (size_t j = 0; j < gen.size(); ++j) {
-    if (!hierarchies_[j].Contains(gen[j], dataset.at(row, j))) return false;
-  }
-  return true;
-}
-
 bool GeneralizationScheme::Generalizes(const GeneralizedRecord& a,
                                        const GeneralizedRecord& b) const {
   KANON_CHECK(a.size() == hierarchies_.size() && b.size() == a.size(),

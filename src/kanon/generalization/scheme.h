@@ -58,10 +58,6 @@ class GeneralizationScheme {
   /// (Definition 3.3): record[j] ∈ gen[j] for every attribute j.
   bool Consistent(RowView record, const GeneralizedRecord& gen) const;
 
-  /// Consistency against a dataset row without materializing the Record.
-  bool ConsistentRow(const Dataset& dataset, size_t row,
-                     const GeneralizedRecord& gen) const;
-
   /// True iff gen_a generalizes gen_b attribute-wise (set containment).
   bool Generalizes(const GeneralizedRecord& a,
                    const GeneralizedRecord& b) const;

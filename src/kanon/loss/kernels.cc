@@ -79,18 +79,6 @@ void LossKernels::JoinedCostSweep(const GeneralizedRecord& closure,
   }
 }
 
-double LossKernels::JoinedCost(const GeneralizedRecord& closure,
-                               uint32_t row) const {
-  KANON_DCHECK(closure.size() == attrs_.size());
-  double total = 0.0;
-  for (size_t j = 0; j < attrs_.size(); ++j) {
-    const AttrTables& a = attrs_[j];
-    total += a.costs[a.join[static_cast<size_t>(closure[j]) * a.num_sets +
-                            a.leaf[a.col[row]]]];
-  }
-  return total / r_as_double_;
-}
-
 double LossKernels::UnionCost(const SetId* a, const SetId* b) const {
   double total = 0.0;
   for (size_t j = 0; j < attrs_.size(); ++j) {

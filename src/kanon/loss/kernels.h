@@ -40,10 +40,6 @@ class LossKernels {
   /// absorbing row v into this cluster closure" scan.
   void JoinedCostSweep(const GeneralizedRecord& closure, double* out) const;
 
-  /// Single-row joined cost c(closure + R_row) through the raw tables;
-  /// identical arithmetic to the sweep.
-  double JoinedCost(const GeneralizedRecord& closure, uint32_t row) const;
-
   /// d(A ∪ B) of two generalized records given as rows of
   /// num_attributes() set ids, attribute-wise through the raw join tables
   /// and the flat cost rows.

@@ -57,8 +57,14 @@ class PrecomputedLoss {
   /// c(R̄) = (1/r) Σ_j cost_j(R̄(j)) — the generalization cost of a record.
   double RecordCost(const GeneralizedRecord& record) const {
     KANON_DCHECK(record.size() + 1 == offsets_.size());
+    return RecordCost(record.data());
+  }
+
+  /// The same over a record's r set ids in place (a table row, a stored
+  /// closure).
+  double RecordCost(const SetId* record) const {
     double total = 0.0;
-    for (size_t j = 0; j < record.size(); ++j) {
+    for (size_t j = 0; j + 1 < offsets_.size(); ++j) {
       total += costs_[offsets_[j] + record[j]];
     }
     return total * inv_num_attributes_;

@@ -477,11 +477,6 @@ void JobManager::Shutdown() {
   for (std::thread& worker : workers_) worker.join();
 }
 
-bool JobManager::AllTerminal() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return queue_.empty() && running_ == 0;
-}
-
 size_t JobManager::queue_depth() const {
   std::lock_guard<std::mutex> lock(mu_);
   return queue_.size();

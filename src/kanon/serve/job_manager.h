@@ -153,9 +153,6 @@ class JobManager {
   /// workers. Idempotent; called by the destructor.
   void Shutdown();
 
-  /// True when no admitted job is still queued or running.
-  bool AllTerminal() const;
-
   size_t queue_depth() const;
 
  private:

@@ -12,8 +12,8 @@ Status TableStore::Register(const std::string& name,
   const auto it = tables_.find(name);
   if (it == tables_.end() && tables_.size() >= capacity_) {
     return Status::FailedPrecondition(
-        "table store is full (" + std::to_string(capacity_) +
-        " tables); remove one first");
+        "table store is full: it holds at most " + std::to_string(capacity_) +
+        " tables; re-registering an existing name replaces that table");
   }
   tables_[name] = std::move(table);
   return Status::OK();
@@ -26,22 +26,9 @@ std::shared_ptr<const PublishedTable> TableStore::Find(
   return it == tables_.end() ? nullptr : it->second;
 }
 
-bool TableStore::Remove(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return tables_.erase(name) > 0;
-}
-
 size_t TableStore::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return tables_.size();
-}
-
-std::vector<std::string> TableStore::Names() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> names;
-  names.reserve(tables_.size());
-  for (const auto& [name, table] : tables_) names.push_back(name);
-  return names;
 }
 
 }  // namespace serve

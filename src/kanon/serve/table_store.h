@@ -5,7 +5,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #include "kanon/common/result.h"
 #include "kanon/data/dataset.h"
@@ -39,18 +38,17 @@ class TableStore {
  public:
   explicit TableStore(size_t capacity) : capacity_(capacity) {}
 
-  /// Registers (or replaces) `name`. Fails with FailedPrecondition once
-  /// the store holds `capacity` distinct names — the read path's
-  /// admission bound, mirroring the job queue's.
+  /// Registers (or replaces) `name`. A new name fails with
+  /// FailedPrecondition once the store holds `capacity` distinct names —
+  /// the read path's admission bound, mirroring the job queue's. Nothing
+  /// removes a name, so a full store only accepts re-registrations.
   Status Register(const std::string& name,
                   std::shared_ptr<const PublishedTable> table);
 
   /// nullptr when `name` was never registered.
   std::shared_ptr<const PublishedTable> Find(const std::string& name) const;
 
-  bool Remove(const std::string& name);
   size_t size() const;
-  std::vector<std::string> Names() const;
 
  private:
   const size_t capacity_;

@@ -3,13 +3,13 @@
 #include <fstream>
 #include <functional>
 #include <iomanip>
-#include <map>
 #include <sstream>
 #include <utility>
 
 #include "kanon/common/failpoint.h"
 #include "kanon/generalization/generalized_csv.h"
 #include "kanon/loss/precomputed_loss.h"
+#include "kanon/loss/table_metrics.h"
 #include "kanon/shard/manifest.h"
 #include "kanon/shard/partition.h"
 #include "kanon/shard/shard_io.h"
@@ -20,25 +20,6 @@ namespace kanon {
 namespace shard {
 
 namespace {
-
-/// Merging per-shard k-anonymous tables preserves Definition 4.1 only for
-/// the per-record notion: identical-record groups can only grow in a
-/// union. The relational notions compare against the *original* dataset,
-/// which a shard does not see in full.
-bool MethodComposes(AnonymizationMethod method) {
-  switch (method) {
-    case AnonymizationMethod::kAgglomerative:
-    case AnonymizationMethod::kModifiedAgglomerative:
-    case AnonymizationMethod::kForest:
-    case AnonymizationMethod::kFullDomain:
-      return true;
-    case AnonymizationMethod::kKKNearestNeighbors:
-    case AnonymizationMethod::kKKGreedyExpansion:
-    case AnonymizationMethod::kGlobal:
-      return false;
-  }
-  return false;
-}
 
 /// Everything that must match between the run that wrote a work dir and
 /// the run trying to resume it. The thread count is deliberately absent:
@@ -76,60 +57,6 @@ uint64_t DatasetChecksum(const Dataset& dataset) {
     }
   }
   return hasher.digest();
-}
-
-Status CheckCsvHeader(const Schema& schema,
-                      const std::vector<std::string>& header) {
-  if (header.size() != schema.num_attributes()) {
-    return Status::InvalidArgument(
-        "CSV header has " + std::to_string(header.size()) +
-        " columns, schema has " + std::to_string(schema.num_attributes()));
-  }
-  for (size_t j = 0; j < header.size(); ++j) {
-    if (header[j] != schema.attribute(j).name()) {
-      return Status::InvalidArgument("CSV column '" + header[j] +
-                                     "' does not match schema attribute '" +
-                                     schema.attribute(j).name() + "'");
-    }
-  }
-  return Status::OK();
-}
-
-/// Streams every data row of the CSV through `sink(row_index, fields)`.
-Status ForEachCsvRow(
-    const std::string& path, const Schema& schema,
-    const CsvOptions& options,
-    const std::function<Status(uint64_t, const std::vector<std::string>&)>&
-        sink) {
-  std::ifstream file(path);
-  if (!file) {
-    return Status::IOError("cannot open '" + path + "' for reading");
-  }
-  RowReader reader(file, options);
-  std::vector<std::string> fields;
-  bool header_checked = !options.has_header;
-  uint64_t row = 0;
-  while (true) {
-    KANON_ASSIGN_OR_RETURN(bool got, reader.Next(&fields));
-    if (!header_checked && reader.header_seen()) {
-      KANON_RETURN_NOT_OK(CheckCsvHeader(schema, reader.header()));
-      header_checked = true;
-    }
-    if (!got) break;
-    if (fields.size() != schema.num_attributes()) {
-      return Status::InvalidArgument(
-          "line " + std::to_string(reader.line_number()) + " has " +
-          std::to_string(fields.size()) + " fields; schema has " +
-          std::to_string(schema.num_attributes()));
-    }
-    Status s = sink(row, fields);
-    if (!s.ok()) {
-      return Status(s.code(), "line " + std::to_string(reader.line_number()) +
-                                  ": " + s.message());
-    }
-    ++row;
-  }
-  return Status::OK();
 }
 
 /// One shard checkpoint loaded back from disk, or nothing when the files
@@ -296,28 +223,24 @@ Result<size_t> RepairBoundaries(GeneralizedTable* table,
                                    " rows; cannot be " + std::to_string(k) +
                                    "-anonymous");
   }
-  std::map<GeneralizedRecord, std::vector<size_t>> groups;
-  for (size_t i = 0; i < n; ++i) groups[table->record(i)].push_back(i);
-  std::vector<size_t> pool;
+  const std::vector<std::vector<uint32_t>> groups =
+      GroupIdenticalRecords(*table);
+  std::vector<uint32_t> pool;
   GeneralizedRecord joined;
-  for (const auto& group : groups) {
-    if (group.second.size() >= k) continue;
-    joined = joined.empty() ? group.first
-                            : scheme.JoinRecords(joined, group.first);
-    pool.insert(pool.end(), group.second.begin(), group.second.end());
+  for (const std::vector<uint32_t>& group : groups) {
+    if (group.size() >= k) continue;
+    const GeneralizedRecord record = table->record(group.front());
+    joined = joined.empty() ? record : scheme.JoinRecords(joined, record);
+    pool.insert(pool.end(), group.begin(), group.end());
   }
   if (pool.empty()) return static_cast<size_t>(0);
   if (pool.size() < k) {
     // Absorb the smallest regular group (ties: first in record order) so
     // the pooled group reaches k. The absorbed rows coarsen to the join.
-    const std::vector<size_t>* best = nullptr;
-    const GeneralizedRecord* best_record = nullptr;
-    for (const auto& group : groups) {
-      if (group.second.size() < k) continue;
-      if (best == nullptr || group.second.size() < best->size()) {
-        best = &group.second;
-        best_record = &group.first;
-      }
+    const std::vector<uint32_t>* best = nullptr;
+    for (const std::vector<uint32_t>& group : groups) {
+      if (group.size() < k) continue;
+      if (best == nullptr || group.size() < best->size()) best = &group;
     }
     if (best == nullptr) {
       // Every row is already in the pool, and the pool is the whole table
@@ -325,10 +248,10 @@ Result<size_t> RepairBoundaries(GeneralizedTable* table,
       return Status::InvalidArgument(
           "boundary repair cannot reach a group of " + std::to_string(k));
     }
-    joined = scheme.JoinRecords(joined, *best_record);
+    joined = scheme.JoinRecords(joined, table->record(best->front()));
     pool.insert(pool.end(), best->begin(), best->end());
   }
-  for (size_t row : pool) table->SetRecord(row, joined);
+  for (uint32_t row : pool) table->SetRecord(row, joined);
   return pool.size();
 }
 
@@ -355,7 +278,11 @@ Result<ShardedResult> Run(const RunInputs& in) {
   if (base.k == 0) {
     return Status::InvalidArgument("k must be at least 1");
   }
-  if (!MethodComposes(base.method)) {
+  // Merging per-shard k-anonymous tables preserves Definition 4.1 only for
+  // the per-record notion: identical-record groups can only grow in a
+  // union. The relational notions compare against the *original* dataset,
+  // which a shard does not see in full.
+  if (PromisedNotion(base.method) != AnonymityNotion::kKAnonymity) {
     return Status::InvalidArgument(
         std::string(AnonymizationMethodName(base.method)) +
         " does not compose across shards; sharded runs require a "
@@ -651,23 +578,30 @@ Result<ShardedResult> ShardedAnonymizeCsvFile(
   in.options = &options;
   in.dataset = nullptr;
   KANON_ASSIGN_OR_RETURN(in.input_checksum, ChecksumFile(csv_path));
-  // Counting pass: the shard count (and the manifest) need the row count
-  // before partitioning starts. One extra streaming read of the text —
+  // Both passes stream the text through the one schema-checked row reader;
   // nothing is held in memory.
-  uint64_t rows = 0;
-  KANON_RETURN_NOT_OK(ForEachCsvRow(
-      csv_path, scheme->schema(), csv_options,
-      [&rows](uint64_t, const std::vector<std::string>&) -> Status {
-        ++rows;
+  const auto for_each_row =
+      [&](const std::function<Status(uint64_t,
+                                     const std::vector<std::string>&)>& row)
+      -> Status {
+    std::ifstream file(csv_path);
+    if (!file) {
+      return Status::IOError("cannot open '" + csv_path + "' for reading");
+    }
+    return ForEachCsvRow(file, scheme->schema(), csv_options, row);
+  };
+  // Counting pass: the shard count (and the manifest) need the row count
+  // before partitioning starts.
+  KANON_RETURN_NOT_OK(
+      for_each_row([&in](uint64_t, const std::vector<std::string>&) {
+        ++in.rows;
         return Status::OK();
       }));
-  in.rows = rows;
-  in.partition = [&csv_path, &scheme, &csv_options](
-                     SpillWriter* writer) -> Status {
-    return ForEachCsvRow(
-        csv_path, scheme->schema(), csv_options,
-        [writer](uint64_t row, const std::vector<std::string>& fields)
-            -> Status { return writer->Append(row, fields); });
+  in.partition = [&for_each_row](SpillWriter* writer) {
+    return for_each_row(
+        [writer](uint64_t row, const std::vector<std::string>& fields) {
+          return writer->Append(row, fields);
+        });
   };
   return Run(in);
 }

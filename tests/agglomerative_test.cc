@@ -241,14 +241,14 @@ TEST(AgglomerativeHeapTest, RebuildKeepsOutputIdentical) {
     AgglomerativeOptions options;
     const Clustering reference =
         Unwrap(AgglomerativeCluster(d, loss, 5, options));
-    size_t rebuilds = 0;
+    EngineCounters counters;
     options.aggressive_heap_rebuild = true;
-    options.heap_rebuilds_out = &rebuilds;
+    options.counters = &counters;
     const Clustering rebuilt = Unwrap(AgglomerativeCluster(d, loss, 5, options));
     EXPECT_EQ(rebuilt.clusters, reference.clusters) << "seed " << seed;
     // The hook forces a rebuild whenever any stale reference exists; a run
     // of 120 merges certainly produces some.
-    EXPECT_GT(rebuilds, 0u) << "seed " << seed;
+    EXPECT_GT(counters.heap_rebuilds, 0u) << "seed " << seed;
   }
 }
 
@@ -260,13 +260,13 @@ TEST(AgglomerativeHeapTest, ModifiedVariantUnchangedByAggressiveRebuilds) {
   options.modified = true;
   const Clustering reference =
       Unwrap(AgglomerativeCluster(d, loss, 4, options));
-  size_t rebuilds = 0;
+  EngineCounters counters;
   options.aggressive_heap_rebuild = true;
-  options.heap_rebuilds_out = &rebuilds;
+  options.counters = &counters;
   const Clustering rebuilt =
       Unwrap(AgglomerativeCluster(d, loss, 4, options));
   EXPECT_EQ(rebuilt.clusters, reference.clusters);
-  EXPECT_GT(rebuilds, 0u);
+  EXPECT_GT(counters.heap_rebuilds, 0u);
 }
 
 }  // namespace

@@ -204,6 +204,18 @@ TEST(ReproTest, ParserRejectsMalformedInput) {
                           "row 0\n"
                           "end\n")
                    .ok());
+  // A measure name the library does not know, like an unknown method.
+  const Result<ReproCase> bad_measure = ParseRepro(
+      "kanon-repro v1\n"
+      "property pipeline-verifies\n"
+      "expect pass\n"
+      "measure EMM\n"
+      "attr a0 0 1\n"
+      "row 0\n"
+      "end\n");
+  ASSERT_FALSE(bad_measure.ok());
+  EXPECT_EQ(bad_measure.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(bad_measure.status().message().find("EMM"), std::string::npos);
 }
 
 // End-to-end acceptance of the fault-injection loop: an armed failpoint

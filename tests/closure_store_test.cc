@@ -1,6 +1,7 @@
 // ClosureStore: interning identity (same closure -> same id, same stored
-// record), cost memoization with exact hit accounting, and the consistency
-// invariants after a RunContext stop winds an engine down mid-run.
+// record), cost memoization with exact hit accounting, exact joins while the
+// store grows, and the consistency invariants after a RunContext stop winds
+// an engine down mid-run.
 #include "kanon/algo/core/closure_store.h"
 
 #include <gtest/gtest.h>
@@ -21,6 +22,14 @@ using testing::SmallRandomDataset;
 using testing::SmallScheme;
 using testing::Unwrap;
 
+// The stored closure `id` as a record (row() is valid only until the next
+// Intern, so comparisons take a copy).
+GeneralizedRecord Stored(const ClosureStore& store, ClosureStore::Id id) {
+  const SetId* row = store.row(id);
+  return GeneralizedRecord(row,
+                           row + store.loss().scheme().num_attributes());
+}
+
 class ClosureStoreTest : public ::testing::Test {
  protected:
   ClosureStoreTest()
@@ -38,11 +47,11 @@ TEST_F(ClosureStoreTest, InterningIsIdentityPreserving) {
   const GeneralizedRecord a = scheme_->Identity(dataset_.row(0));
   const GeneralizedRecord b = scheme_->Identity(dataset_.row(1));
 
-  const ClosureStore::Id ida = store.Intern(a);
-  EXPECT_EQ(store.Intern(a), ida);       // Same content, same id.
-  EXPECT_TRUE(store.record(ida) == a);   // Stored record is the closure.
+  const ClosureStore::Id ida = store.Intern(a.data());
+  EXPECT_EQ(store.Intern(a.data()), ida);  // Same content, same id.
+  EXPECT_TRUE(Stored(store, ida) == a);    // Stored record is the closure.
 
-  const ClosureStore::Id idb = store.Intern(b);
+  const ClosureStore::Id idb = store.Intern(b.data());
   if (a == b) {
     EXPECT_EQ(idb, ida);
   } else {
@@ -57,7 +66,7 @@ TEST_F(ClosureStoreTest, CostIsMemoizedWithExactHitAccounting) {
   ClosureStore store(loss_);
   const GeneralizedRecord a = scheme_->Identity(dataset_.row(0));
 
-  const ClosureStore::Id id = store.Intern(a);
+  const ClosureStore::Id id = store.Intern(a.data());
   EXPECT_EQ(store.misses(), 1u);
   EXPECT_EQ(store.hits(), 0u);
   EXPECT_DOUBLE_EQ(store.cost(id), loss_.RecordCost(a));
@@ -65,7 +74,7 @@ TEST_F(ClosureStoreTest, CostIsMemoizedWithExactHitAccounting) {
   // Re-interning the same closure is a pure cache hit: no new storage, no
   // re-pricing, exactly one hit per repeated call.
   for (size_t repeat = 1; repeat <= 5; ++repeat) {
-    EXPECT_EQ(store.Intern(a), id);
+    EXPECT_EQ(store.Intern(a.data()), id);
     EXPECT_EQ(store.hits(), repeat);
     EXPECT_EQ(store.misses(), 1u);
   }
@@ -77,13 +86,65 @@ TEST_F(ClosureStoreTest, CostIsMemoizedWithExactHitAccounting) {
 
 TEST_F(ClosureStoreTest, InternJoinMatchesSchemeJoin) {
   ClosureStore store(loss_);
-  const ClosureStore::Id a = store.Intern(scheme_->Identity(dataset_.row(0)));
-  const ClosureStore::Id b = store.Intern(scheme_->Identity(dataset_.row(1)));
+  const ClosureStore::Id a =
+      store.Intern(scheme_->Identity(dataset_.row(0)).data());
+  const ClosureStore::Id b =
+      store.Intern(scheme_->Identity(dataset_.row(1)).data());
   const ClosureStore::Id joined = store.InternJoin(a, b);
   const GeneralizedRecord expected =
-      scheme_->JoinRecords(store.record(a), store.record(b));
-  EXPECT_TRUE(store.record(joined) == expected);
+      scheme_->JoinRecords(Stored(store, a), Stored(store, b));
+  EXPECT_TRUE(Stored(store, joined) == expected);
   EXPECT_DOUBLE_EQ(store.cost(joined), loss_.RecordCost(expected));
+}
+
+// The stored rows live in one array that moves whenever it grows, so a row
+// read before an Intern may dangle after it. Thousands of distinct closures
+// make the store reallocate many times; every InternJoin in between, those
+// that trigger a reallocation included, must still join the operands it was
+// given (the sanitizer build turns a stale read into a failure).
+TEST(ClosureStoreGrowthTest, InternJoinStaysExactWhileTheStoreGrows) {
+  // Three attributes of 16 values with interval hierarchies: 31 subsets
+  // each, so 4096 distinct identity closures and many more joins.
+  std::vector<AttributeDomain> domains;
+  std::vector<Hierarchy> hierarchies;
+  for (const char* name : {"a", "b", "c"}) {
+    domains.push_back(AttributeDomain::IntegerRange(name, 0, 15));
+    hierarchies.push_back(Unwrap(Hierarchy::Intervals(16, {2, 4, 8})));
+  }
+  const auto scheme = std::make_shared<const GeneralizationScheme>(
+      Unwrap(GeneralizationScheme::Create(Unwrap(Schema::Create(domains)),
+                                          std::move(hierarchies))));
+  Rng rng(20080409);
+  Dataset d(scheme->schema());
+  for (size_t i = 0; i < 2000; ++i) {
+    const Record record = {static_cast<ValueCode>(rng.NextBounded(16)),
+                           static_cast<ValueCode>(rng.NextBounded(16)),
+                           static_cast<ValueCode>(rng.NextBounded(16))};
+    ASSERT_TRUE(d.AppendRow(record).ok());
+  }
+  const PrecomputedLoss loss(scheme, d, EntropyMeasure());
+
+  ClosureStore store(loss);
+  ClosureStore::Id previous =
+      store.Intern(scheme->Identity(d.row(0)).data());
+  const SetId* rows = store.row(0);
+  size_t moves = 0;
+  for (size_t i = 1; i < d.num_rows(); ++i) {
+    const ClosureStore::Id single =
+        store.Intern(scheme->Identity(d.row(i)).data());
+    const GeneralizedRecord expected =
+        scheme->JoinRecords(Stored(store, single), Stored(store, previous));
+    const ClosureStore::Id joined = store.InternJoin(single, previous);
+    ASSERT_EQ(Stored(store, joined), expected) << "row " << i;
+    EXPECT_DOUBLE_EQ(store.cost(joined), loss.RecordCost(expected));
+    if (store.row(0) != rows) {
+      ++moves;
+      rows = store.row(0);
+    }
+    previous = i % 3 == 0 ? joined : single;
+  }
+  EXPECT_GE(moves, 5u);
+  EXPECT_EQ(store.hits() + store.misses(), 2 * d.num_rows() - 1);
 }
 
 TEST_F(ClosureStoreTest, InternTableCountsDuplicateRowsAsHits) {
@@ -105,8 +166,8 @@ TEST_F(ClosureStoreTest, InternTableCountsDuplicateRowsAsHits) {
 TEST_F(ClosureStoreTest, ExportCountersAccumulates) {
   ClosureStore store(loss_);
   const GeneralizedRecord a = scheme_->Identity(dataset_.row(0));
-  store.Intern(a);
-  store.Intern(a);
+  store.Intern(a.data());
+  store.Intern(a.data());
 
   EngineCounters counters;
   counters.closure_hits = 10;  // Pre-existing telemetry must be kept.
@@ -143,7 +204,7 @@ TEST_F(ClosureStoreTest, CountersStayConsistentUnderRunContextStop) {
     ClosureStore replay(loss);
     for (ClosureStore::Id id : replay.InternTable(table)) {
       EXPECT_DOUBLE_EQ(replay.cost(id),
-                       loss.RecordCost(replay.record(id)));
+                       loss.RecordCost(replay.row(id)));
     }
   }
 }

@@ -115,5 +115,61 @@ TEST(GoldenOutputTest, EveryPipelineReproducesPreRefactorTables) {
   }
 }
 
+// The seven engine counters of every pipeline under EM on both golden
+// datasets: the goldens pin what is published, this pins the work the
+// engines count (merges, rescans, rebuilds, closure interning, upgrade
+// steps and sweep chunks), which a change to how closures are stored or
+// swept must not move.
+TEST(GoldenOutputTest, EngineCountersArePinnedUnderEm) {
+  // Counters in declaration order: merges, rescans, heap_rebuilds,
+  // closure_hits, closure_misses, upgrade_steps, parallel_chunks.
+  struct Pinned {
+    const char* dataset;
+    AnonymizationMethod method;
+    EngineCounters counters;
+  };
+  using M = AnonymizationMethod;
+  const Pinned pins[] = {
+      {"demo", M::kAgglomerative, {4, 0, 0, 0, 12, 0, 13}},
+      {"demo", M::kModifiedAgglomerative, {4, 0, 0, 0, 12, 0, 13}},
+      {"demo", M::kForest, {4, 8, 0, 0, 0, 0, 0}},
+      {"demo", M::kKKNearestNeighbors, {0, 0, 0, 2, 6, 2, 8}},
+      {"demo", M::kKKGreedyExpansion, {0, 0, 0, 2, 6, 2, 14}},
+      {"demo", M::kGlobal, {0, 0, 0, 4, 12, 3, 14}},
+      {"demo", M::kFullDomain, {0, 0, 0, 8, 16, 2, 6}},
+      {"small", M::kAgglomerative, {121, 118, 3, 249, 22, 0, 390}},
+      {"small", M::kModifiedAgglomerative, {125, 118, 3, 260, 25, 0, 399}},
+      {"small", M::kForest, {136, 262, 0, 0, 0, 0, 0}},
+      {"small", M::kKKNearestNeighbors, {0, 0, 0, 135, 15, 1, 150}},
+      {"small", M::kKKGreedyExpansion, {0, 0, 0, 135, 15, 1, 16}},
+      {"small", M::kGlobal, {0, 0, 0, 270, 30, 1, 16}},
+      {"small", M::kFullDomain, {0, 0, 0, 277, 23, 1, 2}},
+  };
+  const std::vector<GoldenCase> cases = AllCases();
+  for (const Pinned& pin : pins) {
+    const GoldenCase* c = nullptr;
+    for (const GoldenCase& candidate : cases) {
+      if (candidate.name == pin.dataset) c = &candidate;
+    }
+    ASSERT_NE(c, nullptr) << pin.dataset;
+    const PrecomputedLoss loss(c->scheme, c->dataset, EntropyMeasure());
+    AnonymizerConfig config;
+    config.k = c->k;
+    config.method = pin.method;
+    const EngineCounters got =
+        Unwrap(Anonymize(c->dataset, loss, config)).counters;
+    const EngineCounters& want = pin.counters;
+    const std::string at =
+        std::string(pin.dataset) + "/" + AnonymizationMethodName(pin.method);
+    EXPECT_EQ(got.merges, want.merges) << at;
+    EXPECT_EQ(got.rescans, want.rescans) << at;
+    EXPECT_EQ(got.heap_rebuilds, want.heap_rebuilds) << at;
+    EXPECT_EQ(got.closure_hits, want.closure_hits) << at;
+    EXPECT_EQ(got.closure_misses, want.closure_misses) << at;
+    EXPECT_EQ(got.upgrade_steps, want.upgrade_steps) << at;
+    EXPECT_EQ(got.parallel_chunks, want.parallel_chunks) << at;
+  }
+}
+
 }  // namespace
 }  // namespace kanon

@@ -134,6 +134,51 @@ TEST(ServeE2eTest, RegisteredCliOutputVerifiesOverTheWire) {
   EXPECT_TRUE(verdict.GetBool("satisfied", false)) << verdict.Dump();
 }
 
+// Nothing on the wire removes a published table, so a full store must say
+// what it still accepts: its bound, and re-registration of a known name.
+// A job publishing into the full store still finishes; only the publish
+// step reports the refusal.
+TEST(ServeE2eTest, FullTableStoreAcceptsOnlyReRegistrations) {
+  TestServer server({{"--tables=2"}, {}});
+  Client client = server.Connect();
+  const std::string csv = SyntheticCsv(30);
+  const std::string generalized =
+      CliAnonymize(server.dir(), csv, "", 2, {});
+  const auto register_params = [&](const char* name) {
+    Json params = Json::Object();
+    params.Set("name", Json::Str(name));
+    params.Set("csv", Json::Str(csv));
+    params.Set("generalized_csv", Json::Str(generalized));
+    return params;
+  };
+  testing::Unwrap(client.Call("register_table", register_params("first")));
+  testing::Unwrap(client.Call("register_table", register_params("second")));
+
+  Json refused = testing::Unwrap(
+      client.CallRaw("register_table", register_params("third")));
+  const Json* error = refused.Find("error");
+  ASSERT_NE(error, nullptr) << refused.Dump();
+  EXPECT_EQ(error->GetString("code", ""), "overloaded");
+  const std::string message = error->GetString("message", "");
+  EXPECT_NE(message.find("at most 2 tables"), std::string::npos) << message;
+  EXPECT_NE(message.find("re-registering an existing name"),
+            std::string::npos)
+      << message;
+
+  Json replaced = testing::Unwrap(
+      client.Call("register_table", register_params("first")));
+  EXPECT_EQ(replaced.GetInt("tables", -1), 2);
+
+  Json submit_params = Json::Object();
+  submit_params.Set("publish_as", Json::Str("fourth"));
+  const uint64_t job_id = SubmitJob(client, csv, 2, std::move(submit_params));
+  Json final_state = testing::Unwrap(client.WaitJob(job_id));
+  EXPECT_EQ(final_state.GetString("state", ""), "done") << final_state.Dump();
+  EXPECT_NE(final_state.GetString("error", "").find("publish failed"),
+            std::string::npos)
+      << final_state.Dump();
+}
+
 TEST(ServeE2eTest, CaptureTraceRoundTripsAChromeTrace) {
   TestServer server;
   Client client = server.Connect();

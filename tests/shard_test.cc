@@ -18,6 +18,7 @@
 #include "kanon/anonymity/verify.h"
 #include "kanon/common/failpoint.h"
 #include "kanon/data/csv.h"
+#include "kanon/generalization/generalized_csv.h"
 #include "kanon/loss/entropy_measure.h"
 #include "kanon/shard/driver.h"
 #include "kanon/shard/manifest.h"
@@ -458,22 +459,87 @@ TEST(ShardedDriverTest, NonComposableMethodsAreRejectedUpFront) {
           .ok());
 }
 
+// A reference boundary repair over a std::map keyed by record: undersized
+// identical-record groups, visited in record order, pool to their join,
+// and a pool still short of k absorbs the smallest regular group (the
+// first in record order on ties). Returns the rows coarsened.
+size_t ReferenceRepair(const GeneralizationScheme& scheme, size_t k,
+                       GeneralizedTable* table) {
+  std::map<GeneralizedRecord, std::vector<size_t>> groups;
+  for (size_t i = 0; i < table->num_rows(); ++i) {
+    groups[table->record(i)].push_back(i);
+  }
+  std::vector<size_t> pool;
+  GeneralizedRecord joined;
+  for (const auto& [record, rows] : groups) {
+    if (rows.size() >= k) continue;
+    joined = joined.empty() ? record : scheme.JoinRecords(joined, record);
+    pool.insert(pool.end(), rows.begin(), rows.end());
+  }
+  if (pool.empty()) return 0;
+  if (pool.size() < k) {
+    const std::pair<const GeneralizedRecord, std::vector<size_t>>* best =
+        nullptr;
+    for (const auto& group : groups) {
+      if (group.second.size() < k) continue;
+      if (best == nullptr || group.second.size() < best->second.size()) {
+        best = &group;
+      }
+    }
+    KANON_CHECK(best != nullptr, "no regular group to absorb");
+    joined = scheme.JoinRecords(joined, best->first);
+    pool.insert(pool.end(), best->second.begin(), best->second.end());
+  }
+  for (size_t row : pool) table->SetRecord(row, joined);
+  return pool.size();
+}
+
 TEST(ShardedDriverTest, UndersizedShardsAreRepairedToGlobalK) {
   // Far more shards than rows/k: several shards get fewer than k rows, so
   // the per-shard outputs cannot all be k-anonymous on their own and the
   // cross-shard boundary-repair pass must restore the global guarantee.
+  // With seed 21 the undersized shards' suppressed rows already form one
+  // group of at least k, so the repair has nothing to do; seed 32 leaves
+  // groups short of k that only the repair fixes.
   auto scheme = SmallScheme();
   const size_t k = 4;
-  const Dataset d = SmallRandomDataset(*scheme, 13, 21);
-  ShardOptions options;
-  options.num_shards = 6;
-  options.work_dir = ScratchDir("driver_repair");
-  const ShardedResult result = Unwrap(shard::ShardedAnonymize(
-      d, scheme, EntropyMeasure(), BaseConfig(k), options));
-  EXPECT_TRUE(Unwrap(IsKAnonymous(result.table, k)));
-  EXPECT_EQ(result.table.num_rows(), d.num_rows());
-  EXPECT_EQ(result.records_suppressed,
-            CountSuppressedRows(result.table, *scheme));
+  for (const uint64_t seed : {21u, 32u}) {
+    SCOPED_TRACE(seed);
+    const Dataset d = SmallRandomDataset(*scheme, 13, seed);
+    ShardOptions options;
+    options.num_shards = 6;
+    options.work_dir = ScratchDir("driver_repair");
+    const ShardedResult result = Unwrap(shard::ShardedAnonymize(
+        d, scheme, EntropyMeasure(), BaseConfig(k), options));
+    EXPECT_TRUE(Unwrap(IsKAnonymous(result.table, k)));
+    EXPECT_EQ(result.table.num_rows(), d.num_rows());
+    EXPECT_EQ(result.records_suppressed,
+              CountSuppressedRows(result.table, *scheme));
+    EXPECT_EQ(result.boundary_repaired > 0, seed == 32);
+
+    // The merged table before the repair, rebuilt from the shard
+    // checkpoints left in the work dir, then repaired by the reference:
+    // the published table must be exactly that.
+    std::vector<GeneralizedRecord> merged(d.num_rows());
+    for (size_t s = 0; s < result.num_shards; ++s) {
+      if (result.shards[s].rows == 0) continue;
+      const SpillRows spill = Unwrap(shard::ReadSpill(
+          shard::SpillPath(options.work_dir, s), scheme->num_attributes()));
+      const GeneralizedTable out = Unwrap(ReadGeneralizedCsvFile(
+          scheme, shard::ShardOutPath(options.work_dir, s)));
+      ASSERT_EQ(out.num_rows(), spill.global_rows.size());
+      for (size_t i = 0; i < out.num_rows(); ++i) {
+        merged[spill.global_rows[i]] = out.record(i);
+      }
+    }
+    GeneralizedTable expected(scheme);
+    for (const GeneralizedRecord& record : merged) {
+      expected.AppendRecord(record);
+    }
+    EXPECT_EQ(ReferenceRepair(*scheme, k, &expected),
+              result.boundary_repaired);
+    EXPECT_TRUE(expected == result.table);
+  }
 }
 
 TEST(ShardedDriverTest, FewerRowsThanKIsAnError) {
@@ -586,6 +652,36 @@ TEST(ShardedDriverTest, CsvFileAndInMemoryPathsAgreeCellForCell) {
   EXPECT_TRUE(from_file.table == from_memory.table)
       << "streaming ingestion changed the output";
   EXPECT_DOUBLE_EQ(from_file.loss, from_memory.loss);
+}
+
+// The sharded CSV path checks its input like ReadCsv: a header that does
+// not match the schema names the column, and a ragged row names its line.
+TEST(ShardedDriverTest, CsvFileErrorsNameTheColumnAndTheLine) {
+  auto scheme = SmallScheme();
+  const std::string dir = ScratchDir("driver_csv_errors");
+  const auto run = [&](const std::string& text) {
+    const std::string csv_path = dir + "/input.csv";
+    {
+      std::ofstream out(csv_path);
+      out << text;
+    }
+    ShardOptions options;
+    options.num_shards = 2;
+    options.work_dir = dir + "/wd";
+    return shard::ShardedAnonymizeCsvFile(csv_path, scheme, CsvOptions(),
+                                          EntropyMeasure(), BaseConfig(2),
+                                          options)
+        .status();
+  };
+  const Status header = run("zip,gender\n1,M\n2,F\n");
+  EXPECT_EQ(header.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(header.message().find("'gender'"), std::string::npos)
+      << header.ToString();
+
+  const Status ragged = run("zip,sex\n1,M\n2,F,extra\n3,M\n");
+  EXPECT_EQ(ragged.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(ragged.message().find("line 3"), std::string::npos)
+      << ragged.ToString();
 }
 
 }  // namespace
