@@ -194,7 +194,7 @@ KernelTiming BenchJoinedSweep(const Dataset& dataset,
   std::vector<double> sweep(n);
 
   for (uint32_t u = 0; u < n; u += 17) {
-    kernels.JoinedCostSweep(singles[u], sweep.data());
+    kernels.JoinedCostSweep(singles[u].data(), sweep.data());
     for (uint32_t v = 0; v < n; ++v) {
       KANON_CHECK(sweep[v] ==
                       LegacyJoinedCost(scheme, costs, dataset, singles[u], v),
@@ -217,7 +217,7 @@ KernelTiming BenchJoinedSweep(const Dataset& dataset,
   t.columnar_ns = TimeNs(reps, [&] {
     double sink = 0.0;
     for (uint32_t u = 0; u < n; ++u) {
-      kernels.JoinedCostSweep(singles[u], sweep.data());
+      kernels.JoinedCostSweep(singles[u].data(), sweep.data());
       for (uint32_t v = 0; v < n; ++v) sink += sweep[v];
     }
     g_sink += sink;
@@ -272,8 +272,11 @@ KernelTiming BenchClosure(const Dataset& dataset,
 }
 
 // --- Kernel 4: batched record pricing (ShrinkToK's leave-one-out pass).
-// Both shapes fill the same out-buffer the selection loop would then read,
-// so the comparison is purely nested-vector vs. flat-buffer lookup.
+// Legacy: one heap record per candidate, priced through nested per-attribute
+// cost vectors, as the shrink did when LeaveOneOutClosures returned a
+// vector of records. Batched: RecordCostMany over the same records as one
+// flat count x r buffer — the shape the shrink now fills and prices. Both
+// fill the out-buffer the selection loop then reads.
 KernelTiming BenchRecordCost(const GeneralizationScheme& scheme,
                              const PrecomputedLoss& loss,
                              const std::vector<std::vector<double>>& costs,
@@ -288,9 +291,14 @@ KernelTiming BenchRecordCost(const GeneralizationScheme& scheme,
   for (int copy = 0; copy < 16; ++copy) {
     records.insert(records.end(), singles.begin(), singles.end());
   }
-  std::vector<double> batch;
+  std::vector<SetId> flat;
+  flat.reserve(records.size() * r);
+  for (const GeneralizedRecord& rec : records) {
+    flat.insert(flat.end(), rec.begin(), rec.end());
+  }
+  std::vector<double> batch(records.size());
   std::vector<double> legacy(records.size());
-  loss.RecordCostMany(records, &batch);
+  loss.RecordCostMany(flat.data(), records.size(), batch.data());
   for (size_t i = 0; i < records.size(); ++i) {
     double total = 0.0;
     for (size_t j = 0; j < r; ++j) total += costs[j][records[i][j]];
@@ -311,7 +319,7 @@ KernelTiming BenchRecordCost(const GeneralizationScheme& scheme,
     g_sink += legacy.back();
   });
   t.columnar_ns = TimeNs(reps, [&] {
-    loss.RecordCostMany(records, &batch);
+    loss.RecordCostMany(flat.data(), records.size(), batch.data());
     g_sink += batch.back();
   });
   return t;
@@ -656,7 +664,7 @@ int Main(int argc, char** argv) {
   timings.push_back(BenchRecordCost(scheme, loss, costs, singles, reps));
   std::vector<double> single_costs(n);
   for (uint32_t i = 0; i < n; ++i) {
-    single_costs[i] = loss.RecordCost(singles[i]);
+    single_costs[i] = loss.RecordCost(singles[i].data());
   }
   timings.push_back(BenchDistanceDispatch(single_costs, reps));
   timings.push_back(BenchUnionSweep(w.dataset, scheme, kernels, reps));

@@ -4,43 +4,46 @@
 #include <type_traits>
 
 #include "kanon/algo/agglomerative_engine.h"
+#include "kanon/algo/core/engine_args.h"
 #include "kanon/algo/policy.h"
 #include "kanon/common/check.h"
 
 namespace kanon {
 
-std::vector<GeneralizedRecord> LeaveOneOutClosures(
-    const Dataset& dataset, const GeneralizationScheme& scheme,
-    const std::vector<uint32_t>& rows) {
+void LeaveOneOutClosures(const Dataset& dataset,
+                         const GeneralizationScheme& scheme,
+                         const std::vector<uint32_t>& rows,
+                         std::vector<SetId>* out) {
   const size_t len = rows.size();
   const size_t r = scheme.num_attributes();
   KANON_CHECK(len >= 2, "leave-one-out needs at least two rows");
-  // prefix[q] = closure of rows[0..q), suffix[q] = closure of rows[q..len).
-  std::vector<GeneralizedRecord> prefix(len);
-  std::vector<GeneralizedRecord> suffix(len + 1);
-  prefix[1] = scheme.Identity(dataset.row_view(rows[0]));
-  for (size_t q = 2; q < len; ++q) {
-    prefix[q] = prefix[q - 1];
+  out->resize(len * r);
+  // Row p is prefix(p) ⊔ suffix(p + 1), prefix(q) being the closure of
+  // rows[0..q) and suffix(q) that of rows[q..len). The backward pass leaves
+  // suffix(p + 1) in row p for p < len − 1; the forward pass grows the
+  // prefix in the last row, which it finally holds as prefix(len − 1).
+  SetId* const rows_out = out->data();
+  SetId* const prefix = rows_out + (len - 1) * r;
+  for (size_t j = 0; j < r; ++j) {
+    rows_out[(len - 2) * r + j] =
+        scheme.hierarchy(j).LeafOf(dataset.at(rows[len - 1], j));
+  }
+  for (size_t q = len - 2; q >= 1; --q) {
     for (size_t j = 0; j < r; ++j) {
-      prefix[q][j] = scheme.hierarchy(j).JoinValue(
-          prefix[q][j], dataset.at(rows[q - 1], j));
+      rows_out[(q - 1) * r + j] = scheme.hierarchy(j).JoinValue(
+          rows_out[q * r + j], dataset.at(rows[q], j));
     }
   }
-  suffix[len - 1] = scheme.Identity(dataset.row_view(rows[len - 1]));
-  for (size_t q = len - 1; q-- > 1;) {
-    suffix[q] = suffix[q + 1];
-    for (size_t j = 0; j < r; ++j) {
-      suffix[q][j] =
-          scheme.hierarchy(j).JoinValue(suffix[q][j], dataset.at(rows[q], j));
-    }
+  for (size_t j = 0; j < r; ++j) {
+    prefix[j] = scheme.hierarchy(j).LeafOf(dataset.at(rows[0], j));
   }
-  std::vector<GeneralizedRecord> out(len);
-  out[0] = suffix[1];
-  out[len - 1] = prefix[len - 1];
   for (size_t p = 1; p + 1 < len; ++p) {
-    out[p] = scheme.JoinRecords(prefix[p], suffix[p + 1]);
+    for (size_t j = 0; j < r; ++j) {
+      const Hierarchy& h = scheme.hierarchy(j);
+      rows_out[p * r + j] = h.Join(prefix[j], rows_out[p * r + j]);
+      prefix[j] = h.JoinValue(prefix[j], dataset.at(rows[p], j));
+    }
   }
-  return out;
 }
 
 // The library's one enum-to-policy dispatch: the DistanceFunction enum is
@@ -49,18 +52,8 @@ std::vector<GeneralizedRecord> LeaveOneOutClosures(
 Result<Clustering> AgglomerativeCluster(const Dataset& dataset,
                                         const PrecomputedLoss& loss, size_t k,
                                         const AgglomerativeOptions& options) {
+  KANON_RETURN_NOT_OK(CheckEngineArgs(dataset, loss, k));
   const size_t n = dataset.num_rows();
-  if (k < 1) {
-    return Status::InvalidArgument("k must be at least 1");
-  }
-  if (k > n) {
-    return Status::InvalidArgument("k = " + std::to_string(k) +
-                                   " exceeds the number of records " +
-                                   std::to_string(n));
-  }
-  if (dataset.num_attributes() != loss.scheme().num_attributes()) {
-    return Status::InvalidArgument("dataset/loss arity mismatch");
-  }
   if (k == 1) {
     // Identity clustering: nothing to anonymize.
     Clustering out;

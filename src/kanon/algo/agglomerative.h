@@ -80,15 +80,17 @@ Result<GeneralizedTable> AgglomerativeKAnonymize(
     const Dataset& dataset, const PrecomputedLoss& loss, size_t k,
     const AgglomerativeOptions& options);
 
-/// All leave-one-out closures of `rows` at once: element p is the closure
-/// of rows ∖ {rows[p]}, computed with prefix/suffix closure joins in
-/// O(len·r) total instead of O(len²·r). Requires len >= 2. Joins form a
-/// semilattice (Hierarchy::Build verifies unique minimal supersets), so
-/// each result is identical to folding the leaves one by one. This is the
-/// inner step of Algorithm 2's ejection scan; exposed for tests.
-std::vector<GeneralizedRecord> LeaveOneOutClosures(
-    const Dataset& dataset, const GeneralizationScheme& scheme,
-    const std::vector<uint32_t>& rows);
+/// All leave-one-out closures of `rows` at once, written to `out` as len
+/// flat rows of r set ids: row p is the closure of rows ∖ {rows[p]},
+/// computed with prefix/suffix closure joins in O(len·r) total instead of
+/// O(len²·r). Requires len >= 2. Joins form a semilattice (Hierarchy::Build
+/// verifies unique minimal supersets), so each result is identical to
+/// folding the leaves one by one. This is the inner step of Algorithm 2's
+/// ejection scan; exposed for tests.
+void LeaveOneOutClosures(const Dataset& dataset,
+                         const GeneralizationScheme& scheme,
+                         const std::vector<uint32_t>& rows,
+                         std::vector<SetId>* out);
 
 }  // namespace kanon
 

@@ -102,6 +102,10 @@ class AgglomerativeEngine {
     return rows_.data() + static_cast<size_t>(id) * num_attrs_;
   }
 
+  // Dataset row `row`'s identity closure. Clusters 0..n-1 are the init
+  // singletons, and only clusters created later ever get a new closure.
+  const SetId* SingletonRow(uint32_t row) const { return Row(row); }
+
   // d(A ∪ B) computed attribute-wise through the raw join tables and the
   // flat cost rows; O(r), same additions in the same order as the checked
   // accessor loop it replaced.
@@ -357,9 +361,9 @@ class AgglomerativeEngine {
     ClusterData& c = clusters_.cluster(id);
     while (c.members.size() > k_) {
       const size_t len = c.members.size();
-      std::vector<GeneralizedRecord> loo =
-          LeaveOneOutClosures(dataset_, scheme_, c.members);
-      loss_.RecordCostMany(loo, &shrink_costs_);
+      LeaveOneOutClosures(dataset_, scheme_, c.members, &shrink_rows_);
+      shrink_costs_.resize(len);
+      loss_.RecordCostMany(shrink_rows_.data(), len, shrink_costs_.data());
       size_t eject_pos = 0;
       double best_di = -kInfDist;
       for (size_t pos = 0; pos < len; ++pos) {
@@ -375,7 +379,8 @@ class AgglomerativeEngine {
       ejected.push_back(c.members[eject_pos]);
       c.members.erase(c.members.begin() +
                       static_cast<ptrdiff_t>(eject_pos));
-      SetClosure(id, store_.Intern(loo[eject_pos].data()));
+      SetClosure(id, store_.Intern(shrink_rows_.data() +
+                                   eject_pos * num_attrs_));
     }
     return ejected;
   }
@@ -384,8 +389,7 @@ class AgglomerativeEngine {
     ClusterData single;
     single.members = {row};
     const uint32_t id = NewCluster(std::move(single));
-    SetClosure(id,
-               store_.Intern(scheme_.Identity(dataset_.row_view(row)).data()));
+    SetClosure(id, store_.Intern(SingletonRow(row)));
     return id;
   }
 
@@ -431,15 +435,13 @@ class AgglomerativeEngine {
   // wind-down's straggler path.
   void AttachToNearestFinal(const std::vector<uint32_t>& leftover) {
     for (uint32_t row : leftover) {
-      const GeneralizedRecord single_row =
-          scheme_.Identity(dataset_.row_view(row));
-      const ClosureStore::Id single = store_.Intern(single_row.data());
+      const ClosureStore::Id single = store_.Intern(SingletonRow(row));
       size_t best_pos = 0;
       double best_dist = kInfDist;
       for (size_t pos = 0; pos < final_.size(); ++pos) {
         const ClusterData& target = clusters_.cluster(final_[pos]);
         const double d_union =
-            kernels_.UnionCost(single_row.data(), Row(final_[pos]));
+            kernels_.UnionCost(SingletonRow(row), Row(final_[pos]));
         const double d = policy_.Distance(
             1, target.members.size(), target.members.size() + 1,
             store_.cost(single), target.cost, d_union);
@@ -515,7 +517,9 @@ class AgglomerativeEngine {
   // chasing the store's record.
   std::vector<SetId> rows_;
   std::vector<uint32_t> final_;
-  std::vector<double> shrink_costs_;  // ShrinkToK scratch, reused per pass.
+  // ShrinkToK scratch, reused per pass: leave-one-out rows and their costs.
+  std::vector<SetId> shrink_rows_;
+  std::vector<double> shrink_costs_;
   // Per-chunk partials of the repair pass, reused so their buffers persist.
   std::vector<RepairChunk> repair_chunks_;
 };

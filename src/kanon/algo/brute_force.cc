@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "kanon/algo/core/closure_store.h"
+#include "kanon/algo/core/engine_args.h"
 #include "kanon/common/check.h"
 #include "kanon/telemetry/tracer.h"
 
@@ -13,15 +14,7 @@ namespace {
 
 Status ValidateArgs(const Dataset& dataset, const PrecomputedLoss& loss,
                     size_t k, size_t max_n) {
-  if (k < 1) {
-    return Status::InvalidArgument("k must be at least 1");
-  }
-  if (k > dataset.num_rows()) {
-    return Status::InvalidArgument("k exceeds the number of records");
-  }
-  if (dataset.num_attributes() != loss.scheme().num_attributes()) {
-    return Status::InvalidArgument("dataset/loss arity mismatch");
-  }
+  KANON_RETURN_NOT_OK(CheckEngineArgs(dataset, loss, k));
   if (dataset.num_rows() > max_n) {
     return Status::InvalidArgument(
         "brute force is limited to " + std::to_string(max_n) +

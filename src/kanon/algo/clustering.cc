@@ -43,15 +43,17 @@ GeneralizedTable TableFromClustering(
   KANON_CHECK(clustering.IsPartitionOf(dataset.num_rows()),
               "clustering must partition the dataset rows");
   PhaseSpan span(CurrentTracer(), "table-from-clustering");
-  GeneralizedTable table =
-      GeneralizedTable::Identity(scheme, dataset);
+  // The partition check above means every row is written exactly once.
+  const size_t r = scheme->num_attributes();
+  std::vector<SetId> cells(dataset.num_rows() * r);
+  std::vector<SetId> closure(r);
   for (const auto& cluster : clustering.clusters) {
-    const GeneralizedRecord closure = scheme->ClosureOfRows(dataset, cluster);
+    scheme->ClosureOfRows(dataset, cluster, closure.data());
     for (uint32_t row : cluster) {
-      table.SetRecord(row, closure);
+      std::copy(closure.begin(), closure.end(), cells.begin() + row * r);
     }
   }
-  return table;
+  return GeneralizedTable::FromCells(std::move(scheme), std::move(cells));
 }
 
 }  // namespace kanon

@@ -17,15 +17,16 @@ ClosureStore::Id ClosureStore::InternJoin(Id a, Id b) {
   const GeneralizationScheme& scheme = loss_.scheme();
   const SetId* row_a = row(a);
   const SetId* row_b = row(b);
-  for (size_t j = 0; j < joined_.size(); ++j) {
-    joined_[j] = scheme.hierarchy(j).Join(row_a[j], row_b[j]);
+  for (size_t j = 0; j < scratch_.size(); ++j) {
+    scratch_[j] = scheme.hierarchy(j).Join(row_a[j], row_b[j]);
   }
-  return Intern(joined_.data());
+  return Intern(scratch_.data());
 }
 
 ClosureStore::Id ClosureStore::InternClosureOfRows(
     const Dataset& dataset, const std::vector<uint32_t>& rows) {
-  return Intern(loss_.scheme().ClosureOfRows(dataset, rows).data());
+  loss_.scheme().ClosureOfRows(dataset, rows, scratch_.data());
+  return Intern(scratch_.data());
 }
 
 std::vector<ClosureStore::Id> ClosureStore::InternTable(

@@ -36,7 +36,7 @@ class ClosureStore {
   explicit ClosureStore(const PrecomputedLoss& loss)
       : loss_(loss),
         rows_(loss.scheme().num_attributes()),
-        joined_(loss.scheme().num_attributes()) {}
+        scratch_(loss.scheme().num_attributes()) {}
 
   ClosureStore(const ClosureStore&) = delete;
   ClosureStore& operator=(const ClosureStore&) = delete;
@@ -89,7 +89,7 @@ class ClosureStore {
   const PrecomputedLoss& loss_;
   RowInterner rows_;
   std::vector<double> costs_;
-  GeneralizedRecord joined_;  // InternJoin's scratch row.
+  std::vector<SetId> scratch_;  // The row the convenience interns build.
   size_t hits_ = 0;
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "kanon/algo/core/engine_args.h"
 #include "kanon/algo/core/union_find.h"
 #include "kanon/common/check.h"
 #include "kanon/common/failpoint.h"
@@ -313,18 +314,7 @@ class ForestBuilder {
 Result<Clustering> ForestCluster(const Dataset& dataset,
                                  const PrecomputedLoss& loss, size_t k,
                                  RunContext* ctx, EngineCounters* counters) {
-  const size_t n = dataset.num_rows();
-  if (k < 1) {
-    return Status::InvalidArgument("k must be at least 1");
-  }
-  if (k > n) {
-    return Status::InvalidArgument("k = " + std::to_string(k) +
-                                   " exceeds the number of records " +
-                                   std::to_string(n));
-  }
-  if (dataset.num_attributes() != loss.scheme().num_attributes()) {
-    return Status::InvalidArgument("dataset/loss arity mismatch");
-  }
+  KANON_RETURN_NOT_OK(CheckEngineArgs(dataset, loss, k));
   return ForestBuilder(dataset, loss, k, ctx, counters).Run();
 }
 

@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "kanon/algo/core/closure_store.h"
+#include "kanon/algo/core/engine_args.h"
 #include "kanon/common/check.h"
 #include "kanon/common/failpoint.h"
 #include "kanon/graph/consistency_graph.h"
@@ -36,13 +37,14 @@ void CollapseToCommonClosure(const GeneralizationScheme& scheme,
   const size_t r = table->num_attributes();
   GeneralizedRecord common = table->record(0);
   for (size_t t = 1; t < n; ++t) {
+    const SetId* row = table->row_data(t);
     for (size_t j = 0; j < r; ++j) {
-      common[j] = scheme.hierarchy(j).Join(common[j], table->at(t, j));
+      common[j] = scheme.hierarchy(j).Join(common[j], row[j]);
     }
   }
   size_t coarsened = 0;
   for (size_t t = 0; t < n; ++t) {
-    if (table->record(t) != common) {
+    if (!std::equal(common.begin(), common.end(), table->row_data(t))) {
       table->SetRecord(t, common);
       ++coarsened;
     }
@@ -58,20 +60,12 @@ Result<GlobalAnonymizationResult> MakeGlobal1KAnonymous(
     GeneralizedTable table, RunContext* ctx, EngineCounters* counters) {
   const size_t n = dataset.num_rows();
   const size_t r = dataset.num_attributes();
-  if (k < 1) {
-    return Status::InvalidArgument("k must be at least 1");
-  }
-  if (k > n) {
-    return Status::InvalidArgument("k exceeds the number of records");
-  }
+  KANON_RETURN_NOT_OK(CheckEngineArgs(dataset, loss, k));
   if (table.num_rows() != n) {
     return Status::InvalidArgument(
         "table must have one generalized record per dataset row");
   }
   const GeneralizationScheme& scheme = loss.scheme();
-  if (r != scheme.num_attributes()) {
-    return Status::InvalidArgument("dataset/loss arity mismatch");
-  }
   // R̄_i must generalize R_i: Algorithm 6 relies on the identity edges for
   // its perfect-matching swaps.
   for (uint32_t i = 0; i < n; ++i) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "kanon/algo/core/engine_args.h"
 #include "kanon/common/check.h"
 #include "kanon/common/distinct_rows.h"
 #include "kanon/common/failpoint.h"
@@ -201,16 +202,8 @@ Result<GlobalRecodingResult> GlobalRecodingKAnonymize(
     RunContext* ctx, int num_threads, EngineCounters* counters) {
   const size_t n = dataset.num_rows();
   const size_t r = dataset.num_attributes();
-  if (k < 1) {
-    return Status::InvalidArgument("k must be at least 1");
-  }
-  if (k > n) {
-    return Status::InvalidArgument("k exceeds the number of records");
-  }
+  KANON_RETURN_NOT_OK(CheckEngineArgs(dataset, loss, k));
   const GeneralizationScheme& scheme = loss.scheme();
-  if (r != scheme.num_attributes()) {
-    return Status::InvalidArgument("dataset/loss arity mismatch");
-  }
   for (size_t j = 0; j < r; ++j) {
     if (!scheme.hierarchy(j).IsLaminar()) {
       return Status::FailedPrecondition(

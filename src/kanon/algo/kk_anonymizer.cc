@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "kanon/algo/core/closure_store.h"
+#include "kanon/algo/core/engine_args.h"
 #include "kanon/common/check.h"
 #include "kanon/common/distinct_rows.h"
 #include "kanon/common/failpoint.h"
@@ -18,38 +19,23 @@ namespace kanon {
 
 namespace {
 
-Status ValidateArgs(const Dataset& dataset, const PrecomputedLoss& loss,
-                    size_t k) {
-  if (k < 1) {
-    return Status::InvalidArgument("k must be at least 1");
-  }
-  if (k > dataset.num_rows()) {
-    return Status::InvalidArgument("k = " + std::to_string(k) +
-                                   " exceeds the number of records " +
-                                   std::to_string(dataset.num_rows()));
-  }
-  if (dataset.num_attributes() != loss.scheme().num_attributes()) {
-    return Status::InvalidArgument("dataset/loss arity mismatch");
-  }
-  return Status::OK();
-}
-
-// Emits the rows an interrupted (k,1) sweep produced and fully suppresses
-// the rest. R* covers every one of the n >= k originals, so (k,1) holds for
-// the suppressed records; finished rows are proper k-closures. Each record's
-// content depends only on its own row, so the survivors of a partial sweep
-// are exactly the single-threaded records — only the surviving *set* varies.
-GeneralizedTable EmitWithSuppressedHoles(
-    const GeneralizationScheme& scheme, const char* stage, RunContext* ctx,
-    std::vector<GeneralizedRecord> rows, const std::vector<uint8_t>& done,
-    GeneralizedTable table) {
-  const GeneralizedRecord star = scheme.Suppressed();
+// Publishes the rows a (k,1) sweep produced — `cells` holds row i's closure
+// at [i·r, i·r + r) when done[i] — and fully suppresses the rest, which only
+// an interrupted sweep leaves. R* covers every one of the n >= k originals,
+// so (k,1) holds for the suppressed records; finished rows are proper
+// k-closures. Each record's content depends only on its own row, so the
+// survivors of a partial sweep are exactly the single-threaded records —
+// only the surviving *set* varies.
+GeneralizedTable EmitWithSuppressedHoles(const PrecomputedLoss& loss,
+                                         const char* stage, RunContext* ctx,
+                                         std::vector<SetId> cells,
+                                         const std::vector<uint8_t>& done) {
+  const GeneralizedRecord star = loss.scheme().Suppressed();
+  const size_t r = star.size();
   size_t suppressed = 0;
-  for (size_t i = 0; i < rows.size(); ++i) {
-    if (done[i]) {
-      table.AppendRecord(std::move(rows[i]));
-    } else {
-      table.AppendRecord(star);
+  for (size_t i = 0; i < done.size(); ++i) {
+    if (!done[i]) {
+      std::copy(star.begin(), star.end(), cells.begin() + i * r);
       ++suppressed;
     }
   }
@@ -57,7 +43,7 @@ GeneralizedTable EmitWithSuppressedHoles(
     ctx->NoteDegraded(stage);
     ctx->AddRecordsSuppressed(suppressed);
   }
-  return table;
+  return GeneralizedTable::FromCells(loss.scheme_ptr(), std::move(cells));
 }
 
 // Returns the first injected failure in chunk order (matching the row order
@@ -128,10 +114,11 @@ Result<GeneralizedTable> K1NearestNeighbors(const Dataset& dataset,
                                             size_t k, RunContext* ctx,
                                             int num_threads,
                                             EngineCounters* counters) {
-  KANON_RETURN_NOT_OK(ValidateArgs(dataset, loss, k));
+  KANON_RETURN_NOT_OK(CheckEngineArgs(dataset, loss, k));
   PhaseSpan phase(CurrentTracer(), "kk/k1-nn");
   const GeneralizationScheme& scheme = loss.scheme();
   const size_t n = dataset.num_rows();
+  const size_t r = dataset.num_attributes();
 
   // Row i's output — the closure of R_i and its k−1 nearest records by
   // pairwise closure cost d({R_i, R_j}) — depends only on i, so the O(n²·r)
@@ -140,15 +127,16 @@ Result<GeneralizedTable> K1NearestNeighbors(const Dataset& dataset,
   // early-return across a lambda; each chunk records the first injected
   // failure in its slot instead.
   const LossKernels kernels(dataset, loss);
-  std::vector<GeneralizedRecord> rows(n);
+  std::vector<SetId> cells(n * r);
   std::vector<uint8_t> done(n, 0);
   std::vector<Status> errors(ParallelChunkCount(n));
-  const SweepStatus sweep = ParallelChunks(
+  ParallelChunks(
       n, num_threads, ctx, "kk/k1-nn",
       [&](size_t chunk, size_t begin, size_t end) {
         std::vector<std::pair<double, uint32_t>> candidates;
         candidates.reserve(n);
-        std::vector<double> joined(n);
+        std::vector<double> pair(n);
+        std::vector<uint32_t> cluster;
         for (size_t i = begin; i < end; ++i) {
           if (failpoint::AnyArmed()) {
             Status s = failpoint::Check("kk.closure");
@@ -157,37 +145,28 @@ Result<GeneralizedTable> K1NearestNeighbors(const Dataset& dataset,
               return;
             }
           }
-          const GeneralizedRecord self =
-              scheme.Identity(dataset.row_view(i));
-          kernels.JoinedCostSweep(self, joined.data());
+          kernels.PairCostSweep(static_cast<uint32_t>(i), pair.data());
           candidates.clear();
           for (uint32_t j = 0; j < n; ++j) {
             if (j == i) continue;
             // The candidate weight is the pairwise closure cost d({R_i, R_j}).
-            candidates.emplace_back(joined[j], j);
+            candidates.emplace_back(pair[j], j);
           }
           std::partial_sort(candidates.begin(),
                             candidates.begin() + static_cast<ptrdiff_t>(k - 1),
                             candidates.end());
-          std::vector<uint32_t> cluster = {static_cast<uint32_t>(i)};
+          cluster.assign(1, static_cast<uint32_t>(i));
           for (size_t t = 0; t + 1 < k; ++t) {
             cluster.push_back(candidates[t].second);
           }
-          rows[i] = scheme.ClosureOfRows(dataset, cluster);
+          scheme.ClosureOfRows(dataset, cluster, cells.data() + i * r);
           done[i] = 1;
         }
       });
   KANON_RETURN_NOT_OK(FirstError(std::move(errors)));
 
-  GeneralizedTable table(loss.scheme_ptr());
-  if (sweep.completed) {
-    for (size_t i = 0; i < n; ++i) {
-      table.AppendRecord(std::move(rows[i]));
-    }
-  } else {
-    table = EmitWithSuppressedHoles(scheme, "kk/k1-nn", ctx, std::move(rows),
-                                    done, std::move(table));
-  }
+  GeneralizedTable table = EmitWithSuppressedHoles(
+      loss, "kk/k1-nn", ctx, std::move(cells), done);
   AccountSweep(loss, table, ParallelChunkCount(n), counters);
   return table;
 }
@@ -197,7 +176,7 @@ Result<GeneralizedTable> K1GreedyExpansion(const Dataset& dataset,
                                            size_t k, RunContext* ctx,
                                            int num_threads,
                                            EngineCounters* counters) {
-  KANON_RETURN_NOT_OK(ValidateArgs(dataset, loss, k));
+  KANON_RETURN_NOT_OK(CheckEngineArgs(dataset, loss, k));
   PhaseSpan phase(CurrentTracer(), "kk/k1-greedy");
   const GeneralizationScheme& scheme = loss.scheme();
   const size_t n = dataset.num_rows();
@@ -216,8 +195,12 @@ Result<GeneralizedTable> K1GreedyExpansion(const Dataset& dataset,
   const RowCoverIndex cover(dataset, scheme);
   RowInterner closures(r);
   std::vector<uint32_t> start(n);
-  for (size_t i = 0; i < n; ++i) {
-    start[i] = closures.Intern(scheme.Identity(dataset.row_view(i)).data());
+  {
+    const GeneralizedTable identity =
+        GeneralizedTable::Identity(loss.scheme_ptr(), dataset);
+    for (size_t i = 0; i < n; ++i) {
+      start[i] = closures.Intern(identity.row_data(i));
+    }
   }
   // link[id]: the successor of closure id, id itself once final, or
   // kPending while its step has not run.
@@ -241,7 +224,6 @@ Result<GeneralizedTable> K1GreedyExpansion(const Dataset& dataset,
         m, num_threads, ctx, "kk/k1-greedy",
         [&](size_t chunk, size_t begin, size_t end) {
           chunk_ran[chunk] = 1;
-          GeneralizedRecord closure(r);
           std::vector<uint64_t> covered(cover.num_words());
           std::vector<double> joined(n);
           for (size_t f = begin; f < end; ++f) {
@@ -257,9 +239,8 @@ Result<GeneralizedTable> K1GreedyExpansion(const Dataset& dataset,
               steps[f] = kFinal;
               continue;
             }
-            closure.assign(c, c + r);
-            const double closure_cost = loss.RecordCost(closure);
-            kernels.JoinedCostSweep(closure, joined.data());
+            const double closure_cost = loss.RecordCost(c);
+            kernels.JoinedCostSweep(c, joined.data());
             uint32_t best = std::numeric_limits<uint32_t>::max();
             double best_delta = std::numeric_limits<double>::infinity();
             for (uint32_t j = 0; j < n; ++j) {
@@ -276,8 +257,7 @@ Result<GeneralizedTable> K1GreedyExpansion(const Dataset& dataset,
                         "k <= n rows are covered");
             SetId* out = grown.data() + f * r;
             for (size_t a = 0; a < r; ++a) {
-              out[a] = scheme.hierarchy(a).JoinValue(closure[a],
-                                                     dataset.at(best, a));
+              out[a] = scheme.hierarchy(a).JoinValue(c[a], dataset.at(best, a));
             }
             steps[f] = kGrown;
           }
@@ -305,20 +285,19 @@ Result<GeneralizedTable> K1GreedyExpansion(const Dataset& dataset,
 
   // Each record publishes the final closure at the end of its chain; a
   // chain cut by a stop ends at a pending closure and is suppressed.
-  std::vector<GeneralizedRecord> rows(n);
+  std::vector<SetId> cells(n * r);
   std::vector<uint8_t> done(n, 0);
   for (size_t i = 0; i < n; ++i) {
     uint32_t id = start[i];
     while (link[id] != kPending && link[id] != id) id = link[id];
     if (link[id] == id) {
       const SetId* c = closures.row(id);
-      rows[i].assign(c, c + r);
+      std::copy(c, c + r, cells.begin() + i * r);
       done[i] = 1;
     }
   }
   GeneralizedTable table = EmitWithSuppressedHoles(
-      scheme, "kk/k1-greedy", ctx, std::move(rows), done,
-      GeneralizedTable(loss.scheme_ptr()));
+      loss, "kk/k1-greedy", ctx, std::move(cells), done);
   AccountSweep(loss, table, chunks_run, counters);
   return table;
 }
@@ -328,7 +307,7 @@ Result<GeneralizedTable> Make1KAnonymous(const Dataset& dataset,
                                          GeneralizedTable table,
                                          RunContext* ctx,
                                          EngineCounters* counters) {
-  KANON_RETURN_NOT_OK(ValidateArgs(dataset, loss, k));
+  KANON_RETURN_NOT_OK(CheckEngineArgs(dataset, loss, k));
   if (table.num_rows() != dataset.num_rows()) {
     return Status::InvalidArgument(
         "table must have one generalized record per dataset row");

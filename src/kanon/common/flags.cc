@@ -1,5 +1,6 @@
 #include "kanon/common/flags.h"
 
+#include <cerrno>
 #include <cmath>
 #include <cstdlib>
 #include <sstream>
@@ -52,6 +53,24 @@ int64_t FlagParser::GetInt(const std::string& name,
   KANON_CHECK(end != nullptr && *end == '\0' && !it->second.empty(),
               "flag --" + name + " is not an integer: " + it->second);
   return value;
+}
+
+Status FlagParser::CheckCounts(
+    std::initializer_list<const char*> names) const {
+  for (const char* name : names) {
+    auto it = values_.find(name);
+    if (it == values_.end()) continue;
+    const std::string& text = it->second;
+    char* end = nullptr;
+    errno = 0;
+    const int64_t value = std::strtoll(text.c_str(), &end, 10);
+    if (text.empty() || *end != '\0' || errno != 0 || value < 0) {
+      return Status::InvalidArgument(std::string("flag --") + name +
+                                     " must be a non-negative integer, got '" +
+                                     text + "'");
+    }
+  }
+  return Status::OK();
 }
 
 double FlagParser::GetDouble(const std::string& name,

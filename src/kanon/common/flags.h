@@ -2,6 +2,7 @@
 #define KANON_COMMON_FLAGS_H_
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <string>
 #include <vector>
@@ -27,6 +28,11 @@ class FlagParser {
   std::string GetString(const std::string& name,
                         const std::string& default_value) const;
   int64_t GetInt(const std::string& name, int64_t default_value) const;
+  /// OK when each flag in `names` is absent or a whole number in
+  /// [0, INT64_MAX]; else InvalidArgument naming the first that is not
+  /// ("abc", "-3", "1e3"). A user-facing tool checks its count flags up
+  /// front, so its GetInt reads neither abort nor wrap when cast to size_t.
+  Status CheckCounts(std::initializer_list<const char*> names) const;
   double GetDouble(const std::string& name, double default_value) const;
   bool GetBool(const std::string& name, bool default_value) const;
   /// A comma-separated list of finite numbers, e.g. --attr-weights=2,1,1.

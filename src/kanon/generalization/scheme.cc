@@ -67,24 +67,19 @@ GeneralizedRecord GeneralizationScheme::JoinRecords(
   return out;
 }
 
-GeneralizedRecord GeneralizationScheme::JoinWithOriginal(
-    RowView record, const GeneralizedRecord& gen) const {
-  KANON_CHECK(record.size() == hierarchies_.size() &&
-                  gen.size() == record.size(),
-              "record arity mismatch");
-  GeneralizedRecord out(gen.size());
-  for (size_t j = 0; j < gen.size(); ++j) {
-    out[j] = hierarchies_[j].JoinValue(gen[j], record[j]);
-  }
+GeneralizedRecord GeneralizationScheme::ClosureOfRows(
+    const Dataset& dataset, const std::vector<uint32_t>& rows) const {
+  GeneralizedRecord out(hierarchies_.size());
+  ClosureOfRows(dataset, rows, out.data());
   return out;
 }
 
-GeneralizedRecord GeneralizationScheme::ClosureOfRows(
-    const Dataset& dataset, const std::vector<uint32_t>& rows) const {
+void GeneralizationScheme::ClosureOfRows(const Dataset& dataset,
+                                         const std::vector<uint32_t>& rows,
+                                         SetId* out) const {
   KANON_CHECK(!rows.empty(), "closure of an empty cluster is undefined");
   KANON_CHECK(dataset.num_attributes() == hierarchies_.size(),
               "dataset arity mismatch");
-  GeneralizedRecord out(hierarchies_.size());
   const size_t r = hierarchies_.size();
   for (size_t j = 0; j < r; ++j) {
     // Raw leaf/join tables: this fold runs once per cluster mutation in
@@ -100,7 +95,6 @@ GeneralizedRecord GeneralizationScheme::ClosureOfRows(
     }
     out[j] = acc;
   }
-  return out;
 }
 
 bool GeneralizationScheme::Consistent(RowView record,
@@ -110,18 +104,6 @@ bool GeneralizationScheme::Consistent(RowView record,
               "record arity mismatch");
   for (size_t j = 0; j < record.size(); ++j) {
     if (!hierarchies_[j].Contains(gen[j], record[j])) return false;
-  }
-  return true;
-}
-
-bool GeneralizationScheme::Generalizes(const GeneralizedRecord& a,
-                                       const GeneralizedRecord& b) const {
-  KANON_CHECK(a.size() == hierarchies_.size() && b.size() == a.size(),
-              "record arity mismatch");
-  for (size_t j = 0; j < a.size(); ++j) {
-    if (!hierarchies_[j].set(b[j]).IsSubsetOf(hierarchies_[j].set(a[j]))) {
-      return false;
-    }
   }
   return true;
 }

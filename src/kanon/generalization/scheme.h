@@ -43,24 +43,20 @@ class GeneralizationScheme {
   GeneralizedRecord JoinRecords(const GeneralizedRecord& a,
                                 const GeneralizedRecord& b) const;
 
-  /// R_i + R̄ in the paper's notation: the minimal generalized record that
-  /// generalizes both the original record `record` and `gen`.
-  GeneralizedRecord JoinWithOriginal(RowView record,
-                                     const GeneralizedRecord& gen) const;
-
   /// Closure of a set of dataset rows (Section V-A.1): the minimal
   /// generalized record consistent with all of them. `rows` must not be
   /// empty.
   GeneralizedRecord ClosureOfRows(const Dataset& dataset,
                                   const std::vector<uint32_t>& rows) const;
 
+  /// The same closure written to `out` (r set ids), for callers that keep
+  /// records in flat buffers.
+  void ClosureOfRows(const Dataset& dataset, const std::vector<uint32_t>& rows,
+                     SetId* out) const;
+
   /// True iff the original record is consistent with the generalized one
   /// (Definition 3.3): record[j] ∈ gen[j] for every attribute j.
   bool Consistent(RowView record, const GeneralizedRecord& gen) const;
-
-  /// True iff gen_a generalizes gen_b attribute-wise (set containment).
-  bool Generalizes(const GeneralizedRecord& a,
-                   const GeneralizedRecord& b) const;
 
   /// Renders a generalized record with value labels, e.g. "34 | {M,F}".
   std::string Format(const GeneralizedRecord& gen) const;

@@ -65,9 +65,7 @@ void LossKernels::PairCostSweep(uint32_t u, double* out) const {
   }
 }
 
-void LossKernels::JoinedCostSweep(const GeneralizedRecord& closure,
-                                  double* out) const {
-  KANON_DCHECK(closure.size() == attrs_.size());
+void LossKernels::JoinedCostSweep(const SetId* closure, double* out) const {
   std::fill(out, out + n_, 0.0);
   for (size_t j = 0; j < attrs_.size(); ++j) {
     const AttrTables& a = attrs_[j];

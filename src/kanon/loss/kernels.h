@@ -32,13 +32,14 @@ class LossKernels {
 
   /// out[v] = d({R_u, R_v}) for every row v (out holds num_rows() doubles).
   /// out[u] is d({R_u}) — callers skip it at selection time. This is the
-  /// forest nearest-neighbor scan and the agglomerative singleton distance
-  /// phase (for singletons, d(A ∪ B) IS the pairwise closure cost).
+  /// forest and (k,1) nearest-neighbor scans and the agglomerative singleton
+  /// distance phase (for singletons, d(A ∪ B) IS the pairwise closure cost).
   void PairCostSweep(uint32_t u, double* out) const;
 
-  /// out[v] = c(closure + R_v) for every row v — the (k,1) sweeps' "cost of
-  /// absorbing row v into this cluster closure" scan.
-  void JoinedCostSweep(const GeneralizedRecord& closure, double* out) const;
+  /// out[v] = c(closure + R_v) for every row v, `closure` being a row of
+  /// num_attributes() set ids — the (k,1) greedy sweep's "cost of absorbing
+  /// row v into this cluster closure" scan.
+  void JoinedCostSweep(const SetId* closure, double* out) const;
 
   /// d(A ∪ B) of two generalized records given as rows of
   /// num_attributes() set ids, attribute-wise through the raw join tables

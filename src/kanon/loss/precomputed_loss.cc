@@ -47,10 +47,8 @@ PrecomputedLoss::PrecomputedLoss(
   inv_num_attributes_ = 1.0 / static_cast<double>(r);
 }
 
-void PrecomputedLoss::RecordCostMany(
-    const std::vector<GeneralizedRecord>& records,
-    std::vector<double>* out) const {
-  out->resize(records.size());
+void PrecomputedLoss::RecordCostMany(const SetId* records, size_t count,
+                                     double* out) const {
   // Raw base pointers hoisted once: the per-record stores into `out` (a
   // double*, which could alias costs_ as far as the compiler knows) never
   // force a reload of the table pointers, and the call allocates nothing.
@@ -63,16 +61,12 @@ void PrecomputedLoss::RecordCostMany(
   const double inv_r = inv_num_attributes_;
   const double* const costs = costs_.data();
   const size_t* const offsets = offsets_.data();
-  const size_t count = records.size();
-  double* dst = out->data();
   size_t i = 0;
   for (; i + 4 <= count; i += 4) {
-    const SetId* rec0 = records[i].data();
-    const SetId* rec1 = records[i + 1].data();
-    const SetId* rec2 = records[i + 2].data();
-    const SetId* rec3 = records[i + 3].data();
-    KANON_DCHECK(records[i].size() == r && records[i + 1].size() == r &&
-                 records[i + 2].size() == r && records[i + 3].size() == r);
+    const SetId* rec0 = records + i * r;
+    const SetId* rec1 = rec0 + r;
+    const SetId* rec2 = rec1 + r;
+    const SetId* rec3 = rec2 + r;
     double t0 = 0.0;
     double t1 = 0.0;
     double t2 = 0.0;
@@ -84,19 +78,18 @@ void PrecomputedLoss::RecordCostMany(
       t2 += row[rec2[j]];
       t3 += row[rec3[j]];
     }
-    dst[i] = t0 * inv_r;
-    dst[i + 1] = t1 * inv_r;
-    dst[i + 2] = t2 * inv_r;
-    dst[i + 3] = t3 * inv_r;
+    out[i] = t0 * inv_r;
+    out[i + 1] = t1 * inv_r;
+    out[i + 2] = t2 * inv_r;
+    out[i + 3] = t3 * inv_r;
   }
   for (; i < count; ++i) {
-    const SetId* rec = records[i].data();
-    KANON_DCHECK(records[i].size() == r);
+    const SetId* rec = records + i * r;
     double total = 0.0;
     for (size_t j = 0; j < r; ++j) {
       total += costs[offsets[j] + rec[j]];
     }
-    dst[i] = total * inv_r;
+    out[i] = total * inv_r;
   }
 }
 
@@ -117,7 +110,7 @@ double PrecomputedLoss::TableLoss(const GeneralizedTable& table) const {
 
 double PrecomputedLoss::ClosureCost(const Dataset& dataset,
                                     const std::vector<uint32_t>& rows) const {
-  return RecordCost(scheme_->ClosureOfRows(dataset, rows));
+  return RecordCost(scheme_->ClosureOfRows(dataset, rows).data());
 }
 
 Result<PrecomputedLoss> PrecomputedLoss::WithAttributeWeights(

@@ -54,14 +54,8 @@ class PrecomputedLoss {
   /// 1 / r, the normalization every record-cost kernel applies.
   double inv_num_attributes() const { return inv_num_attributes_; }
 
-  /// c(R̄) = (1/r) Σ_j cost_j(R̄(j)) — the generalization cost of a record.
-  double RecordCost(const GeneralizedRecord& record) const {
-    KANON_DCHECK(record.size() + 1 == offsets_.size());
-    return RecordCost(record.data());
-  }
-
-  /// The same over a record's r set ids in place (a table row, a stored
-  /// closure).
+  /// c(R̄) = (1/r) Σ_j cost_j(R̄(j)) — the generalization cost of a record,
+  /// given as its r set ids in place (a table row, a stored closure).
   double RecordCost(const SetId* record) const {
     double total = 0.0;
     for (size_t j = 0; j + 1 < offsets_.size(); ++j) {
@@ -70,11 +64,11 @@ class PrecomputedLoss {
     return total * inv_num_attributes_;
   }
 
-  /// Batched RecordCost: out[i] = RecordCost(records[i]), identical
-  /// arithmetic, one call. The agglomerative shrink/rescan paths and the
-  /// leave-one-out closure joins price whole candidate sets through this.
-  void RecordCostMany(const std::vector<GeneralizedRecord>& records,
-                      std::vector<double>* out) const;
+  /// Batched RecordCost over `count` records stored row-major at `records`
+  /// (count x r set ids): out[i] = RecordCost(records + i·r), identical
+  /// arithmetic, one call. The agglomerative shrink prices its leave-one-out
+  /// closures through this.
+  void RecordCostMany(const SetId* records, size_t count, double* out) const;
 
   /// Π(D, g(D)) = (1/n) Σ_i c(R̄_i) — the information loss of a table.
   double TableLoss(const GeneralizedTable& table) const;

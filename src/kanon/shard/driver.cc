@@ -1,5 +1,6 @@
 #include "kanon/shard/driver.h"
 
+#include <algorithm>
 #include <fstream>
 #include <functional>
 #include <iomanip>
@@ -226,12 +227,8 @@ Result<size_t> RepairBoundaries(GeneralizedTable* table,
   const std::vector<std::vector<uint32_t>> groups =
       GroupIdenticalRecords(*table);
   std::vector<uint32_t> pool;
-  GeneralizedRecord joined;
   for (const std::vector<uint32_t>& group : groups) {
-    if (group.size() >= k) continue;
-    const GeneralizedRecord record = table->record(group.front());
-    joined = joined.empty() ? record : scheme.JoinRecords(joined, record);
-    pool.insert(pool.end(), group.begin(), group.end());
+    if (group.size() < k) pool.insert(pool.end(), group.begin(), group.end());
   }
   if (pool.empty()) return static_cast<size_t>(0);
   if (pool.size() < k) {
@@ -248,8 +245,16 @@ Result<size_t> RepairBoundaries(GeneralizedTable* table,
       return Status::InvalidArgument(
           "boundary repair cannot reach a group of " + std::to_string(k));
     }
-    joined = scheme.JoinRecords(joined, table->record(best->front()));
     pool.insert(pool.end(), best->begin(), best->end());
+  }
+  // Joins are a semilattice, so the join of every pooled row in place is
+  // the join of one row per group.
+  GeneralizedRecord joined = table->record(pool.front());
+  for (uint32_t row : pool) {
+    const SetId* cells = table->row_data(row);
+    for (size_t j = 0; j < joined.size(); ++j) {
+      joined[j] = scheme.hierarchy(j).Join(joined[j], cells[j]);
+    }
   }
   for (uint32_t row : pool) table->SetRecord(row, joined);
   return pool.size();
@@ -418,7 +423,10 @@ Result<ShardedResult> Run(const RunInputs& in) {
   ShardedResult result(in.scheme);
   result.rows = in.rows;
   result.num_shards = num_shards;
-  std::vector<GeneralizedRecord> merged(in.rows);
+  // Every shard row lands at its input row in one rows x r buffer, which
+  // becomes the merged table in one move.
+  const size_t r = in.scheme->num_attributes();
+  std::vector<SetId> merged(in.rows * r);
   std::vector<uint8_t> placed(in.rows, 0);
   RunContext* parent = base.run_context;
   for (size_t s = 0; s < num_shards; ++s) {
@@ -474,6 +482,8 @@ Result<ShardedResult> Run(const RunInputs& in) {
     outcome.degraded = shard.meta.degraded;
     outcome.stop_reason = shard.meta.stop_reason;
     result.shards.push_back(outcome);
+    KANON_CHECK(shard.table.num_rows() == spill_rows.global_rows.size(),
+                "a shard table has one row per spill row");
     for (size_t i = 0; i < spill_rows.global_rows.size(); ++i) {
       const uint64_t row = spill_rows.global_rows[i];
       if (row >= in.rows || placed[row]) {
@@ -482,7 +492,8 @@ Result<ShardedResult> Run(const RunInputs& in) {
                                (row < in.rows ? " twice" : " out of range"));
       }
       placed[row] = 1;
-      merged[row] = shard.table.record(i);
+      const SetId* cells = shard.table.row_data(i);
+      std::copy(cells, cells + r, merged.begin() + row * r);
     }
   }
 
@@ -495,9 +506,8 @@ Result<ShardedResult> Run(const RunInputs& in) {
         return Status::IOError("row " + std::to_string(i) +
                                " missing from every shard");
       }
-      result.table.AppendRecord(merged[i]);
     }
-    merged.clear();
+    result.table = GeneralizedTable::FromCells(in.scheme, std::move(merged));
   }
 
   // --- Phase 5: cross-shard boundary repair. -----------------------------
@@ -512,7 +522,8 @@ Result<ShardedResult> Run(const RunInputs& in) {
 
   const GeneralizedRecord suppressed_record = in.scheme->Suppressed();
   for (size_t i = 0; i < result.table.num_rows(); ++i) {
-    if (result.table.record(i) == suppressed_record) {
+    if (std::equal(suppressed_record.begin(), suppressed_record.end(),
+                   result.table.row_data(i))) {
       ++result.records_suppressed;
     }
   }

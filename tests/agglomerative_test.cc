@@ -218,14 +218,18 @@ TEST(LeaveOneOutClosuresTest, MatchesNaiveRecomputation) {
     std::sort(rows.begin(), rows.end());
     rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
     if (rows.size() < 2) continue;
-    const std::vector<GeneralizedRecord> fast =
-        LeaveOneOutClosures(d, *scheme, rows);
-    ASSERT_EQ(fast.size(), rows.size());
+    const size_t r = scheme->num_attributes();
+    std::vector<SetId> fast = {7};  // Stale contents are overwritten.
+    LeaveOneOutClosures(d, *scheme, rows, &fast);
+    ASSERT_EQ(fast.size(), rows.size() * r);
     for (size_t p = 0; p < rows.size(); ++p) {
       std::vector<uint32_t> rest = rows;
       rest.erase(rest.begin() + static_cast<ptrdiff_t>(p));
       const GeneralizedRecord naive = scheme->ClosureOfRows(d, rest);
-      EXPECT_EQ(fast[p], naive) << "len=" << rows.size() << " p=" << p;
+      EXPECT_EQ(GeneralizedRecord(fast.begin() + p * r,
+                                  fast.begin() + (p + 1) * r),
+                naive)
+          << "len=" << rows.size() << " p=" << p;
     }
   }
 }

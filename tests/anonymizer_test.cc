@@ -3,9 +3,11 @@
 #include <cstdio>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "kanon/algo/anonymizer.h"
+#include "kanon/algo/brute_force.h"
 #include "kanon/algo/diverse_anonymizer.h"
 #include "kanon/anonymity/verify.h"
 #include "kanon/common/hash.h"
@@ -86,6 +88,38 @@ TEST(AnonymizerTest, PropagatesErrors) {
     config.method = method;
     EXPECT_FALSE(Anonymize(d, loss, config).ok())
         << AnonymizationMethodName(method);
+  }
+}
+
+// Every engine rejects k outside [1, n] through one check, and both
+// messages name k and n — the pipelines and the brute-force oracles alike.
+TEST(AnonymizerTest, OutOfRangeKNamesKAndNForEveryMethod) {
+  auto scheme = SmallScheme();
+  Dataset d = SmallRandomDataset(*scheme, 8, 2);
+  PrecomputedLoss loss(scheme, d, EntropyMeasure());
+  for (size_t k : {size_t{0}, size_t{9}}) {
+    std::vector<std::pair<std::string, Status>> errors;
+    for (AnonymizationMethod method : AllMethods()) {
+      AnonymizerConfig config;
+      config.k = k;
+      config.method = method;
+      errors.emplace_back(AnonymizationMethodName(method),
+                          Anonymize(d, loss, config).status());
+    }
+    errors.emplace_back("brute-force",
+                        OptimalKAnonymityBruteForce(d, loss, k).status());
+    errors.emplace_back("brute-force-k1",
+                        OptimalK1BruteForce(d, loss, k).status());
+    for (const auto& [name, status] : errors) {
+      const std::string& message = status.message();
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << name;
+      EXPECT_EQ(message.rfind("k = " + std::to_string(k) + " ", 0), 0u)
+          << name << ": " << message;
+      EXPECT_NE(message.find("the number of records"), std::string::npos)
+          << name << ": " << message;
+      EXPECT_EQ(message.substr(message.size() - 2), " 8")
+          << name << ": " << message;
+    }
   }
 }
 

@@ -69,7 +69,7 @@ TEST_F(ClosureStoreTest, CostIsMemoizedWithExactHitAccounting) {
   const ClosureStore::Id id = store.Intern(a.data());
   EXPECT_EQ(store.misses(), 1u);
   EXPECT_EQ(store.hits(), 0u);
-  EXPECT_DOUBLE_EQ(store.cost(id), loss_.RecordCost(a));
+  EXPECT_DOUBLE_EQ(store.cost(id), loss_.RecordCost(a.data()));
 
   // Re-interning the same closure is a pure cache hit: no new storage, no
   // re-pricing, exactly one hit per repeated call.
@@ -94,7 +94,7 @@ TEST_F(ClosureStoreTest, InternJoinMatchesSchemeJoin) {
   const GeneralizedRecord expected =
       scheme_->JoinRecords(Stored(store, a), Stored(store, b));
   EXPECT_TRUE(Stored(store, joined) == expected);
-  EXPECT_DOUBLE_EQ(store.cost(joined), loss_.RecordCost(expected));
+  EXPECT_DOUBLE_EQ(store.cost(joined), loss_.RecordCost(expected.data()));
 }
 
 // The stored rows live in one array that moves whenever it grows, so a row
@@ -136,7 +136,7 @@ TEST(ClosureStoreGrowthTest, InternJoinStaysExactWhileTheStoreGrows) {
         scheme->JoinRecords(Stored(store, single), Stored(store, previous));
     const ClosureStore::Id joined = store.InternJoin(single, previous);
     ASSERT_EQ(Stored(store, joined), expected) << "row " << i;
-    EXPECT_DOUBLE_EQ(store.cost(joined), loss.RecordCost(expected));
+    EXPECT_DOUBLE_EQ(store.cost(joined), loss.RecordCost(expected.data()));
     if (store.row(0) != rows) {
       ++moves;
       rows = store.row(0);

@@ -20,6 +20,8 @@
 #include "kanon/generalization/scheme_spec.h"
 #include "kanon/loss/entropy_measure.h"
 #include "kanon/loss/lm_measure.h"
+#include "kanon/telemetry/metrics.h"
+#include "kanon/telemetry/tracer.h"
 #include "test_util.h"
 
 #ifndef KANON_TESTDATA_DIR
@@ -110,6 +112,19 @@ TEST(GoldenOutputTest, EveryPipelineReproducesPreRefactorTables) {
               << measure_name << " diverged from the pre-refactor golden at "
               << "--threads " << threads;
         }
+        // Telemetry only observes: with a tracer and a metrics registry
+        // installed the run publishes the same table.
+        Tracer tracer;
+        MetricsRegistry metrics;
+        config.num_threads = 2;
+        config.tracer = &tracer;
+        config.metrics = &metrics;
+        const AnonymizationResult traced =
+            Unwrap(Anonymize(c.dataset, loss, config));
+        EXPECT_TRUE(traced.table == golden)
+            << c.name << "/" << AnonymizationMethodName(method) << "/"
+            << measure_name << " diverged from the golden under telemetry";
+        EXPECT_GT(tracer.total_spans(), 0u);
       }
     }
   }

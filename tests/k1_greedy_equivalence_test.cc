@@ -49,7 +49,7 @@ GeneralizedTable K1GreedyExpansion(
   for (uint32_t i = 0; i < n; ++i) {
     GeneralizedRecord closure = scheme.Identity(dataset.row_view(i));
     (*chains)[i].push_back(closure);
-    double closure_cost = loss.RecordCost(closure);
+    double closure_cost = loss.RecordCost(closure.data());
     size_t cluster_size = 1;
     std::vector<bool> in_cluster(n, false);
     in_cluster[i] = true;
@@ -93,7 +93,7 @@ GeneralizedTable K1GreedyExpansion(
         closure[a] =
             scheme.hierarchy(a).JoinValue(closure[a], dataset.at(best, a));
       }
-      closure_cost = loss.RecordCost(closure);
+      closure_cost = loss.RecordCost(closure.data());
       (*chains)[i].push_back(closure);
     }
     table.AppendRecord(std::move(closure));

@@ -135,12 +135,12 @@ TEST(PrecomputedLossTest, RecordCostAveragesAttributes) {
   PrecomputedLoss loss(scheme, d, LmMeasure());
 
   GeneralizedRecord record = scheme->Identity({0, 0});
-  EXPECT_DOUBLE_EQ(loss.RecordCost(record), 0.0);
+  EXPECT_DOUBLE_EQ(loss.RecordCost(record.data()), 0.0);
   // Generalize attribute a to the pair {0,1}: LM = (2-1)/(4-1) = 1/3;
   // attribute b untouched. Record cost = (1/3 + 0)/2.
   record[0] = scheme->hierarchy(0).Join(scheme->hierarchy(0).LeafOf(0),
                                         scheme->hierarchy(0).LeafOf(1));
-  EXPECT_NEAR(loss.RecordCost(record), (1.0 / 3) / 2, 1e-12);
+  EXPECT_NEAR(loss.RecordCost(record.data()), (1.0 / 3) / 2, 1e-12);
 }
 
 TEST(PrecomputedLossTest, TableLossMatchesDefinition) {

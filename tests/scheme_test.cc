@@ -58,14 +58,6 @@ TEST(SchemeTest, JoinRecords) {
   EXPECT_EQ(scheme->hierarchy(1).SizeOf(j[1]), 2u);   // Band {0,1}.
 }
 
-TEST(SchemeTest, JoinWithOriginal) {
-  auto scheme = MakeTestScheme();
-  const GeneralizedRecord gen = scheme->Identity({0, 0});
-  const GeneralizedRecord j = scheme->JoinWithOriginal({1, 1}, gen);
-  EXPECT_EQ(j[0], scheme->hierarchy(0).FullSetId());
-  EXPECT_EQ(scheme->hierarchy(1).SizeOf(j[1]), 2u);
-}
-
 TEST(SchemeTest, ClosureOfRows) {
   auto scheme = MakeTestScheme();
   Dataset d = MakeTestDataset(*scheme);
@@ -87,15 +79,6 @@ TEST(SchemeTest, Consistency) {
   EXPECT_TRUE(scheme->Consistent({0, 1}, band));
   EXPECT_FALSE(scheme->Consistent({1, 0}, band));
   EXPECT_FALSE(scheme->Consistent({0, 2}, band));
-}
-
-TEST(SchemeTest, Generalizes) {
-  auto scheme = MakeTestScheme();
-  const GeneralizedRecord fine = scheme->Identity({0, 0});
-  const GeneralizedRecord coarse = scheme->Suppressed();
-  EXPECT_TRUE(scheme->Generalizes(coarse, fine));
-  EXPECT_FALSE(scheme->Generalizes(fine, coarse));
-  EXPECT_TRUE(scheme->Generalizes(fine, fine));
 }
 
 TEST(SchemeTest, Format) {
@@ -138,6 +121,13 @@ TEST(GeneralizedTableTest, GeneralizeToCover) {
   t.GeneralizeToCover(0, d.row(1));
   EXPECT_TRUE(t.ConsistentPair(d, 1, 0));
   EXPECT_TRUE(t.ConsistentPair(d, 0, 0));  // Still covers its own record.
+  EXPECT_EQ(t.at(0, 0), scheme->hierarchy(0).LeafOf(0));  // Same gender.
+  EXPECT_EQ(scheme->hierarchy(1).SizeOf(t.at(0, 1)), 2u);  // Band {0,1}.
+  // R + R̄ with an original differing in both attributes: the gender is
+  // suppressed and the age stays inside the band.
+  t.GeneralizeToCover(0, Record{1, 1});
+  EXPECT_EQ(t.at(0, 0), scheme->hierarchy(0).FullSetId());
+  EXPECT_EQ(scheme->hierarchy(1).SizeOf(t.at(0, 1)), 2u);
 }
 
 TEST(GeneralizedTableTest, RowwiseGeneralizes) {
@@ -149,6 +139,12 @@ TEST(GeneralizedTableTest, RowwiseGeneralizes) {
   EXPECT_TRUE(coarse.RowwiseGeneralizes(fine));
   EXPECT_FALSE(fine.RowwiseGeneralizes(coarse));
   EXPECT_TRUE(fine.RowwiseGeneralizes(fine));
+  GeneralizedTable suppressed = GeneralizedTable::Identity(scheme, d);
+  for (size_t row = 0; row < d.num_rows(); ++row) {
+    suppressed.SetRecord(row, scheme->Suppressed());
+  }
+  EXPECT_TRUE(suppressed.RowwiseGeneralizes(fine));
+  EXPECT_FALSE(fine.RowwiseGeneralizes(suppressed));
 }
 
 TEST(GeneralizedTableTest, ToString) {

@@ -64,6 +64,8 @@
 //   2  usage error
 //   3  degraded output (deadline or step budget) that still verifies
 //   4  cancelled by SIGINT, with a valid partial table written
+#include <algorithm>
+#include <climits>
 #include <csignal>
 #include <cstdarg>
 #include <cstdio>
@@ -158,8 +160,9 @@ int SetUpRun(const FlagParser& flags, CliRun* run) {
   config.method = *method;
   config.distance = *distance;
   // 0 (the default) uses every core; the output does not depend on this.
-  config.num_threads =
-      ResolveNumThreads(static_cast<int>(flags.GetInt("threads", 0)));
+  // No sweep runs more threads than it has chunks, so the clamp is moot.
+  config.num_threads = ResolveNumThreads(
+      static_cast<int>(std::min<int64_t>(flags.GetInt("threads", 0), INT_MAX)));
   // Count and range validation happens in Anonymize, which knows the arity.
   Result<std::vector<double>> weights = flags.GetDoubleList("attr-weights");
   if (!weights.ok()) return UsageError(weights.status());
@@ -417,6 +420,14 @@ int RealMain(int argc, char** argv) {
                  " [--shards=N] [--memory-budget-mb=N] [--work-dir=DIR]"
                  " [--resume[=DIR]] [--shard-prefix=N] [--shard-attempts=N]\n");
     return 2;
+  }
+  // Every integer flag is a count. Checking them here makes a malformed one
+  // a usage error; the GetInt reads below then neither abort nor wrap.
+  if (Status s = flags.CheckCounts({"k", "threads", "max-steps", "timeout-ms",
+                                    "shards", "memory-budget-mb",
+                                    "shard-prefix", "shard-attempts"});
+      !s.ok()) {
+    return UsageError(s);
   }
   if (flags.GetInt("shards", 0) > 0 ||
       flags.GetInt("memory-budget-mb", 0) > 0 || flags.Has("resume")) {
