@@ -8,6 +8,7 @@
 
 #include "kanon/common/rng.h"
 #include "kanon/data/dataset.h"
+#include "kanon/datasets/art.h"
 #include "kanon/generalization/scheme.h"
 #include "kanon/loss/precomputed_loss.h"
 
@@ -66,6 +67,23 @@ inline Dataset SmallRandomDataset(const GeneralizationScheme& scheme,
     KANON_CHECK(d.AppendRow(record).ok());
   }
   return d;
+}
+
+/// ART rows with heavy repetition: `unique` rows from MakeArtWorkload,
+/// then `repeats` copies of earlier rows picked by a seeded Rng, so at
+/// least repeats / (unique + repeats) of the rows repeat a tuple. Tuple-mates
+/// tie at every distance, which is what the agglomerative engine's
+/// distinct-tuple init and near-lists have to get right.
+inline Workload DuplicateHeavyArt(size_t unique, size_t repeats,
+                                  uint64_t seed) {
+  Workload art = Unwrap(MakeArtWorkload(unique, seed));
+  Rng rng(seed ^ 0x5bd1e995u);
+  for (size_t i = 0; i < repeats; ++i) {
+    const Record copy =
+        art.dataset.row_view(rng.NextBounded(unique)).ToRecord();
+    KANON_CHECK(art.dataset.AppendRow(copy).ok());
+  }
+  return art;
 }
 
 }  // namespace testing
