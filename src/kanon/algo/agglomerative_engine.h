@@ -31,7 +31,8 @@ namespace internal {
 // The basic and modified variants of Algorithm 1, rewritten on the shared
 // clustering core: ClusterSet owns the alive/dead bookkeeping, ClosureStore
 // hash-conses every cluster closure (and memoizes its cost), and MergeHeap
-// carries the two-best candidates with the stale-entry heap maintenance.
+// carries the two-best candidates and near-lists with the stale-entry heap
+// maintenance.
 // `Policy` supplies the distance and the (a)symmetry of the merge rule;
 // both inline into the sweeps.
 template <typename Policy>
@@ -58,7 +59,9 @@ class AgglomerativeEngine {
                                              0.6, 0.7, 0.8, 0.9, 1.0})),
         kernels_(dataset, loss),
         store_(loss),
-        heap_(&clusters_, options.aggressive_heap_rebuild, options.counters) {}
+        heap_(&clusters_, options.aggressive_heap_rebuild, options.counters),
+        added_table_(kernels_.joined_table_size()),
+        anchor_table_(kernels_.joined_table_size()) {}
 
   Result<Clustering> Run() {
     {
@@ -114,65 +117,82 @@ class AgglomerativeEngine {
   }
 
   double DistFromUnionCost(uint32_t a, uint32_t b, double d_union) const {
-    const ClusterData& ca = clusters_.cluster(a);
-    const ClusterData& cb = clusters_.cluster(b);
-    return policy_.Distance(ca.members.size(), cb.members.size(),
-                            ca.members.size() + cb.members.size(), ca.cost,
-                            cb.cost, d_union);
+    return policy_.Distance(size_[a], size_[b], size_t{size_[a]} + size_[b],
+                            cost_[a], cost_[b], d_union);
   }
 
   double Dist(uint32_t a, uint32_t b) const {
     return DistFromUnionCost(a, b, UnionCost(a, b));
   }
 
-  // Gives cluster id the stored closure `closure`: mirrors its memoized
-  // cost into the cluster and copies its set ids into the cluster's row.
-  void SetClosure(uint32_t id, ClosureStore::Id closure) {
-    ClusterData& c = clusters_.cluster(id);
-    c.closure = closure;
-    c.cost = store_.cost(closure);
-    const size_t end = (static_cast<size_t>(id) + 1) * num_attrs_;
-    if (rows_.size() < end) rows_.resize(std::max(end, 2 * rows_.size()));
-    const SetId* row = store_.row(closure);
-    std::copy(row, row + num_attrs_,
-              rows_.begin() + static_cast<ptrdiff_t>(end - num_attrs_));
+  // Grows the dense per-id arrays (rows_, cost_, size_) to cover ids < n.
+  void GrowDense(size_t n) {
+    if (cost_.size() >= n) return;
+    const size_t grown = std::max(n, 2 * cost_.size());
+    cost_.resize(grown);
+    size_.resize(grown);
+    rows_.resize(grown * num_attrs_);
   }
 
-  // Exact two-best of x over every active cluster, O(active · r), spread
-  // over the worker threads: chunk-local two-bests merged in chunk order
-  // reproduce the serial ascending scan exactly.
-  CandidatePair ComputeTwoBest(uint32_t x) const {
-    const size_t m = clusters_.active().size();
-    std::vector<CandidatePair> parts(
+  // Gives cluster id the stored closure `closure`: mirrors its memoized
+  // cost into cost_ and copies its set ids into the cluster's row.
+  void SetClosure(uint32_t id, ClosureStore::Id closure) {
+    clusters_.cluster(id).closure = closure;
+    cost_[id] = store_.cost(closure);
+    const SetId* row = store_.row(closure);
+    std::copy(row, row + num_attrs_,
+              rows_.begin() + static_cast<ptrdiff_t>(id * num_attrs_));
+  }
+
+  // The nearest keys of x over every active cluster, O(active · r), spread
+  // over the worker threads: chunk-local lists merged in chunk order give
+  // the serial ascending scan's list exactly. Pricing goes through one
+  // joined-cost table anchored at x, the terms of Dist(x, y) in its order.
+  NearList::Scan ComputeNearest(uint32_t x) {
+    const std::vector<uint32_t>& active = clusters_.active();
+    const size_t m = active.size();
+    kernels_.FillJoinedCostTable(Row(x), anchor_table_.data());
+    const double* table = anchor_table_.data();
+    std::vector<NearList::Scan> parts(
         ParallelChunkCount(m, kAgglomerativeCheapSweepGrain));
     ParallelChunks(
         m, options_.num_threads, nullptr, "agglomerative/rescan",
         [&](size_t chunk, size_t begin, size_t end) {
-          CandidatePair local;
+          NearList::Scan local;
           for (size_t t = begin; t < end; ++t) {
-            const uint32_t y = clusters_.active()[t];
+            const uint32_t y = active[t];
             if (y == x || !clusters_.Alive(y)) continue;
-            OfferToTwoBest(&local, y, Dist(x, y));
+            local.Offer(y, DistFromUnionCost(
+                               x, y, kernels_.TableUnionCost(table, Row(y))));
           }
           parts[chunk] = local;
         },
         kAgglomerativeCheapSweepGrain);
-    CandidatePair c;
-    for (const CandidatePair& p : parts) {
-      OfferToTwoBest(&c, p.c1, p.d1);
-      OfferToTwoBest(&c, p.c2, p.d2);
+    NearList::Scan all;
+    for (const NearList::Scan& part : parts) {
+      for (uint32_t i = 0; i < part.size; ++i) all.Offer(part.id[i], part.d[i]);
     }
-    c.second_valid = true;
-    return c;
+    return all;
   }
 
-  // Recomputes x's two-best over every active cluster.
+  // Recomputes x's two-best and near-list over every active cluster.
   void FullRescan(uint32_t x) {
     PhaseSpan span(tracer_, "agglomerative/rescan");
     if (options_.counters != nullptr) ++options_.counters->rescans;
     CountChunks(clusters_.active().size(), kAgglomerativeCheapSweepGrain);
-    heap_.candidate(x) = ComputeTwoBest(x);
-    heap_.PushCandidate(x);
+    heap_.SetScanned(x, ComputeNearest(x));
+  }
+
+  // The check_exact_merges cross-check of a two-best that did not come
+  // from a full scan (the distinct-tuple init, a near-list answer): it must
+  // be the full scan's, bit for bit.
+  void CheckAgainstFullScan(uint32_t x, const char* what) {
+    const CandidatePair want = ComputeNearest(x).TwoBest();
+    const CandidatePair& got = heap_.candidate(x);
+    KANON_CHECK(got.c1 == want.c1 && got.d1 == want.d1 &&
+                    got.c2 == want.c2 && got.d2 == want.d2 &&
+                    got.second_valid,
+                what);
   }
 
   // Exhaustively checks that `dist` is the minimum over all alive pairs.
@@ -190,10 +210,12 @@ class AgglomerativeEngine {
   Status InitSingletons() {
     const size_t n = dataset_.num_rows();
     clusters_.Reserve(2 * n);
+    GrowDense(2 * n);
     for (uint32_t i = 0; i < n; ++i) {
       ClusterData single;
       single.members = {i};
       clusters_.Activate(clusters_.Add(std::move(single)));
+      size_[i] = 1;
     }
     // Singleton closures, O(n·r); items are disjoint slots. The raw
     // closures land in one flat n x r scratch array and intern serially
@@ -217,30 +239,101 @@ class AgglomerativeEngine {
     {
       PhaseSpan intern_span(tracer_, "agglomerative/closure-intern");
       intern_span.set_items(n);
-      rows_.reserve(2 * n * num_attrs_);
       for (uint32_t i = 0; i < n; ++i) {
         SetClosure(i, store_.Intern(raw.data() + i * num_attrs_));
       }
     }
     raw.clear();
     raw.shrink_to_fit();
-
     heap_.EnsureSize(n);
-    // The all-pairs two-best scan is the O(n²·r) part of setup; it honors
-    // the same controls as the merge loop so tight deadlines bail early.
-    // Heap pushes happen after the sweep, on one thread, in index order.
-    //
-    // Every cluster is still a singleton here, so d(A ∪ B) is the pairwise
-    // closure cost and one columnar PairCostSweep per row replaces n
-    // closure joins. The two-best is then selected by offering distances
-    // in ascending y — exactly the order ComputeTwoBest scans the active
-    // set during init — so the chosen candidates are identical.
-    CountChunks(n, 1);
-    std::vector<Status> errors(ParallelChunkCount(n));
+    return InitNearest();
+  }
+
+  // The all-pairs scan, the O(n²·r) part of setup, over distinct tuples.
+  // The store interned the singletons first, so closure ids 0..D-1 are the
+  // distinct tuples, and a pair's distance depends on its two tuples only.
+  //
+  // Per tuple t, one sweep prices every tuple s (a joined-cost table
+  // anchored at t, so the bits of PairCostSweep and UnionCost) and keeps
+  // the smallest (d, row) keys over the rows of the other tuples; s offers
+  // its rows in ascending id and stops at the first reject. A row's keys
+  // are then its tuple's merged with its tuple-mates at d(t, t). The kept
+  // keys are the smallest over every other row, in the (d, id) order of
+  // OfferToTwoBest, whose result does not depend on the offer order: so
+  // each row's two-best is the one an ascending scan of every row picks,
+  // and the rest of its keys fill its near-list. The tuple sweep honors the
+  // run's controls like the old per-row scan; heap pushes come after, on
+  // one thread, in row order.
+  Status InitNearest() {
+    const size_t n = dataset_.num_rows();
+    const size_t num_tuples = store_.size();
+    std::vector<uint32_t> tuple_start(num_tuples + 1, 0);
+    std::vector<uint32_t> tuple_rows(n);
+    for (uint32_t i = 0; i < n; ++i) {
+      ++tuple_start[clusters_.cluster(i).closure + 1];
+    }
+    for (size_t t = 0; t < num_tuples; ++t) {
+      tuple_start[t + 1] += tuple_start[t];
+    }
+    // Tuple t's set ids attribute-major (attribute j at j·D + t) for the
+    // columnar sweep, and its first row, whose closure row anchors t's
+    // joined-cost table.
+    std::vector<SetId> tuple_cols(num_attrs_ * num_tuples);
+    std::vector<uint32_t> tuple_first(num_tuples);
+    std::vector<double> tuple_cost(num_tuples);
+    {
+      std::vector<uint32_t> fill(tuple_start.begin(), tuple_start.end() - 1);
+      for (uint32_t i = 0; i < n; ++i) {
+        const ClosureStore::Id t = clusters_.cluster(i).closure;
+        if (fill[t] == tuple_start[t]) {
+          tuple_first[t] = i;
+          tuple_cost[t] = cost_[i];
+          for (size_t j = 0; j < num_attrs_; ++j) {
+            tuple_cols[j * num_tuples + t] = Row(i)[j];
+          }
+        }
+        tuple_rows[fill[t]++] = i;
+      }
+    }
+
+    std::vector<NearList::Scan> tuple_near(num_tuples);
+    std::vector<double> self_dist(num_tuples);
+    CountChunks(num_tuples, 1);
     const SweepStatus scan = ParallelChunks(
-        n, options_.num_threads, ctx_, "agglomerative/init",
+        num_tuples, options_.num_threads, ctx_, "agglomerative/init",
+        [&](size_t /*chunk*/, size_t begin, size_t end) {
+          std::vector<double> table(kernels_.joined_table_size());
+          std::vector<double> dist(num_tuples);
+          for (size_t t = begin; t < end; ++t) {
+            kernels_.FillJoinedCostTable(Row(tuple_first[t]), table.data());
+            kernels_.TableCostSweep(table.data(), tuple_cols.data(),
+                                    num_tuples, dist.data());
+            for (size_t s = 0; s < num_tuples; ++s) {
+              dist[s] = policy_.Distance(1, 1, 2, tuple_cost[t],
+                                         tuple_cost[s], dist[s]);
+            }
+            self_dist[t] = dist[t];
+            NearList::Scan near;
+            for (size_t s = 0; s < num_tuples; ++s) {
+              const double d = dist[s];
+              if (s == t || (near.full() && d > near.d[near.size - 1])) {
+                continue;
+              }
+              for (uint32_t p = tuple_start[s]; p < tuple_start[s + 1]; ++p) {
+                if (!near.Offer(tuple_rows[p], d)) break;
+              }
+            }
+            tuple_near[t] = near;
+          }
+        });
+    if (!scan.completed) return Status::OK();
+
+    std::vector<Status> errors(
+        ParallelChunkCount(n, kAgglomerativeCheapSweepGrain));
+    CountChunks(n, kAgglomerativeCheapSweepGrain);
+    ParallelChunks(
+        n, options_.num_threads, nullptr, "agglomerative/init",
         [&](size_t chunk, size_t begin, size_t end) {
-          std::vector<double> pair(n);
           for (size_t i = begin; i < end; ++i) {
             if (failpoint::AnyArmed()) {
               Status s = failpoint::Check("agglomerative.closure");
@@ -249,24 +342,24 @@ class AgglomerativeEngine {
                 return;
               }
             }
-            kernels_.PairCostSweep(static_cast<uint32_t>(i), pair.data());
-            const double cost_i = clusters_.cluster(i).cost;
-            CandidatePair c;
-            for (size_t y = 0; y < n; ++y) {
-              if (y == i) continue;
-              const double d = policy_.Distance(
-                  1, 1, 2, cost_i, clusters_.cluster(y).cost, pair[y]);
-              OfferToTwoBest(&c, static_cast<uint32_t>(y), d);
+            const ClosureStore::Id t = clusters_.cluster(i).closure;
+            NearList::Scan near = tuple_near[t];
+            for (uint32_t p = tuple_start[t]; p < tuple_start[t + 1]; ++p) {
+              if (tuple_rows[p] == i) continue;
+              if (!near.Offer(tuple_rows[p], self_dist[t])) break;
             }
-            c.second_valid = true;
-            heap_.candidate(static_cast<uint32_t>(i)) = c;
+            heap_.SetNearest(static_cast<uint32_t>(i), near,
+                             static_cast<uint32_t>(n));
           }
-        });
+        },
+        kAgglomerativeCheapSweepGrain);
     for (Status& s : errors) {
       if (!s.ok()) return std::move(s);
     }
-    if (!scan.completed) return Status::OK();
     for (uint32_t i = 0; i < n; ++i) {
+      if (options_.check_exact_merges) {
+        CheckAgainstFullScan(i, "distinct-tuple init differs from a full scan");
+      }
       heap_.PushCandidate(i);
     }
     return Status::OK();
@@ -278,7 +371,10 @@ class AgglomerativeEngine {
   }
 
   uint32_t NewCluster(ClusterData data) {
+    const auto size = static_cast<uint32_t>(data.members.size());
     const uint32_t id = clusters_.Add(std::move(data));
+    GrowDense(id + 1);
+    size_[id] = size;
     heap_.EnsureSize(id + 1);
     heap_.ResetCandidate(id);
     return id;
@@ -302,12 +398,14 @@ class AgglomerativeEngine {
   }
 
   // One pass over the active set after a merge. When `added` is not
-  // kNoCluster it is the freshly created cluster: its two-best is built, it
-  // is offered to everyone, and it joins the active set. Clusters whose
-  // candidates were wiped out are rescanned at the end (rare). Each chunk
-  // prices its clusters against `added` and runs their repair steps, which
-  // touch only each cluster's own slot; ApplyRepairPass then folds the
-  // chunks in order, so the outcome matches a serial pass exactly.
+  // kNoCluster it is the freshly created cluster: its two-best and
+  // near-list are built, it is offered to everyone, and it joins the active
+  // set. Each chunk prices its clusters against `added` through one
+  // joined-cost table and runs their repair steps, which touch only each
+  // cluster's own slot; ApplyRepairPass then folds the chunks in order, so
+  // the outcome matches a serial pass exactly. Clusters whose candidates
+  // were wiped out are answered from their near-lists at the end, or
+  // rescanned in full when a list cannot answer.
   void RepairAndMaybeAdd(uint32_t added) {
     PhaseSpan span(tracer_, "agglomerative/repair");
     // The policy decides at compile time whether the merge rule is
@@ -317,6 +415,11 @@ class AgglomerativeEngine {
     const size_t m = active.size();
     repair_chunks_.resize(ParallelChunkCount(m, kAgglomerativeCheapSweepGrain));
     CountChunks(m, kAgglomerativeCheapSweepGrain);
+    if (added != kNoCluster) {
+      kernels_.FillJoinedCostTable(Row(added), added_table_.data());
+    }
+    const double* table = added_table_.data();
+    repair_scratch_.resize(repair_chunks_.size());
     ParallelChunks(
         m, options_.num_threads, nullptr, "agglomerative/repair",
         [&](size_t chunk, size_t begin, size_t end) {
@@ -324,18 +427,14 @@ class AgglomerativeEngine {
           // so chunks never write next to each other's slots mid-scan.
           RepairChunk local = std::move(repair_chunks_[chunk]);
           local.Clear();
-          for (size_t t = begin; t < end; ++t) {
-            const uint32_t x = active[t];
-            if (!clusters_.Alive(x)) continue;
-            double d_added_x = kInfDist;
-            double d_x_added = kInfDist;
-            if (added != kNoCluster) {
-              const double d_union = UnionCost(added, x);
-              d_added_x = DistFromUnionCost(added, x, d_union);
-              d_x_added = asymmetric ? DistFromUnionCost(x, added, d_union)
-                                     : d_added_x;
-            }
-            heap_.RepairStep(x, added, d_added_x, d_x_added, &local);
+          RepairScratch& scratch = repair_scratch_[chunk];
+          const size_t count = PriceAgainstAdded(added, table, begin, end,
+                                                 &scratch);
+          for (size_t i = 0; i < count; ++i) {
+            heap_.RepairStep(scratch.ids[i], added, scratch.d_added_x[i],
+                             asymmetric ? scratch.d_x_added[i]
+                                        : scratch.d_added_x[i],
+                             &local);
           }
           repair_chunks_[chunk] = std::move(local);
         },
@@ -347,8 +446,61 @@ class AgglomerativeEngine {
     }
     clusters_.MaybeCompactActive();
     for (uint32_t x : needs_rescan) {
-      if (clusters_.Alive(x)) FullRescan(x);
+      if (!clusters_.Alive(x)) continue;
+      if (!heap_.ServeRescan(x, [&](uint32_t y) { return Dist(x, y); })) {
+        FullRescan(x);
+      } else if (options_.check_exact_merges) {
+        CheckAgainstFullScan(x, "near-list answer differs from a full scan");
+      }
     }
+  }
+
+  struct RepairScratch {
+    std::vector<uint32_t> ids;
+    std::vector<double> d_added_x;
+    std::vector<double> d_x_added;  // Asymmetric policies only.
+  };
+
+  // A repair chunk's pricing, first and apart from its steps so the CPU
+  // overlaps the rows' table lookups: gathers the alive clusters of
+  // active[begin, end) into scratch->ids with dist(added, x) and, for an
+  // asymmetric policy, dist(x, added); +inf for a ripe merge. Returns how
+  // many.
+  size_t PriceAgainstAdded(uint32_t added, const double* table, size_t begin,
+                           size_t end, RepairScratch* scratch) const {
+    const std::vector<uint32_t>& active = clusters_.active();
+    scratch->ids.resize(end - begin);
+    scratch->d_added_x.resize(end - begin);
+    scratch->d_x_added.resize(Policy::kAsymmetric ? end - begin : 0);
+    uint32_t* ids = scratch->ids.data();
+    size_t count = 0;
+    for (size_t t = begin; t < end; ++t) {
+      // Branch-free: dead entries are common and unpredictable here.
+      const uint32_t x = active[t];
+      ids[count] = x;
+      count += clusters_.Alive(x) ? 1 : 0;
+    }
+    double* d_added_x = scratch->d_added_x.data();
+    if (added == kNoCluster) {
+      std::fill(d_added_x, d_added_x + count, kInfDist);
+      std::fill(scratch->d_x_added.begin(), scratch->d_x_added.end(),
+                kInfDist);
+      return count;
+    }
+    const size_t size_a = size_[added];
+    const double cost_a = cost_[added];
+    for (size_t i = 0; i < count; ++i) {
+      const uint32_t x = ids[i];
+      const double d_union = kernels_.TableUnionCost(table, Row(x));
+      d_added_x[i] = policy_.Distance(size_a, size_[x], size_a + size_[x],
+                                      cost_a, cost_[x], d_union);
+      if constexpr (Policy::kAsymmetric) {
+        scratch->d_x_added[i] = policy_.Distance(
+            size_[x], size_a, size_t{size_[x]} + size_a, cost_[x], cost_a,
+            d_union);
+      }
+    }
+    return count;
   }
 
   // Algorithm 2: shrinks a ripe cluster to exactly k records; ejected
@@ -370,7 +522,7 @@ class AgglomerativeEngine {
         // d(Ŝ ∖ {R̂_pos}); dist(Ŝ, Ŝ ∖ {R̂_pos}) has union Ŝ itself.
         const double d_minus = shrink_costs_[pos];
         const double di =
-            policy_.Distance(len, len - 1, len, c.cost, d_minus, c.cost);
+            policy_.Distance(len, len - 1, len, cost_[id], d_minus, cost_[id]);
         if (di > best_di) {
           best_di = di;
           eject_pos = pos;
@@ -379,6 +531,7 @@ class AgglomerativeEngine {
       ejected.push_back(c.members[eject_pos]);
       c.members.erase(c.members.begin() +
                       static_cast<ptrdiff_t>(eject_pos));
+      size_[id] = static_cast<uint32_t>(c.members.size());
       SetClosure(id, store_.Intern(shrink_rows_.data() +
                                    eject_pos * num_attrs_));
     }
@@ -444,7 +597,7 @@ class AgglomerativeEngine {
             kernels_.UnionCost(SingletonRow(row), Row(final_[pos]));
         const double d = policy_.Distance(
             1, target.members.size(), target.members.size() + 1,
-            store_.cost(single), target.cost, d_union);
+            store_.cost(single), cost_[final_[pos]], d_union);
         if (d < best_dist) {
           best_dist = d;
           best_pos = pos;
@@ -453,6 +606,7 @@ class AgglomerativeEngine {
       ClusterData& target = clusters_.cluster(final_[best_pos]);
       target.members.push_back(row);
       std::sort(target.members.begin(), target.members.end());
+      ++size_[final_[best_pos]];
       SetClosure(final_[best_pos], store_.InternJoin(target.closure, single));
     }
   }
@@ -511,17 +665,27 @@ class AgglomerativeEngine {
   ClosureStore store_;
   ClusterSet clusters_;
   MergeHeap heap_;
-  // Flat closure rows: cluster id's closure set ids at [id·r, id·r + r),
-  // written by SetClosure whenever a closure is set, so the O(r) pair
-  // pricing of the sweeps reads one contiguous row per cluster instead of
-  // chasing the store's record.
+  // Dense per-id arrays the sweeps read. rows_: cluster id's closure set
+  // ids at [id·r, id·r + r), written by SetClosure whenever a closure is
+  // set, so the O(r) pair pricing reads one contiguous row per cluster
+  // instead of chasing the store's record. cost_: d(S), mirrored from the
+  // store. size_: |S|.
   std::vector<SetId> rows_;
+  std::vector<double> cost_;
+  std::vector<uint32_t> size_;
+  // Joined-cost tables (LossKernels::FillJoinedCostTable): the repair
+  // pass's, anchored at the added cluster, and a full rescan's.
+  std::vector<double> added_table_;
+  std::vector<double> anchor_table_;
   std::vector<uint32_t> final_;
   // ShrinkToK scratch, reused per pass: leave-one-out rows and their costs.
   std::vector<SetId> shrink_rows_;
   std::vector<double> shrink_costs_;
-  // Per-chunk partials of the repair pass, reused so their buffers persist.
+  // Per-chunk partials of the repair pass, and each chunk's alive clusters
+  // with their distances to the added cluster; reused so the buffers
+  // persist.
   std::vector<RepairChunk> repair_chunks_;
+  std::vector<RepairScratch> repair_scratch_;
 };
 
 }  // namespace internal

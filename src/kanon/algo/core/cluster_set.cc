@@ -9,7 +9,7 @@ void ClusterSet::MaybeCompactActive() {
   std::vector<uint32_t> compacted;
   compacted.reserve(num_active_);
   for (uint32_t id : active_) {
-    if (clusters_[id].alive) compacted.push_back(id);
+    if (alive_[id]) compacted.push_back(id);
   }
   active_ = std::move(compacted);
   num_dead_in_active_ = 0;
@@ -18,7 +18,7 @@ void ClusterSet::MaybeCompactActive() {
 std::vector<uint32_t> ClusterSet::DrainAliveMembers() {
   std::vector<uint32_t> rows;
   for (uint32_t id : active_) {
-    if (!clusters_[id].alive) continue;
+    if (!alive_[id]) continue;
     rows.insert(rows.end(), clusters_[id].members.begin(),
                 clusters_[id].members.end());
     Deactivate(id);

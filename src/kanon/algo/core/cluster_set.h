@@ -13,12 +13,12 @@ inline constexpr uint32_t kNoCluster = UINT32_MAX;
 
 /// One cluster of an agglomerative engine. Contents are immutable between
 /// merges (merges create fresh clusters), except for the wind-down passes
-/// that shrink or absorb into a cluster in place.
+/// that shrink or absorb into a cluster in place. What the hot sweeps read
+/// per id (aliveness here, cost and size in the engine) is kept in dense
+/// arrays instead.
 struct ClusterData {
   std::vector<uint32_t> members;  // Dataset rows, ascending.
   ClosureStore::Id closure = ClosureStore::kInvalidId;
-  double cost = 0.0;  // d(S) = c(closure of S), mirrored from the store.
-  bool alive = false;
 };
 
 /// Alive/dead cluster bookkeeping shared by the clustering engines: the
@@ -30,13 +30,17 @@ class ClusterSet {
  public:
   ClusterSet() = default;
 
-  void Reserve(size_t n) { clusters_.reserve(n); }
+  void Reserve(size_t n) {
+    clusters_.reserve(n);
+    alive_.reserve(n);
+  }
 
   /// Adds a cluster, dead and outside the active list; Activate() arms it.
   /// Ids are dense and creation-ordered — the tie-breaking currency of the
   /// deterministic scans.
   uint32_t Add(ClusterData data) {
     clusters_.push_back(std::move(data));
+    alive_.push_back(0);
     return static_cast<uint32_t>(clusters_.size() - 1);
   }
 
@@ -52,20 +56,18 @@ class ClusterSet {
   /// Total clusters ever created (dead ones included).
   size_t size() const { return clusters_.size(); }
 
-  bool Alive(uint32_t id) const {
-    return id != kNoCluster && clusters_[id].alive;
-  }
+  bool Alive(uint32_t id) const { return id != kNoCluster && alive_[id]; }
 
   void Activate(uint32_t id) {
-    KANON_DCHECK(!clusters_[id].alive);
-    clusters_[id].alive = true;
+    KANON_DCHECK(!alive_[id]);
+    alive_[id] = 1;
     ++num_active_;
     active_.push_back(id);
   }
 
   void Deactivate(uint32_t id) {
-    KANON_DCHECK(clusters_[id].alive);
-    clusters_[id].alive = false;
+    KANON_DCHECK(alive_[id]);
+    alive_[id] = 0;
     --num_active_;
     ++num_dead_in_active_;
   }
@@ -84,6 +86,7 @@ class ClusterSet {
 
  private:
   std::vector<ClusterData> clusters_;
+  std::vector<uint8_t> alive_;  // One byte per id: the sweeps' hot read.
   std::vector<uint32_t> active_;
   size_t num_active_ = 0;
   size_t num_dead_in_active_ = 0;

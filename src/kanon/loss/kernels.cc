@@ -24,6 +24,8 @@ LossKernels::LossKernels(const Dataset& dataset, const PrecomputedLoss& loss)
         h.num_sets(),
         h.domain_size(),
     };
+    table_offsets_.push_back(table_size_);
+    table_size_ += h.num_sets();
   }
 }
 
@@ -74,6 +76,34 @@ void LossKernels::JoinedCostSweep(const SetId* closure, double* out) const {
   }
   for (size_t v = 0; v < n_; ++v) {
     out[v] /= r_as_double_;
+  }
+}
+
+void LossKernels::FillJoinedCostTable(const SetId* anchor,
+                                      double* table) const {
+  for (size_t j = 0; j < attrs_.size(); ++j) {
+    const AttrTables& t = attrs_[j];
+    const SetId* join_row =
+        t.join + static_cast<size_t>(anchor[j]) * t.num_sets;
+    double* out = table + table_offsets_[j];
+    for (size_t s = 0; s < t.num_sets; ++s) out[s] = t.costs[join_row[s]];
+  }
+}
+
+void LossKernels::TableCostSweep(const double* table, const SetId* columns,
+                                 size_t count, double* out) const {
+  // Blocks of rows small enough that their sums stay in L1 across the
+  // per-attribute passes.
+  constexpr size_t kBlock = 1024;
+  for (size_t begin = 0; begin < count; begin += kBlock) {
+    const size_t end = std::min(count, begin + kBlock);
+    std::fill(out + begin, out + end, 0.0);
+    for (size_t j = 0; j < table_offsets_.size(); ++j) {
+      const double* cost = table + table_offsets_[j];
+      const SetId* col = columns + j * count;
+      for (size_t s = begin; s < end; ++s) out[s] += cost[col[s]];
+    }
+    for (size_t s = begin; s < end; ++s) out[s] /= r_as_double_;
   }
 }
 

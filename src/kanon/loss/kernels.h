@@ -46,6 +46,33 @@ class LossKernels {
   /// and the flat cost rows.
   double UnionCost(const SetId* a, const SetId* b) const;
 
+  /// Doubles in one joined-cost table: one per permissible set of every
+  /// attribute.
+  size_t joined_table_size() const { return table_size_; }
+
+  /// Fills `table` (joined_table_size() doubles) with the anchor row's
+  /// joined costs: for attribute j and set s, c_j(anchor[j] ⊔ s). A sweep
+  /// that prices many rows against one anchor then reads one table entry
+  /// per attribute (TableUnionCost) instead of a join and a cost.
+  void FillJoinedCostTable(const SetId* anchor, double* table) const;
+
+  /// UnionCost(anchor, b) through a table filled for the anchor: the same
+  /// terms added in the same order, so the same bits.
+  double TableUnionCost(const double* table, const SetId* b) const {
+    double total = 0.0;
+    for (size_t j = 0; j < table_offsets_.size(); ++j) {
+      total += table[table_offsets_[j] + b[j]];
+    }
+    return total / r_as_double_;
+  }
+
+  /// out[s] = TableUnionCost(table, row s) for `count` rows given
+  /// attribute-major: attribute j of row s at columns[j * count + s]. One
+  /// pass per attribute over contiguous arrays, the terms added per row in
+  /// ascending attribute order as TableUnionCost adds them.
+  void TableCostSweep(const double* table, const SetId* columns, size_t count,
+                      double* out) const;
+
  private:
   struct AttrTables {
     const ValueCode* col;   // Packed dataset column, n entries.
@@ -62,6 +89,8 @@ class LossKernels {
                       double* out) const;
 
   std::vector<AttrTables> attrs_;
+  std::vector<size_t> table_offsets_;  // Attribute j's slice of a table.
+  size_t table_size_ = 0;
   size_t n_;
   double r_as_double_;  // Divisor; division order matches the scalar loops.
 };

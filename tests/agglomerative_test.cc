@@ -11,9 +11,11 @@
 namespace kanon {
 namespace {
 
+using testing::DuplicateHeavyArt;
 using testing::SmallRandomDataset;
 using testing::SmallScheme;
 using testing::Unwrap;
+using testing::kThreadSanitizer;
 
 TEST(AgglomerativeTest, RejectsBadK) {
   auto scheme = SmallScheme();
@@ -207,6 +209,43 @@ TEST(AgglomerativeTest, RatioDistanceSurvivesIdenticalRecordsWithZeroEpsilon) {
   // opposite block, so no cluster may mix the two blocks.
   GeneralizedTable t = Unwrap(AgglomerativeKAnonymize(d, loss, 3, options));
   EXPECT_LE(loss.TableLoss(t), 1e-12);
+}
+
+// With check_exact_merges on, the engine checks every two-best that does
+// not come from a full scan against one: each row's distinct-tuple init and
+// each rescan answered from a near-list. Tuple-mates tie at every distance
+// on this input, so the (d, id) order is exercised throughout; the checked
+// runs must also publish what unchecked runs do.
+TEST(AgglomerativeTest, NearListAnswersAndTupleInitMatchFullScans) {
+  const Workload dup = kThreadSanitizer ? DuplicateHeavyArt(150, 60, 20080407)
+                                        : DuplicateHeavyArt(300, 120, 20080407);
+  const PrecomputedLoss loss(dup.scheme, dup.dataset, EntropyMeasure());
+  size_t full_rescans = 0;
+  for (bool modified : {false, true}) {
+    for (DistanceFunction distance :
+         {DistanceFunction::kWeighted, DistanceFunction::kPlain,
+          DistanceFunction::kLogWeighted, DistanceFunction::kRatio,
+          DistanceFunction::kNergizClifton}) {
+      SCOPED_TRACE(::testing::Message() << "modified=" << modified
+                                        << " distance "
+                                        << DistanceShortName(distance));
+      AgglomerativeOptions options;
+      options.modified = modified;
+      options.distance = distance;
+      options.num_threads = 2;
+      const Clustering plain =
+          Unwrap(AgglomerativeCluster(dup.dataset, loss, 6, options));
+      EngineCounters counters;
+      options.counters = &counters;
+      options.check_exact_merges = true;
+      const Clustering checked =
+          Unwrap(AgglomerativeCluster(dup.dataset, loss, 6, options));
+      EXPECT_EQ(checked.clusters, plain.clusters);
+      full_rescans += counters.rescans;
+    }
+  }
+  // Some lists cannot answer and fall back to the full scan.
+  EXPECT_GT(full_rescans, 0u);
 }
 
 TEST(LeaveOneOutClosuresTest, MatchesNaiveRecomputation) {

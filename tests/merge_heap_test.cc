@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <queue>
 #include <random>
 #include <vector>
@@ -104,6 +105,101 @@ TEST(OfferToTwoBestTest, ChunkMergeMatchesSerialScan) {
   EXPECT_EQ(merged.d2, serial.d2);
   EXPECT_EQ(serial.c1, 5u);  // dist 1.0.
   EXPECT_EQ(serial.c2, 1u);  // dist 2.0, smallest tied id.
+}
+
+// --- NearestKeys and near-lists -------------------------------------------
+
+// The kept keys are the N smallest in (dist, id) order whatever the offer
+// order, and the first two are OfferToTwoBest's two-best.
+TEST(NearestKeysTest, KeepsTheSmallestKeysInAnyOfferOrder) {
+  std::mt19937 rng(7);
+  for (int round = 0; round < 50; ++round) {
+    std::vector<std::pair<double, uint32_t>> keys;
+    for (uint32_t y = 0; y < 12; ++y) {
+      keys.emplace_back(0.5 * static_cast<double>(rng() % 4), y);
+    }
+    std::shuffle(keys.begin(), keys.end(), rng);
+    NearestKeys<5> near;
+    CandidatePair two;
+    for (const auto& [d, y] : keys) {
+      near.Offer(y, d);
+      OfferToTwoBest(&two, y, d);
+    }
+    std::sort(keys.begin(), keys.end());
+    ASSERT_TRUE(near.full());
+    for (uint32_t i = 0; i < 5; ++i) {
+      EXPECT_EQ(near.d[i], keys[i].first);
+      EXPECT_EQ(near.id[i], keys[i].second);
+    }
+    const CandidatePair got = near.TwoBest();
+    EXPECT_EQ(got.c1, two.c1);
+    EXPECT_EQ(got.d1, two.d1);
+    EXPECT_EQ(got.c2, two.c2);
+    EXPECT_EQ(got.d2, two.d2);
+  }
+}
+
+// A rescan answered from a near-list must be the full scan's two-best, bit
+// for bit, however many listed clusters died and new ones arrived since the
+// list was filled; a list that cannot answer must say so and change nothing.
+TEST(NearListTest, ServedRescanEqualsFullScanOrDeclines) {
+  constexpr uint32_t kInitial = 60;
+  constexpr uint32_t kMaxIds = 400;
+  size_t served = 0;
+  size_t declined = 0;
+  for (uint32_t seed = 1; seed <= 6; ++seed) {
+    std::mt19937 rng(seed);
+    std::vector<double> d(kMaxIds * kMaxIds);
+    for (double& v : d) v = 0.25 * static_cast<double>(1 + rng() % 4);
+    const auto dist = [&](uint32_t a, uint32_t b) {
+      return d[a * kMaxIds + b];
+    };
+    ClusterSet clusters;
+    MergeHeap heap(&clusters, /*aggressive_rebuild=*/false, nullptr);
+    heap.EnsureSize(kMaxIds);
+    for (uint32_t i = 0; i < kInitial; ++i) clusters.Activate(clusters.Add({}));
+    const auto full_scan = [&](uint32_t x) {
+      NearList::Scan scan;
+      for (uint32_t y : clusters.active()) {
+        if (y != x && clusters.Alive(y)) scan.Offer(y, dist(x, y));
+      }
+      return scan;
+    };
+    const uint32_t x = 0;
+    heap.SetScanned(x, full_scan(x));
+    while (clusters.size() + 3 < kMaxIds && clusters.num_active() > 4) {
+      // One merge's worth of churn: two deaths (never x), one birth.
+      for (int death = 0; death < 2; ++death) {
+        const std::vector<uint32_t>& active = clusters.active();
+        uint32_t y = active[rng() % active.size()];
+        while (y == x || !clusters.Alive(y)) {
+          y = active[rng() % active.size()];
+        }
+        clusters.Deactivate(y);
+        heap.NoteDeactivated(y);
+      }
+      clusters.Activate(clusters.Add({}));
+      clusters.MaybeCompactActive();
+      if (rng() % 3 != 0) continue;
+      const CandidatePair before = heap.candidate(x);
+      const CandidatePair want = full_scan(x).TwoBest();
+      if (heap.ServeRescan(x, [&](uint32_t y) { return dist(x, y); })) {
+        ++served;
+        const CandidatePair& got = heap.candidate(x);
+        ASSERT_EQ(got.c1, want.c1);
+        ASSERT_EQ(got.d1, want.d1);
+        ASSERT_EQ(got.c2, want.c2);
+        ASSERT_EQ(got.d2, want.d2);
+        ASSERT_TRUE(got.second_valid);
+      } else {
+        ++declined;
+        ASSERT_EQ(heap.candidate(x).c1, before.c1);
+        heap.SetScanned(x, full_scan(x));
+      }
+    }
+  }
+  EXPECT_GT(served, 0u);
+  EXPECT_GT(declined, 0u);
 }
 
 // --- MergeHeap ------------------------------------------------------------
