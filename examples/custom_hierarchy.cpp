@@ -43,6 +43,11 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", s.ToString().c_str());
     return 1;
   }
+  // Every integer flag is a count: a malformed one is a usage error.
+  if (Status s = flags.CheckCounts({"k"}); !s.ok()) {
+    std::fprintf(stderr, "error: %s\n", s.ToString().c_str());
+    return 2;
+  }
   std::string input = flags.GetString("input", "");
   const size_t k = static_cast<size_t>(flags.GetInt("k", 3));
   const std::string output = flags.GetString("output", "");

@@ -23,6 +23,11 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", s.ToString().c_str());
     return 1;
   }
+  // Every integer flag is a count: a malformed one is a usage error.
+  if (Status s = flags.CheckCounts({"n", "k", "l", "seed"}); !s.ok()) {
+    std::fprintf(stderr, "error: %s\n", s.ToString().c_str());
+    return 2;
+  }
   const size_t n = static_cast<size_t>(flags.GetInt("n", 500));
   const size_t k = static_cast<size_t>(flags.GetInt("k", 5));
   const size_t l = static_cast<size_t>(flags.GetInt("l", 2));

@@ -22,6 +22,11 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", s.ToString().c_str());
     return 1;
   }
+  // Every integer flag is a count: a malformed one is a usage error.
+  if (Status s = flags.CheckCounts({"n", "k", "seed"}); !s.ok()) {
+    std::fprintf(stderr, "error: %s\n", s.ToString().c_str());
+    return 2;
+  }
   const size_t n = static_cast<size_t>(flags.GetInt("n", 400));
   const size_t k = static_cast<size_t>(flags.GetInt("k", 4));
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 7));

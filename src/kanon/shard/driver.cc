@@ -7,6 +7,7 @@
 #include <sstream>
 #include <utility>
 
+#include "kanon/algo/core/engine_args.h"
 #include "kanon/common/failpoint.h"
 #include "kanon/generalization/generalized_csv.h"
 #include "kanon/loss/precomputed_loss.h"
@@ -219,11 +220,7 @@ Result<size_t> RepairBoundaries(GeneralizedTable* table,
                                 size_t k) {
   const size_t n = table->num_rows();
   if (n == 0) return static_cast<size_t>(0);
-  if (n < k) {
-    return Status::InvalidArgument("table has " + std::to_string(n) +
-                                   " rows; cannot be " + std::to_string(k) +
-                                   "-anonymous");
-  }
+  if (n < k) return CheckKRange(k, n);
   const std::vector<std::vector<uint32_t>> groups =
       GroupIdenticalRecords(*table);
   std::vector<uint32_t> pool;
@@ -280,8 +277,9 @@ Result<ShardedResult> Run(const RunInputs& in) {
   if (in.scheme == nullptr) {
     return Status::InvalidArgument("scheme must not be null");
   }
-  if (base.k == 0) {
-    return Status::InvalidArgument("k must be at least 1");
+  // An empty input publishes an empty table for every k >= 1.
+  if (base.k == 0 || in.rows > 0) {
+    KANON_RETURN_NOT_OK(CheckKRange(base.k, in.rows));
   }
   // Merging per-shard k-anonymous tables preserves Definition 4.1 only for
   // the per-record notion: identical-record groups can only grow in a

@@ -554,6 +554,27 @@ TEST(ShardedDriverTest, FewerRowsThanKIsAnError) {
           .ok());
 }
 
+// The sharded path words an out-of-range k as the engines do, naming k and
+// the number of records, before any shard runs.
+TEST(ShardedDriverTest, OutOfRangeKNamesKAndTheNumberOfRecords) {
+  auto scheme = SmallScheme();
+  const Dataset d = SmallRandomDataset(*scheme, 8, 2);
+  ShardOptions options;
+  options.num_shards = 2;
+  options.work_dir = ScratchDir("driver_k_range");
+  const auto zero = shard::ShardedAnonymize(d, scheme, EntropyMeasure(),
+                                            BaseConfig(0), options);
+  ASSERT_FALSE(zero.ok());
+  EXPECT_EQ(zero.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(zero.status().message(),
+            "k = 0 is below 1; the number of records is 8");
+  const auto nine = shard::ShardedAnonymize(d, scheme, EntropyMeasure(),
+                                            BaseConfig(9), options);
+  ASSERT_FALSE(nine.ok());
+  EXPECT_EQ(nine.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(nine.status().message(), "k = 9 exceeds the number of records 8");
+}
+
 TEST_F(ShardFailpointTest, CrashedShardsRetryThenSuppressAndStillVerify) {
   auto scheme = SmallScheme();
   const size_t k = 3;

@@ -199,6 +199,14 @@ int Main(int argc, char** argv) {
     std::fprintf(stderr, "kanon_check: %s\n", parsed.ToString().c_str());
     return Usage();
   }
+  // Every integer flag is a count: a malformed one is a usage error.
+  if (Status s = flags.CheckCounts({"seed", "trials", "threads",
+                                    "shrink-evals", "max-rows", "max-attrs",
+                                    "max-domain"});
+      !s.ok()) {
+    std::fprintf(stderr, "kanon_check: %s\n", s.ToString().c_str());
+    return 2;
+  }
   if (flags.Has("list-props")) return ListProps();
   if (flags.Has("replay")) {
     std::vector<std::string> paths = flags.positional();

@@ -28,6 +28,10 @@ int RealMain(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", s.ToString().c_str());
     return 2;
   }
+  if (Status s = flags.CheckCounts({"rows", "seed"}); !s.ok()) {
+    std::fprintf(stderr, "error: %s\n", s.ToString().c_str());
+    return 2;
+  }
   const std::string dataset_name = flags.GetString("dataset", "art");
   const size_t rows = static_cast<size_t>(flags.GetInt("rows", 0));
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));

@@ -93,6 +93,17 @@ int main(int argc, char** argv) {
     return 0;
   }
 
+  // Every integer flag is a count: a malformed one is a usage error, and
+  // the reads below neither abort nor wrap.
+  if (kanon::Status s = flags.CheckCounts(
+          {"port", "max-frame-mb", "tables", "scheme-cache", "drain-grace-ms",
+           "workers", "queue-depth", "job-threads", "default-timeout-ms",
+           "flight-capacity", "prom-port"});
+      !s.ok()) {
+    std::fprintf(stderr, "kanond: %s\n", s.ToString().c_str());
+    return 2;
+  }
+
   kanon::serve::ServerOptions options;
   options.bind_address = flags.GetString("bind", "127.0.0.1");
   options.port = static_cast<int>(flags.GetInt("port", 0));

@@ -153,6 +153,15 @@ int main(int argc, char** argv) {
   FlagParser flags;
   Status parsed = flags.Parse(argc, argv);
   if (!parsed.ok()) return FailTransport(parsed);
+  // Every integer flag is a count: a malformed one is a usage error.
+  if (Status s = flags.CheckCounts({"port", "recv-timeout-ms",
+                                    "wait-timeout-ms", "job", "k",
+                                    "timeout-ms", "max-steps",
+                                    "debug-sleep-ms"});
+      !s.ok()) {
+    std::fprintf(stderr, "kanond_client: %s\n", s.ToString().c_str());
+    return 2;
+  }
   if (flags.GetBool("help", false) || flags.positional().size() != 1) {
     PrintUsage();
     return flags.GetBool("help", false) ? 0 : 1;
