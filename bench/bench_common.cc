@@ -19,10 +19,21 @@
 namespace kanon {
 namespace bench {
 
-BenchConfig BenchConfig::FromArgs(int argc, const char* const* argv) {
+FlagParser ParseBenchFlags(int argc, const char* const* argv,
+                           std::initializer_list<const char*> counts) {
   FlagParser parser;
   Status s = parser.Parse(argc, argv);
-  KANON_CHECK(s.ok(), s.ToString());
+  if (s.ok()) s = parser.CheckCounts(counts);
+  if (!s.ok()) {
+    std::fprintf(stderr, "error: %s\n", s.ToString().c_str());
+    std::exit(2);
+  }
+  return parser;
+}
+
+BenchConfig BenchConfig::FromArgs(int argc, const char* const* argv) {
+  const FlagParser parser =
+      ParseBenchFlags(argc, argv, {"art_n", "adt_n", "cmc_n", "seed"});
   BenchConfig config;
   config.full = parser.GetBool("full", false);
   if (config.full) {

@@ -1,6 +1,7 @@
 #ifndef KANON_BENCH_BENCH_COMMON_H_
 #define KANON_BENCH_BENCH_COMMON_H_
 
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <vector>
@@ -31,6 +32,12 @@ struct BenchConfig {
 
   static BenchConfig FromArgs(int argc, const char* const* argv);
 };
+
+/// argv's flags. Each flag named in `counts` must be a whole number
+/// (FlagParser::CheckCounts); a malformed flag is a usage error, printed
+/// before exiting with status 2, as in the tools.
+FlagParser ParseBenchFlags(int argc, const char* const* argv,
+                           std::initializer_list<const char*> counts);
 
 /// Builds one of the paper's three workloads ("ART", "ADT", "CMC") at the
 /// configured size. When the environment variables KANON_ADULT_DATA /

@@ -624,15 +624,15 @@ void WriteJson(const std::string& path, size_t n, size_t r,
 }
 
 int Main(int argc, char** argv) {
-  size_t n = 1000;
-  int reps = 5;
+  const FlagParser flags = bench::ParseBenchFlags(argc, argv, {"n", "reps"});
+  const auto n = static_cast<size_t>(flags.GetInt("n", 1000));
+  const auto reps = static_cast<int>(
+      std::min<int64_t>(flags.GetInt("reps", 5), INT32_MAX));
   std::string json_path;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--n=", 0) == 0) {
-      n = static_cast<size_t>(std::stoul(arg.substr(4)));
-    } else if (arg.rfind("--reps=", 0) == 0) {
-      reps = std::stoi(arg.substr(7));
+    if (arg.rfind("--n=", 0) == 0 || arg.rfind("--reps=", 0) == 0) {
+      continue;
     } else if (arg == "--json") {
       json_path = "BENCH_micro.json";
     } else if (arg.rfind("--json=", 0) == 0) {

@@ -302,29 +302,25 @@ int RunShardJson(size_t n) {
 }  // namespace kanon
 
 int main(int argc, char** argv) {
-  bool speedup = false;
-  bool shard = false;
-  size_t speedup_n = 2000;
-  size_t shard_n = 8000;
+  const kanon::FlagParser flags =
+      kanon::bench::ParseBenchFlags(argc, argv, {"speedup_n", "shard_n"});
+  if (flags.Has("shard_json")) {
+    return kanon::RunShardJson(
+        static_cast<size_t>(flags.GetInt("shard_n", 8000)));
+  }
+  if (flags.Has("speedup_json")) {
+    return kanon::RunSpeedupJson(
+        static_cast<size_t>(flags.GetInt("speedup_n", 2000)));
+  }
+  // Everything else goes to google-benchmark.
   std::vector<char*> passthrough;
   for (int i = 0; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--speedup_json") == 0) {
-      speedup = true;
-    } else if (std::strncmp(argv[i], "--speedup_n=", 12) == 0) {
-      speedup_n = static_cast<size_t>(std::stoul(argv[i] + 12));
-    } else if (std::strcmp(argv[i], "--shard_json") == 0) {
-      shard = true;
-    } else if (std::strncmp(argv[i], "--shard_n=", 10) == 0) {
-      shard_n = static_cast<size_t>(std::stoul(argv[i] + 10));
-    } else {
+    if (std::strcmp(argv[i], "--speedup_json") != 0 &&
+        std::strncmp(argv[i], "--speedup_n=", 12) != 0 &&
+        std::strcmp(argv[i], "--shard_json") != 0 &&
+        std::strncmp(argv[i], "--shard_n=", 10) != 0) {
       passthrough.push_back(argv[i]);
     }
-  }
-  if (shard) {
-    return kanon::RunShardJson(shard_n);
-  }
-  if (speedup) {
-    return kanon::RunSpeedupJson(speedup_n);
   }
   int pass_argc = static_cast<int>(passthrough.size());
   benchmark::Initialize(&pass_argc, passthrough.data());

@@ -34,7 +34,9 @@ struct AgglomerativeOptions {
   /// ejected records re-enter the pool as singletons.
   bool modified = false;
   /// Debug/testing: verify by exhaustive O(n²) scan, before every merge,
-  /// that the merged pair attains the global minimum distance. Quadratic
+  /// that the merged pair is the smallest key (d1, x, c1) over the alive
+  /// clusters and that every first-best distance is exact, and check every
+  /// two-best that does not come from a full scan against one. Quadratic
   /// per merge — only for tests.
   bool check_exact_merges = false;
   /// Worker threads for the O(n²·r) scans (all-pairs init, post-merge
@@ -42,12 +44,8 @@ struct AgglomerativeOptions {
   /// 1 runs single-threaded. The clustering is byte-identical at every
   /// thread count (see docs/parallelism.md).
   int num_threads = 1;
-  /// Testing hook for the stale-entry heap maintenance: check for a
-  /// rebuild on every stale entry instead of waiting for the half-stale
-  /// threshold (counters->heap_rebuilds counts them).
-  bool aggressive_heap_rebuild = false;
-  /// Optional engine telemetry (merges, rescans, heap rebuilds, closure
-  /// cache hits, parallel chunks). Not owned; accumulated into, never reset.
+  /// Optional engine telemetry (merges, rescans, closure cache hits,
+  /// parallel chunks). Not owned; accumulated into, never reset.
   /// Deterministic at every thread count.
   EngineCounters* counters = nullptr;
   /// Optional execution controls (deadline, cancellation, step budget). Not

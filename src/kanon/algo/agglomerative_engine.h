@@ -31,8 +31,8 @@ namespace internal {
 // The basic and modified variants of Algorithm 1, rewritten on the shared
 // clustering core: ClusterSet owns the alive/dead bookkeeping, ClosureStore
 // hash-conses every cluster closure (and memoizes its cost), and MergeHeap
-// carries the two-best candidates and near-lists with the stale-entry heap
-// maintenance.
+// carries the two-best candidates and near-lists and folds the next merge
+// from them.
 // `Policy` supplies the distance and the (a)symmetry of the merge rule;
 // both inline into the sweeps.
 template <typename Policy>
@@ -59,7 +59,7 @@ class AgglomerativeEngine {
                                              0.6, 0.7, 0.8, 0.9, 1.0})),
         kernels_(dataset, loss),
         store_(loss),
-        heap_(&clusters_, options.aggressive_heap_rebuild, options.counters),
+        heap_(&clusters_),
         added_table_(kernels_.joined_table_size()),
         anchor_table_(kernels_.joined_table_size()) {}
 
@@ -195,16 +195,24 @@ class AgglomerativeEngine {
                 what);
   }
 
-  // Exhaustively checks that `dist` is the minimum over all alive pairs.
-  void VerifyGlobalMinimum(double dist) const {
-    for (uint32_t a : clusters_.active()) {
-      if (!clusters_.Alive(a)) continue;
-      for (uint32_t b : clusters_.active()) {
-        if (a == b || !clusters_.Alive(b)) continue;
-        KANON_CHECK(Dist(a, b) >= dist - 1e-12,
+  // The check_exact_merges cross-check of a merge, by brute force: `top`
+  // is the smallest key (d1, x, c1) over the alive clusters' candidates,
+  // and no alive pair is closer (up to rounding: a symmetric policy prices
+  // each pair in one argument order only).
+  void CheckSmallestKey(const MergeCandidate& top) const {
+    MergeCandidate want = kNoMerge;
+    for (uint32_t x : clusters_.active()) {
+      if (!clusters_.Alive(x)) continue;
+      const CandidatePair& c = heap_.candidate(x);
+      if (c.c1 != kNoCluster) FoldKey(&want, MergeCandidate{c.d1, x, c.c1});
+      for (uint32_t y : clusters_.active()) {
+        if (y == x || !clusters_.Alive(y)) continue;
+        KANON_CHECK(Dist(x, y) >= top.dist - 1e-12,
                     "engine merged a non-minimal pair");
       }
     }
+    KANON_CHECK(top.dist == want.dist && top.a == want.a && top.b == want.b,
+                "engine merged other than the smallest key");
   }
 
   Status InitSingletons() {
@@ -262,8 +270,8 @@ class AgglomerativeEngine {
   // OfferToTwoBest, whose result does not depend on the offer order: so
   // each row's two-best is the one an ascending scan of every row picks,
   // and the rest of its keys fill its near-list. The tuple sweep honors the
-  // run's controls like the old per-row scan; heap pushes come after, on
-  // one thread, in row order.
+  // run's controls like the old per-row scan; the first merge's key is
+  // folded after, on one thread.
   Status InitNearest() {
     const size_t n = dataset_.num_rows();
     const size_t num_tuples = store_.size();
@@ -360,14 +368,9 @@ class AgglomerativeEngine {
       if (options_.check_exact_merges) {
         CheckAgainstFullScan(i, "distinct-tuple init differs from a full scan");
       }
-      heap_.PushCandidate(i);
+      heap_.FoldCandidate(i);
     }
     return Status::OK();
-  }
-
-  void Deactivate(uint32_t c) {
-    clusters_.Deactivate(c);
-    heap_.NoteDeactivated(c);
   }
 
   uint32_t NewCluster(ClusterData data) {
@@ -389,8 +392,8 @@ class AgglomerativeEngine {
     std::sort(merged.members.begin(), merged.members.end());
     const ClosureStore::Id closure = store_.InternJoin(
         clusters_.cluster(a).closure, clusters_.cluster(b).closure);
-    Deactivate(a);
-    Deactivate(b);
+    clusters_.Deactivate(a);
+    clusters_.Deactivate(b);
     if (options_.counters != nullptr) ++options_.counters->merges;
     const uint32_t id = NewCluster(std::move(merged));
     SetClosure(id, closure);
@@ -551,18 +554,14 @@ class AgglomerativeEngine {
     while (clusters_.num_active() > 1) {
       if (CheckPoint("agglomerative/merge")) return Status::OK();
       KANON_FAILPOINT("agglomerative.closure");
-      heap_.MaybeRebuild();
-      KANON_CHECK(!heap_.empty(), "active clusters must have heap entries");
-      const MergeCandidate entry = heap_.PopTop();
-      // Distances are immutable per pair, so an entry is valid iff both
-      // endpoints are alive; invariant A guarantees the first valid pop is
-      // a globally closest pair.
-      if (!clusters_.Alive(entry.a) || !clusters_.Alive(entry.b)) continue;
-      if (options_.check_exact_merges) {
-        VerifyGlobalMinimum(entry.dist);
-      }
-      if (merge_cost_ != nullptr) merge_cost_->Observe(entry.dist);
-      const uint32_t merged = Merge(entry.a, entry.b);
+      // The last repair pass (or the init) folded every alive cluster's
+      // key; invariant A makes the smallest a globally closest pair.
+      const MergeCandidate top = heap_.Top();
+      KANON_CHECK(clusters_.Alive(top.a) && clusters_.Alive(top.b),
+                  "the next merge must join two alive clusters");
+      if (options_.check_exact_merges) CheckSmallestKey(top);
+      if (merge_cost_ != nullptr) merge_cost_->Observe(top.dist);
+      const uint32_t merged = Merge(top.a, top.b);
       if (clusters_.cluster(merged).members.size() >= k_) {
         if (options_.modified &&
             clusters_.cluster(merged).members.size() > k_) {

@@ -15,7 +15,8 @@ struct EngineCounters {
   size_t merges = 0;
   /// Full nearest-neighbor rescans (the expensive O(active·r) repair path).
   size_t rescans = 0;
-  /// Stale-heavy merge-heap rebuilds.
+  /// Always 0: Algorithm 1 keeps no merge heap to rebuild. Kept only because
+  /// the end-to-end benchmark reads it (ROADMAP, next benchmark change).
   size_t heap_rebuilds = 0;
   /// ClosureStore interns that found an existing closure (memoized cost).
   size_t closure_hits = 0;

@@ -4,11 +4,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <queue>
 #include <vector>
 
 #include "kanon/algo/core/cluster_set.h"
-#include "kanon/algo/core/engine_counters.h"
 
 namespace kanon {
 
@@ -163,56 +161,53 @@ struct MergeCandidate {
   uint32_t b;
 };
 
+/// No merge: the smallest key of a set of clusters none of which has a pair.
+inline constexpr MergeCandidate kNoMerge{kInfDist, kNoCluster, kNoCluster};
+
+/// Keeps in *top the smaller of it and `key` in (dist, a) order. One key per
+/// cluster a, so (dist, a) decides; kNoMerge loses to every real key.
+inline void FoldKey(MergeCandidate* top, const MergeCandidate& key) {
+  if (KeyLess(key.dist, key.a, top->dist, top->a)) *top = key;
+}
+
 /// One chunk's share of a repair pass (MergeHeap::RepairStep): everything a
 /// step must not apply to shared state, held in the chunk's own slot until
 /// MergeHeap::ApplyRepairPass folds the chunks in chunk order.
 struct RepairChunk {
-  /// Heap entries of the chunk's clusters' own repairs and offers.
-  std::vector<MergeCandidate> pushes;
+  /// The smallest key (d1, x, c1) of the chunk's clusters x whose first-best
+  /// is settled by the pass (alive, or the added cluster).
+  MergeCandidate top = kNoMerge;
   /// Clusters whose candidates were wiped out, in scan order.
   std::vector<uint32_t> rescans;
-  /// The smallest keys (dist(added, x), x) over the chunk's clusters x: its
-  /// first two are the chunk's two-best of added, all of them seed added's
-  /// near-list ...
+  /// The smallest keys (dist(added, x), x) over the chunk's clusters x: the
+  /// chunk's share of added's two-best and near-list.
   NearList::Scan added_near;
-  /// ... and the offers that improved its first key, in scan order: the
-  /// chunk's local prefix minima (dist, added, x).
-  std::vector<MergeCandidate> added_prefix;
 
   void Clear() {
-    pushes.clear();
+    top = kNoMerge;
     rescans.clear();
     added_near = NearList::Scan();
-    added_prefix.clear();
   }
 };
 
-/// The lazy merge heap shared by the agglomerative engines: per-cluster
-/// two-best candidates (invariants A/B above) and near-lists, the
-/// stale-entry accounting, and the threshold rebuild that keeps adversarial
-/// merge orders from piling up dead entries. Pop order and results are
-/// byte-identical to a heap without rebuilds; only occupancy changes.
+/// The merge candidates shared by the agglomerative engines: per-cluster
+/// two-best candidates (invariants A/B above) and near-lists, and the next
+/// merge, Top(): the smallest key (d1(x), x, c1(x)) over the alive
+/// clusters x. Every repair pass visits every alive cluster, so it folds the
+/// keys as it goes. (The class name predates that: it holds no heap.)
 class MergeHeap {
  public:
   /// `clusters` supplies aliveness and the active list; not owned.
-  /// `aggressive_rebuild` is the testing hook that checks for a rebuild on
-  /// every stale entry instead of waiting for the half-stale threshold.
-  /// `counters` (optional, not owned) receives heap_rebuilds.
-  MergeHeap(const ClusterSet* clusters, bool aggressive_rebuild,
-            EngineCounters* counters)
-      : clusters_(clusters),
-        aggressive_rebuild_(aggressive_rebuild),
-        counters_(counters) {}
+  explicit MergeHeap(const ClusterSet* clusters) : clusters_(clusters) {}
 
   MergeHeap(const MergeHeap&) = delete;
   MergeHeap& operator=(const MergeHeap&) = delete;
 
-  /// Grows the candidate/near-list/refcount arrays to cover ids < n.
+  /// Grows the candidate and near-list arrays to cover ids < n.
   void EnsureSize(size_t n) {
     if (cands_.size() < n) {
       cands_.resize(std::max(n, cands_.size() * 2 + 1));
       near_.resize(cands_.size());
-      entry_refs_.resize(cands_.size(), 0);
     }
   }
 
@@ -230,18 +225,21 @@ class MergeHeap {
   void ResetCandidate(uint32_t x) {
     cands_[x] = CandidatePair();
     near_[x] = NearList();
-    entry_refs_[x] = 0;
   }
 
-  /// Pushes x's current first-best as a heap entry (no-op when unset).
-  void PushCandidate(uint32_t x) {
+  /// The next merge: the smallest key folded since the last repair pass
+  /// began (kNoMerge when none was).
+  const MergeCandidate& Top() const { return top_; }
+
+  /// Folds x's current key (d1, x, c1) into Top(); no-op when x has no pair.
+  void FoldCandidate(uint32_t x) {
     if (cands_[x].c1 != kNoCluster) {
-      PushEntry(cands_[x].d1, x, cands_[x].c1);
+      FoldKey(&top_, MergeCandidate{cands_[x].d1, x, cands_[x].c1});
     }
   }
 
   /// Sets x's two-best and near-list from `scan`, an exact scan over every
-  /// cluster alive below `watermark`, and pushes nothing: the all-pairs
+  /// cluster alive below `watermark`, and folds nothing: the all-pairs
   /// scan's chunk workers call it on disjoint slots.
   void SetNearest(uint32_t x, const NearList::Scan& scan,
                   uint32_t watermark) {
@@ -250,19 +248,19 @@ class MergeHeap {
   }
 
   /// The tail of a full rescan of x over every cluster alive now: its
-  /// two-best (and entry) and its near-list come from `scan`.
+  /// two-best (and key) and its near-list come from `scan`.
   void SetScanned(uint32_t x, const NearList::Scan& scan) {
     SetNearest(x, scan, WatermarkNow());
-    PushCandidate(x);
+    FoldCandidate(x);
   }
 
   /// Answers a full rescan of x from its near-list when the list can: the
   /// listed clusters still alive and the ones created since the watermark
   /// (priced by dist(y) = dist(x, y)) that key below the bound. When two
   /// such keys remain, or the list had no bound, they are the two-best of
-  /// an exact scan over every alive cluster: sets x's candidates, pushes
-  /// its entry, refreshes the list and returns true. Otherwise changes
-  /// nothing and returns false; the caller then runs the full scan.
+  /// an exact scan over every alive cluster: sets x's candidates, folds its
+  /// key, refreshes the list and returns true. Otherwise changes nothing
+  /// and returns false; the caller then runs the full scan.
   template <typename DistFn>
   bool ServeRescan(uint32_t x, const DistFn& dist) {
     NearList& list = near_[x];
@@ -282,85 +280,50 @@ class MergeHeap {
     if (found.size < 2 && !list.unbounded()) return false;
     cands_[x] = found.TwoBest();
     list.Fill(found, WatermarkNow(), list.bound_d, list.bound_id);
-    PushCandidate(x);
+    FoldCandidate(x);
     return true;
-  }
-
-  /// Offers alive candidate (y, d) to x's two-best, pushing a heap entry on
-  /// a first-best improvement.
-  void Offer(uint32_t x, uint32_t y, double d) {
-    if (OfferToSlot(&cands_[x], y, d)) PushEntry(d, x, y);
   }
 
   /// One cluster's step of the repair pass that follows a merge; chunks of
   /// a sweep over the active list run it concurrently. It fixes x after the
   /// deaths of the just-merged pair and, when `added` (the freshly created
   /// cluster, kNoCluster for a ripe merge) is set, offers added to x at
-  /// d_x_added and x to the chunk's view of added at d_added_x. It writes
-  /// only x's own candidate slot and `chunk`; heap entries and rescans wait
-  /// in `chunk` for ApplyRepairPass. Near-lists are not touched.
+  /// d_x_added and x to the chunk's view of added at d_added_x. It then
+  /// folds x's key into the chunk's, unless x waits for a rescan. It writes
+  /// only x's own candidate slot and `chunk`; the chunk's results wait for
+  /// ApplyRepairPass. Near-lists are not touched.
   void RepairStep(uint32_t x, uint32_t added, double d_added_x,
                   double d_x_added, RepairChunk* chunk) {
+    const CandidatePair& c = cands_[x];
     if (added != kNoCluster) {
-      // The chunk's local scan of added's offers, in ascending x: a key
-      // that lands first improved the chunk's first-best (a prefix
-      // minimum).
-      NearList::Scan& near = chunk->added_near;
-      if (near.Offer(x, d_added_x) && near.id[0] == x) {
-        chunk->added_prefix.push_back(MergeCandidate{d_added_x, added, x});
-      }
+      chunk->added_near.Offer(x, d_added_x);
       // The common case is provably a no-op for x: its nearest is intact
       // and added, the newest id, beats neither bound (a tie at d2 loses
       // on the id).
-      const CandidatePair& c = cands_[x];
-      if (d_x_added > c.d2 && clusters_->Alive(c.c1)) return;
+      if (d_x_added > c.d2 && clusters_->Alive(c.c1)) {
+        FoldKey(&chunk->top, MergeCandidate{c.d1, x, c.c1});
+        return;
+      }
     }
-    RepairCandidate(x, added, d_x_added, chunk);
+    if (RepairCandidate(x, added, d_x_added, chunk) && c.c1 != kNoCluster) {
+      FoldKey(&chunk->top, MergeCandidate{c.d1, x, c.c1});
+    }
   }
 
-  /// Applies a repair pass's chunks in chunk order: pushes their entries,
-  /// rebuilds added's two-best from each chunk's prefix minima and second
-  /// best, fills added's near-list from the chunks' keys, and appends the
-  /// clusters that need a full rescan to `rescans` in active order. The
-  /// heap then holds exactly the entries, and every candidate slot the
-  /// values, of one serial Offer/Repair scan over the active list
-  /// (docs/parallelism.md, rule 3).
+  /// Applies a repair pass's chunks in chunk order: folds their keys into
+  /// a fresh Top(), sets added's two-best and near-list from the chunks'
+  /// keys and folds its key, and appends the clusters that need a full
+  /// rescan to `rescans` in active order. Every candidate slot then holds
+  /// the values of one serial scan over the active list, and Top() the
+  /// smallest key of every alive cluster but those rescans, whose keys the
+  /// rescans fold (docs/parallelism.md, rule 3).
   void ApplyRepairPass(uint32_t added, const std::vector<RepairChunk>& chunks,
                        std::vector<uint32_t>* rescans);
 
-  /// Every in-heap entry referencing a deactivated cluster just went stale;
-  /// the engine reports each death so the rebuild threshold stays exact.
-  void NoteDeactivated(uint32_t c) { stale_ += entry_refs_[c]; }
-
-  /// Dead-pair entries are only discarded lazily on pop, so adversarial
-  /// merge orders (one growing cluster re-offered to everyone each round)
-  /// can pile them up without bound. Once the stale-reference counter says
-  /// at least half the heap is provably dead, rebuild it from the exact
-  /// per-cluster candidates: every alive cluster re-contributes its one
-  /// invariant-A entry. Purely an occupancy change — pop order and results
-  /// are untouched.
-  void MaybeRebuild();
-
-  bool empty() const { return heap_.empty(); }
-
-  /// Pops the top entry, maintaining the stale accounting. The caller skips
-  /// entries whose endpoints died (lazy deletion); invariant A guarantees
-  /// the first fully-alive pop is a globally closest pair.
-  MergeCandidate PopTop();
-
-  size_t rebuilds() const { return rebuilds_; }
-
  private:
-  struct EntryGreater {
-    bool operator()(const MergeCandidate& x, const MergeCandidate& y) const {
-      if (x.dist != y.dist) return x.dist > y.dist;
-      if (x.a != y.a) return x.a > y.a;
-      return x.b > y.b;
-    }
-  };
-
-  // RepairStep's update of x's own two-best.
-  void RepairCandidate(uint32_t x, uint32_t added, double d_x_added,
+  // RepairStep's update of x's own two-best; false when x needs a rescan.
+  // Otherwise x's first-best is alive, added, or unset (no other cluster).
+  bool RepairCandidate(uint32_t x, uint32_t added, double d_x_added,
                        RepairChunk* chunk) {
     CandidatePair& c = cands_[x];
     if (c.c1 != kNoCluster && !clusters_->Alive(c.c1)) {
@@ -369,12 +332,11 @@ class MergeHeap {
         // cluster is an exact new minimum. The second bound keeps holding.
         c.c1 = added;
         c.d1 = d_x_added;
-        chunk->pushes.push_back(MergeCandidate{d_x_added, x, added});
-        return;
+        return true;
       }
       if (!clusters_->Alive(c.c2) || !c.second_valid) {
         chunk->rescans.push_back(x);
-        return;
+        return false;
       }
       // Invariant B: nothing alive beats d2, so c2 is the exact minimum.
       c.c1 = c.c2;
@@ -382,18 +344,15 @@ class MergeHeap {
       c.c2 = kNoCluster;
       c.d2 = kInfDist;
       c.second_valid = false;
-      chunk->pushes.push_back(MergeCandidate{c.d1, x, c.c1});
     }
     // Nearest intact (a dead c2 stays as a bound) or just promoted.
-    if (added != kNoCluster && OfferToSlot(&c, added, d_x_added)) {
-      chunk->pushes.push_back(MergeCandidate{d_x_added, x, added});
-    }
+    if (added != kNoCluster) OfferToSlot(&c, added, d_x_added);
+    return true;
   }
 
-  // Offer's update of one candidate slot; true when y became the first-best
-  // (the caller owes a heap entry).
-  static bool OfferToSlot(CandidatePair* c, uint32_t y, double d) {
-    if (y == c->c1 || y == c->c2) return false;
+  // RepairCandidate's offer of added to one candidate slot.
+  static void OfferToSlot(CandidatePair* c, uint32_t y, double d) {
+    if (y == c->c1 || y == c->c2) return;
     if (d < c->d1 || (d == c->d1 && y < c->c1)) {
       // The displaced c1 was the exact minimum over the other alive
       // clusters, so it is a correct second bound.
@@ -402,15 +361,12 @@ class MergeHeap {
       c->second_valid = true;
       c->c1 = y;
       c->d1 = d;
-      return true;
-    }
-    if (d < c->d2 || (d == c->d2 && y < c->c2)) {
+    } else if (d < c->d2 || (d == c->d2 && y < c->c2)) {
       // Tightening the second bound keeps invariant B when it held (y is
       // accounted for explicitly, everyone else was >= old d2 > d).
       c->c2 = y;
       c->d2 = d;
     }
-    return false;
   }
 
   // Every id below the cluster count has been created, so a scan over the
@@ -419,33 +375,11 @@ class MergeHeap {
     return static_cast<uint32_t>(clusters_->size());
   }
 
-  // Every heap mutation goes through PushEntry/PopTop so the stale-entry
-  // accounting stays exact: entry_refs_[c] counts in-heap entries
-  // referencing c, stale_ counts in-heap references to dead clusters (each
-  // stale entry contributes one or two, so stale_ is between the
-  // stale-entry count and twice it).
-  void PushEntry(double dist, uint32_t a, uint32_t b) {
-    heap_.push(MergeCandidate{dist, a, b});
-    ++entry_refs_[a];
-    ++entry_refs_[b];
-  }
-
-  // The stale-entry heap rebuild waits for at least this many entries, so
-  // small runs never churn.
-  static constexpr size_t kRebuildMinSize = 64;
-
   const ClusterSet* const clusters_;
-  const bool aggressive_rebuild_;
-  EngineCounters* const counters_;
 
   std::vector<CandidatePair> cands_;
   std::vector<NearList> near_;
-  std::priority_queue<MergeCandidate, std::vector<MergeCandidate>,
-                      EntryGreater>
-      heap_;
-  std::vector<uint32_t> entry_refs_;  // In-heap entries per cluster id.
-  size_t stale_ = 0;                  // In-heap references to dead clusters.
-  size_t rebuilds_ = 0;
+  MergeCandidate top_ = kNoMerge;
 };
 
 }  // namespace kanon

@@ -63,7 +63,7 @@ double EvalDistance(DistanceFunction f, const DistanceParams& params,
              std::log2(static_cast<double>(size_union));
     case DistanceFunction::kRatio: {
       // Two zero-cost closures (e.g. identical singleton records) with
-      // epsilon = 0 would divide by zero and poison the merge heap with
+      // epsilon = 0 would divide by zero and poison the merge order with
       // inf/NaN. A zero-cost union is a perfect merge (distance 0); a
       // costly union over zero-cost parts is maximally unattractive.
       const double denom = d_a + d_b + params.epsilon;

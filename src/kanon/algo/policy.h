@@ -97,7 +97,7 @@ struct RatioPolicy {
                   double d_union) const {
     KANON_DCHECK(size_a > 0 && size_b > 0 && size_union > 1);
     // Two zero-cost closures (e.g. identical singleton records) with
-    // epsilon = 0 would divide by zero and poison the merge heap with
+    // epsilon = 0 would divide by zero and poison the merge order with
     // inf/NaN. A zero-cost union is a perfect merge (distance 0); a
     // costly union over zero-cost parts is maximally unattractive.
     const double denom = d_a + d_b + params.epsilon;

@@ -213,9 +213,11 @@ TEST(AgglomerativeTest, RatioDistanceSurvivesIdenticalRecordsWithZeroEpsilon) {
 
 // With check_exact_merges on, the engine checks every two-best that does
 // not come from a full scan against one: each row's distinct-tuple init and
-// each rescan answered from a near-list. Tuple-mates tie at every distance
-// on this input, so the (d, id) order is exercised throughout; the checked
-// runs must also publish what unchecked runs do.
+// each rescan answered from a near-list; and every merge against the
+// smallest key (d1, x, c1) over the alive clusters, recomputed by brute
+// force. Tuple-mates tie at every distance on this input, so the (d, id)
+// order is exercised throughout; the checked runs must also publish what
+// unchecked runs do.
 TEST(AgglomerativeTest, NearListAnswersAndTupleInitMatchFullScans) {
   const Workload dup = kThreadSanitizer ? DuplicateHeavyArt(150, 60, 20080407)
                                         : DuplicateHeavyArt(300, 120, 20080407);
@@ -271,45 +273,6 @@ TEST(LeaveOneOutClosuresTest, MatchesNaiveRecomputation) {
           << "len=" << rows.size() << " p=" << p;
     }
   }
-}
-
-TEST(AgglomerativeHeapTest, RebuildKeepsOutputIdentical) {
-  // The stale-entry rebuild is pure occupancy maintenance: with the
-  // aggressive test hook the heap rebuilds at every opportunity, and the
-  // clustering must not move at all.
-  auto scheme = SmallScheme();
-  for (uint64_t seed : {31u, 32u}) {
-    Dataset d = SmallRandomDataset(*scheme, 120, seed);
-    PrecomputedLoss loss(scheme, d, EntropyMeasure());
-    AgglomerativeOptions options;
-    const Clustering reference =
-        Unwrap(AgglomerativeCluster(d, loss, 5, options));
-    EngineCounters counters;
-    options.aggressive_heap_rebuild = true;
-    options.counters = &counters;
-    const Clustering rebuilt = Unwrap(AgglomerativeCluster(d, loss, 5, options));
-    EXPECT_EQ(rebuilt.clusters, reference.clusters) << "seed " << seed;
-    // The hook forces a rebuild whenever any stale reference exists; a run
-    // of 120 merges certainly produces some.
-    EXPECT_GT(counters.heap_rebuilds, 0u) << "seed " << seed;
-  }
-}
-
-TEST(AgglomerativeHeapTest, ModifiedVariantUnchangedByAggressiveRebuilds) {
-  auto scheme = SmallScheme();
-  Dataset d = SmallRandomDataset(*scheme, 100, 33);
-  PrecomputedLoss loss(scheme, d, EntropyMeasure());
-  AgglomerativeOptions options;
-  options.modified = true;
-  const Clustering reference =
-      Unwrap(AgglomerativeCluster(d, loss, 4, options));
-  EngineCounters counters;
-  options.aggressive_heap_rebuild = true;
-  options.counters = &counters;
-  const Clustering rebuilt =
-      Unwrap(AgglomerativeCluster(d, loss, 4, options));
-  EXPECT_EQ(rebuilt.clusters, reference.clusters);
-  EXPECT_GT(counters.heap_rebuilds, 0u);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // MergeHeap / OfferToTwoBest: the two-best accumulator semantics (including
 // the regression for the historically-accidental unset-slot handling), the
-// O(1) repair paths of invariants A/B, and the stale-threshold rebuild.
+// O(1) repair paths of invariants A/B, and the next merge the repair pass
+// folds, checked against the lazy priority queue it replaced.
 #include "kanon/algo/core/merge_heap.h"
 
 #include <gtest/gtest.h>
@@ -155,7 +156,7 @@ TEST(NearListTest, ServedRescanEqualsFullScanOrDeclines) {
       return d[a * kMaxIds + b];
     };
     ClusterSet clusters;
-    MergeHeap heap(&clusters, /*aggressive_rebuild=*/false, nullptr);
+    MergeHeap heap(&clusters);
     heap.EnsureSize(kMaxIds);
     for (uint32_t i = 0; i < kInitial; ++i) clusters.Activate(clusters.Add({}));
     const auto full_scan = [&](uint32_t x) {
@@ -176,7 +177,6 @@ TEST(NearListTest, ServedRescanEqualsFullScanOrDeclines) {
           y = active[rng() % active.size()];
         }
         clusters.Deactivate(y);
-        heap.NoteDeactivated(y);
       }
       clusters.Activate(clusters.Add({}));
       clusters.MaybeCompactActive();
@@ -212,6 +212,15 @@ class MergeHeapTest : public ::testing::Test {
     return id;
   }
 
+  // Gives x the exact two-best {(a, da), (b, db)}.
+  static void SetTwoBest(MergeHeap& heap, uint32_t x, uint32_t a, double da,
+                         uint32_t b, double db) {
+    CandidatePair& c = heap.candidate(x);
+    c = CandidatePair();
+    OfferToTwoBest(&c, a, da);
+    OfferToTwoBest(&c, b, db);
+  }
+
   // x's step of a one-chunk repair pass at symmetric distance d_x_added;
   // true when x needs a full rescan.
   static bool Repair(MergeHeap& heap, uint32_t x, uint32_t added,
@@ -226,134 +235,103 @@ class MergeHeapTest : public ::testing::Test {
   ClusterSet clusters_;
 };
 
-TEST_F(MergeHeapTest, OfferMaintainsInvariantsAndPushesOnImprovement) {
-  MergeHeap heap(&clusters_, /*aggressive_rebuild=*/false, nullptr);
-  const uint32_t x = AddAlive(), a = AddAlive(), b = AddAlive();
-  heap.EnsureSize(clusters_.size());
-
-  heap.Offer(x, a, 3.0);  // First-best: pushed.
-  heap.Offer(x, b, 5.0);  // Second bound only: no push.
-  EXPECT_EQ(heap.candidate(x).c1, a);
-  EXPECT_EQ(heap.candidate(x).c2, b);
-  EXPECT_TRUE(heap.candidate(x).second_valid);
-
-  const MergeCandidate top = heap.PopTop();
-  EXPECT_EQ(top.a, x);
-  EXPECT_EQ(top.b, a);
-  EXPECT_EQ(top.dist, 3.0);
-  EXPECT_TRUE(heap.empty());  // The second-bound offer pushed nothing.
+void ExpectSameEntry(const MergeCandidate& got, const MergeCandidate& want) {
+  EXPECT_EQ(got.dist, want.dist);
+  EXPECT_EQ(got.a, want.a);
+  EXPECT_EQ(got.b, want.b);
 }
 
-TEST_F(MergeHeapTest, PopOrderBreaksTiesByIds) {
-  MergeHeap heap(&clusters_, false, nullptr);
+TEST_F(MergeHeapTest, TopIsTheFoldedKeyAndSkipsClustersWithoutAPair) {
+  MergeHeap heap(&clusters_);
+  const uint32_t x = AddAlive(), a = AddAlive(), b = AddAlive();
+  heap.EnsureSize(clusters_.size());
+  ExpectSameEntry(heap.Top(), kNoMerge);
+  heap.FoldCandidate(b);  // No first-best: nothing to fold.
+  ExpectSameEntry(heap.Top(), kNoMerge);
+
+  SetTwoBest(heap, x, a, 3.0, b, 5.0);
+  heap.FoldCandidate(x);  // Only the first-best makes the key.
+  ExpectSameEntry(heap.Top(), MergeCandidate{3.0, x, a});
+}
+
+TEST_F(MergeHeapTest, TopBreaksTiesByIds) {
+  MergeHeap heap(&clusters_);
   const uint32_t w = AddAlive(), x = AddAlive(), y = AddAlive(),
                  z = AddAlive();
   heap.EnsureSize(clusters_.size());
-  heap.Offer(z, w, 2.0);
-  heap.Offer(x, y, 2.0);
-  heap.Offer(x, w, 2.0);  // Same (dist, a): smaller b pops first.
-
-  MergeCandidate e = heap.PopTop();
-  EXPECT_EQ(e.a, x);
-  EXPECT_EQ(e.b, w);
-  e = heap.PopTop();
-  EXPECT_EQ(e.a, x);
-  EXPECT_EQ(e.b, y);
-  e = heap.PopTop();
-  EXPECT_EQ(e.a, z);
-  EXPECT_EQ(e.b, w);
+  SetTwoBest(heap, z, w, 2.0, x, 2.0);
+  SetTwoBest(heap, y, x, 2.0, z, 2.0);
+  SetTwoBest(heap, x, y, 2.0, z, 3.0);
+  // Equal distances: the smaller cluster id wins, whatever the fold order.
+  for (uint32_t c : {z, y, x}) heap.FoldCandidate(c);
+  ExpectSameEntry(heap.Top(), MergeCandidate{2.0, x, y});
+  // A strictly closer key wins over any id.
+  SetTwoBest(heap, w, z, 1.0, x, 2.0);
+  heap.FoldCandidate(w);
+  ExpectSameEntry(heap.Top(), MergeCandidate{1.0, w, z});
 }
 
 TEST_F(MergeHeapTest, RepairKeepsIntactNearest) {
-  MergeHeap heap(&clusters_, false, nullptr);
+  MergeHeap heap(&clusters_);
   const uint32_t x = AddAlive(), a = AddAlive(), b = AddAlive();
   heap.EnsureSize(clusters_.size());
-  heap.Offer(x, a, 3.0);
-  heap.Offer(x, b, 5.0);
+  SetTwoBest(heap, x, a, 3.0, b, 5.0);
   // a is still alive: nothing to repair regardless of the new cluster.
   EXPECT_FALSE(Repair(heap, x, kNoCluster, kInfDist));
   EXPECT_EQ(heap.candidate(x).c1, a);
+  ExpectSameEntry(heap.Top(), MergeCandidate{3.0, x, a});
 }
 
 TEST_F(MergeHeapTest, RepairAdoptsProvablyCloserMergedCluster) {
-  MergeHeap heap(&clusters_, false, nullptr);
+  MergeHeap heap(&clusters_);
   const uint32_t x = AddAlive(), a = AddAlive(), b = AddAlive();
   heap.EnsureSize(clusters_.size());
-  heap.Offer(x, a, 3.0);
-  heap.Offer(x, b, 5.0);
-  (void)heap.PopTop();
+  SetTwoBest(heap, x, a, 3.0, b, 5.0);
 
   clusters_.Deactivate(a);
-  heap.NoteDeactivated(a);
   const uint32_t merged = clusters_.Add(ClusterData{});
-  clusters_.Activate(merged);
   heap.EnsureSize(clusters_.size());
+  heap.ResetCandidate(merged);
   // dist(x, merged) <= old d1: exact new minimum, no rescan.
   EXPECT_FALSE(Repair(heap, x, merged, 3.0));
   EXPECT_EQ(heap.candidate(x).c1, merged);
   EXPECT_EQ(heap.candidate(x).d1, 3.0);
   EXPECT_EQ(heap.candidate(x).c2, b);  // Second bound still holds.
-  const MergeCandidate top = heap.PopTop();
-  EXPECT_EQ(top.b, merged);
+  // The pass priced x for the merged cluster too; x's key wins the tie.
+  EXPECT_EQ(heap.candidate(merged).c1, x);
+  ExpectSameEntry(heap.Top(), MergeCandidate{3.0, x, merged});
 }
 
 TEST_F(MergeHeapTest, RepairPromotesValidSecondAndInvalidatesIt) {
-  MergeHeap heap(&clusters_, false, nullptr);
+  MergeHeap heap(&clusters_);
   const uint32_t x = AddAlive(), a = AddAlive(), b = AddAlive();
   heap.EnsureSize(clusters_.size());
-  heap.Offer(x, a, 3.0);
-  heap.Offer(x, b, 5.0);
+  SetTwoBest(heap, x, a, 3.0, b, 5.0);
 
   clusters_.Deactivate(a);
-  heap.NoteDeactivated(a);
   // The merged cluster is farther than d1, but invariant B makes b exact.
   EXPECT_FALSE(Repair(heap, x, kNoCluster, kInfDist));
   EXPECT_EQ(heap.candidate(x).c1, b);
   EXPECT_EQ(heap.candidate(x).d1, 5.0);
   EXPECT_EQ(heap.candidate(x).c2, kNoCluster);
   EXPECT_FALSE(heap.candidate(x).second_valid);
+  ExpectSameEntry(heap.Top(), MergeCandidate{5.0, x, b});
 
-  // Losing b too now forces the full rescan: no second bound remains.
+  // Losing b too now forces the full rescan: no second bound remains, and
+  // x's key waits for it.
   clusters_.Deactivate(b);
-  heap.NoteDeactivated(b);
   EXPECT_TRUE(Repair(heap, x, kNoCluster, kInfDist));
-}
-
-TEST_F(MergeHeapTest, AggressiveRebuildDropsStaleEntriesAndCounts) {
-  EngineCounters counters;
-  MergeHeap heap(&clusters_, /*aggressive_rebuild=*/true, &counters);
-  const uint32_t x = AddAlive(), a = AddAlive(), b = AddAlive();
-  heap.EnsureSize(clusters_.size());
-  heap.Offer(x, a, 3.0);
-  heap.Offer(a, x, 3.0);
-  heap.Offer(b, a, 4.0);
-
-  clusters_.Deactivate(a);
-  heap.NoteDeactivated(a);
-  // b's candidate died with a; give b a fresh exact first-best so the
-  // rebuild can re-contribute it.
-  heap.ResetCandidate(b);
-  heap.Offer(b, x, 6.0);
-  heap.MaybeRebuild();
-
-  EXPECT_EQ(heap.rebuilds(), 1u);
-  EXPECT_EQ(counters.heap_rebuilds, 1u);
-  // Only entries whose (x, c1) are both alive survive: (x, a) and (a, x)
-  // are gone, b re-contributed (b, x), and x's candidate still names dead a
-  // so x contributes nothing until its own repair.
-  const MergeCandidate top = heap.PopTop();
-  EXPECT_EQ(top.a, b);
-  EXPECT_EQ(top.b, x);
-  EXPECT_EQ(top.dist, 6.0);
-  EXPECT_TRUE(heap.empty());
+  ExpectSameEntry(heap.Top(), kNoMerge);
 }
 
 // --- Repair pass ----------------------------------------------------------
 
 // The one-at-a-time Offer/Repair scan over the active list that the chunked
-// repair pass (RepairStep + ApplyRepairPass) replaced. It stays here only
-// as the reference the pass must reproduce exactly: every candidate slot,
-// the rescan list, and the multiset of heap entries (hence the pop order).
+// repair pass (RepairStep + ApplyRepairPass) replaced, with the lazy merge
+// heap the engine once drained: an entry pushed at every first-best change,
+// popped until both ends are alive. It stays here only as the reference the
+// pass must reproduce exactly: every candidate slot, the rescan list, and
+// the next merge (its first fully-alive pop).
 class SerialRepairReference {
  public:
   struct Greater {
@@ -429,15 +407,10 @@ class SerialRepairReference {
   const ClusterSet* const clusters_;
 };
 
-void ExpectSameEntry(const MergeCandidate& got, const MergeCandidate& want) {
-  EXPECT_EQ(got.dist, want.dist);
-  EXPECT_EQ(got.a, want.a);
-  EXPECT_EQ(got.b, want.b);
-}
-
 // Drives a run of merges through the reference and through the chunked
 // pass side by side (both read one ClusterSet) on a random distance matrix
-// with many ties, and compares them after every pass and at the end.
+// with many ties: compares the candidate slots and rescans after every
+// pass, and takes each merge from Top() once it equals the reference's.
 void RunRepairPassScenario(uint32_t seed, bool symmetric, size_t grain) {
   SCOPED_TRACE(testing::Message() << "seed=" << seed << " symmetric="
                                   << symmetric << " grain=" << grain);
@@ -455,34 +428,34 @@ void RunRepairPassScenario(uint32_t seed, bool symmetric, size_t grain) {
   const auto dist = [&](uint32_t a, uint32_t b) { return d[a * kMaxIds + b]; };
 
   ClusterSet clusters;
-  MergeHeap heap(&clusters, /*aggressive_rebuild=*/false, nullptr);
+  MergeHeap heap(&clusters);
   SerialRepairReference ref(&clusters);
   ref.cands.resize(kMaxIds);
   heap.EnsureSize(kMaxIds);
   for (uint32_t i = 0; i < kInitial; ++i) clusters.Activate(clusters.Add({}));
   for (uint32_t x = 0; x < kInitial; ++x) {
     for (uint32_t y = 0; y < kInitial; ++y) {
-      if (y == x) continue;
-      ref.Offer(x, y, dist(x, y));
-      heap.Offer(x, y, dist(x, y));
+      if (y != x) ref.Offer(x, y, dist(x, y));
     }
+    heap.candidate(x) = ref.cands[x];
+    heap.FoldCandidate(x);
   }
 
   while (clusters.num_active() > 2 && clusters.size() < kMaxIds) {
-    // Pop to the first fully-alive entry, comparing every pop on the way.
-    MergeCandidate entry{};
-    for (;;) {
-      ASSERT_FALSE(ref.heap.empty());
-      ASSERT_FALSE(heap.empty());
-      entry = heap.PopTop();
-      ExpectSameEntry(entry, ref.heap.top());
+    // The reference pops to its first fully-alive entry; the pass's Top()
+    // must be that entry, bit for bit.
+    while (!ref.heap.empty() && !(clusters.Alive(ref.heap.top().a) &&
+                                  clusters.Alive(ref.heap.top().b))) {
       ref.heap.pop();
-      if (clusters.Alive(entry.a) && clusters.Alive(entry.b)) break;
     }
+    ASSERT_FALSE(ref.heap.empty());
+    const MergeCandidate entry = heap.Top();
+    ASSERT_EQ(entry.dist, ref.heap.top().dist);
+    ASSERT_EQ(entry.a, ref.heap.top().a);
+    ASSERT_EQ(entry.b, ref.heap.top().b);
+    ref.heap.pop();
     clusters.Deactivate(entry.a);
-    heap.NoteDeactivated(entry.a);
     clusters.Deactivate(entry.b);
-    heap.NoteDeactivated(entry.b);
     // Every third merge "ripens": no new cluster joins the pass.
     uint32_t added = kNoCluster;
     if (rng() % 3 != 0) {
@@ -521,7 +494,7 @@ void RunRepairPassScenario(uint32_t seed, bool symmetric, size_t grain) {
       ref.cands[x] = c;
       if (c.c1 != kNoCluster) ref.heap.push(MergeCandidate{c.d1, x, c.c1});
       heap.candidate(x) = c;
-      heap.PushCandidate(x);
+      heap.FoldCandidate(x);
     }
     for (uint32_t x = 0; x < clusters.size(); ++x) {
       const CandidatePair& g = heap.candidate(x);
@@ -533,19 +506,12 @@ void RunRepairPassScenario(uint32_t seed, bool symmetric, size_t grain) {
       ASSERT_EQ(g.second_valid, w.second_valid) << "x=" << x;
     }
   }
-  // The full remaining pop sequence, stale entries included.
-  while (!ref.heap.empty()) {
-    ASSERT_FALSE(heap.empty());
-    ExpectSameEntry(heap.PopTop(), ref.heap.top());
-    ref.heap.pop();
-  }
-  EXPECT_TRUE(heap.empty());
 }
 
 TEST(RepairPassTest, ChunkedPassMatchesSerialScanAtEveryChunkCount) {
   // Grains 1, 3 and 7 cut the ~80-cluster active list into ~80, ~27 and
   // ~12 chunks; 1000 gives one chunk (the inline path).
-  for (uint32_t seed = 1; seed <= 4; ++seed) {
+  for (uint32_t seed = 1; seed <= 64; ++seed) {
     for (bool symmetric : {true, false}) {
       for (size_t grain : {1u, 3u, 7u, 1000u}) {
         RunRepairPassScenario(seed, symmetric, grain);
