@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
+#include <string>
 #include <utility>
 
 #include "kanon/algo/agglomerative.h"
@@ -24,6 +26,14 @@ FlagParser ParseBenchFlags(int argc, const char* const* argv,
   FlagParser parser;
   Status s = parser.Parse(argc, argv);
   if (s.ok()) s = parser.CheckCounts(counts);
+  for (const char* name : counts) {
+    if (s.ok() && std::strcmp(name, "seed") != 0 &&
+        parser.GetInt(name, 1) == 0) {
+      s = Status::InvalidArgument(std::string("flag --") + name +
+                                  " must be a positive integer, got '" +
+                                  parser.GetString(name, "") + "'");
+    }
+  }
   if (!s.ok()) {
     std::fprintf(stderr, "error: %s\n", s.ToString().c_str());
     std::exit(2);

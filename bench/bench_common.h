@@ -34,8 +34,9 @@ struct BenchConfig {
 };
 
 /// argv's flags. Each flag named in `counts` must be a whole number
-/// (FlagParser::CheckCounts); a malformed flag is a usage error, printed
-/// before exiting with status 2, as in the tools.
+/// (FlagParser::CheckCounts), and each but --seed sizes a workload, so it
+/// must not be 0 either; a malformed flag is a usage error, printed before
+/// exiting with status 2, as in the tools.
 FlagParser ParseBenchFlags(int argc, const char* const* argv,
                            std::initializer_list<const char*> counts);
 

@@ -7,9 +7,8 @@
 #include <vector>
 
 #include "kanon/algo/agglomerative.h"
+#include "kanon/algo/core/active_clusters.h"
 #include "kanon/algo/core/closure_store.h"
-#include "kanon/algo/core/cluster_set.h"
-#include "kanon/algo/core/merge_heap.h"
 #include "kanon/algo/policy.h"
 #include "kanon/common/check.h"
 #include "kanon/common/failpoint.h"
@@ -18,21 +17,22 @@
 #include "kanon/telemetry/metrics.h"
 #include "kanon/telemetry/tracer.h"
 
-// The agglomerative engine (docs/policy_engine.md): Algorithm 1/2 on the
-// shared clustering core, with the merge rule supplied by a ClusterPolicy
-// as an inlinable Distance member instead of the runtime EvalDistance
-// switch. Internal to agglomerative.cc, which instantiates it once per
-// built-in policy behind AgglomerativeCluster's one dispatch.
+// The agglomerative engine (docs/policy_engine.md): Algorithm 1/2, with
+// the merge rule supplied by a ClusterPolicy as an inlinable Distance
+// member instead of the runtime EvalDistance switch. Internal to
+// agglomerative.cc, which instantiates it once per built-in policy behind
+// AgglomerativeCluster's one dispatch.
 
 namespace kanon {
 
 namespace internal {
 
-// The basic and modified variants of Algorithm 1, rewritten on the shared
-// clustering core: ClusterSet owns the alive/dead bookkeeping, ClosureStore
-// hash-conses every cluster closure (and memoizes its cost), and MergeHeap
-// carries the two-best candidates and near-lists and folds the next merge
-// from them.
+// The basic and modified variants of Algorithm 1. ActiveClusters owns who
+// is alive and who is nearest (the active list, the two-best candidates and
+// near-lists) and folds the next merge from them; the engine owns what a
+// cluster is (members, closure and the dense rows the sweeps price); the
+// shared ClosureStore hash-conses every cluster closure and memoizes its
+// cost.
 // `Policy` supplies the distance and the (a)symmetry of the merge rule;
 // both inline into the sweeps.
 template <typename Policy>
@@ -59,7 +59,6 @@ class AgglomerativeEngine {
                                              0.6, 0.7, 0.8, 0.9, 1.0})),
         kernels_(dataset, loss),
         store_(loss),
-        heap_(&clusters_),
         added_table_(kernels_.joined_table_size()),
         anchor_table_(kernels_.joined_table_size()) {}
 
@@ -81,12 +80,20 @@ class AgglomerativeEngine {
     store_.ExportCounters(options_.counters);
     Clustering out;
     for (uint32_t id : final_) {
-      out.clusters.push_back(std::move(clusters_.cluster(id).members));
+      out.clusters.push_back(std::move(clusters_[id].members));
     }
     return out;
   }
 
  private:
+  // One cluster: its members and its closure. Contents are immutable
+  // between merges (merges create fresh clusters), except for the wind-down
+  // passes that shrink or absorb into a cluster in place.
+  struct ClusterData {
+    std::vector<uint32_t> members;  // Dataset rows, ascending.
+    ClosureStore::Id closure = ClosureStore::kInvalidId;
+  };
+
   // One cooperative checkpoint per engine iteration.
   bool CheckPoint(const char* stage) {
     return ctx_ != nullptr && ctx_->CheckPoint(stage);
@@ -125,10 +132,12 @@ class AgglomerativeEngine {
     return DistFromUnionCost(a, b, UnionCost(a, b));
   }
 
-  // Grows the dense per-id arrays (rows_, cost_, size_) to cover ids < n.
+  // Grows the per-id arrays (clusters_, rows_, cost_, size_) to cover
+  // ids < n.
   void GrowDense(size_t n) {
     if (cost_.size() >= n) return;
     const size_t grown = std::max(n, 2 * cost_.size());
+    clusters_.resize(grown);
     cost_.resize(grown);
     size_.resize(grown);
     rows_.resize(grown * num_attrs_);
@@ -137,7 +146,7 @@ class AgglomerativeEngine {
   // Gives cluster id the stored closure `closure`: mirrors its memoized
   // cost into cost_ and copies its set ids into the cluster's row.
   void SetClosure(uint32_t id, ClosureStore::Id closure) {
-    clusters_.cluster(id).closure = closure;
+    clusters_[id].closure = closure;
     cost_[id] = store_.cost(closure);
     const SetId* row = store_.row(closure);
     std::copy(row, row + num_attrs_,
@@ -148,8 +157,10 @@ class AgglomerativeEngine {
   // over the worker threads: chunk-local lists merged in chunk order give
   // the serial ascending scan's list exactly. Pricing goes through one
   // joined-cost table anchored at x, the terms of Dist(x, y) in its order.
+  // Runs after a repair pass (or the init), when every active cluster is
+  // alive.
   NearList::Scan ComputeNearest(uint32_t x) {
-    const std::vector<uint32_t>& active = clusters_.active();
+    const std::vector<uint32_t>& active = active_.active();
     const size_t m = active.size();
     kernels_.FillJoinedCostTable(Row(x), anchor_table_.data());
     const double* table = anchor_table_.data();
@@ -161,7 +172,7 @@ class AgglomerativeEngine {
           NearList::Scan local;
           for (size_t t = begin; t < end; ++t) {
             const uint32_t y = active[t];
-            if (y == x || !clusters_.Alive(y)) continue;
+            if (y == x) continue;
             local.Offer(y, DistFromUnionCost(
                                x, y, kernels_.TableUnionCost(table, Row(y))));
           }
@@ -179,8 +190,8 @@ class AgglomerativeEngine {
   void FullRescan(uint32_t x) {
     PhaseSpan span(tracer_, "agglomerative/rescan");
     if (options_.counters != nullptr) ++options_.counters->rescans;
-    CountChunks(clusters_.active().size(), kAgglomerativeCheapSweepGrain);
-    heap_.SetScanned(x, ComputeNearest(x));
+    CountChunks(active_.active().size(), kAgglomerativeCheapSweepGrain);
+    active_.SetScanned(x, ComputeNearest(x));
   }
 
   // The check_exact_merges cross-check of a two-best that did not come
@@ -188,25 +199,31 @@ class AgglomerativeEngine {
   // be the full scan's, bit for bit.
   void CheckAgainstFullScan(uint32_t x, const char* what) {
     const CandidatePair want = ComputeNearest(x).TwoBest();
-    const CandidatePair& got = heap_.candidate(x);
+    const CandidatePair& got = active_.candidate(x);
     KANON_CHECK(got.c1 == want.c1 && got.d1 == want.d1 &&
                     got.c2 == want.c2 && got.d2 == want.d2 &&
                     got.second_valid,
                 what);
   }
 
-  // The check_exact_merges cross-check of a merge, by brute force: `top`
-  // is the smallest key (d1, x, c1) over the alive clusters' candidates,
-  // and no alive pair is closer (up to rounding: a symmetric policy prices
-  // each pair in one argument order only).
+  // The check_exact_merges cross-check of a merge, by brute force: the
+  // active list is exactly the alive clusters, ascending; `top` is the
+  // smallest key (d1, x, c1) over their candidates; and no alive pair is
+  // closer (up to rounding: a symmetric policy prices each pair in one
+  // argument order only).
   void CheckSmallestKey(const MergeCandidate& top) const {
+    std::vector<uint32_t> alive;
+    for (uint32_t id = 0; id < active_.num_ids(); ++id) {
+      if (active_.Alive(id)) alive.push_back(id);
+    }
+    KANON_CHECK(active_.active() == alive,
+                "the active list must hold exactly the alive clusters");
     MergeCandidate want = kNoMerge;
-    for (uint32_t x : clusters_.active()) {
-      if (!clusters_.Alive(x)) continue;
-      const CandidatePair& c = heap_.candidate(x);
+    for (uint32_t x : alive) {
+      const CandidatePair& c = active_.candidate(x);
       if (c.c1 != kNoCluster) FoldKey(&want, MergeCandidate{c.d1, x, c.c1});
-      for (uint32_t y : clusters_.active()) {
-        if (y == x || !clusters_.Alive(y)) continue;
+      for (uint32_t y : alive) {
+        if (y == x) continue;
         KANON_CHECK(Dist(x, y) >= top.dist - 1e-12,
                     "engine merged a non-minimal pair");
       }
@@ -217,12 +234,10 @@ class AgglomerativeEngine {
 
   Status InitSingletons() {
     const size_t n = dataset_.num_rows();
-    clusters_.Reserve(2 * n);
     GrowDense(2 * n);
     for (uint32_t i = 0; i < n; ++i) {
-      ClusterData single;
-      single.members = {i};
-      clusters_.Activate(clusters_.Add(std::move(single)));
+      active_.Activate(active_.Add());
+      clusters_[i].members = {i};
       size_[i] = 1;
     }
     // Singleton closures, O(n·r); items are disjoint slots. The raw
@@ -240,7 +255,7 @@ class AgglomerativeEngine {
             out[j] = scheme_.hierarchy(j).LeafOf(row[j]);
           }
         },
-        /*done=*/nullptr, kAgglomerativeCheapSweepGrain);
+        kAgglomerativeCheapSweepGrain);
     // A stop here leaves the closures unset; the degraded wind-down pools
     // records by membership only, so that is safe.
     if (!closures.completed) return Status::OK();
@@ -253,7 +268,6 @@ class AgglomerativeEngine {
     }
     raw.clear();
     raw.shrink_to_fit();
-    heap_.EnsureSize(n);
     return InitNearest();
   }
 
@@ -267,7 +281,7 @@ class AgglomerativeEngine {
   // its rows in ascending id and stops at the first reject. A row's keys
   // are then its tuple's merged with its tuple-mates at d(t, t). The kept
   // keys are the smallest over every other row, in the (d, id) order of
-  // OfferToTwoBest, whose result does not depend on the offer order: so
+  // KeyLess, and NearestKeys does not depend on the offer order: so
   // each row's two-best is the one an ascending scan of every row picks,
   // and the rest of its keys fill its near-list. The tuple sweep honors the
   // run's controls like the old per-row scan; the first merge's key is
@@ -278,7 +292,7 @@ class AgglomerativeEngine {
     std::vector<uint32_t> tuple_start(num_tuples + 1, 0);
     std::vector<uint32_t> tuple_rows(n);
     for (uint32_t i = 0; i < n; ++i) {
-      ++tuple_start[clusters_.cluster(i).closure + 1];
+      ++tuple_start[clusters_[i].closure + 1];
     }
     for (size_t t = 0; t < num_tuples; ++t) {
       tuple_start[t + 1] += tuple_start[t];
@@ -292,7 +306,7 @@ class AgglomerativeEngine {
     {
       std::vector<uint32_t> fill(tuple_start.begin(), tuple_start.end() - 1);
       for (uint32_t i = 0; i < n; ++i) {
-        const ClosureStore::Id t = clusters_.cluster(i).closure;
+        const ClosureStore::Id t = clusters_[i].closure;
         if (fill[t] == tuple_start[t]) {
           tuple_first[t] = i;
           tuple_cost[t] = cost_[i];
@@ -350,14 +364,14 @@ class AgglomerativeEngine {
                 return;
               }
             }
-            const ClosureStore::Id t = clusters_.cluster(i).closure;
+            const ClosureStore::Id t = clusters_[i].closure;
             NearList::Scan near = tuple_near[t];
             for (uint32_t p = tuple_start[t]; p < tuple_start[t + 1]; ++p) {
               if (tuple_rows[p] == i) continue;
               if (!near.Offer(tuple_rows[p], self_dist[t])) break;
             }
-            heap_.SetNearest(static_cast<uint32_t>(i), near,
-                             static_cast<uint32_t>(n));
+            active_.SetNearest(static_cast<uint32_t>(i), near,
+                               static_cast<uint32_t>(n));
           }
         },
         kAgglomerativeCheapSweepGrain);
@@ -368,34 +382,32 @@ class AgglomerativeEngine {
       if (options_.check_exact_merges) {
         CheckAgainstFullScan(i, "distinct-tuple init differs from a full scan");
       }
-      heap_.FoldCandidate(i);
+      active_.FoldCandidate(i);
     }
     return Status::OK();
   }
 
-  uint32_t NewCluster(ClusterData data) {
-    const auto size = static_cast<uint32_t>(data.members.size());
-    const uint32_t id = clusters_.Add(std::move(data));
+  // A new cluster of `members`, dead until a repair pass adds it; the
+  // caller sets its closure.
+  uint32_t NewCluster(std::vector<uint32_t> members) {
+    const uint32_t id = active_.Add();
     GrowDense(id + 1);
-    size_[id] = size;
-    heap_.EnsureSize(id + 1);
-    heap_.ResetCandidate(id);
+    size_[id] = static_cast<uint32_t>(members.size());
+    clusters_[id].members = std::move(members);
     return id;
   }
 
   uint32_t Merge(uint32_t a, uint32_t b) {
-    ClusterData merged;
-    merged.members = clusters_.cluster(a).members;
-    merged.members.insert(merged.members.end(),
-                          clusters_.cluster(b).members.begin(),
-                          clusters_.cluster(b).members.end());
-    std::sort(merged.members.begin(), merged.members.end());
-    const ClosureStore::Id closure = store_.InternJoin(
-        clusters_.cluster(a).closure, clusters_.cluster(b).closure);
-    clusters_.Deactivate(a);
-    clusters_.Deactivate(b);
+    std::vector<uint32_t> members = clusters_[a].members;
+    members.insert(members.end(), clusters_[b].members.begin(),
+                   clusters_[b].members.end());
+    std::sort(members.begin(), members.end());
+    const ClosureStore::Id closure =
+        store_.InternJoin(clusters_[a].closure, clusters_[b].closure);
+    active_.Deactivate(a);
+    active_.Deactivate(b);
     if (options_.counters != nullptr) ++options_.counters->merges;
-    const uint32_t id = NewCluster(std::move(merged));
+    const uint32_t id = NewCluster(std::move(members));
     SetClosure(id, closure);
     return id;
   }
@@ -403,26 +415,26 @@ class AgglomerativeEngine {
   // One pass over the active set after a merge. When `added` is not
   // kNoCluster it is the freshly created cluster: its two-best and
   // near-list are built, it is offered to everyone, and it joins the active
-  // set. Each chunk prices its clusters against `added` through one
-  // joined-cost table and runs their repair steps, which touch only each
-  // cluster's own slot; ApplyRepairPass then folds the chunks in order, so
-  // the outcome matches a serial pass exactly. Clusters whose candidates
-  // were wiped out are answered from their near-lists at the end, or
-  // rescanned in full when a list cannot answer.
+  // set. Each chunk gathers its alive clusters, prices them against `added`
+  // through one joined-cost table and runs their repair steps, which touch
+  // only each cluster's own slot; ApplyRepairPass then folds the chunks in
+  // order, so the outcome matches a serial pass exactly, and leaves the
+  // active list holding exactly the alive clusters. Clusters whose
+  // candidates were wiped out are answered from their near-lists at the
+  // end, or rescanned in full when a list cannot answer.
   void RepairAndMaybeAdd(uint32_t added) {
     PhaseSpan span(tracer_, "agglomerative/repair");
     // The policy decides at compile time whether the merge rule is
     // direction-sensitive; symmetric policies never price the reverse pair.
     constexpr bool asymmetric = Policy::kAsymmetric;
-    const std::vector<uint32_t>& active = clusters_.active();
-    const size_t m = active.size();
+    const size_t m = active_.active().size();
     repair_chunks_.resize(ParallelChunkCount(m, kAgglomerativeCheapSweepGrain));
     CountChunks(m, kAgglomerativeCheapSweepGrain);
     if (added != kNoCluster) {
       kernels_.FillJoinedCostTable(Row(added), added_table_.data());
     }
     const double* table = added_table_.data();
-    repair_scratch_.resize(repair_chunks_.size());
+    repair_prices_.resize(repair_chunks_.size());
     ParallelChunks(
         m, options_.num_threads, nullptr, "agglomerative/repair",
         [&](size_t chunk, size_t begin, size_t end) {
@@ -430,27 +442,21 @@ class AgglomerativeEngine {
           // so chunks never write next to each other's slots mid-scan.
           RepairChunk local = std::move(repair_chunks_[chunk]);
           local.Clear();
-          RepairScratch& scratch = repair_scratch_[chunk];
-          const size_t count = PriceAgainstAdded(added, table, begin, end,
-                                                 &scratch);
-          for (size_t i = 0; i < count; ++i) {
-            heap_.RepairStep(scratch.ids[i], added, scratch.d_added_x[i],
-                             asymmetric ? scratch.d_x_added[i]
-                                        : scratch.d_added_x[i],
-                             &local);
+          RepairPrices& prices = repair_prices_[chunk];
+          PriceAgainstAdded(added, table, begin, end, &local.ids, &prices);
+          for (size_t i = 0; i < local.ids.size(); ++i) {
+            active_.RepairStep(local.ids[i], added, prices.d_added_x[i],
+                               asymmetric ? prices.d_x_added[i]
+                                          : prices.d_added_x[i],
+                               &local);
           }
           repair_chunks_[chunk] = std::move(local);
         },
         kAgglomerativeCheapSweepGrain);
     std::vector<uint32_t> needs_rescan;
-    heap_.ApplyRepairPass(added, repair_chunks_, &needs_rescan);
-    if (added != kNoCluster) {
-      clusters_.Activate(added);
-    }
-    clusters_.MaybeCompactActive();
+    active_.ApplyRepairPass(added, repair_chunks_, &needs_rescan);
     for (uint32_t x : needs_rescan) {
-      if (!clusters_.Alive(x)) continue;
-      if (!heap_.ServeRescan(x, [&](uint32_t y) { return Dist(x, y); })) {
+      if (!active_.ServeRescan(x, [&](uint32_t y) { return Dist(x, y); })) {
         FullRescan(x);
       } else if (options_.check_exact_merges) {
         CheckAgainstFullScan(x, "near-list answer differs from a full scan");
@@ -458,37 +464,38 @@ class AgglomerativeEngine {
     }
   }
 
-  struct RepairScratch {
-    std::vector<uint32_t> ids;
+  struct RepairPrices {
     std::vector<double> d_added_x;
     std::vector<double> d_x_added;  // Asymmetric policies only.
   };
 
-  // A repair chunk's pricing, first and apart from its steps so the CPU
-  // overlaps the rows' table lookups: gathers the alive clusters of
-  // active[begin, end) into scratch->ids with dist(added, x) and, for an
-  // asymmetric policy, dist(x, added); +inf for a ripe merge. Returns how
-  // many.
-  size_t PriceAgainstAdded(uint32_t added, const double* table, size_t begin,
-                           size_t end, RepairScratch* scratch) const {
-    const std::vector<uint32_t>& active = clusters_.active();
-    scratch->ids.resize(end - begin);
-    scratch->d_added_x.resize(end - begin);
-    scratch->d_x_added.resize(Policy::kAsymmetric ? end - begin : 0);
-    uint32_t* ids = scratch->ids.data();
+  // A repair chunk's gather and pricing, first and apart from its steps so
+  // the CPU overlaps the rows' table lookups: sets *ids_out to the alive
+  // clusters of active[begin, end) (the merged pair died in Merge) and
+  // prices each x at dist(added, x) and, for an asymmetric policy,
+  // dist(x, added); +inf for a ripe merge.
+  void PriceAgainstAdded(uint32_t added, const double* table, size_t begin,
+                         size_t end, std::vector<uint32_t>* ids_out,
+                         RepairPrices* prices) const {
+    const std::vector<uint32_t>& active = active_.active();
+    ids_out->resize(end - begin);
+    prices->d_added_x.resize(end - begin);
+    prices->d_x_added.resize(Policy::kAsymmetric ? end - begin : 0);
+    uint32_t* ids = ids_out->data();
     size_t count = 0;
     for (size_t t = begin; t < end; ++t) {
-      // Branch-free: dead entries are common and unpredictable here.
+      // Branch-free; only the merged pair, at most, is dead here.
       const uint32_t x = active[t];
       ids[count] = x;
-      count += clusters_.Alive(x) ? 1 : 0;
+      count += active_.Alive(x) ? 1 : 0;
     }
-    double* d_added_x = scratch->d_added_x.data();
+    ids_out->resize(count);
+    double* d_added_x = prices->d_added_x.data();
     if (added == kNoCluster) {
       std::fill(d_added_x, d_added_x + count, kInfDist);
-      std::fill(scratch->d_x_added.begin(), scratch->d_x_added.end(),
+      std::fill(prices->d_x_added.begin(), prices->d_x_added.end(),
                 kInfDist);
-      return count;
+      return;
     }
     const size_t size_a = size_[added];
     const double cost_a = cost_[added];
@@ -498,12 +505,11 @@ class AgglomerativeEngine {
       d_added_x[i] = policy_.Distance(size_a, size_[x], size_a + size_[x],
                                       cost_a, cost_[x], d_union);
       if constexpr (Policy::kAsymmetric) {
-        scratch->d_x_added[i] = policy_.Distance(
+        prices->d_x_added[i] = policy_.Distance(
             size_[x], size_a, size_t{size_[x]} + size_a, cost_[x], cost_a,
             d_union);
       }
     }
-    return count;
   }
 
   // Algorithm 2: shrinks a ripe cluster to exactly k records; ejected
@@ -513,7 +519,7 @@ class AgglomerativeEngine {
   std::vector<uint32_t> ShrinkToK(uint32_t id) {
     PhaseSpan span(tracer_, "agglomerative/shrink");
     std::vector<uint32_t> ejected;
-    ClusterData& c = clusters_.cluster(id);
+    ClusterData& c = clusters_[id];
     while (c.members.size() > k_) {
       const size_t len = c.members.size();
       LeaveOneOutClosures(dataset_, scheme_, c.members, &shrink_rows_);
@@ -542,29 +548,26 @@ class AgglomerativeEngine {
   }
 
   uint32_t NewSingleton(uint32_t row) {
-    ClusterData single;
-    single.members = {row};
-    const uint32_t id = NewCluster(std::move(single));
+    const uint32_t id = NewCluster({row});
     SetClosure(id, store_.Intern(SingletonRow(row)));
     return id;
   }
 
   Status MainLoop() {
     if (Stopped()) return Status::OK();  // Init was interrupted.
-    while (clusters_.num_active() > 1) {
+    while (active_.active().size() > 1) {
       if (CheckPoint("agglomerative/merge")) return Status::OK();
       KANON_FAILPOINT("agglomerative.closure");
       // The last repair pass (or the init) folded every alive cluster's
       // key; invariant A makes the smallest a globally closest pair.
-      const MergeCandidate top = heap_.Top();
-      KANON_CHECK(clusters_.Alive(top.a) && clusters_.Alive(top.b),
+      const MergeCandidate top = active_.Top();
+      KANON_CHECK(active_.Alive(top.a) && active_.Alive(top.b),
                   "the next merge must join two alive clusters");
       if (options_.check_exact_merges) CheckSmallestKey(top);
       if (merge_cost_ != nullptr) merge_cost_->Observe(top.dist);
       const uint32_t merged = Merge(top.a, top.b);
-      if (clusters_.cluster(merged).members.size() >= k_) {
-        if (options_.modified &&
-            clusters_.cluster(merged).members.size() > k_) {
+      if (size_[merged] >= k_) {
+        if (options_.modified && size_[merged] > k_) {
           const std::vector<uint32_t> ejected = ShrinkToK(merged);
           final_.push_back(merged);
           RepairAndMaybeAdd(kNoCluster);
@@ -591,7 +594,7 @@ class AgglomerativeEngine {
       size_t best_pos = 0;
       double best_dist = kInfDist;
       for (size_t pos = 0; pos < final_.size(); ++pos) {
-        const ClusterData& target = clusters_.cluster(final_[pos]);
+        const ClusterData& target = clusters_[final_[pos]];
         const double d_union =
             kernels_.UnionCost(SingletonRow(row), Row(final_[pos]));
         const double d = policy_.Distance(
@@ -602,7 +605,7 @@ class AgglomerativeEngine {
           best_pos = pos;
         }
       }
-      ClusterData& target = clusters_.cluster(final_[best_pos]);
+      ClusterData& target = clusters_[final_[best_pos]];
       target.members.push_back(row);
       std::sort(target.members.begin(), target.members.end());
       ++size_[final_[best_pos]];
@@ -615,7 +618,7 @@ class AgglomerativeEngine {
   // cluster when they number at least k, and otherwise attached to their
   // nearest finished cluster — so the result is k-anonymous either way.
   void FinalizeDegraded() {
-    std::vector<uint32_t> leftover = clusters_.DrainAliveMembers();
+    std::vector<uint32_t> leftover = DrainAliveMembers();
     if (leftover.empty()) return;  // Interrupted after the last ripening.
     if (ctx_ != nullptr) {
       ctx_->NoteDegraded("agglomerative/merge");
@@ -624,11 +627,9 @@ class AgglomerativeEngine {
     if (final_.empty() || leftover.size() >= k_) {
       // One catch-all cluster. When no cluster ripened yet the pool is the
       // whole dataset, and k <= n makes it valid.
-      ClusterData pool;
-      pool.members = std::move(leftover);
-      const uint32_t id = NewCluster(std::move(pool));
-      SetClosure(id, store_.InternClosureOfRows(dataset_,
-                                                clusters_.cluster(id).members));
+      const uint32_t id = NewCluster(std::move(leftover));
+      SetClosure(id,
+                 store_.InternClosureOfRows(dataset_, clusters_[id].members));
       final_.push_back(id);
       return;
     }
@@ -637,8 +638,23 @@ class AgglomerativeEngine {
     AttachToNearestFinal(leftover);
   }
 
+  // Wind-down drain, where both the degraded and the regular leftover
+  // passes start: the members of every still-alive cluster, ascending. Every
+  // stop and the main loop's end follow a repair pass (or the init), so the
+  // active list holds only alive clusters; the run ends here, so they stay
+  // marked alive.
+  std::vector<uint32_t> DrainAliveMembers() const {
+    std::vector<uint32_t> rows;
+    for (uint32_t id : active_.active()) {
+      rows.insert(rows.end(), clusters_[id].members.begin(),
+                  clusters_[id].members.end());
+    }
+    std::sort(rows.begin(), rows.end());
+    return rows;
+  }
+
   void DistributeLeftover() {
-    std::vector<uint32_t> leftover = clusters_.DrainAliveMembers();
+    std::vector<uint32_t> leftover = DrainAliveMembers();
     if (leftover.empty()) return;
     KANON_CHECK(!final_.empty(),
                 "no ripe cluster to absorb leftover records (k > n?)");
@@ -662,13 +678,14 @@ class AgglomerativeEngine {
   // dataset's attribute-major mirror on this (coordinating) thread.
   LossKernels kernels_;
   ClosureStore store_;
-  ClusterSet clusters_;
-  MergeHeap heap_;
-  // Dense per-id arrays the sweeps read. rows_: cluster id's closure set
-  // ids at [id·r, id·r + r), written by SetClosure whenever a closure is
-  // set, so the O(r) pair pricing reads one contiguous row per cluster
-  // instead of chasing the store's record. cost_: d(S), mirrored from the
-  // store. size_: |S|.
+  ActiveClusters active_;
+  // What each cluster id is, grown together by GrowDense. clusters_: its
+  // members and closure. The rest are dense arrays the sweeps read. rows_:
+  // the closure's set ids at [id·r, id·r + r), written by SetClosure
+  // whenever a closure is set, so the O(r) pair pricing reads one
+  // contiguous row per cluster instead of chasing the store's record.
+  // cost_: d(S), mirrored from the store. size_: |S|.
+  std::vector<ClusterData> clusters_;
   std::vector<SetId> rows_;
   std::vector<double> cost_;
   std::vector<uint32_t> size_;
@@ -680,11 +697,11 @@ class AgglomerativeEngine {
   // ShrinkToK scratch, reused per pass: leave-one-out rows and their costs.
   std::vector<SetId> shrink_rows_;
   std::vector<double> shrink_costs_;
-  // Per-chunk partials of the repair pass, and each chunk's alive clusters
-  // with their distances to the added cluster; reused so the buffers
-  // persist.
+  // Per-chunk partials of the repair pass (with each chunk's alive
+  // clusters), and their distances to the added cluster; reused so the
+  // buffers persist.
   std::vector<RepairChunk> repair_chunks_;
-  std::vector<RepairScratch> repair_scratch_;
+  std::vector<RepairPrices> repair_prices_;
 };
 
 }  // namespace internal

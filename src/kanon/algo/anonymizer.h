@@ -109,9 +109,10 @@ struct AnonymizationResult {
   /// First stage that had to degrade ("" when the run completed), e.g.
   /// "agglomerative/merge".
   std::string degraded_stage;
-  /// Engine telemetry from the algo/core components (merges, rescans, heap
-  /// rebuilds, closure-cache hit rate, parallel-sweep chunks). Deterministic
-  /// at every thread count; surfaced by `kanon_cli --stats-json`.
+  /// Engine telemetry (merges, rescans, closure-cache hit rate,
+  /// parallel-sweep chunks; heap_rebuilds is always 0, as no engine keeps a
+  /// heap). Deterministic at every thread count; surfaced by
+  /// `kanon_cli --stats-json`.
   EngineCounters counters;
 };
 

@@ -73,6 +73,23 @@ Status FlagParser::CheckCounts(
   return Status::OK();
 }
 
+Status FlagParser::CheckNumbers(
+    std::initializer_list<const char*> names) const {
+  for (const char* name : names) {
+    auto it = values_.find(name);
+    if (it == values_.end()) continue;
+    const std::string& text = it->second;
+    char* end = nullptr;
+    const double value = std::strtod(text.c_str(), &end);
+    if (text.empty() || *end != '\0' || !std::isfinite(value)) {
+      return Status::InvalidArgument(std::string("flag --") + name +
+                                     " must be a finite number, got '" +
+                                     text + "'");
+    }
+  }
+  return Status::OK();
+}
+
 double FlagParser::GetDouble(const std::string& name,
                              double default_value) const {
   auto it = values_.find(name);

@@ -33,6 +33,11 @@ class FlagParser {
   /// ("abc", "-3", "1e3"). A user-facing tool checks its count flags up
   /// front, so its GetInt reads neither abort nor wrap when cast to size_t.
   Status CheckCounts(std::initializer_list<const char*> names) const;
+  /// OK when each flag in `names` is absent or a finite number; else
+  /// InvalidArgument naming the first that is not ("abc", "1e999", "nan").
+  /// A user-facing tool checks its number flags up front, so its GetDouble
+  /// reads do not abort.
+  Status CheckNumbers(std::initializer_list<const char*> names) const;
   double GetDouble(const std::string& name, double default_value) const;
   bool GetBool(const std::string& name, bool default_value) const;
   /// A comma-separated list of finite numbers, e.g. --attr-weights=2,1,1.

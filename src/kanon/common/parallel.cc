@@ -292,15 +292,11 @@ SweepStatus ParallelChunks(
 SweepStatus ParallelFor(size_t n, int num_threads, RunContext* ctx,
                         const char* stage,
                         const std::function<void(size_t)>& body,
-                        std::vector<uint8_t>* done, size_t grain) {
-  if (done != nullptr) done->assign(n, 0);
+                        size_t grain) {
   return ParallelChunks(
       n, num_threads, ctx, stage,
       [&](size_t /*chunk*/, size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) {
-          body(i);
-          if (done != nullptr) (*done)[i] = 1;
-        }
+        for (size_t i = begin; i < end; ++i) body(i);
       },
       grain);
 }

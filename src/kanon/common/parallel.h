@@ -2,10 +2,8 @@
 #define KANON_COMMON_PARALLEL_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 #include <utility>
-#include <vector>
 
 #include "kanon/common/run_context.h"
 
@@ -69,13 +67,10 @@ SweepStatus ParallelChunks(
     const std::function<void(size_t, size_t, size_t)>& body,
     size_t grain = 1);
 
-/// Item-wise wrapper: body(i) for every i in [0, n). When `done` is
-/// non-null it is assigned n zeroes up front and done[i] = 1 after body(i)
-/// ran — the caller's map of which items survived an interrupted sweep.
+/// Item-wise wrapper: body(i) for every i in [0, n).
 SweepStatus ParallelFor(size_t n, int num_threads, RunContext* ctx,
                         const char* stage,
                         const std::function<void(size_t)>& body,
-                        std::vector<uint8_t>* done = nullptr,
                         size_t grain = 1);
 
 /// Result of a deterministic parallel argmin.

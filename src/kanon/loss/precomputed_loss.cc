@@ -42,7 +42,7 @@ PrecomputedLoss::PrecomputedLoss(
         [&](size_t s) {
           row[s] = measure.SetCost(h, counts, static_cast<SetId>(s));
         },
-        /*done=*/nullptr, kPrecomputeGrain);
+        kPrecomputeGrain);
   }
   inv_num_attributes_ = 1.0 / static_cast<double>(r);
 }

@@ -93,25 +93,14 @@ TEST(ParallelForTest, EveryIndexRunsExactlyOnce) {
   }
 }
 
-TEST(ParallelForTest, DoneMaskCoversCompletedSweep) {
-  std::vector<uint8_t> done;
-  const SweepStatus s =
-      ParallelFor(500, 4, nullptr, "test", [](size_t) {}, &done);
-  EXPECT_TRUE(s.completed);
-  ASSERT_EQ(done.size(), 500u);
-  for (uint8_t d : done) EXPECT_EQ(d, 1);
-}
-
 TEST(ParallelForTest, PreExpiredDeadlineRunsNothing) {
   RunContext ctx;
   ctx.ArmDeadline(0.0);
   std::atomic<int> ran{0};
-  std::vector<uint8_t> done;
   const SweepStatus s = ParallelFor(
-      100, 4, &ctx, "test", [&](size_t) { ran.fetch_add(1); }, &done);
+      100, 4, &ctx, "test", [&](size_t) { ran.fetch_add(1); });
   EXPECT_FALSE(s.completed);
   EXPECT_EQ(ran.load(), 0);
-  for (uint8_t d : done) EXPECT_EQ(d, 0);
   // The stop is registered sticky on the context.
   EXPECT_TRUE(ctx.stopped());
   EXPECT_EQ(ctx.stats().stop_reason, StopReason::kDeadline);
@@ -119,25 +108,18 @@ TEST(ParallelForTest, PreExpiredDeadlineRunsNothing) {
 
 TEST(ParallelForTest, CancellationMidSweepIsObserved) {
   // Cancel from inside the sweep: workers must notice between chunks and
-  // skip the remainder; the done mask shows a genuine partial sweep.
+  // skip the remainder, a genuine partial sweep.
   auto token = std::make_shared<CancellationToken>();
   RunContext ctx;
   ctx.set_cancel_token(token);
   std::atomic<int> ran{0};
-  std::vector<uint8_t> done;
   const size_t n = 100000;
-  const SweepStatus s = ParallelFor(
-      n, 4, &ctx, "test",
-      [&](size_t) {
-        if (ran.fetch_add(1) == 50) token->Cancel();
-      },
-      &done);
+  const SweepStatus s = ParallelFor(n, 4, &ctx, "test", [&](size_t) {
+    if (ran.fetch_add(1) == 50) token->Cancel();
+  });
   EXPECT_FALSE(s.completed);
   EXPECT_LT(static_cast<size_t>(ran.load()), n);
   EXPECT_EQ(ctx.stats().stop_reason, StopReason::kCancelled);
-  size_t done_count = 0;
-  for (uint8_t d : done) done_count += d;
-  EXPECT_EQ(done_count, static_cast<size_t>(ran.load()));
 }
 
 TEST(ParallelForTest, CompletedSweepChargesExactlyOneStep) {
@@ -183,7 +165,7 @@ TEST(ParallelForTest, OneChunkRunsInline) {
         values[i] = static_cast<int>(i);
         if (std::this_thread::get_id() != caller) elsewhere.fetch_add(1);
       },
-      nullptr, /*grain=*/100);
+      /*grain=*/100);
   EXPECT_EQ(elsewhere.load(), 0);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(values[i], i);
 }

@@ -93,14 +93,18 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // Every integer flag is a count: a malformed one is a usage error, and
-  // the reads below neither abort nor wrap.
-  if (kanon::Status s = flags.CheckCounts(
-          {"port", "max-frame-mb", "tables", "scheme-cache", "drain-grace-ms",
-           "workers", "queue-depth", "job-threads", "default-timeout-ms",
-           "flight-capacity", "prom-port"});
-      !s.ok()) {
-    std::fprintf(stderr, "kanond: %s\n", s.ToString().c_str());
+  // Every integer flag is a count and every other number finite: a
+  // malformed one is a usage error, and the reads below neither abort nor
+  // wrap.
+  kanon::Status checked = flags.CheckCounts(
+      {"port", "max-frame-mb", "tables", "scheme-cache", "drain-grace-ms",
+       "workers", "queue-depth", "job-threads", "default-timeout-ms",
+       "flight-capacity", "prom-port"});
+  if (checked.ok()) {
+    checked = flags.CheckNumbers({"budget-seconds", "log-rate-limit"});
+  }
+  if (!checked.ok()) {
+    std::fprintf(stderr, "kanond: %s\n", checked.ToString().c_str());
     return 2;
   }
 
