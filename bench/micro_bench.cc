@@ -139,7 +139,7 @@ GeneralizedRecord LegacyClosureOfRows(const GeneralizationScheme& scheme,
 // --- Kernel 1: the agglomerative distance-phase / forest nearest-neighbor
 // kernel. Legacy: one UnionCost call per pair over precomputed singleton
 // closures (exactly the init scan before the refactor). Columnar: one
-// PairCostSweep per anchor row.
+// JoinedCostSweep per anchor row, anchored at its identity closure.
 KernelTiming BenchPairSweep(const Dataset& dataset,
                             const GeneralizationScheme& scheme,
                             const LossKernels& kernels,
@@ -151,7 +151,7 @@ KernelTiming BenchPairSweep(const Dataset& dataset,
 
   // Bitwise equivalence first, on a row sample (full check is O(n²) too).
   for (uint32_t u = 0; u < n; u += 17) {
-    kernels.PairCostSweep(u, sweep.data());
+    kernels.JoinedCostSweep(singles[u].data(), sweep.data());
     for (uint32_t v = 0; v < n; ++v) {
       KANON_CHECK(sweep[v] ==
                       LegacyUnionCost(scheme, costs, singles[u], singles[v]),
@@ -174,7 +174,7 @@ KernelTiming BenchPairSweep(const Dataset& dataset,
   t.columnar_ns = TimeNs(reps, [&] {
     double sink = 0.0;
     for (uint32_t u = 0; u < n; ++u) {
-      kernels.PairCostSweep(u, sweep.data());
+      kernels.JoinedCostSweep(singles[u].data(), sweep.data());
       for (uint32_t v = 0; v < n; ++v) sink += sweep[v];
     }
     g_sink += sink;

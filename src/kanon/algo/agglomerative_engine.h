@@ -276,7 +276,7 @@ class AgglomerativeEngine {
   // distinct tuples, and a pair's distance depends on its two tuples only.
   //
   // Per tuple t, one sweep prices every tuple s (a joined-cost table
-  // anchored at t, so the bits of PairCostSweep and UnionCost) and keeps
+  // anchored at t, so the bits of JoinedCostSweep and UnionCost) and keeps
   // the smallest (d, row) keys over the rows of the other tuples; s offers
   // its rows in ascending id and stops at the first reject. A row's keys
   // are then its tuple's merged with its tuple-mates at d(t, t). The kept
@@ -674,8 +674,7 @@ class AgglomerativeEngine {
   Tracer* const tracer_;
   Histogram* const merge_cost_;
 
-  // Raw columnar tables for the hot sweeps; constructing it primes the
-  // dataset's attribute-major mirror on this (coordinating) thread.
+  // Raw columnar tables for the hot sweeps.
   LossKernels kernels_;
   ClosureStore store_;
   ActiveClusters active_;

@@ -23,7 +23,9 @@ class ForestBuilder {
  public:
   ForestBuilder(const Dataset& dataset, const PrecomputedLoss& loss, size_t k,
                 RunContext* ctx, EngineCounters* counters)
-      : k_(k),
+      : dataset_(dataset),
+        scheme_(loss.scheme()),
+        k_(k),
         n_(dataset.num_rows()),
         ctx_(ctx),
         counters_(counters),
@@ -52,7 +54,8 @@ class ForestBuilder {
   bool Stopped() const { return ctx_ != nullptr && ctx_->stopped(); }
 
   // Refreshes record u's cached nearest out-of-component record. One
-  // columnar sweep fills w(u, v) = d({R_u, R_v}) for every v, then a serial
+  // columnar sweep anchored at R_u's identity closure fills
+  // w(u, v) = d({R_u, R_v}) for every v, then a serial
   // ascending scan picks the minimum — same strict comparison and tie
   // order as the per-pair loop it replaced.
   void RecomputeBest(uint32_t u) {
@@ -61,7 +64,8 @@ class ForestBuilder {
     best_v_[u] = kNone;
     best_w_[u] = std::numeric_limits<double>::infinity();
     pair_w_.resize(n_);
-    kernels_.PairCostSweep(u, pair_w_.data());
+    kernels_.JoinedCostSweep(scheme_.Identity(dataset_.row_view(u)).data(),
+                             pair_w_.data());
     for (uint32_t v = 0; v < n_; ++v) {
       if (uf_.Find(v) == root) continue;
       const double w = pair_w_[v];
@@ -295,6 +299,8 @@ class ForestBuilder {
     }
   }
 
+  const Dataset& dataset_;
+  const GeneralizationScheme& scheme_;
   const size_t k_;
   const size_t n_;
   RunContext* const ctx_;

@@ -59,7 +59,6 @@ Result<GlobalAnonymizationResult> MakeGlobal1KAnonymous(
     const Dataset& dataset, const PrecomputedLoss& loss, size_t k,
     GeneralizedTable table, RunContext* ctx, EngineCounters* counters) {
   const size_t n = dataset.num_rows();
-  const size_t r = dataset.num_attributes();
   KANON_RETURN_NOT_OK(CheckEngineArgs(dataset, loss, k));
   if (table.num_rows() != n) {
     return Status::InvalidArgument(
@@ -119,14 +118,9 @@ Result<GlobalAnonymizationResult> MakeGlobal1KAnonymous(
       double best_delta = std::numeric_limits<double>::infinity();
       for (uint32_t t : neighbors) {
         if (std::binary_search(matches.begin(), matches.end(), t)) continue;
-        // d_h = c(R_{j_h} + R̄_i) − c(R̄_i), attribute-wise.
-        double delta = 0.0;
-        for (size_t j = 0; j < r; ++j) {
-          const SetId current = table.at(i, j);
-          const SetId joined =
-              scheme.hierarchy(j).JoinValue(current, dataset.at(t, j));
-          delta += loss.EntryCost(j, joined) - loss.EntryCost(j, current);
-        }
+        // d_h = c(R_{j_h} + R̄_i) − c(R̄_i), up to the common factor 1/r.
+        const double delta =
+            loss.CoverCost(table.row_data(i), dataset.row_view(t));
         if (delta < best_delta ||
             (delta == best_delta && t < best)) {
           best_delta = delta;

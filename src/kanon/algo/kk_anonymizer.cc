@@ -123,7 +123,7 @@ Result<GeneralizedTable> K1NearestNeighbors(const Dataset& dataset,
   // Row i's output — the closure of R_i and its k−1 nearest records by
   // pairwise closure cost d({R_i, R_j}) — depends only on i, so the O(n²·r)
   // scan fans out row-wise. Each row's candidate costs come from one
-  // columnar sweep over the packed attribute arrays. Failpoints cannot
+  // columnar sweep anchored at R_i's identity closure. Failpoints cannot
   // early-return across a lambda; each chunk records the first injected
   // failure in its slot instead.
   const LossKernels kernels(dataset, loss);
@@ -145,7 +145,8 @@ Result<GeneralizedTable> K1NearestNeighbors(const Dataset& dataset,
               return;
             }
           }
-          kernels.PairCostSweep(static_cast<uint32_t>(i), pair.data());
+          kernels.JoinedCostSweep(scheme.Identity(dataset.row_view(i)).data(),
+                                  pair.data());
           candidates.clear();
           for (uint32_t j = 0; j < n; ++j) {
             if (j == i) continue;
@@ -313,7 +314,6 @@ Result<GeneralizedTable> Make1KAnonymous(const Dataset& dataset,
         "table must have one generalized record per dataset row");
   }
   PhaseSpan phase(CurrentTracer(), "kk/repair");
-  const GeneralizationScheme& scheme = loss.scheme();
   const size_t n = dataset.num_rows();
   const size_t r = dataset.num_attributes();
 
@@ -339,15 +339,10 @@ Result<GeneralizedTable> Make1KAnonymous(const Dataset& dataset,
     candidates.clear();
     for (uint32_t t = 0; t < n; ++t) {
       if (ConsistencyIndex::Has(consistent_rows.data(), t)) continue;
-      // Price of upgrading R̄_t to cover R_i: c(R_i + R̄_t) − c(R̄_t),
-      // computed attribute-wise to stay allocation-free.
-      double delta = 0.0;
-      for (size_t j = 0; j < r; ++j) {
-        const SetId current = table.at(t, j);
-        const SetId joined = scheme.hierarchy(j).JoinValue(current, record[j]);
-        delta += loss.EntryCost(j, joined) - loss.EntryCost(j, current);
-      }
-      candidates.emplace_back(delta / static_cast<double>(r), t);
+      // Price of upgrading R̄_t to cover R_i: c(R_i + R̄_t) − c(R̄_t).
+      candidates.emplace_back(
+          loss.CoverCost(table.row_data(t), record) / static_cast<double>(r),
+          t);
     }
     KANON_CHECK(candidates.size() >= deficit,
                 "not enough records to generalize (k > n?)");

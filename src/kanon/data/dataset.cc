@@ -9,24 +9,6 @@ Record Dataset::row(size_t row_index) const {
   return row_view(row_index).ToRecord();
 }
 
-const ValueCode* Dataset::column(size_t attr) const {
-  KANON_CHECK(attr < num_attributes(), "attribute index out of range");
-  const size_t n = num_rows();
-  const size_t r = num_attributes();
-  if (columns_ == nullptr) {
-    auto mirror = std::make_shared<std::vector<ValueCode>>(n * r);
-    std::vector<ValueCode>& cols = *mirror;
-    for (size_t i = 0; i < n; ++i) {
-      const ValueCode* row = cells_.data() + i * r;
-      for (size_t j = 0; j < r; ++j) {
-        cols[j * n + i] = row[j];
-      }
-    }
-    columns_ = std::move(mirror);
-  }
-  return columns_->data() + attr * n;
-}
-
 Result<Dataset> Dataset::FromCells(Schema schema,
                                    std::vector<ValueCode> cells) {
   const size_t r = schema.num_attributes();
@@ -73,7 +55,6 @@ Status Dataset::AppendRow(const Record& record) {
         "cannot append rows after a class column was attached");
   }
   cells_.insert(cells_.end(), record.begin(), record.end());
-  columns_.reset();  // The attribute-major mirror is stale now.
   return Status::OK();
 }
 
@@ -90,13 +71,15 @@ Status Dataset::AppendRowLabels(const std::vector<std::string>& labels) {
   return AppendRow(record);
 }
 
-std::vector<uint32_t> Dataset::ValueCounts(size_t attr) const {
-  KANON_CHECK(attr < num_attributes(), "attribute index out of range");
-  std::vector<uint32_t> counts(schema_.attribute(attr).size(), 0);
+std::vector<std::vector<uint32_t>> Dataset::ValueCounts() const {
   const size_t r = num_attributes();
-  const size_t n = num_rows();
-  for (size_t i = 0; i < n; ++i) {
-    ++counts[cells_[i * r + attr]];
+  std::vector<std::vector<uint32_t>> counts(r);
+  for (size_t j = 0; j < r; ++j) {
+    counts[j].assign(schema_.attribute(j).size(), 0);
+  }
+  for (size_t i = 0; i < num_rows(); ++i) {
+    const ValueCode* row = cells_.data() + i * r;
+    for (size_t j = 0; j < r; ++j) ++counts[j][row[j]];
   }
   return counts;
 }

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <initializer_list>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -60,9 +59,10 @@ class RowView {
 /// The public database D = {R_1, ..., R_n} (eq. (1) of the paper): an
 /// in-memory table of coded categorical records over a Schema.
 ///
-/// Rows are stored row-major (the layout appends want); an attribute-major
-/// struct-of-arrays mirror is built on demand for the engines' linear
-/// per-attribute sweeps (see docs/performance.md).
+/// Rows are stored row-major (the layout appends want), and that is the
+/// only layout a Dataset keeps: the engines' hot sweeps read packed
+/// attribute-major columns that LossKernels builds and owns (see
+/// docs/performance.md).
 ///
 /// An optional class column (e.g. the contraceptive-method attribute of the
 /// CMC dataset) stands in for the private database D'; it is used by the
@@ -106,24 +106,15 @@ class Dataset {
     return RowView(cells_.data() + row_index * r, r);
   }
 
-  /// Attribute-major mirror of the cells: column(j) points at num_rows()
-  /// consecutive codes of attribute j, so per-attribute sweeps are linear
-  /// scans the compiler can vectorize. Built on the first call and cached;
-  /// appending rows invalidates the cache (the next call rebuilds).
-  ///
-  /// The first call per dataset is NOT safe to race: engines prime the
-  /// mirror once on their coordinating thread (a single column() call)
-  /// before fanning out; after that, concurrent reads are fine.
-  const ValueCode* column(size_t attr) const;
-
   /// Appends a row. The record must have one in-range code per attribute.
   Status AppendRow(const Record& record);
 
   /// Appends a row of value labels, translating them to codes.
   Status AppendRowLabels(const std::vector<std::string>& labels);
 
-  /// Per-attribute value histogram: counts[v] = #{i : R_i(j) = v}.
-  std::vector<uint32_t> ValueCounts(size_t attr) const;
+  /// Per-attribute value histograms, counted in one pass over the rows:
+  /// counts[j][v] = #{i : R_i(j) = v}, one count per value of attribute j.
+  std::vector<std::vector<uint32_t>> ValueCounts() const;
 
   /// Attaches a class column (one code per existing row).
   Status SetClassColumn(AttributeDomain domain, std::vector<ValueCode> codes);
@@ -140,10 +131,6 @@ class Dataset {
   std::vector<ValueCode> cells_;  // Row-major, n x r.
   std::optional<AttributeDomain> class_domain_;
   std::vector<ValueCode> class_codes_;
-  // Attribute-major mirror (r x n), lazily built by column(). Shared so
-  // that copies of an unmodified dataset reuse it; an append replaces the
-  // pointer in the appended-to object only.
-  mutable std::shared_ptr<const std::vector<ValueCode>> columns_;
 };
 
 }  // namespace kanon

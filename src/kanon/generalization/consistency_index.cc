@@ -73,9 +73,10 @@ RowCoverIndex::RowCoverIndex(const Dataset& dataset,
   }
   bits_.assign(offsets_[r] * num_words_, 0);
   std::vector<uint8_t> in_set;
+  std::vector<ValueCode> column(n);
   for (size_t j = 0; j < r; ++j) {
     const Hierarchy& h = scheme.hierarchy(j);
-    const ValueCode* column = dataset.column(j);
+    for (size_t t = 0; t < n; ++t) column[t] = dataset.at(t, j);
     in_set.resize(h.domain_size());
     for (SetId s = 0; s < h.num_sets(); ++s) {
       for (ValueCode v = 0; v < h.domain_size(); ++v) {

@@ -13,11 +13,15 @@ LossKernels::LossKernels(const Dataset& dataset, const PrecomputedLoss& loss)
   const GeneralizationScheme& scheme = loss.scheme();
   const size_t r = dataset.num_attributes();
   KANON_CHECK(r == scheme.num_attributes(), "dataset/loss arity mismatch");
+  columns_.resize(n_ * r);
+  for (size_t i = 0; i < n_; ++i) {
+    for (size_t j = 0; j < r; ++j) columns_[j * n_ + i] = dataset.at(i, j);
+  }
   attrs_.resize(r);
   for (size_t j = 0; j < r; ++j) {
     const Hierarchy& h = scheme.hierarchy(j);
     attrs_[j] = AttrTables{
-        dataset.column(j),  // Primes the attribute-major mirror (first j).
+        columns_.data() + j * n_,
         h.leaf_table(),
         h.join_table(),
         loss.attr_costs(j),
@@ -52,18 +56,6 @@ void LossKernels::AddJoinedCosts(const AttrTables& a, const SetId* join_row,
   }
   for (size_t v = 0; v < n_; ++v) {
     out[v] += cost[a.col[v]];
-  }
-}
-
-void LossKernels::PairCostSweep(uint32_t u, double* out) const {
-  std::fill(out, out + n_, 0.0);
-  for (const AttrTables& a : attrs_) {
-    // Row of the join table anchored at u's singleton.
-    const size_t anchor = a.leaf[a.col[u]];
-    AddJoinedCosts(a, a.join + anchor * a.num_sets, out);
-  }
-  for (size_t v = 0; v < n_; ++v) {
-    out[v] /= r_as_double_;
   }
 }
 

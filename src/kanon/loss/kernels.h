@@ -1,7 +1,6 @@
 #ifndef KANON_LOSS_KERNELS_H_
 #define KANON_LOSS_KERNELS_H_
 
-#include <cstdint>
 #include <vector>
 
 #include "kanon/data/dataset.h"
@@ -16,29 +15,28 @@ namespace kanon {
 /// linear scans over contiguous arrays instead of strided cell walks
 /// through checked accessors.
 ///
+/// The packed columns are the one attribute-major copy of D: the
+/// constructor builds them and the object owns them, so once constructed
+/// it is read-only and any number of threads may sweep it at once.
+///
 /// Every sweep reproduces the arithmetic of the scalar loop it replaces
 /// bit for bit: per output element the per-attribute terms are added in
 /// ascending attribute order and divided (not multiplied by the inverse)
 /// exactly like the row-major code did, so tables stay byte-identical.
-///
-/// Construction primes the dataset's attribute-major mirror, so build one
-/// of these on the coordinating thread before fanning out workers.
 class LossKernels {
  public:
   LossKernels(const Dataset& dataset, const PrecomputedLoss& loss);
 
-  size_t num_rows() const { return n_; }
-  size_t num_attributes() const { return attrs_.size(); }
+  // The tables point into columns_; a copy would point into the original.
+  LossKernels(const LossKernels&) = delete;
+  LossKernels& operator=(const LossKernels&) = delete;
 
-  /// out[v] = d({R_u, R_v}) for every row v (out holds num_rows() doubles).
-  /// out[u] is d({R_u}) — callers skip it at selection time. This is the
-  /// forest and (k,1) nearest-neighbor scans and the agglomerative singleton
-  /// distance phase (for singletons, d(A ∪ B) IS the pairwise closure cost).
-  void PairCostSweep(uint32_t u, double* out) const;
-
-  /// out[v] = c(closure + R_v) for every row v, `closure` being a row of
-  /// num_attributes() set ids — the (k,1) greedy sweep's "cost of absorbing
-  /// row v into this cluster closure" scan.
+  /// out[v] = c(closure + R_v) for every dataset row v (out holds one
+  /// double per row), `closure` being a row of r set ids. Anchored at a
+  /// cluster closure it is the (k,1) greedy sweep's "cost of absorbing row
+  /// v" scan; anchored at row u's identity closure (its leaf ids) it gives
+  /// the pairwise closure costs d({R_u, R_v}) of the forest and (k,1)
+  /// nearest-neighbor scans, out[u] being d({R_u}).
   void JoinedCostSweep(const SetId* closure, double* out) const;
 
   /// d(A ∪ B) of two generalized records given as rows of
@@ -75,7 +73,7 @@ class LossKernels {
 
  private:
   struct AttrTables {
-    const ValueCode* col;   // Packed dataset column, n entries.
+    const ValueCode* col;   // Attribute j's n codes in columns_.
     const SetId* leaf;      // value -> singleton id.
     const SetId* join;      // num_sets x num_sets, row-major.
     const double* costs;    // SetId -> per-entry cost.
@@ -88,6 +86,7 @@ class LossKernels {
   void AddJoinedCosts(const AttrTables& a, const SetId* join_row,
                       double* out) const;
 
+  std::vector<ValueCode> columns_;  // Attribute-major dataset, r x n.
   std::vector<AttrTables> attrs_;
   std::vector<size_t> table_offsets_;  // Attribute j's slice of a table.
   size_t table_size_ = 0;

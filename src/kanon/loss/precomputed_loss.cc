@@ -18,9 +18,16 @@ constexpr size_t kPrecomputeGrain = 1024;
 PrecomputedLoss::PrecomputedLoss(
     std::shared_ptr<const GeneralizationScheme> scheme, const Dataset& dataset,
     const LossMeasure& measure, int num_threads)
+    : PrecomputedLoss(std::move(scheme), dataset.ValueCounts(), measure,
+                      num_threads) {}
+
+PrecomputedLoss::PrecomputedLoss(
+    std::shared_ptr<const GeneralizationScheme> scheme,
+    const std::vector<std::vector<uint32_t>>& value_counts,
+    const LossMeasure& measure, int num_threads)
     : scheme_(std::move(scheme)), measure_name_(measure.name()) {
   KANON_CHECK(scheme_ != nullptr, "scheme must not be null");
-  KANON_CHECK(dataset.num_attributes() == scheme_->num_attributes(),
+  KANON_CHECK(value_counts.size() == scheme_->num_attributes(),
               "dataset arity mismatch");
   const size_t r = scheme_->num_attributes();
   offsets_.resize(r + 1);
@@ -31,7 +38,9 @@ PrecomputedLoss::PrecomputedLoss(
   costs_.resize(offsets_[r]);
   for (size_t j = 0; j < r; ++j) {
     const Hierarchy& h = scheme_->hierarchy(j);
-    const std::vector<uint32_t> counts = dataset.ValueCounts(j);
+    const std::vector<uint32_t>& counts = value_counts[j];
+    KANON_CHECK(counts.size() == h.domain_size(),
+                "one value count per domain value expected");
     double* row = costs_.data() + offsets_[j];
     // SetCost is a pure function of (hierarchy, counts, set): the table
     // fills set-wise across the worker threads, one disjoint slot each. A

@@ -24,9 +24,16 @@ namespace kanon {
 class PrecomputedLoss {
  public:
   /// Precomputes cost[attr][set] = measure.SetCost(...) for every attribute
-  /// and permissible subset. The measure is only used during construction.
-  /// Each attribute's cost table fills across `num_threads` threads (<= 0:
-  /// hardware concurrency); the tables are identical at every thread count.
+  /// and permissible subset from D's value histograms (Dataset::ValueCounts
+  /// layout), all a measure reads of D. The measure is only used during
+  /// construction. Each attribute's cost table fills across `num_threads`
+  /// threads (<= 0: hardware concurrency); the tables are identical at
+  /// every thread count.
+  PrecomputedLoss(std::shared_ptr<const GeneralizationScheme> scheme,
+                  const std::vector<std::vector<uint32_t>>& value_counts,
+                  const LossMeasure& measure, int num_threads = 1);
+
+  /// The same, with the histograms counted from `dataset`.
   PrecomputedLoss(std::shared_ptr<const GeneralizationScheme> scheme,
                   const Dataset& dataset, const LossMeasure& measure,
                   int num_threads = 1);
@@ -62,6 +69,20 @@ class PrecomputedLoss {
       total += costs_[offsets_[j] + record[j]];
     }
     return total * inv_num_attributes_;
+  }
+
+  /// Σ_j cost_j(row(j) ⊔ {x(j)}) − cost_j(row(j)), the terms added in
+  /// ascending j and not divided by r: how much generalizing `row` (r set
+  /// ids) to cover the record `x` adds to r·c(row). Algorithms 5 and 6
+  /// price their upgrade candidates with it.
+  double CoverCost(const SetId* row, RowView x) const {
+    KANON_DCHECK(x.size() + 1 == offsets_.size());
+    double delta = 0.0;
+    for (size_t j = 0; j < x.size(); ++j) {
+      const SetId joined = scheme_->hierarchy(j).JoinValue(row[j], x[j]);
+      delta += EntryCost(j, joined) - EntryCost(j, row[j]);
+    }
+    return delta;
   }
 
   /// Batched RecordCost over `count` records stored row-major at `records`

@@ -267,7 +267,7 @@ struct RunInputs {
   /// Streams every input row into the writer (partition phase).
   std::function<Status(SpillWriter*)> partition;
   /// The full dataset when the caller has it in memory; null on the CSV
-  /// path (the cost dataset is then rebuilt from the spills).
+  /// path (the value counts are then summed over the spills).
   const Dataset* dataset = nullptr;
 };
 
@@ -393,29 +393,30 @@ Result<ShardedResult> Run(const RunInputs& in) {
   // Loss costs must reflect the *global* value distribution (the measures
   // are frequency-dependent), so every shard optimizes — and the final
   // loss is reported — against one shared table, not per-shard
-  // approximations. On the CSV path the coded dataset is rebuilt from the
-  // spills: row order differs from the input, which is irrelevant to the
-  // per-(attribute, subset) costs.
-  Dataset rebuilt(in.scheme->schema());
-  const Dataset* cost_dataset = in.dataset;
-  if (cost_dataset == nullptr) {
+  // approximations. The tables read only per-attribute value counts, so on
+  // the CSV path they are summed spill by spill, one shard's dataset
+  // resident at a time.
+  std::vector<std::vector<uint32_t>> counts;
+  if (in.dataset != nullptr) {
+    counts = in.dataset->ValueCounts();
+  } else {
+    // Zeros, one per value of each attribute: an empty dataset's counts.
+    counts = Dataset(in.scheme->schema()).ValueCounts();
     for (size_t s = 0; s < num_shards; ++s) {
       KANON_ASSIGN_OR_RETURN(
           SpillRows rows,
           ReadSpill(SpillPath(dir, s), in.scheme->num_attributes()));
-      for (size_t i = 0; i < rows.labels.size(); ++i) {
-        Status status = rebuilt.AppendRowLabels(rows.labels[i]);
-        if (!status.ok()) {
-          return Status(status.code(), "shard " + std::to_string(s) +
-                                           " spill row " + std::to_string(i) +
-                                           ": " + status.message());
+      KANON_ASSIGN_OR_RETURN(Dataset shard_dataset,
+                             ShardDataset(in.scheme->schema(), rows, s));
+      const auto shard_counts = shard_dataset.ValueCounts();
+      for (size_t j = 0; j < counts.size(); ++j) {
+        for (size_t v = 0; v < counts[j].size(); ++v) {
+          counts[j][v] += shard_counts[j][v];
         }
       }
     }
-    cost_dataset = &rebuilt;
   }
-  PrecomputedLoss loss(in.scheme, *cost_dataset, *in.measure,
-                       base.num_threads);
+  PrecomputedLoss loss(in.scheme, counts, *in.measure, base.num_threads);
 
   // --- Phase 3: per-shard runs with checkpoint/resume. -------------------
   ShardedResult result(in.scheme);

@@ -127,7 +127,8 @@ Result<ShardedResult> ShardedAnonymize(
 
 /// Sharded anonymization streaming straight from a CSV file: rows flow
 /// from the file into the shard spills without the text table ever being
-/// resident; the coded working set (one shard's dataset plus the output
+/// resident, and the loss tables are built from value counts summed spill
+/// by spill; the coded working set (one shard's dataset plus the output
 /// cells) is what the memory budget bounds.
 Result<ShardedResult> ShardedAnonymizeCsvFile(
     const std::string& csv_path,

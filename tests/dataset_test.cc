@@ -100,9 +100,13 @@ TEST(DatasetTest, ValueCounts) {
   ASSERT_TRUE(d.AppendRow({0, 0}).ok());
   ASSERT_TRUE(d.AppendRow({0, 1}).ok());
   ASSERT_TRUE(d.AppendRow({1, 0}).ok());
-  const std::vector<uint32_t> counts = d.ValueCounts(0);
-  EXPECT_EQ(counts, (std::vector<uint32_t>{2, 1}));
-  EXPECT_EQ(d.ValueCounts(1), (std::vector<uint32_t>{2, 1, 0}));
+  const std::vector<std::vector<uint32_t>> counts = d.ValueCounts();
+  ASSERT_EQ(counts.size(), 2u);
+  EXPECT_EQ(counts[0], (std::vector<uint32_t>{2, 1}));
+  EXPECT_EQ(counts[1], (std::vector<uint32_t>{2, 1, 0}));
+  // An empty dataset counts a zero for every value of every attribute.
+  EXPECT_EQ(Dataset(MakeTestSchema()).ValueCounts(),
+            (std::vector<std::vector<uint32_t>>{{0, 0}, {0, 0, 0}}));
 }
 
 TEST(DatasetTest, ValueCountsSkewed) {
@@ -113,49 +117,25 @@ TEST(DatasetTest, ValueCountsSkewed) {
     ASSERT_TRUE(d.AppendRow({1, 2}).ok());
   }
   ASSERT_TRUE(d.AppendRow({0, 2}).ok());
-  EXPECT_EQ(d.ValueCounts(0), (std::vector<uint32_t>{1, 100}));
-  EXPECT_EQ(d.ValueCounts(1), (std::vector<uint32_t>{0, 0, 101}));
+  EXPECT_EQ(d.ValueCounts()[0], (std::vector<uint32_t>{1, 100}));
+  EXPECT_EQ(d.ValueCounts()[1], (std::vector<uint32_t>{0, 0, 101}));
 }
 
-TEST(DatasetTest, RowViewAndColumnMirrorMatchCells) {
+TEST(DatasetTest, RowViewMatchesCells) {
   Dataset d(MakeTestSchema());
   ASSERT_TRUE(d.AppendRow({0, 2}).ok());
   ASSERT_TRUE(d.AppendRow({1, 0}).ok());
   ASSERT_TRUE(d.AppendRow({1, 1}).ok());
-  // The invariant the engines rely on: at(i, j) == row_view(i)[j] ==
-  // column(j)[i] for every cell.
+  // The invariant the engines rely on: at(i, j) == row_view(i)[j] for
+  // every cell.
   for (size_t i = 0; i < d.num_rows(); ++i) {
     const RowView view = d.row_view(i);
     ASSERT_EQ(view.size(), d.num_attributes());
     for (size_t j = 0; j < d.num_attributes(); ++j) {
       EXPECT_EQ(view[j], d.at(i, j));
-      EXPECT_EQ(d.column(j)[i], d.at(i, j));
     }
     EXPECT_EQ(view.ToRecord(), d.row(i));
   }
-}
-
-TEST(DatasetTest, ColumnMirrorRebuildsAfterAppend) {
-  Dataset d(MakeTestSchema());
-  ASSERT_TRUE(d.AppendRow({0, 1}).ok());
-  EXPECT_EQ(d.column(1)[0], 1);  // Builds the mirror.
-  ASSERT_TRUE(d.AppendRow({1, 2}).ok());  // Invalidates it.
-  EXPECT_EQ(d.column(1)[0], 1);
-  EXPECT_EQ(d.column(1)[1], 2);
-  EXPECT_EQ(d.column(0)[1], 1);
-}
-
-TEST(DatasetTest, ColumnMirrorSharedByCopies) {
-  Dataset d(MakeTestSchema());
-  ASSERT_TRUE(d.AppendRow({1, 2}).ok());
-  d.column(0);  // Prime before copying.
-  Dataset copy = d;
-  EXPECT_EQ(copy.column(1)[0], 2);
-  // Appending to the copy must not disturb the original's mirror.
-  ASSERT_TRUE(copy.AppendRow({0, 0}).ok());
-  EXPECT_EQ(copy.column(1)[1], 0);
-  EXPECT_EQ(d.column(1)[0], 2);
-  EXPECT_EQ(d.num_rows(), 1u);
 }
 
 TEST(DatasetTest, ClassColumn) {

@@ -39,10 +39,10 @@ TEST(ArtWorkloadTest, SubsetCountsMatchPaper) {
 
 TEST(ArtWorkloadTest, DistributionsApproximatelyMatch) {
   Workload w = Unwrap(MakeArtWorkload(40000, 7));
-  const std::vector<uint32_t> counts = w.dataset.ValueCounts(0);
+  const std::vector<uint32_t> counts = w.dataset.ValueCounts()[0];
   EXPECT_NEAR(counts[0] / 40000.0, 0.7, 0.02);
   EXPECT_NEAR(counts[1] / 40000.0, 0.3, 0.02);
-  const std::vector<uint32_t> c6 = w.dataset.ValueCounts(5);
+  const std::vector<uint32_t> c6 = w.dataset.ValueCounts()[5];
   EXPECT_NEAR(c6[2] / 40000.0, 0.5, 0.02);
 }
 
@@ -82,15 +82,15 @@ TEST(AdultWorkloadTest, ShapeAndHierarchies) {
 TEST(AdultWorkloadTest, MarginalsRoughlyRealistic) {
   Workload w = Unwrap(MakeAdultWorkload(20000, 5));
   // work-class: Private dominates.
-  const auto workclass = w.dataset.ValueCounts(1);
+  const auto workclass = w.dataset.ValueCounts()[1];
   EXPECT_NEAR(workclass[0] / 20000.0, 0.73, 0.03);
   // native-country: United-States ≈ 0.9.
-  const auto country = w.dataset.ValueCounts(8);
+  const auto country = w.dataset.ValueCounts()[8];
   const ValueCode us =
       Unwrap(w.dataset.schema().attribute(8).CodeOf("United-States"));
   EXPECT_NEAR(country[us] / 20000.0, 0.9, 0.03);
   // sex: ~2/3 male.
-  const auto sex = w.dataset.ValueCounts(7);
+  const auto sex = w.dataset.ValueCounts()[7];
   EXPECT_NEAR(sex[0] / 20000.0, 0.67, 0.03);
 }
 
@@ -179,10 +179,10 @@ TEST(CmcWorkloadTest, ShapeAndHierarchies) {
 TEST(CmcWorkloadTest, MarginalsRoughlyRealistic) {
   Workload w = Unwrap(MakeCmcWorkload(20000, 3));
   // Wife education skews high.
-  const auto edu = w.dataset.ValueCounts(1);
+  const auto edu = w.dataset.ValueCounts()[1];
   EXPECT_GT(edu[3], edu[0]);
   // Media exposure overwhelmingly "good" (code 0).
-  const auto media = w.dataset.ValueCounts(8);
+  const auto media = w.dataset.ValueCounts()[8];
   EXPECT_NEAR(media[0] / 20000.0, 0.926, 0.02);
 }
 
