@@ -52,10 +52,6 @@ Result<GlobalRecodingResult> GlobalRecodingKAnonymize(
     RunContext* ctx = nullptr, int num_threads = 1,
     EngineCounters* counters = nullptr);
 
-/// The per-attribute level count (level 0 .. NumLevels-1); exposed for
-/// tests and for reporting.
-size_t NumGeneralizationLevels(const Hierarchy& hierarchy);
-
 /// The subset published for `value` at `level` (clamped to the top).
 SetId LevelAncestor(const Hierarchy& hierarchy, ValueCode value,
                     uint32_t level);

@@ -18,26 +18,11 @@ namespace kanon {
 bool IsDistinctLDiverse(const Dataset& dataset, const GeneralizedTable& table,
                         size_t l);
 
-/// Entropy ℓ-diversity: each group's class distribution has entropy of at
-/// least log2(ℓ).
-bool IsEntropyLDiverse(const Dataset& dataset, const GeneralizedTable& table,
-                       double l);
-
 /// The largest ℓ such that the table is distinct ℓ-diverse (the minimum,
 /// over the groups, of the number of distinct class values). 0 for an
 /// empty table.
 size_t DistinctDiversity(const Dataset& dataset,
                          const GeneralizedTable& table);
-
-/// Consistency-side diversity for the relaxed notions, where groups of
-/// identical records need not exist: for every original record, the set of
-/// generalized records consistent with it must cover at least ℓ distinct
-/// class values (each generalized record contributes the class of its own
-/// original). This is the natural transplant of distinct ℓ-diversity to
-/// (1,k)/(k,k)-anonymized tables; the paper leaves its systematic study to
-/// future work.
-bool IsConsistencyLDiverse(const Dataset& dataset,
-                           const GeneralizedTable& table, size_t l);
 
 }  // namespace kanon
 

@@ -60,8 +60,4 @@ Result<ValueCode> AttributeDomain::CodeOf(const std::string& label) const {
   return it->second;
 }
 
-bool AttributeDomain::HasLabel(const std::string& label) const {
-  return code_of_.count(label) > 0;
-}
-
 }  // namespace kanon

@@ -40,7 +40,6 @@ class AttributeDomain {
 
   /// Looks up the code of a label.
   Result<ValueCode> CodeOf(const std::string& label) const;
-  bool HasLabel(const std::string& label) const;
 
  private:
   AttributeDomain(std::string name, std::vector<std::string> labels);

@@ -397,13 +397,4 @@ Status WriteCsv(const Dataset& dataset, std::ostream& output,
   return Status::OK();
 }
 
-Status WriteCsvFile(const Dataset& dataset, const std::string& path,
-                    char delimiter) {
-  std::ofstream file(path);
-  if (!file) {
-    return Status::IOError("cannot open '" + path + "' for writing");
-  }
-  return WriteCsv(dataset, file, delimiter);
-}
-
 }  // namespace kanon

@@ -154,8 +154,6 @@ Result<Dataset> ReadCsvInferSchemaText(
 /// present, is appended as the last column).
 Status WriteCsv(const Dataset& dataset, std::ostream& output,
                 char delimiter = ',');
-Status WriteCsvFile(const Dataset& dataset, const std::string& path,
-                    char delimiter = ',');
 
 }  // namespace kanon
 

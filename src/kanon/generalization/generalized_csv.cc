@@ -175,14 +175,4 @@ Result<GeneralizedTable> ReadGeneralizedCsv(
   return table;
 }
 
-Result<GeneralizedTable> ReadGeneralizedCsvFile(
-    std::shared_ptr<const GeneralizationScheme> scheme,
-    const std::string& path) {
-  std::ifstream file(path);
-  if (!file) {
-    return Status::IOError("cannot open '" + path + "' for reading");
-  }
-  return ReadGeneralizedCsv(std::move(scheme), file);
-}
-
 }  // namespace kanon

@@ -27,9 +27,6 @@ Status WriteGeneralizedCsvFile(const GeneralizedTable& table,
 
 Result<GeneralizedTable> ReadGeneralizedCsv(
     std::shared_ptr<const GeneralizationScheme> scheme, std::istream& input);
-Result<GeneralizedTable> ReadGeneralizedCsvFile(
-    std::shared_ptr<const GeneralizationScheme> scheme,
-    const std::string& path);
 
 }  // namespace kanon
 

@@ -46,16 +46,6 @@ ValueSet ValueSet::Union(const ValueSet& other) const {
   return out;
 }
 
-ValueSet ValueSet::Intersect(const ValueSet& other) const {
-  KANON_CHECK(universe_size_ == other.universe_size_,
-              "ValueSet universe mismatch");
-  ValueSet out(universe_size_);
-  for (size_t i = 0; i < words_.size(); ++i) {
-    out.words_[i] = words_[i] & other.words_[i];
-  }
-  return out;
-}
-
 bool ValueSet::IsSubsetOf(const ValueSet& other) const {
   KANON_CHECK(universe_size_ == other.universe_size_,
               "ValueSet universe mismatch");

@@ -47,9 +47,8 @@ class ValueSet {
 
   bool Empty() const { return Count() == 0; }
 
-  /// Set union / intersection (both operands must share a universe).
+  /// Set union (both operands must share a universe).
   ValueSet Union(const ValueSet& other) const;
-  ValueSet Intersect(const ValueSet& other) const;
 
   /// True iff this ⊆ other.
   bool IsSubsetOf(const ValueSet& other) const;

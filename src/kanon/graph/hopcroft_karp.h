@@ -15,10 +15,6 @@ struct Matching {
   /// match_right[v] = left vertex matched to v, or kUnmatched.
   std::vector<uint32_t> match_right;
   size_t size = 0;
-
-  bool IsPerfect(const BipartiteGraph& graph) const {
-    return graph.num_left() == graph.num_right() && size == graph.num_left();
-  }
 };
 
 /// Maximum bipartite matching via Hopcroft–Karp, O(√V · E).

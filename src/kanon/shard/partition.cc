@@ -1,45 +1,42 @@
 #include "kanon/shard/partition.h"
 
-#include <cerrno>
 #include <cmath>
-#include <cstdlib>
+#include <cstring>
 #include <utility>
 
 #include "kanon/common/failpoint.h"
-#include "kanon/common/text.h"
 
 namespace kanon {
 namespace shard {
 
 namespace {
 
-constexpr char kDelimiter = ',';
 constexpr size_t kMaxShards = 4096;
 
-Status CheckLabel(const std::string& label) {
-  if (label.find(kDelimiter) != std::string::npos ||
-      label.find('\n') != std::string::npos ||
-      label.find('\r') != std::string::npos) {
-    return Status::InvalidArgument("label '" + label +
-                                   "' contains a delimiter or newline and "
-                                   "cannot be spilled");
+/// FNV-1a over the labels of the row's first `width` values, each preceded
+/// by its 32-bit length.
+uint64_t LabelHash(const Schema& schema, RowView row, size_t width) {
+  Hasher hasher;
+  for (size_t j = 0; j < width; ++j) {
+    const std::string& label = schema.attribute(j).label(row[j]);
+    const uint32_t size = static_cast<uint32_t>(label.size());
+    hasher.Update(&size, sizeof(size));
+    hasher.Update(label);
   }
-  return Status::OK();
+  return hasher.digest();
+}
+
+size_t SpillRecordBytes(size_t num_attributes) {
+  return sizeof(uint64_t) + num_attributes * sizeof(ValueCode);
 }
 
 }  // namespace
 
-size_t ShardOfLabels(const std::vector<std::string>& labels, size_t prefix,
-                     size_t num_shards) {
+size_t ShardOfRow(const Schema& schema, RowView row, size_t prefix,
+                  size_t num_shards) {
   if (num_shards <= 1) return 0;
-  Hasher hasher;
-  const size_t width = prefix < labels.size() ? prefix : labels.size();
-  for (size_t j = 0; j < width; ++j) {
-    const uint32_t size = static_cast<uint32_t>(labels[j].size());
-    hasher.Update(&size, sizeof(size));
-    hasher.Update(labels[j]);
-  }
-  return static_cast<size_t>(hasher.digest() % num_shards);
+  const size_t width = prefix < row.size() ? prefix : row.size();
+  return static_cast<size_t>(LabelHash(schema, row, width) % num_shards);
 }
 
 size_t DeriveNumShards(uint64_t rows, size_t memory_budget_mb) {
@@ -54,12 +51,15 @@ size_t DeriveNumShards(uint64_t rows, size_t memory_budget_mb) {
   return static_cast<size_t>(shards);
 }
 
-SpillWriter::SpillWriter(std::string dir, size_t num_shards, size_t prefix,
+SpillWriter::SpillWriter(std::string dir, const Schema& schema,
+                         size_t num_shards, size_t prefix,
                          uint64_t max_rows_per_shard)
     : dir_(std::move(dir)),
+      schema_(schema),
       num_shards_(num_shards == 0 ? 1 : num_shards),
       prefix_(prefix),
-      max_rows_per_shard_(max_rows_per_shard) {}
+      max_rows_per_shard_(max_rows_per_shard),
+      record_(SpillRecordBytes(schema.num_attributes()), '\0') {}
 
 Status SpillWriter::Open() {
   // Sweep stale temporaries from an earlier abandoned partitioning so a
@@ -78,8 +78,8 @@ Status SpillWriter::Open() {
   return Status::OK();
 }
 
-size_t SpillWriter::RouteRow(const std::vector<std::string>& labels) const {
-  const size_t primary = ShardOfLabels(labels, prefix_, num_shards_);
+size_t SpillWriter::RouteRow(RowView row) const {
+  const size_t primary = ShardOfRow(schema_, row, prefix_, num_shards_);
   if (max_rows_per_shard_ == 0 || num_shards_ <= 1 ||
       rows_per_shard_[primary] < max_rows_per_shard_) {
     return primary;
@@ -91,13 +91,8 @@ size_t SpillWriter::RouteRow(const std::vector<std::string>& labels) const {
   // The escape hatch hashes the full label tuple and probes linearly from
   // there, a pure function of (labels, occupancy) and therefore of the
   // input content and order — reruns repartition identically.
-  Hasher hasher;
-  for (const std::string& label : labels) {
-    const uint32_t size = static_cast<uint32_t>(label.size());
-    hasher.Update(&size, sizeof(size));
-    hasher.Update(label);
-  }
-  size_t s = static_cast<size_t>(hasher.digest() % num_shards_);
+  const size_t s =
+      static_cast<size_t>(LabelHash(schema_, row, row.size()) % num_shards_);
   for (size_t i = 0; i < num_shards_; ++i) {
     const size_t probe = (s + i) % num_shards_;
     if (rows_per_shard_[probe] < max_rows_per_shard_) return probe;
@@ -108,23 +103,20 @@ size_t SpillWriter::RouteRow(const std::vector<std::string>& labels) const {
   return primary;
 }
 
-Status SpillWriter::Append(uint64_t global_row,
-                           const std::vector<std::string>& labels) {
+Status SpillWriter::Append(uint64_t global_row, RowView row) {
   KANON_FAILPOINT("shard.spill_write");
-  const size_t s = RouteRow(labels);
-  std::string line = std::to_string(global_row);
-  for (const std::string& label : labels) {
-    KANON_RETURN_NOT_OK(CheckLabel(label));
-    line += kDelimiter;
-    line += label;
-  }
-  line += '\n';
-  streams_[s].write(line.data(), static_cast<std::streamsize>(line.size()));
+  KANON_DCHECK(row.size() == schema_.num_attributes());
+  const size_t s = RouteRow(row);
+  std::memcpy(record_.data(), &global_row, sizeof(global_row));
+  std::memcpy(record_.data() + sizeof(global_row), row.data(),
+              row.size() * sizeof(ValueCode));
+  streams_[s].write(record_.data(),
+                    static_cast<std::streamsize>(record_.size()));
   if (!streams_[s]) {
     return Status::IOError("write error on spill " + std::to_string(s) +
                            " at input row " + std::to_string(global_row));
   }
-  hashers_[s].Update(line);
+  hashers_[s].Update(record_);
   ++rows_per_shard_[s];
   ++rows_written_;
   return Status::OK();
@@ -147,41 +139,26 @@ Result<std::vector<ShardEntry>> SpillWriter::Commit() {
   return entries;
 }
 
-Result<SpillRows> ReadSpill(const std::string& path, size_t expected_columns) {
+Result<SpillRows> ReadSpill(const std::string& path, size_t num_attributes) {
   KANON_ASSIGN_OR_RETURN(std::string content, ReadFileToString(path));
-  SpillRows rows;
-  size_t begin = 0;
-  size_t line_number = 0;
-  while (begin < content.size()) {
-    size_t end = content.find('\n', begin);
-    if (end == std::string::npos) end = content.size();
-    ++line_number;
-    const std::string line = content.substr(begin, end - begin);
-    begin = end + 1;
-    if (line.empty()) continue;
-    std::vector<std::string> fields = Split(line, kDelimiter);
-    if (fields.size() != expected_columns + 1) {
-      return Status::IOError("spill '" + path + "' line " +
-                             std::to_string(line_number) + " has " +
-                             std::to_string(fields.size()) +
-                             " fields; expected " +
-                             std::to_string(expected_columns + 1));
-    }
-    char* parse_end = nullptr;
-    errno = 0;
-    const unsigned long long index =
-        std::strtoull(fields[0].c_str(), &parse_end, 10);
-    if (errno != 0 || parse_end == nullptr || *parse_end != '\0' ||
-        fields[0].empty()) {
-      return Status::IOError("spill '" + path + "' line " +
-                             std::to_string(line_number) +
-                             " has a bad row index '" + fields[0] + "'");
-    }
-    rows.global_rows.push_back(static_cast<uint64_t>(index));
-    fields.erase(fields.begin());
-    rows.labels.push_back(std::move(fields));
+  const size_t record_bytes = SpillRecordBytes(num_attributes);
+  if (content.size() % record_bytes != 0) {
+    return Status::IOError("spill '" + path + "' has " +
+                           std::to_string(content.size()) +
+                           " bytes, not a whole number of " +
+                           std::to_string(record_bytes) + "-byte records");
   }
-  return rows;
+  const size_t rows = content.size() / record_bytes;
+  SpillRows spill;
+  spill.global_rows.resize(rows);
+  spill.cells.resize(rows * num_attributes);
+  const char* record = content.data();
+  for (size_t i = 0; i < rows; ++i, record += record_bytes) {
+    std::memcpy(&spill.global_rows[i], record, sizeof(uint64_t));
+    std::memcpy(spill.cells.data() + i * num_attributes,
+                record + sizeof(uint64_t), num_attributes * sizeof(ValueCode));
+  }
+  return spill;
 }
 
 }  // namespace shard

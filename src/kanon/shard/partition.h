@@ -7,13 +7,14 @@
 #include <vector>
 
 #include "kanon/common/result.h"
+#include "kanon/data/dataset.h"
 #include "kanon/shard/manifest.h"
 #include "kanon/shard/shard_io.h"
 
 namespace kanon {
 namespace shard {
 
-/// Hash partitioning of the input rows into shard spill files
+/// Hash partitioning of the coded input rows into shard spill files
 /// (docs/sharding.md).
 ///
 /// Rows are routed by an FNV-1a hash of their first `prefix` attribute
@@ -21,17 +22,18 @@ namespace shard {
 /// attributes (the likeliest k-anonymity group mates) land in the same
 /// shard and the cross-shard boundary-repair pass has less to do, with a
 /// per-shard row cap that spreads skew-heavy prefixes (see SpillWriter).
-/// Routing is a pure function of the input's content and order, the
-/// prefix width, the shard count, and the cap (itself derived from the
-/// recorded row count and geometry); prefix and shard count are folded
-/// into the manifest fingerprint, so a resume can prove the spills on
-/// disk were produced by the same partitioning.
+/// The labels are looked up from the schema by code, so routing does not
+/// depend on how the codes were numbered. Routing is a pure function of the
+/// input's content and order, the prefix width, the shard count, and the
+/// cap (itself derived from the recorded row count and geometry); prefix
+/// and shard count are folded into the manifest fingerprint, so a resume
+/// can prove the spills on disk were produced by the same partitioning.
 
-/// Shard index of a row: FNV-1a over the first min(prefix, r) labels
-/// (length-delimited, so {"ab","c"} and {"a","bc"} hash apart), mod
-/// `num_shards`.
-size_t ShardOfLabels(const std::vector<std::string>& labels, size_t prefix,
-                     size_t num_shards);
+/// Shard index of a coded row: FNV-1a over the labels of its first
+/// min(prefix, r) values (length-delimited, so {"ab","c"} and {"a","bc"}
+/// hash apart), mod `num_shards`.
+size_t ShardOfRow(const Schema& schema, RowView row, size_t prefix,
+                  size_t num_shards);
 
 /// Picks a shard count for `rows` under a per-shard memory budget of
 /// `memory_budget_mb`. The dominant working-set term of the clustering
@@ -42,13 +44,14 @@ size_t ShardOfLabels(const std::vector<std::string>& labels, size_t prefix,
 /// set explicitly).
 size_t DeriveNumShards(uint64_t rows, size_t memory_budget_mb);
 
-/// Streams rows into `num_shards` spill files, one open stream per shard,
-/// with a running content checksum per stream (no second read pass).
+/// Streams coded rows into `num_shards` spill files, one open stream per
+/// shard, with a running content checksum per stream (no second read
+/// pass).
 ///
-/// Spill row format: `<global_row_index>,<label>,...,<label>` — no header.
-/// Labels are the trimmed CSV tokens; a label containing the delimiter or
-/// a newline is rejected (InvalidArgument) rather than silently corrupting
-/// the spill.
+/// Spill record format: fixed-width records, no header — the global row
+/// index as a uint64_t, then the row's r ValueCodes, all in host byte
+/// order (a work dir is not portable across byte orders). No label text
+/// reaches the spill, so any label the schema holds spills safely.
 ///
 /// Skew protection: with `max_rows_per_shard` > 0, a row whose prefix
 /// shard is already at the cap overflows to another shard (full-label
@@ -70,11 +73,14 @@ size_t DeriveNumShards(uint64_t rows, size_t memory_budget_mb);
 /// `shard.spill_commit` (flush-or-rename of a finished spill fails).
 class SpillWriter {
  public:
-  SpillWriter(std::string dir, size_t num_shards, size_t prefix,
-              uint64_t max_rows_per_shard = 0);
+  /// `schema` supplies the labels routing hashes; it must outlive the
+  /// writer.
+  SpillWriter(std::string dir, const Schema& schema, size_t num_shards,
+              size_t prefix, uint64_t max_rows_per_shard = 0);
 
   Status Open();
-  Status Append(uint64_t global_row, const std::vector<std::string>& labels);
+  /// Appends one row of r codes, each in range for its attribute.
+  Status Append(uint64_t global_row, RowView row);
   Result<std::vector<ShardEntry>> Commit();
 
   uint64_t rows_written() const { return rows_written_; }
@@ -82,9 +88,10 @@ class SpillWriter {
  private:
   /// Prefix shard, or the deterministic overflow shard once the prefix
   /// shard is at `max_rows_per_shard_`.
-  size_t RouteRow(const std::vector<std::string>& labels) const;
+  size_t RouteRow(RowView row) const;
 
   const std::string dir_;
+  const Schema& schema_;
   const size_t num_shards_;
   const size_t prefix_;
   const uint64_t max_rows_per_shard_;
@@ -92,20 +99,21 @@ class SpillWriter {
   std::vector<std::ofstream> streams_;
   std::vector<Hasher> hashers_;
   std::vector<uint64_t> rows_per_shard_;
+  std::string record_;  // One encoded record, reused across Append calls.
 };
 
-/// One spill file read back: per-row global indices and labels, in the
-/// order the partitioner wrote them.
+/// One spill file read back, in the order the partitioner wrote it: the
+/// global row indices and the row-major codes (rows x r), ready for
+/// Dataset::FromCells, which range-checks them.
 struct SpillRows {
   std::vector<uint64_t> global_rows;
-  std::vector<std::vector<std::string>> labels;
+  std::vector<ValueCode> cells;
 };
 
-/// Reads a committed spill. `expected_columns` is the schema's attribute
-/// count; every row must carry exactly that many labels after the index.
-/// Read failures surface the `shard.file_read` failpoint via the shared
-/// file reader.
-Result<SpillRows> ReadSpill(const std::string& path, size_t expected_columns);
+/// Reads a committed spill of rows with `num_attributes` codes each. A file
+/// that is not a whole number of records is an IOError. Read failures
+/// surface the `shard.file_read` failpoint via the shared file reader.
+Result<SpillRows> ReadSpill(const std::string& path, size_t num_attributes);
 
 }  // namespace shard
 }  // namespace kanon

@@ -29,8 +29,6 @@ TEST(AttributeDomainTest, BasicLookups) {
   EXPECT_EQ(d.label(0), "M");
   EXPECT_EQ(d.label(1), "F");
   EXPECT_EQ(d.CodeOf("F").value(), 1);
-  EXPECT_TRUE(d.HasLabel("M"));
-  EXPECT_FALSE(d.HasLabel("X"));
   EXPECT_FALSE(d.CodeOf("X").ok());
 }
 

@@ -52,45 +52,6 @@ TEST(DiversityTest, HomogeneousGroupIsOneDiverse) {
   EXPECT_TRUE(IsDistinctLDiverse(f.dataset, f.table, 1));
 }
 
-TEST(DiversityTest, EntropyDiversity) {
-  // Both groups have two equally likely classes: entropy 1 bit = log2(2).
-  Fixture f = MakeFixture({0, 1, 1, 2});
-  EXPECT_TRUE(IsEntropyLDiverse(f.dataset, f.table, 2.0));
-  EXPECT_FALSE(IsEntropyLDiverse(f.dataset, f.table, 2.5));
-  EXPECT_TRUE(IsEntropyLDiverse(f.dataset, f.table, 1.0));
-}
-
-TEST(DiversityTest, EntropyIsStricterThanDistinctOnSkew) {
-  // A group with classes {flu, flu, flu, ulcer} is distinct 2-diverse but
-  // its entropy H(3/4, 1/4) ≈ 0.81 < 1 bit, so not entropy 2-diverse.
-  auto scheme = SmallScheme();
-  Dataset d(scheme->schema());
-  for (int i = 0; i < 4; ++i) KANON_CHECK(d.AppendRow({0, 0}).ok());
-  AttributeDomain cls = Unwrap(AttributeDomain::Create("c", {"a", "b"}));
-  KANON_CHECK(d.SetClassColumn(cls, {0, 0, 0, 1}).ok());
-  GeneralizedTable t = GeneralizedTable::Identity(scheme, d);
-  EXPECT_TRUE(IsDistinctLDiverse(d, t, 2));
-  EXPECT_FALSE(IsEntropyLDiverse(d, t, 2.0));
-}
-
-TEST(DiversityTest, ConsistencyDiversity) {
-  Fixture f = MakeFixture({0, 1, 0, 2});
-  // Each original is consistent exactly with its group's two records.
-  EXPECT_TRUE(IsConsistencyLDiverse(f.dataset, f.table, 2));
-  EXPECT_FALSE(IsConsistencyLDiverse(f.dataset, f.table, 3));
-  // Suppress one record entirely: every original gains a neighbor with
-  // that record's class.
-  f.table.SetRecord(3, f.scheme->Suppressed());
-  EXPECT_TRUE(IsConsistencyLDiverse(f.dataset, f.table, 2));
-}
-
-TEST(DiversityTest, ConsistencyDiversityDetectsHomogeneousNeighborhoods) {
-  Fixture f = MakeFixture({0, 0, 1, 1});
-  // Rows 0,1 only see class flu; rows 2,3 only see ulcer.
-  EXPECT_FALSE(IsConsistencyLDiverse(f.dataset, f.table, 2));
-  EXPECT_TRUE(IsConsistencyLDiverse(f.dataset, f.table, 1));
-}
-
 TEST(DiversityTest, EmptyTable) {
   auto scheme = SmallScheme();
   Dataset d(scheme->schema());

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <sstream>
 
 #include "kanon/algo/anonymizer.h"
@@ -90,10 +92,11 @@ TEST(GeneralizedCsvTest, FileHelpers) {
   GeneralizedTable t = GeneralizedTable::Identity(scheme, d);
   const char* path = "/tmp/kanon_gen_csv_test.csv";
   ASSERT_TRUE(WriteGeneralizedCsvFile(t, path).ok());
-  GeneralizedTable back = Unwrap(ReadGeneralizedCsvFile(scheme, path));
-  EXPECT_EQ(back.num_rows(), 10u);
+  std::ifstream file(path);
+  GeneralizedTable back = Unwrap(ReadGeneralizedCsv(scheme, file));
+  EXPECT_TRUE(back == t);
   std::remove(path);
-  EXPECT_FALSE(ReadGeneralizedCsvFile(scheme, "/nonexistent/x.csv").ok());
+  EXPECT_FALSE(WriteGeneralizedCsvFile(t, "/nonexistent/x.csv").ok());
 }
 
 }  // namespace

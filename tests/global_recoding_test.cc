@@ -16,11 +16,6 @@ using testing::Unwrap;
 
 TEST(GlobalRecodingTest, LevelStructure) {
   auto scheme = SmallScheme();
-  // zip: singleton -> width-2 band -> width-4 band -> full = 4 levels.
-  EXPECT_EQ(NumGeneralizationLevels(scheme->hierarchy(0)), 4u);
-  // sex: singleton -> full = 2 levels.
-  EXPECT_EQ(NumGeneralizationLevels(scheme->hierarchy(1)), 2u);
-
   const Hierarchy& zip = scheme->hierarchy(0);
   EXPECT_EQ(zip.SizeOf(LevelAncestor(zip, 3, 0)), 1u);
   EXPECT_EQ(zip.SizeOf(LevelAncestor(zip, 3, 1)), 2u);

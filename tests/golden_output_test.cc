@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -77,6 +78,13 @@ std::string GoldenPath(const std::string& dataset, AnonymizationMethod method,
          AnonymizationMethodName(method) + "_" + measure + ".csv";
 }
 
+GeneralizedTable ReadGolden(std::shared_ptr<const GeneralizationScheme> scheme,
+                            const std::string& path) {
+  std::ifstream file(path);
+  KANON_CHECK(file.good(), "cannot open golden file");
+  return Unwrap(ReadGeneralizedCsv(std::move(scheme), file));
+}
+
 TEST(GoldenOutputTest, EveryPipelineReproducesPreRefactorTables) {
   const bool regen = std::getenv("KANON_REGEN_GOLDEN") != nullptr;
   const std::vector<GoldenCase> cases = AllCases();
@@ -103,8 +111,7 @@ TEST(GoldenOutputTest, EveryPipelineReproducesPreRefactorTables) {
               << path;
           continue;
         }
-        const GeneralizedTable golden =
-            Unwrap(ReadGeneralizedCsvFile(c.scheme, path));
+        const GeneralizedTable golden = ReadGolden(c.scheme, path);
         for (int threads : {1, 2, 4}) {
           config.num_threads = threads;
           const AnonymizationResult result =
@@ -161,8 +168,7 @@ TEST(GoldenOutputTest, AgglomerativeReproducesTablesAtEveryDistance) {
         ASSERT_TRUE(WriteGeneralizedCsvFile(result.table, path).ok()) << path;
         continue;
       }
-      const GeneralizedTable golden =
-          Unwrap(ReadGeneralizedCsvFile(dup.scheme, path));
+      const GeneralizedTable golden = ReadGolden(dup.scheme, path);
       for (int threads : {1, 2, 4}) {
         config.num_threads = threads;
         const AnonymizationResult result =

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
 #include <sstream>
 
 #include "kanon/algo/anonymizer.h"
@@ -105,7 +106,10 @@ TEST(IntegrationTest, AnonymizedCsvExportRoundTrip) {
 TEST(IntegrationTest, DatasetCsvRoundTripPreservesAnonymity) {
   Workload w = Unwrap(MakeArtWorkload(60, 15));
   const char* path = "/tmp/kanon_integration_art.csv";
-  ASSERT_TRUE(WriteCsvFile(w.dataset, path).ok());
+  {
+    std::ofstream out(path);
+    ASSERT_TRUE(WriteCsv(w.dataset, out).ok());
+  }
   Result<Dataset> reread = ReadCsvFile(w.dataset.schema(), path);
   ASSERT_TRUE(reread.ok()) << reread.status().ToString();
   ASSERT_EQ(reread->num_rows(), w.dataset.num_rows());

@@ -6,14 +6,13 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
-#include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "kanon/common/flags.h"
 #include "kanon/serve/client.h"
 #include "kanon/serve/json.h"
+#include "kanon/shard/shard_io.h"
 
 namespace {
 
@@ -22,6 +21,7 @@ using kanon::Result;
 using kanon::Status;
 using kanon::serve::Client;
 using kanon::serve::Json;
+using kanon::shard::ReadFileToString;
 
 void PrintUsage() {
   std::fprintf(stderr, R"(kanond_client: client for the kanond service
@@ -51,14 +51,6 @@ Commands:
 Every command prints the server's JSON result on stdout (except fetch,
 which emits the raw CSV).
 )");
-}
-
-Result<std::string> ReadFileToString(const std::string& path) {
-  std::ifstream input(path, std::ios::binary);
-  if (!input) return Status::IOError("cannot open " + path);
-  std::ostringstream buffer;
-  buffer << input.rdbuf();
-  return buffer.str();
 }
 
 /// Builds submit params from flags; exits via Status on unreadable files.
