@@ -53,7 +53,8 @@ GeneralizedTable TableFromClustering(
       std::copy(closure.begin(), closure.end(), cells.begin() + row * r);
     }
   }
-  return GeneralizedTable::FromCells(std::move(scheme), std::move(cells));
+  return GeneralizedTable::FromCells(std::move(scheme), std::move(cells))
+      .value();
 }
 
 }  // namespace kanon

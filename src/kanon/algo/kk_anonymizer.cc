@@ -43,7 +43,8 @@ GeneralizedTable EmitWithSuppressedHoles(const PrecomputedLoss& loss,
     ctx->NoteDegraded(stage);
     ctx->AddRecordsSuppressed(suppressed);
   }
-  return GeneralizedTable::FromCells(loss.scheme_ptr(), std::move(cells));
+  return GeneralizedTable::FromCells(loss.scheme_ptr(), std::move(cells))
+      .value();
 }
 
 // Returns the first injected failure in chunk order (matching the row order

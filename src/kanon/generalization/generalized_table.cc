@@ -2,19 +2,29 @@
 
 namespace kanon {
 
-GeneralizedTable GeneralizedTable::FromCells(
+Result<GeneralizedTable> GeneralizedTable::FromCells(
     std::shared_ptr<const GeneralizationScheme> scheme,
     std::vector<SetId> cells) {
   GeneralizedTable table(std::move(scheme));
   const size_t r = table.num_attributes();
-  KANON_CHECK(r > 0 && cells.size() % r == 0, "cells do not fill whole rows");
+  if (r == 0 || cells.size() % r != 0) {
+    return Status::InvalidArgument(
+        std::to_string(cells.size()) + " cells do not fill rows of " +
+        std::to_string(r) + " attributes");
+  }
   std::vector<size_t> num_sets(r);
   for (size_t j = 0; j < r; ++j) {
     num_sets[j] = table.scheme_->hierarchy(j).num_sets();
   }
   for (size_t row = 0; row < cells.size(); row += r) {
     for (size_t j = 0; j < r; ++j) {
-      KANON_CHECK(cells[row + j] < num_sets[j], "set id out of range");
+      if (cells[row + j] >= num_sets[j]) {
+        return Status::OutOfRange(
+            "row " + std::to_string(row / r) + ": set id " +
+            std::to_string(cells[row + j]) +
+            " is outside the hierarchy of attribute '" +
+            table.scheme_->schema().attribute(j).name() + "'");
+      }
     }
   }
   table.cells_ = std::move(cells);

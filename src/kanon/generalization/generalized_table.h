@@ -22,9 +22,10 @@ class GeneralizedTable {
     KANON_CHECK(scheme_ != nullptr, "scheme must not be null");
   }
 
-  /// A table over `scheme` holding the row-major `cells` (n x r set ids,
-  /// each in range for its attribute): AppendRecord in bulk, one move.
-  static GeneralizedTable FromCells(
+  /// A table over `scheme` holding the row-major `cells` (n x r set ids):
+  /// AppendRecord in bulk, one move. Cells that do not fill whole rows are
+  /// InvalidArgument; an id outside its attribute's hierarchy is OutOfRange.
+  static Result<GeneralizedTable> FromCells(
       std::shared_ptr<const GeneralizationScheme> scheme,
       std::vector<SetId> cells);
 

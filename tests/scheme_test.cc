@@ -100,6 +100,24 @@ TEST(GeneralizedTableTest, IdentityTable) {
   EXPECT_FALSE(t.ConsistentPair(d, 0, 2));
 }
 
+TEST(GeneralizedTableTest, FromCellsChecksShapeAndEveryId) {
+  auto scheme = MakeTestScheme();
+  const GeneralizedRecord top = scheme->Suppressed();
+  const Result<GeneralizedTable> t =
+      GeneralizedTable::FromCells(scheme, {top[0], top[1]});
+  ASSERT_TRUE(t.ok()) << t.status().ToString();
+  ASSERT_EQ(t.value().num_rows(), 1u);
+  EXPECT_EQ(t.value().record(0), top);
+  EXPECT_EQ(GeneralizedTable::FromCells(scheme, {top[0]}).status().code(),
+            StatusCode::kInvalidArgument);
+  const SetId past = static_cast<SetId>(scheme->hierarchy(1).num_sets());
+  EXPECT_EQ(
+      GeneralizedTable::FromCells(scheme, {top[0], top[1], top[0], past})
+          .status()
+          .code(),
+      StatusCode::kOutOfRange);
+}
+
 TEST(GeneralizedTableTest, SetAndAppend) {
   auto scheme = MakeTestScheme();
   Dataset d = MakeTestDataset(*scheme);
