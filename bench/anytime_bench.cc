@@ -61,6 +61,8 @@ int Run(const BenchConfig& config) {
       AnonymizerConfig run;
       run.k = k;
       run.method = c.method;
+      // Eq. (10), the distance this bench has always run.
+      run.distance = DistanceFunction::kLogWeighted;
       run.run_context = &ctx;
       Result<AnonymizationResult> result = Anonymize(dataset, loss, run);
       KANON_CHECK(result.ok(), result.status().ToString());

@@ -273,6 +273,8 @@ int RunShardJson(size_t n) {
     AnonymizerConfig config;
     config.k = 10;
     config.method = AnonymizationMethod::kAgglomerative;
+    // Eq. (10), the distance BENCH_shard.json was recorded under.
+    config.distance = DistanceFunction::kLogWeighted;
     shard::ShardOptions options;
     options.num_shards = shards;
     options.work_dir = (scratch / std::to_string(shards)).string();

@@ -1,7 +1,9 @@
 #include "kanon/algo/anonymizer.h"
 
 #include <optional>
+#include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "kanon/algo/agglomerative.h"
@@ -105,6 +107,39 @@ Result<GeneralizedTable> RunPipeline(const Dataset& dataset,
   return Status::Internal("unreachable anonymization method");
 }
 
+// The run request's fields. Their defaults are AnonymizerConfig{}'s, and
+// ReadRunRequest names the measure's.
+constexpr RunField kRunFields[] = {
+    {"k", "k", RunField::Kind::kCount},
+    {"method", "method", RunField::Kind::kName},
+    {"distance", "distance", RunField::Kind::kName},
+    {"measure", "measure", RunField::Kind::kName},
+    {"attr_weights", "attr-weights", RunField::Kind::kNumbers},
+    {"timeout_ms", "timeout-ms", RunField::Kind::kCount},
+    {"max_steps", "max-steps", RunField::Kind::kCount},
+};
+
+// Reads `field` into `*out`, which keeps its value when the field is absent.
+template <typename T>
+Status ReadField(const RunFieldLookup& lookup, const RunField& field, T* out) {
+  Result<RunFieldValue> value = lookup(field);
+  if (!value.ok()) return value.status();
+  if (!std::holds_alternative<std::monostate>(*value)) {
+    *out = std::get<T>(std::move(*value));
+  }
+  return Status::OK();
+}
+
+// Reads a count field, which must be at least `min`.
+Status ReadCount(const RunFieldLookup& lookup, const RunField& field,
+                 int64_t min, int64_t* out) {
+  KANON_RETURN_NOT_OK(ReadField(lookup, field, out));
+  if (*out >= min) return Status::OK();
+  return Status::InvalidArgument(std::string(field.param) +
+                                 " must be at least " + std::to_string(min) +
+                                 ", got " + std::to_string(*out));
+}
+
 }  // namespace
 
 const char* AnonymizationMethodName(AnonymizationMethod method) {
@@ -135,6 +170,11 @@ AnonymityNotion PromisedNotion(AnonymizationMethod method) {
   return Info(method).notion;
 }
 
+namespace {
+
+// Publishes the engine counters as `engine.<field>` counters plus the
+// `engine.closure_hit_rate` gauge, all deterministic. Counters add up over
+// runs that share a registry; gauges keep the last run's value.
 void PublishCounters(const EngineCounters& counters, MetricsRegistry* metrics) {
   if (metrics == nullptr) return;
   metrics->GetCounter("engine.merges")->Add(counters.merges);
@@ -148,6 +188,8 @@ void PublishCounters(const EngineCounters& counters, MetricsRegistry* metrics) {
       ->Set(counters.closure_hit_rate());
 }
 
+// Publishes the `run.*` outcome metrics (only `run.elapsed_seconds` is
+// nondeterministic) and the `cluster.size` histogram of the table's classes.
 void PublishResultMetrics(const AnonymizationResult& result,
                           MetricsRegistry* metrics) {
   if (metrics == nullptr) return;
@@ -170,6 +212,8 @@ void PublishResultMetrics(const AnonymizationResult& result,
   }
   metrics->GetCounter("run.clusters")->Add(classes.size());
 }
+
+}  // namespace
 
 Result<AnonymizationResult> Anonymize(const Dataset& dataset,
                                       const PrecomputedLoss& loss,
@@ -216,6 +260,46 @@ Result<AnonymizationResult> Anonymize(const Dataset& dataset,
   PublishCounters(counters, config.metrics);
   PublishResultMetrics(result, config.metrics);
   return result;
+}
+
+std::span<const RunField> RunFields() { return kRunFields; }
+
+Result<RunRequest> ReadRunRequest(const RunFieldLookup& lookup) {
+  const auto& [k_field, method_field, distance_field, measure_field,
+               weights_field, timeout_field, steps_field] = kRunFields;
+  RunRequest request;
+  AnonymizerConfig& config = request.config;
+  int64_t k = static_cast<int64_t>(config.k);
+  std::string method = MethodShortName(config.method);
+  std::string distance = DistanceShortName(config.distance);
+  std::string measure = "EM";
+  KANON_RETURN_NOT_OK(ReadCount(lookup, k_field, 1, &k));
+  KANON_RETURN_NOT_OK(ReadField(lookup, method_field, &method));
+  KANON_RETURN_NOT_OK(ReadField(lookup, distance_field, &distance));
+  KANON_RETURN_NOT_OK(ReadField(lookup, measure_field, &measure));
+  KANON_RETURN_NOT_OK(ReadField(lookup, weights_field, &config.attr_weights));
+  KANON_RETURN_NOT_OK(ReadCount(lookup, timeout_field, 0, &request.timeout_ms));
+  KANON_RETURN_NOT_OK(ReadCount(lookup, steps_field, 0, &request.max_steps));
+  config.k = static_cast<size_t>(k);
+  KANON_ASSIGN_OR_RETURN(config.method, ParseMethodShortName(method));
+  KANON_ASSIGN_OR_RETURN(config.distance, ParseDistanceShortName(distance));
+  KANON_ASSIGN_OR_RETURN(request.measure, MakeMeasure(measure));
+  return request;
+}
+
+Result<RunFieldValue> RunFieldFromFlags(const FlagParser& flags,
+                                        const RunField& field) {
+  if (!flags.Has(field.flag)) return RunFieldValue();
+  if (field.kind == RunField::Kind::kName) {
+    return RunFieldValue(flags.GetString(field.flag, ""));
+  }
+  if (field.kind == RunField::Kind::kNumbers) {
+    KANON_ASSIGN_OR_RETURN(std::vector<double> numbers,
+                           flags.GetDoubleList(field.flag));
+    return RunFieldValue(std::move(numbers));
+  }
+  if (Status s = flags.CheckCounts({field.flag}); !s.ok()) return s;
+  return RunFieldValue(flags.GetInt(field.flag, 0));
 }
 
 }  // namespace kanon

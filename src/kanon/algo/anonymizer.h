@@ -1,12 +1,18 @@
 #ifndef KANON_ALGO_ANONYMIZER_H_
 #define KANON_ALGO_ANONYMIZER_H_
 
+#include <cstdint>
+#include <functional>
+#include <memory>
+#include <span>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "kanon/algo/core/engine_counters.h"
 #include "kanon/algo/distance.h"
 #include "kanon/anonymity/verify.h"
+#include "kanon/common/flags.h"
 #include "kanon/common/result.h"
 #include "kanon/common/run_context.h"
 #include "kanon/data/dataset.h"
@@ -57,8 +63,9 @@ AnonymityNotion PromisedNotion(AnonymizationMethod method);
 struct AnonymizerConfig {
   size_t k = 5;
   AnonymizationMethod method = AnonymizationMethod::kAgglomerative;
-  /// Used by the agglomerative methods only.
-  DistanceFunction distance = DistanceFunction::kLogWeighted;
+  /// Used by the agglomerative methods only. The default, eq. (11), is also
+  /// kanon_cli's and kanond's `4`: ReadRunRequest takes its defaults here.
+  DistanceFunction distance = DistanceFunction::kRatio;
   /// Per-attribute weights for the information-loss measure (empty = uniform,
   /// the default). With weights, every pipeline prices records by the
   /// weighted average Σ_j w_j·cost_j / Σw instead of (1/r)·Σ_j cost_j: the
@@ -116,27 +123,53 @@ struct AnonymizationResult {
   EngineCounters counters;
 };
 
-/// Publishes the engine counters into `metrics` as typed metrics: one
-/// `engine.<field>` counter per EngineCounters field plus the
-/// `engine.closure_hit_rate` gauge. All deterministic. Counters add to what
-/// the registry holds, so runs that share a registry sum; gauges keep the
-/// last run's value. Null registry = no-op.
-void PublishCounters(const EngineCounters& counters, MetricsRegistry* metrics);
-
-/// Publishes run-level outcome metrics (`run.*` counters/gauges — loss,
-/// iterations, suppression, degradation; `run.elapsed_seconds` is flagged
-/// nondeterministic) and the `cluster.size` histogram of equivalence-class
-/// sizes in the final table. Counters add up across runs, as above. Null
-/// registry = no-op.
-void PublishResultMetrics(const AnonymizationResult& result,
-                          MetricsRegistry* metrics);
-
 /// Runs the configured pipeline on `dataset`, optimizing `loss`.
 /// This is the recommended entry point for library users; the individual
 /// algorithms remain available in the algo/ headers.
 Result<AnonymizationResult> Anonymize(const Dataset& dataset,
                                       const PrecomputedLoss& loss,
                                       const AnonymizerConfig& config);
+
+/// One field of a run request: its kanond submit param, its kanon_cli flag
+/// and the kind of value it holds.
+struct RunField {
+  enum class Kind { kCount, kName, kNumbers };
+  const char* param;  // e.g. "attr_weights"
+  const char* flag;   // e.g. "attr-weights"
+  Kind kind;
+};
+
+/// A field's value as its source holds it: std::monostate when the source
+/// does not hold the field, else the alternative for the field's Kind.
+using RunFieldValue = std::variant<std::monostate, int64_t, std::string,
+                                   std::vector<double>>;
+
+/// Gives a field's value from a request's source; an error when the source
+/// holds a value of another kind.
+using RunFieldLookup = std::function<Result<RunFieldValue>(const RunField&)>;
+
+/// What a run request asks for. `config` holds k, method, distance and
+/// attr_weights; the caller fills the rest. A budget of 0 is none.
+struct RunRequest {
+  AnonymizerConfig config;
+  std::unique_ptr<LossMeasure> measure;  // Never null.
+  int64_t timeout_ms = 0;
+  int64_t max_steps = 0;
+};
+
+/// k, method, distance, measure, attr_weights, timeout_ms and max_steps.
+std::span<const RunField> RunFields();
+
+/// Reads a run request through `lookup`. An absent field keeps
+/// AnonymizerConfig{}'s default; the measure defaults to EM and the budgets
+/// to none. An unknown name, k < 1 or a negative budget is InvalidArgument
+/// naming the field. Anonymize checks attr_weights against the arity.
+Result<RunRequest> ReadRunRequest(const RunFieldLookup& lookup);
+
+/// `field` as kanon_cli's flags spell it: --k=5, --attr-weights=2,1. A bad
+/// count or list is InvalidArgument naming the flag.
+Result<RunFieldValue> RunFieldFromFlags(const FlagParser& flags,
+                                        const RunField& field);
 
 }  // namespace kanon
 

@@ -22,10 +22,10 @@ constexpr size_t kTraceCacheCapacity = 8;
 /// A violation is an error carrying the witness text.
 Status VerifyPromise(const JobRequest& request, const GeneralizedTable& table) {
   KANON_FAILPOINT("serve.verify");
-  const size_t k = request.config.k;
+  const size_t k = request.run.config.k;
   KANON_ASSIGN_OR_RETURN(
       NotionWitness witness,
-      WitnessNotion(PromisedNotion(request.config.method), request.dataset,
+      WitnessNotion(PromisedNotion(request.run.config.method), request.dataset,
                     table, k));
   if (!witness.satisfied) return Status::Internal(witness.ToString(k));
   return Status::OK();
@@ -142,13 +142,13 @@ Result<uint64_t> JobManager::Submit(JobRequest request, SubmitDenied* denied) {
   }
   {
     const Job& admitted = *jobs_.at(id);
+    const AnonymizerConfig& config = admitted.request.run.config;
     KANON_LOG_EVENT(
         logger_, flight_, LogLevel::kInfo, "job.admitted",
         LogField::U64("job_id", id),
         LogField::U64("rows", admitted.request.dataset.num_rows()),
-        LogField::U64("k", admitted.request.config.k),
-        LogField::Str("method",
-                      AnonymizationMethodName(admitted.request.config.method)),
+        LogField::U64("k", config.k),
+        LogField::Str("method", AnonymizationMethodName(config.method)),
         LogField::U64("queue_depth", queue_.size()),
         LogField::Bool("capture_trace", admitted.request.capture_trace));
   }
@@ -214,14 +214,14 @@ void JobManager::RunJob(Job* job) {
     ctx = server_context_->Fork(1.0);
   }
   ctx.set_cancel_token(job->cancel);
-  int64_t timeout_ms = request.timeout_ms;
+  int64_t timeout_ms = request.run.timeout_ms;
   if (timeout_ms <= 0) timeout_ms = options_.default_timeout_ms;
   if (timeout_ms > 0) {
     const double limit = static_cast<double>(timeout_ms) / 1000.0;
     ctx.ArmDeadline(std::min(limit, ctx.RemainingSeconds()));
   }
-  if (request.max_steps > 0) {
-    const size_t steps = static_cast<size_t>(request.max_steps);
+  if (request.run.max_steps > 0) {
+    const size_t steps = static_cast<size_t>(request.run.max_steps);
     if (steps < ctx.RemainingSteps()) ctx.set_step_budget(steps);
   }
   ctx.set_progress_observer(
@@ -261,14 +261,14 @@ void JobManager::RunJob(Job* job) {
 
   // A copy, so the job record never holds pointers to this frame's context
   // and tracer.
-  AnonymizerConfig config = request.config;
+  AnonymizerConfig config = request.run.config;
   config.num_threads = options_.job_threads;
   config.run_context = &ctx;
   config.metrics = metrics_;  // Service-wide engine.*/run.* aggregates.
   config.tracer = tracer.get();
 
-  const PrecomputedLoss loss(request.scheme, request.dataset, *request.measure,
-                             options_.job_threads);
+  const PrecomputedLoss loss(request.scheme, request.dataset,
+                             *request.run.measure, options_.job_threads);
   Result<AnonymizationResult> result = Anonymize(request.dataset, loss, config);
 
   // From here on the run is finished, so reading the tracer is safe. The

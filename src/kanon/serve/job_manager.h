@@ -17,7 +17,6 @@
 #include "kanon/common/run_context.h"
 #include "kanon/data/dataset.h"
 #include "kanon/generalization/scheme.h"
-#include "kanon/loss/measure.h"
 #include "kanon/serve/table_store.h"
 #include "kanon/telemetry/flight_recorder.h"
 #include "kanon/telemetry/log.h"
@@ -31,17 +30,11 @@ namespace serve {
 struct JobRequest {
   Dataset dataset;
   std::shared_ptr<const GeneralizationScheme> scheme;
-  /// The measure the request names (never null), built once when `submit`
-  /// validated the name.
-  std::unique_ptr<LossMeasure> measure;
-  /// The run the request asks for: k, method, distance and attribute
-  /// weights. The worker runs a copy that adds only the threads, the
-  /// RunContext and the telemetry sinks.
-  AnonymizerConfig config;
-  /// Per-request execution bounds, intersected with whatever budget is
-  /// left on the server's root RunContext.
-  int64_t timeout_ms = 0;
-  int64_t max_steps = 0;
+  /// The run the request asks for, as ReadRunRequest read it from the
+  /// submit params. The worker runs a copy of its config that adds only the
+  /// threads, the RunContext and the telemetry sinks; its budgets are
+  /// intersected with whatever is left on the server's root RunContext.
+  RunRequest run;
   /// Milliseconds the worker idles (cancellably) before running — a test
   /// hook for pinning a worker slot; only honored when the manager was
   /// built with `enable_test_hooks`.

@@ -47,6 +47,38 @@ bool GetJobId(const Json& params, uint64_t* out, std::string* error) {
   return true;
 }
 
+/// A submit param as ReadRunRequest reads it. A count clamps to the int64
+/// range (Json::GetInt). A param of another kind is refused rather than read
+/// as absent, so neither `"k": "3"` nor `"attr_weights": "2,1"` runs as the
+/// default.
+Result<RunFieldValue> ParamValue(const Json& params, const RunField& field) {
+  const Json* value = params.Find(field.param);
+  if (value == nullptr) return RunFieldValue();
+  const std::string refused =
+      std::string("params.") + field.param + " must be ";
+  switch (field.kind) {
+    case RunField::Kind::kCount:
+      if (value->is_number()) {
+        return RunFieldValue(params.GetInt(field.param, 0));
+      }
+      return Status::InvalidArgument(refused + "a number");
+    case RunField::Kind::kName:
+      if (value->is_string()) return RunFieldValue(value->string_value());
+      return Status::InvalidArgument(refused + "a string");
+    case RunField::Kind::kNumbers: {
+      std::vector<double> numbers;
+      for (const Json& item : value->array_items()) {
+        if (item.is_number()) numbers.push_back(item.number_value());
+      }
+      if (value->is_array() && numbers.size() == value->array_items().size()) {
+        return RunFieldValue(std::move(numbers));
+      }
+      return Status::InvalidArgument(refused + "an array of numbers");
+    }
+  }
+  return Status::Internal("unreachable run field kind");
+}
+
 Json SnapshotToJson(const JobSnapshot& snapshot) {
   Json out = Json::Object();
   out.Set("job_id", Json::Number(static_cast<int64_t>(snapshot.id)));
@@ -337,60 +369,21 @@ std::string Server::HandleSubmit(const Request& request, uint64_t request_id) {
   JobRequest job(std::move(parsed->dataset));
   job.scheme = std::move(parsed->scheme);
 
-  const int64_t k = params.GetInt("k", 5);
-  if (k < 1) {
+  Result<RunRequest> run = ReadRunRequest(
+      [&params](const RunField& field) { return ParamValue(params, field); });
+  if (!run.ok()) {
     return ErrorResponse(request.id, ErrorCode::kInvalidParams,
-                         "params.k must be a positive integer");
+                         run.status().message());
   }
   // No method can group n rows into classes of more than n, so a larger k
   // (`"k": 1e300` clamps to INT64_MAX) is refused here, not run.
-  if (static_cast<uint64_t>(k) > job.dataset.num_rows()) {
+  if (run->config.k > job.dataset.num_rows()) {
     return ErrorResponse(request.id, ErrorCode::kInvalidParams,
                          "params.k must not exceed the table's " +
                              std::to_string(job.dataset.num_rows()) +
                              " rows");
   }
-  job.config.k = static_cast<size_t>(k);
-  Result<AnonymizationMethod> method =
-      ParseMethodShortName(params.GetString("method", "agglomerative"));
-  if (!method.ok()) {
-    return ErrorResponse(request.id, ErrorCode::kInvalidParams,
-                         method.status().message());
-  }
-  job.config.method = *method;
-  Result<DistanceFunction> distance =
-      ParseDistanceShortName(params.GetString("distance", "4"));
-  if (!distance.ok()) {
-    return ErrorResponse(request.id, ErrorCode::kInvalidParams,
-                         distance.status().message());
-  }
-  job.config.distance = *distance;
-  // Built here so a bad measure is a typed request error, not a job that
-  // fails later.
-  Result<std::unique_ptr<LossMeasure>> measure =
-      MakeMeasure(params.GetString("measure", "EM"));
-  if (!measure.ok()) {
-    return ErrorResponse(request.id, ErrorCode::kInvalidParams,
-                         measure.status().message());
-  }
-  job.measure = std::move(measure).value();
-  if (const Json* weights = params.Find("attr_weights"); weights != nullptr) {
-    // kanon_cli --attr-weights=2,1 runs weighted, so a weight list the
-    // daemon cannot read must not quietly run unweighted.
-    if (!weights->is_array()) {
-      return ErrorResponse(request.id, ErrorCode::kInvalidParams,
-                           "params.attr_weights must be an array of numbers");
-    }
-    for (const Json& w : weights->array_items()) {
-      if (!w.is_number()) {
-        return ErrorResponse(request.id, ErrorCode::kInvalidParams,
-                             "params.attr_weights must be numbers");
-      }
-      job.config.attr_weights.push_back(w.number_value());
-    }
-  }
-  job.timeout_ms = params.GetInt("timeout_ms", 0);
-  job.max_steps = params.GetInt("max_steps", 0);
+  job.run = std::move(run).value();
   job.debug_sleep_ms = params.GetInt("debug_sleep_ms", 0);
   job.publish_as = params.GetString("publish_as", "");
   job.capture_trace = params.GetBool("capture_trace", false);

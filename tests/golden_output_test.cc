@@ -103,6 +103,8 @@ TEST(GoldenOutputTest, EveryPipelineReproducesPreRefactorTables) {
         AnonymizerConfig config;
         config.k = c.k;
         config.method = method;
+        // The goldens were written under eq. (10), the library default then.
+        config.distance = DistanceFunction::kLogWeighted;
         if (regen) {
           config.num_threads = 1;
           const AnonymizationResult result =
@@ -140,9 +142,9 @@ TEST(GoldenOutputTest, EveryPipelineReproducesPreRefactorTables) {
 }
 
 // The agglomerative engine under every cluster distance, on ART rows where
-// more than a quarter repeat a tuple. The suite above runs only the library
-// default distance; kanon_cli's default (ratio, eq. 11) and Nergiz-Clifton
-// are pinned here, on an input where tuple-mates tie at every distance.
+// more than a quarter repeat a tuple. The suite above runs only eq. (10);
+// the default (ratio, eq. 11) and Nergiz-Clifton are pinned here, on an
+// input where tuple-mates tie at every distance.
 TEST(GoldenOutputTest, AgglomerativeReproducesTablesAtEveryDistance) {
   const bool regen = std::getenv("KANON_REGEN_GOLDEN") != nullptr;
   const Workload dup = DuplicateHeavyArt(300, 120, 20080407);
@@ -222,6 +224,7 @@ TEST(GoldenOutputTest, EngineCountersArePinnedUnderEm) {
     AnonymizerConfig config;
     config.k = c->k;
     config.method = pin.method;
+    config.distance = DistanceFunction::kLogWeighted;  // As the goldens.
     const EngineCounters got =
         Unwrap(Anonymize(c->dataset, loss, config)).counters;
     const EngineCounters& want = pin.counters;

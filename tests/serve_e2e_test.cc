@@ -8,9 +8,19 @@
 // attack, and the scheme cache must actually hit on resubmission.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <sstream>
 #include <string>
 #include <utility>
+#include <vector>
 
+#include "kanon/algo/anonymizer.h"
+#include "kanon/data/csv.h"
+#include "kanon/datasets/art.h"
+#include "kanon/generalization/generalized_csv.h"
+#include "kanon/generalization/scheme_spec.h"
+#include "kanon/loss/entropy_measure.h"
 #include "serve_test_util.h"
 #include "test_util.h"
 
@@ -26,18 +36,110 @@ using testing::SubmitJob;
 using testing::SyntheticCsv;
 using testing::TestServer;
 
-TEST(ServeE2eTest, AgglomerativeByteIdenticalToCliAtK2AndK5) {
+// One run request in the vocabulary both tools read: param names as the
+// wire spells them, values as text.
+struct RunRow {
+  size_t k;
+  std::vector<std::pair<std::string, std::string>> fields;
+  int cli_exit = 0;  // 3 for a degraded run.
+};
+
+// The row as kanon_cli flags: dashed names, --attr-weights=2,1.
+std::vector<std::string> RowFlags(const RunRow& row) {
+  std::vector<std::string> flags;
+  for (const auto& [param, value] : row.fields) {
+    std::string flag = param;
+    std::replace(flag.begin(), flag.end(), '_', '-');
+    flags.push_back("--" + flag + "=" + value);
+  }
+  return flags;
+}
+
+// The row as submit params: counts are numbers, weights a JSON array.
+Json RowParams(const RunRow& row) {
+  Json params = Json::Object();
+  for (const auto& [param, value] : row.fields) {
+    if (param == "max_steps" || param == "timeout_ms") {
+      params.Set(param, Json::Number(int64_t{std::stoll(value)}));
+    } else if (param == "attr_weights") {
+      Json weights = Json::Array();
+      std::istringstream list(value);
+      for (std::string w; std::getline(list, w, ',');) {
+        weights.Push(Json::Number(std::stod(w)));
+      }
+      params.Set(param, std::move(weights));
+    } else {
+      params.Set(param, Json::Str(value));
+    }
+  }
+  return params;
+}
+
+// ART n=200 as CSV text, and its hierarchies as spec text: rows on which
+// distances (10) and (11) publish different tables.
+std::pair<std::string, std::string> ArtCsvAndSpec() {
+  const Workload art = testing::Unwrap(MakeArtWorkload(200, 1));
+  std::ostringstream csv;
+  KANON_CHECK(WriteCsv(art.dataset, csv).ok(), "cannot write ART csv");
+  return {csv.str(), FormatSchemeSpec(*art.scheme)};
+}
+
+// kanon_cli and kanond read one run vocabulary: every method, distance and
+// measure, weights and a step budget publish the same bytes from both.
+TEST(ServeE2eTest, EveryRunRequestByteIdenticalToCli) {
   TestServer server;
   Client client = server.Connect();
-  const std::string csv = SyntheticCsv(48);
-  for (const size_t k : {size_t{2}, size_t{5}}) {
-    SCOPED_TRACE("k=" + std::to_string(k));
+  const auto [csv, spec] = ArtCsvAndSpec();
+  std::vector<RunRow> rows = {{5, {}}, {2, {}}};
+  for (const char* method : {"agglomerative", "modified", "forest", "kk-nn",
+                             "kk-greedy", "global", "full-domain"}) {
+    rows.push_back({5, {{"method", method}}});
+  }
+  for (const char* distance : {"1", "2", "3", "4", "nc"}) {
+    rows.push_back({5, {{"distance", distance}}});
+    rows.push_back({5, {{"method", "modified"}, {"distance", distance}}});
+  }
+  for (const char* measure : {"EM", "LM", "TM", "SUP"}) {
+    rows.push_back({5, {{"measure", measure}}});
+  }
+  rows.push_back({5, {{"attr_weights", "4,1,1,1,1,2"}}});
+  rows.push_back({5,
+                  {{"method", "kk-greedy"},
+                   {"measure", "LM"},
+                   {"attr_weights", "1,0,2,1,1,1"}}});
+  rows.push_back({5, {{"max_steps", "1"}}, 3});
+  rows.push_back({5, {{"method", "global"}, {"max_steps", "1"}}, 3});
+  for (const RunRow& row : rows) {
+    const std::vector<std::string> flags = RowFlags(row);
+    std::string trace = "k=" + std::to_string(row.k);
+    for (const std::string& flag : flags) trace += " " + flag;
+    SCOPED_TRACE(trace);
+    Json params = RowParams(row);
+    params.Set("spec", Json::Str(spec));
     const std::string from_serve =
-        ServeAnonymize(client, csv, k, Json::Object());
-    const std::string from_cli = CliAnonymize(server.dir(), csv, "", k, {});
+        ServeAnonymize(client, csv, row.k, std::move(params));
+    const std::string from_cli =
+        CliAnonymize(server.dir(), csv, spec, row.k, flags, row.cli_exit);
     EXPECT_EQ(from_serve, from_cli);
     EXPECT_FALSE(from_serve.empty());
   }
+
+  // The library's defaults are the tools' defaults: kanon_cli --k=5 with no
+  // other run flag publishes what Anonymize does with AnonymizerConfig{}
+  // plus k=5 under EM.
+  const Dataset dataset = testing::Unwrap(ReadCsvInferSchemaText(csv));
+  std::istringstream spec_text(spec);
+  const auto scheme = std::make_shared<const GeneralizationScheme>(
+      testing::Unwrap(ParseSchemeSpec(dataset.schema(), spec_text)));
+  const PrecomputedLoss loss(scheme, dataset, EntropyMeasure());
+  AnonymizerConfig config;
+  config.k = 5;
+  std::ostringstream from_library;
+  ASSERT_TRUE(WriteGeneralizedCsv(
+                  testing::Unwrap(Anonymize(dataset, loss, config)).table,
+                  from_library)
+                  .ok());
+  EXPECT_EQ(CliAnonymize(server.dir(), csv, spec, 5, {}), from_library.str());
 }
 
 TEST(ServeE2eTest, KkGreedyWithHierarchySpecByteIdenticalToCli) {

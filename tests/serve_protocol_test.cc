@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "serve_test_util.h"
@@ -198,6 +199,28 @@ TEST(ServeProtocolTest, MethodLevelParamErrorsAreTyped) {
     Json bad_k = testing::Unwrap(client.CallRaw("submit", std::move(params)));
     EXPECT_EQ(bad_k.Find("error")->GetString("code", ""), "invalid_params")
         << "k=" << k << ": " << bad_k.Dump();
+  }
+  // The run request's rules are kanon_cli's: a negative budget, a k of 0
+  // and a count or name of the wrong JSON type are refused, never run as
+  // no budget or the default.
+  const std::vector<std::pair<const char*, Json>> bad_fields = {
+      {"timeout_ms", Json::Number(int64_t{-1})},
+      {"max_steps", Json::Number(int64_t{-1})},
+      {"max_steps", Json::Number(-1e300)},
+      {"k", Json::Number(int64_t{0})},
+      {"k", Json::Str("3")},
+      {"distance", Json::Number(int64_t{3})},
+  };
+  for (const auto& [field, value] : bad_fields) {
+    params = Json::Object();
+    params.Set("csv", Json::Str(SyntheticCsv(8)));
+    params.Set(field, value);
+    Json bad = testing::Unwrap(client.CallRaw("submit", std::move(params)));
+    EXPECT_EQ(bad.Find("error")->GetString("code", ""), "invalid_params")
+        << field << "=" << value.Dump() << ": " << bad.Dump();
+    EXPECT_NE(bad.Find("error")->GetString("message", "").find(field),
+              std::string::npos)
+        << bad.Dump();
   }
 
   EXPECT_EQ(server.SignalAndWait(SIGTERM), 0) << server.Log();

@@ -130,10 +130,10 @@ Result<GeneralizationScheme> LoadScheme(const FlagParser& flags,
 }
 
 // What both run paths build from the flags before the engine starts: the
-// config, the loss measure, the execution controls and the telemetry sinks.
+// run request (config, loss measure, budgets), the execution controls and
+// the telemetry sinks.
 struct CliRun {
-  AnonymizerConfig config;
-  std::unique_ptr<LossMeasure> measure;
+  RunRequest request;
   RunContext ctx;
   std::unique_ptr<Tracer> tracer;
   std::unique_ptr<MetricsRegistry> metrics;
@@ -144,40 +144,29 @@ struct CliRun {
 
 // Fills `run` from the flags. Returns 0, or 2 on a usage error.
 int SetUpRun(const FlagParser& flags, CliRun* run) {
-  Result<std::unique_ptr<LossMeasure>> measure =
-      MakeMeasure(flags.GetString("measure", "EM"));
-  if (!measure.ok()) return UsageError(measure.status());
-  run->measure = std::move(measure).value();
-  Result<AnonymizationMethod> method =
-      ParseMethodShortName(flags.GetString("method", "agglomerative"));
-  if (!method.ok()) return UsageError(method.status());
-  Result<DistanceFunction> distance =
-      ParseDistanceShortName(flags.GetString("distance", "4"));
-  if (!distance.ok()) return UsageError(distance.status());
-
-  AnonymizerConfig& config = run->config;
-  config.k = static_cast<size_t>(flags.GetInt("k", 5));
-  config.method = *method;
-  config.distance = *distance;
+  Result<RunRequest> request =
+      ReadRunRequest([&flags](const RunField& field) {
+        return RunFieldFromFlags(flags, field);
+      });
+  if (!request.ok()) return UsageError(request.status());
+  run->request = std::move(request).value();
+  AnonymizerConfig& config = run->request.config;
   // 0 (the default) uses every core; the output does not depend on this.
   // No sweep runs more threads than it has chunks, so the clamp is moot.
   config.num_threads = ResolveNumThreads(
       static_cast<int>(std::min<int64_t>(flags.GetInt("threads", 0), INT_MAX)));
-  // Count and range validation happens in Anonymize, which knows the arity.
-  Result<std::vector<double>> weights = flags.GetDoubleList("attr-weights");
-  if (!weights.ok()) return UsageError(weights.status());
-  config.attr_weights = std::move(weights).value();
 
   // Execution controls: deadline, step budget, Ctrl-C cancellation.
   auto cancel_token = std::make_shared<CancellationToken>();
   run->ctx.set_cancel_token(cancel_token);
   g_cancel_token = cancel_token.get();
   std::signal(SIGINT, HandleSigint);
-  const int64_t max_steps = flags.GetInt("max-steps", 0);
-  if (max_steps > 0) run->ctx.set_step_budget(static_cast<size_t>(max_steps));
-  const int64_t timeout_ms = flags.GetInt("timeout-ms", 0);
-  if (timeout_ms > 0) {
-    run->ctx.ArmDeadline(static_cast<double>(timeout_ms) / 1000.0);
+  if (run->request.max_steps > 0) {
+    run->ctx.set_step_budget(static_cast<size_t>(run->request.max_steps));
+  }
+  if (run->request.timeout_ms > 0) {
+    run->ctx.ArmDeadline(static_cast<double>(run->request.timeout_ms) /
+                         1000.0);
   }
   config.run_context = &run->ctx;
 
@@ -203,9 +192,9 @@ int SetUpRun(const FlagParser& flags, CliRun* run) {
 template <typename Fields>
 std::string StatsJson(const CliRun& run, double loss, Fields fields) {
   std::string out = "{\"method\":";
-  AppendJsonString(&out, AnonymizationMethodName(run.config.method));
-  out += ",\"k\":" + std::to_string(run.config.k) + ",\"measure\":";
-  AppendJsonString(&out, run.measure->name());
+  AppendJsonString(&out, AnonymizationMethodName(run.request.config.method));
+  out += ",\"k\":" + std::to_string(run.request.config.k) + ",\"measure\":";
+  AppendJsonString(&out, run.request.measure->name());
   out += ",\"loss\":";
   AppendJsonNumber(&out, loss);
   out += ',';
@@ -273,9 +262,9 @@ int FinishRun(const FlagParser& flags, const CliRun& run,
     }
   }
 
-  const AnonymityNotion notion = PromisedNotion(run.config.method);
+  const AnonymityNotion notion = PromisedNotion(run.request.config.method);
   Result<bool> verified = SatisfiesNotion(notion, outcome.dataset,
-                                          outcome.table, run.config.k);
+                                          outcome.table, run.request.config.k);
   if (!verified.ok()) {
     std::fprintf(stderr, "verification failed: %s\n",
                  verified.status().ToString().c_str());
@@ -359,7 +348,8 @@ int ShardedMain(const FlagParser& flags, const std::string& input) {
       static_cast<size_t>(flags.GetInt("shard-attempts", 3));
 
   Result<shard::ShardedResult> result = shard::ShardedAnonymizeCsvFile(
-      input, scheme_ptr, CsvOptions(), *run.measure, run.config, options);
+      input, scheme_ptr, CsvOptions(), *run.request.measure,
+      run.request.config, options);
   if (!result.ok()) {
     std::fprintf(stderr, "sharded anonymization failed: %s\n",
                  result.status().ToString().c_str());
@@ -395,10 +385,10 @@ int ShardedMain(const FlagParser& flags, const std::string& input) {
           .summary = Printf(
               "sharded %s, k=%zu: %zu rows in %zu shards, loss(%s) = %.4f;"
               " resumed %zu, suppressed %zu, retries %zu, repaired %zu",
-              AnonymizationMethodName(run.config.method), run.config.k,
-              r.rows, r.num_shards, run.measure->name().c_str(), r.loss,
-              r.shards_resumed, r.shards_suppressed, r.shard_retries,
-              r.boundary_repaired),
+              AnonymizationMethodName(run.request.config.method),
+              run.request.config.k, r.rows, r.num_shards,
+              run.request.measure->name().c_str(), r.loss, r.shards_resumed,
+              r.shards_suppressed, r.shard_retries, r.boundary_repaired),
           .degraded_note =
               Printf("run degraded (%s): output is valid but lossier\n",
                      StopReasonName(r.stop_reason)),
@@ -412,7 +402,7 @@ int RealMain(int argc, char** argv) {
   if (input.empty()) {
     std::fprintf(stderr,
                  "usage: kanon_cli --input=records.csv --k=5 [--spec=...]"
-                 " [--method=...] [--measure=EM] [--distance=4]"
+                 " [--method=...] [--measure=M] [--distance=D]"
                  " [--attr-weights=w1,w2,...]"
                  " [--output=...] [--report] [--print-spec] [--timeout-ms=N]"
                  " [--max-steps=N] [--threads=N] [--stats-json=PATH]"
@@ -461,10 +451,10 @@ int RealMain(int argc, char** argv) {
   if (flags.GetBool("progress", false)) {
     run.ctx.set_progress_observer(progress_reporter.AsObserver());
   }
-  const PrecomputedLoss loss(scheme_ptr, dataset.value(), *run.measure,
-                             run.config.num_threads);
+  const PrecomputedLoss loss(scheme_ptr, dataset.value(), *run.request.measure,
+                             run.request.config.num_threads);
   Result<AnonymizationResult> result =
-      Anonymize(dataset.value(), loss, run.config);
+      Anonymize(dataset.value(), loss, run.request.config);
   progress_reporter.Finish();
   if (!result.ok()) {
     std::fprintf(stderr, "anonymization failed: %s\n",
@@ -516,8 +506,9 @@ int RealMain(int argc, char** argv) {
           .report = std::move(report),
           .stats_json = StatsJson(run, r.loss, fields),
           .summary = Printf("method %s, k=%zu: loss(%s) = %.4f, %.2fs",
-                            AnonymizationMethodName(run.config.method),
-                            run.config.k, loss.measure_name().c_str(), r.loss,
+                            AnonymizationMethodName(run.request.config.method),
+                            run.request.config.k,
+                            loss.measure_name().c_str(), r.loss,
                             r.elapsed_seconds),
           .degraded_note = Printf(
               "run degraded (%s) in stage %s after %zu iterations; %zu"

@@ -7,8 +7,10 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <variant>
 #include <vector>
 
+#include "kanon/algo/anonymizer.h"
 #include "kanon/common/flags.h"
 #include "kanon/serve/client.h"
 #include "kanon/serve/json.h"
@@ -18,6 +20,10 @@ namespace {
 
 using kanon::FlagParser;
 using kanon::Result;
+using kanon::RunField;
+using kanon::RunFieldFromFlags;
+using kanon::RunFieldValue;
+using kanon::RunFields;
 using kanon::Status;
 using kanon::serve::Client;
 using kanon::serve::Json;
@@ -67,28 +73,20 @@ Result<Json> SubmitParams(const FlagParser& flags) {
     KANON_ASSIGN_OR_RETURN(std::string spec, ReadFileToString(spec_path));
     params.Set("spec", Json::Str(std::move(spec)));
   }
-  if (flags.Has("k")) params.Set("k", Json::Number(flags.GetInt("k", 5)));
-  if (flags.Has("method")) {
-    params.Set("method", Json::Str(flags.GetString("method", "")));
-  }
-  if (flags.Has("distance")) {
-    params.Set("distance", Json::Str(flags.GetString("distance", "")));
-  }
-  if (flags.Has("measure")) {
-    params.Set("measure", Json::Str(flags.GetString("measure", "")));
-  }
-  if (flags.Has("attr-weights")) {
-    KANON_ASSIGN_OR_RETURN(std::vector<double> list,
-                           flags.GetDoubleList("attr-weights"));
-    Json weights = Json::Array();
-    for (double w : list) weights.Push(Json::Number(w));
-    params.Set("attr_weights", std::move(weights));
-  }
-  if (flags.Has("timeout-ms")) {
-    params.Set("timeout_ms", Json::Number(flags.GetInt("timeout-ms", 0)));
-  }
-  if (flags.Has("max-steps")) {
-    params.Set("max_steps", Json::Number(flags.GetInt("max-steps", 0)));
+  // The run request's fields, forwarded as the daemon reads them; a field
+  // the flags leave out takes the daemon's default, which is kanon_cli's.
+  for (const RunField& field : RunFields()) {
+    KANON_ASSIGN_OR_RETURN(RunFieldValue value,
+                           RunFieldFromFlags(flags, field));
+    if (const int64_t* count = std::get_if<int64_t>(&value)) {
+      params.Set(field.param, Json::Number(*count));
+    } else if (const std::string* name = std::get_if<std::string>(&value)) {
+      params.Set(field.param, Json::Str(*name));
+    } else if (const auto* numbers = std::get_if<std::vector<double>>(&value)) {
+      Json list = Json::Array();
+      for (double x : *numbers) list.Push(Json::Number(x));
+      params.Set(field.param, std::move(list));
+    }
   }
   if (flags.Has("debug-sleep-ms")) {
     params.Set("debug_sleep_ms",
