@@ -27,6 +27,7 @@
 #include <fstream>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
@@ -136,93 +137,114 @@ GeneralizedRecord LegacyClosureOfRows(const GeneralizationScheme& scheme,
   return acc;
 }
 
-// --- Kernel 1: the agglomerative distance-phase / forest nearest-neighbor
-// kernel. Legacy: one UnionCost call per pair over precomputed singleton
-// closures (exactly the init scan before the refactor). Columnar: one
-// JoinedCostSweep per anchor row, anchored at its identity closure.
-KernelTiming BenchPairSweep(const Dataset& dataset,
-                            const GeneralizationScheme& scheme,
-                            const LossKernels& kernels,
-                            const std::vector<std::vector<double>>& costs,
-                            const std::vector<GeneralizedRecord>& singles,
-                            int reps) {
+// The m nearest rows to anchor u other than u itself, lexicographic in
+// (cost, row), from costs priced one pair at a time: the legacy shape of
+// the nearest-row queries.
+template <typename PairCost>
+std::vector<std::pair<double, uint32_t>> LegacyNearest(
+    size_t n, uint32_t u, size_t m, PairCost&& cost,
+    std::vector<std::pair<double, uint32_t>>* candidates) {
+  candidates->clear();
+  for (uint32_t v = 0; v < n; ++v) {
+    if (v != u) candidates->emplace_back(cost(v), v);
+  }
+  std::partial_sort(candidates->begin(),
+                    candidates->begin() + static_cast<ptrdiff_t>(m),
+                    candidates->end());
+  return {candidates->begin(),
+          candidates->begin() + static_cast<ptrdiff_t>(m)};
+}
+
+// Times the m-nearest-row query of every anchor row u (skipping u) in the
+// legacy shape, `legacy_cost(u, v)` per pair, and through one
+// LossKernels::NearestRows sweep anchored at u's identity closure, after
+// checking on a row sample that both return the same rows and cost bits.
+template <typename LegacyCost>
+KernelTiming BenchNearestRows(const char* name, size_t m,
+                              const Dataset& dataset,
+                              const LossKernels& kernels,
+                              const std::vector<GeneralizedRecord>& singles,
+                              int reps, LegacyCost&& legacy_cost) {
   const size_t n = dataset.num_rows();
-  std::vector<double> sweep(n);
+  std::vector<uint64_t> self((n + 63) / 64, 0);
+  std::vector<LossKernels::NearestRow> nearest;
+  std::vector<std::pair<double, uint32_t>> candidates;
+  auto sweep = [&](uint32_t u) {
+    self[u >> 6] |= uint64_t{1} << (u & 63);
+    kernels.NearestRows(singles[u].data(), 0.0, self.data(), m, &nearest);
+    self[u >> 6] = 0;
+  };
 
   // Bitwise equivalence first, on a row sample (full check is O(n²) too).
   for (uint32_t u = 0; u < n; u += 17) {
-    kernels.JoinedCostSweep(singles[u].data(), sweep.data());
-    for (uint32_t v = 0; v < n; ++v) {
-      KANON_CHECK(sweep[v] ==
-                      LegacyUnionCost(scheme, costs, singles[u], singles[v]),
-                  "pair-sweep kernel diverged from the legacy loop");
+    sweep(u);
+    const std::vector<std::pair<double, uint32_t>> want = LegacyNearest(
+        n, u, m, [&](uint32_t v) { return legacy_cost(u, v); }, &candidates);
+    KANON_CHECK(nearest.size() == want.size(),
+                "nearest-row kernel diverged from the legacy loop");
+    for (size_t i = 0; i < want.size(); ++i) {
+      KANON_CHECK(nearest[i].row == want[i].second &&
+                      std::memcmp(&nearest[i].cost, &want[i].first,
+                                  sizeof(double)) == 0,
+                  "nearest-row kernel diverged from the legacy loop");
     }
   }
 
   KernelTiming t;
-  t.name = "agglomerative_distance_pair_sweep";
+  t.name = name;
   t.items = n * n;
   t.legacy_ns = TimeNs(reps, [&] {
     double sink = 0.0;
     for (uint32_t u = 0; u < n; ++u) {
-      for (uint32_t v = 0; v < n; ++v) {
-        sink += LegacyUnionCost(scheme, costs, singles[u], singles[v]);
-      }
+      sink += LegacyNearest(
+                  n, u, m, [&](uint32_t v) { return legacy_cost(u, v); },
+                  &candidates)
+                  .back()
+                  .first;
     }
     g_sink += sink;
   });
   t.columnar_ns = TimeNs(reps, [&] {
     double sink = 0.0;
     for (uint32_t u = 0; u < n; ++u) {
-      kernels.JoinedCostSweep(singles[u].data(), sweep.data());
-      for (uint32_t v = 0; v < n; ++v) sink += sweep[v];
+      sweep(u);
+      sink += nearest.back().cost;
     }
     g_sink += sink;
   });
   return t;
 }
 
-// --- Kernel 2: the (k,1) joined-cost scan of K1NearestNeighbors /
-// K1GreedyExpansion.
+// --- Kernel 1: the forest's nearest out-of-component record (m = 1).
+// Legacy: one UnionCost call per pair over precomputed singleton closures
+// (the init scan before the refactor).
+KernelTiming BenchPairSweep(const Dataset& dataset,
+                            const GeneralizationScheme& scheme,
+                            const LossKernels& kernels,
+                            const std::vector<std::vector<double>>& costs,
+                            const std::vector<GeneralizedRecord>& singles,
+                            int reps) {
+  return BenchNearestRows(
+      "agglomerative_distance_pair_sweep", 1, dataset, kernels, singles, reps,
+      [&](uint32_t u, uint32_t v) {
+        return LegacyUnionCost(scheme, costs, singles[u], singles[v]);
+      });
+}
+
+// --- Kernel 2: the (k,1) nearest-neighbor scan of K1NearestNeighbors, the
+// k − 1 = 9 nearest records of every row. Legacy: one joined cost of the
+// closure and a dataset row through checked accessors per pair.
 KernelTiming BenchJoinedSweep(const Dataset& dataset,
                               const GeneralizationScheme& scheme,
                               const LossKernels& kernels,
                               const std::vector<std::vector<double>>& costs,
                               const std::vector<GeneralizedRecord>& singles,
                               int reps) {
-  const size_t n = dataset.num_rows();
-  std::vector<double> sweep(n);
-
-  for (uint32_t u = 0; u < n; u += 17) {
-    kernels.JoinedCostSweep(singles[u].data(), sweep.data());
-    for (uint32_t v = 0; v < n; ++v) {
-      KANON_CHECK(sweep[v] ==
-                      LegacyJoinedCost(scheme, costs, dataset, singles[u], v),
-                  "joined-sweep kernel diverged from the legacy loop");
-    }
-  }
-
-  KernelTiming t;
-  t.name = "k1_joined_cost_sweep";
-  t.items = n * n;
-  t.legacy_ns = TimeNs(reps, [&] {
-    double sink = 0.0;
-    for (uint32_t u = 0; u < n; ++u) {
-      for (uint32_t v = 0; v < n; ++v) {
-        sink += LegacyJoinedCost(scheme, costs, dataset, singles[u], v);
-      }
-    }
-    g_sink += sink;
-  });
-  t.columnar_ns = TimeNs(reps, [&] {
-    double sink = 0.0;
-    for (uint32_t u = 0; u < n; ++u) {
-      kernels.JoinedCostSweep(singles[u].data(), sweep.data());
-      for (uint32_t v = 0; v < n; ++v) sink += sweep[v];
-    }
-    g_sink += sink;
-  });
-  return t;
+  return BenchNearestRows(
+      "k1_joined_cost_sweep", 9, dataset, kernels, singles, reps,
+      [&](uint32_t u, uint32_t v) {
+        return LegacyJoinedCost(scheme, costs, dataset, singles[u], v);
+      });
 }
 
 // --- Kernel 3: ClosureOfRows over cluster-sized row sets (the closure

@@ -276,7 +276,7 @@ class AgglomerativeEngine {
   // distinct tuples, and a pair's distance depends on its two tuples only.
   //
   // Per tuple t, one sweep prices every tuple s (a joined-cost table
-  // anchored at t, so the bits of JoinedCostSweep and UnionCost) and keeps
+  // anchored at t, so the bits of NearestRows and UnionCost) and keeps
   // the smallest (d, row) keys over the rows of the other tuples; s offers
   // its rows in ascending id and stops at the first reject. A row's keys
   // are then its tuple's merged with its tuple-mates at d(t, t). The kept

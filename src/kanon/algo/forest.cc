@@ -53,27 +53,20 @@ class ForestBuilder {
 
   bool Stopped() const { return ctx_ != nullptr && ctx_->stopped(); }
 
-  // Refreshes record u's cached nearest out-of-component record. One
-  // columnar sweep anchored at R_u's identity closure fills
-  // w(u, v) = d({R_u, R_v}) for every v, then a serial
-  // ascending scan picks the minimum — same strict comparison and tie
-  // order as the per-pair loop it replaced.
+  // Refreshes record u's cached nearest out-of-component record by
+  // pairwise closure cost w(u, v) = d({R_u, R_v}): one NearestRows sweep
+  // anchored at R_u's identity closure, skipping u's component, ties to the
+  // lower index.
   void RecomputeBest(uint32_t u) {
     if (counters_ != nullptr) ++counters_->rescans;
-    const uint32_t root = uf_.Find(u);
-    best_v_[u] = kNone;
-    best_w_[u] = std::numeric_limits<double>::infinity();
-    pair_w_.resize(n_);
-    kernels_.JoinedCostSweep(scheme_.Identity(dataset_.row_view(u)).data(),
-                             pair_w_.data());
-    for (uint32_t v = 0; v < n_; ++v) {
-      if (uf_.Find(v) == root) continue;
-      const double w = pair_w_[v];
-      if (w < best_w_[u]) {
-        best_w_[u] = w;
-        best_v_[u] = v;
-      }
-    }
+    const std::vector<uint32_t>& component = members_[uf_.Find(u)];
+    for (uint32_t v : component) skip_[v >> 6] |= uint64_t{1} << (v & 63);
+    kernels_.NearestRows(scheme_.Identity(dataset_.row_view(u)).data(), 0.0,
+                         skip_.data(), 1, &nearest_);
+    for (uint32_t v : component) skip_[v >> 6] = 0;
+    best_v_[u] = nearest_.empty() ? kNone : nearest_[0].row;
+    best_w_[u] = nearest_.empty() ? std::numeric_limits<double>::infinity()
+                                  : nearest_[0].cost;
   }
 
   // Phase 1: every component reaches size >= k.
@@ -83,6 +76,7 @@ class ForestBuilder {
       init_span.set_items(n_);
       best_v_.assign(n_, kNone);
       best_w_.assign(n_, std::numeric_limits<double>::infinity());
+      skip_.assign((n_ + 63) / 64, 0);
       members_.assign(n_, {});
       adjacency_.assign(n_, {});
       for (uint32_t i = 0; i < n_; ++i) members_[i] = {i};
@@ -310,7 +304,10 @@ class ForestBuilder {
   UnionFind uf_;
   std::vector<uint32_t> best_v_;
   std::vector<double> best_w_;
-  std::vector<double> pair_w_;  // RecomputeBest scratch, reused per call.
+  // RecomputeBest scratch: the component's bits, cleared after each call,
+  // and the sweep's answer.
+  std::vector<uint64_t> skip_;
+  std::vector<LossKernels::NearestRow> nearest_;
   std::vector<std::vector<uint32_t>> members_;    // Indexed by root.
   std::vector<std::vector<uint32_t>> adjacency_;  // The grown forest.
 };

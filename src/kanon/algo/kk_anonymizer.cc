@@ -123,8 +123,8 @@ Result<GeneralizedTable> K1NearestNeighbors(const Dataset& dataset,
 
   // Row i's output — the closure of R_i and its k−1 nearest records by
   // pairwise closure cost d({R_i, R_j}) — depends only on i, so the O(n²·r)
-  // scan fans out row-wise. Each row's candidate costs come from one
-  // columnar sweep anchored at R_i's identity closure. Failpoints cannot
+  // scan fans out row-wise. Each row's k−1 nearest records come from one
+  // NearestRows sweep anchored at R_i's identity closure. Failpoints cannot
   // early-return across a lambda; each chunk records the first injected
   // failure in its slot instead.
   const LossKernels kernels(dataset, loss);
@@ -134,9 +134,8 @@ Result<GeneralizedTable> K1NearestNeighbors(const Dataset& dataset,
   ParallelChunks(
       n, num_threads, ctx, "kk/k1-nn",
       [&](size_t chunk, size_t begin, size_t end) {
-        std::vector<std::pair<double, uint32_t>> candidates;
-        candidates.reserve(n);
-        std::vector<double> pair(n);
+        std::vector<uint64_t> self((n + 63) / 64, 0);
+        std::vector<LossKernels::NearestRow> nearest;
         std::vector<uint32_t> cluster;
         for (size_t i = begin; i < end; ++i) {
           if (failpoint::AnyArmed()) {
@@ -146,20 +145,14 @@ Result<GeneralizedTable> K1NearestNeighbors(const Dataset& dataset,
               return;
             }
           }
-          kernels.JoinedCostSweep(scheme.Identity(dataset.row_view(i)).data(),
-                                  pair.data());
-          candidates.clear();
-          for (uint32_t j = 0; j < n; ++j) {
-            if (j == i) continue;
-            // The candidate weight is the pairwise closure cost d({R_i, R_j}).
-            candidates.emplace_back(pair[j], j);
-          }
-          std::partial_sort(candidates.begin(),
-                            candidates.begin() + static_cast<ptrdiff_t>(k - 1),
-                            candidates.end());
+          // The candidate weight is the pairwise closure cost d({R_i, R_j}).
+          self[i >> 6] |= uint64_t{1} << (i & 63);
+          kernels.NearestRows(scheme.Identity(dataset.row_view(i)).data(), 0.0,
+                              self.data(), k - 1, &nearest);
+          self[i >> 6] = 0;
           cluster.assign(1, static_cast<uint32_t>(i));
-          for (size_t t = 0; t + 1 < k; ++t) {
-            cluster.push_back(candidates[t].second);
+          for (const LossKernels::NearestRow& near : nearest) {
+            cluster.push_back(near.row);
           }
           scheme.ClosureOfRows(dataset, cluster, cells.data() + i * r);
           done[i] = 1;
@@ -227,7 +220,7 @@ Result<GeneralizedTable> K1GreedyExpansion(const Dataset& dataset,
         [&](size_t chunk, size_t begin, size_t end) {
           chunk_ran[chunk] = 1;
           std::vector<uint64_t> covered(cover.num_words());
-          std::vector<double> joined(n);
+          std::vector<LossKernels::NearestRow> nearest;
           for (size_t f = begin; f < end; ++f) {
             if (failpoint::AnyArmed()) {
               Status s = failpoint::Check("kk.closure");
@@ -241,22 +234,13 @@ Result<GeneralizedTable> K1GreedyExpansion(const Dataset& dataset,
               steps[f] = kFinal;
               continue;
             }
-            const double closure_cost = loss.RecordCost(c);
-            kernels.JoinedCostSweep(c, joined.data());
-            uint32_t best = std::numeric_limits<uint32_t>::max();
-            double best_delta = std::numeric_limits<double>::infinity();
-            for (uint32_t j = 0; j < n; ++j) {
-              if (ConsistencyIndex::Has(covered.data(), j)) continue;
-              // dist(S, R_j) = d(S ∪ {R_j}) − d(S).
-              const double delta = joined[j] - closure_cost;
-              if (delta < best_delta) {
-                best_delta = delta;
-                best = j;
-              }
-            }
-            KANON_CHECK(best != std::numeric_limits<uint32_t>::max(),
+            // dist(S, R_j) = d(S ∪ {R_j}) − d(S) over the uncovered rows.
+            kernels.NearestRows(c, loss.RecordCost(c), covered.data(), 1,
+                                &nearest);
+            KANON_CHECK(!nearest.empty(),
                         "expansion must find a record while fewer than "
                         "k <= n rows are covered");
+            const uint32_t best = nearest[0].row;
             SetId* out = grown.data() + f * r;
             for (size_t a = 0; a < r; ++a) {
               out[a] = scheme.hierarchy(a).JoinValue(c[a], dataset.at(best, a));
@@ -316,13 +300,16 @@ Result<GeneralizedTable> Make1KAnonymous(const Dataset& dataset,
   }
   PhaseSpan phase(CurrentTracer(), "kk/repair");
   const size_t n = dataset.num_rows();
-  const size_t r = dataset.num_attributes();
 
   // Upgrades applied for record i change what later records see, so the
   // loop is sequential (and keeps its per-record checkpoint). ℓ is one
   // popcount; only a record short of k consistent rows prices the rows
   // outside its mask, in ascending t, so the partial_sort below picks the
-  // rows a full scan would.
+  // rows a full scan would. Each such record fills one cover table, what
+  // covering it adds to every set's cost, so a candidate costs one lookup
+  // per attribute.
+  const LossKernels kernels(dataset, loss);
+  std::vector<double> cover(kernels.joined_table_size());
   ConsistencyIndex index(table);
   std::vector<uint64_t> consistent_rows(index.num_words());
   std::vector<std::pair<double, uint32_t>> candidates;
@@ -337,13 +324,13 @@ Result<GeneralizedTable> Make1KAnonymous(const Dataset& dataset,
     if (consistent >= k) continue;
     const size_t deficit = k - consistent;
     if (counters != nullptr) counters->upgrade_steps += deficit;
+    kernels.FillCoverCostTable(record, cover.data());
     candidates.clear();
     for (uint32_t t = 0; t < n; ++t) {
       if (ConsistencyIndex::Has(consistent_rows.data(), t)) continue;
       // Price of upgrading R̄_t to cover R_i: c(R_i + R̄_t) − c(R̄_t).
       candidates.emplace_back(
-          loss.CoverCost(table.row_data(t), record) / static_cast<double>(r),
-          t);
+          kernels.TableUnionCost(cover.data(), table.row_data(t)), t);
     }
     KANON_CHECK(candidates.size() >= deficit,
                 "not enough records to generalize (k > n?)");

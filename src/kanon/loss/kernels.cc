@@ -1,6 +1,8 @@
 #include "kanon/loss/kernels.h"
 
 #include <algorithm>
+#include <cstddef>
+#include <limits>
 #include <vector>
 
 #include "kanon/common/check.h"
@@ -30,13 +32,15 @@ LossKernels::LossKernels(const Dataset& dataset, const PrecomputedLoss& loss)
     };
     table_offsets_.push_back(table_size_);
     table_size_ += h.num_sets();
+    domain_offsets_.push_back(domain_total_);
+    domain_total_ += h.domain_size();
   }
 }
 
 namespace {
 
 // Per-thread scratch for the per-value gather table, grown to the largest
-// domain the thread has seen: a warm sweep allocates nothing.
+// one the thread has seen: a warm sweep allocates nothing.
 double* ScratchTable(size_t size) {
   thread_local std::vector<double> table;
   if (table.size() < size) table.resize(size);
@@ -45,29 +49,59 @@ double* ScratchTable(size_t size) {
 
 }  // namespace
 
-void LossKernels::AddJoinedCosts(const AttrTables& a, const SetId* join_row,
-                                 double* out) const {
-  // One cost per domain value, then one gather per row: the values and the
-  // ascending-attribute add order of costs[join_row[leaf[col[v]]]], so the
-  // same bits.
-  double* cost = ScratchTable(a.domain_size);
-  for (size_t v = 0; v < a.domain_size; ++v) {
-    cost[v] = a.costs[join_row[a.leaf[v]]];
-  }
-  for (size_t v = 0; v < n_; ++v) {
-    out[v] += cost[a.col[v]];
-  }
-}
-
-void LossKernels::JoinedCostSweep(const SetId* closure, double* out) const {
-  std::fill(out, out + n_, 0.0);
+void LossKernels::NearestRows(const SetId* anchor, double base,
+                              const uint64_t* skip, size_t m,
+                              std::vector<NearestRow>* out) const {
+  out->clear();
+  m = std::min(m, n_);
+  if (m == 0) return;
+  // One joined cost per domain value, c_j(anchor_j ⊔ {value}), so a row
+  // costs one gather per attribute; then the m sums kept so far.
+  double* value_cost = ScratchTable(domain_total_ + m);
+  double* kept = value_cost + domain_total_;  // kept[i]: out[i]'s sum.
   for (size_t j = 0; j < attrs_.size(); ++j) {
     const AttrTables& a = attrs_[j];
-    AddJoinedCosts(a, a.join + static_cast<size_t>(closure[j]) * a.num_sets,
-                   out);
+    const SetId* join_row =
+        a.join + static_cast<size_t>(anchor[j]) * a.num_sets;
+    double* cost = value_cost + domain_offsets_[j];
+    for (size_t v = 0; v < a.domain_size; ++v) {
+      cost[v] = a.costs[join_row[a.leaf[v]]];
+    }
   }
-  for (size_t v = 0; v < n_; ++v) {
-    out[v] /= r_as_double_;
+  // Blocks of rows small enough that their sums stay in L1 across the
+  // per-attribute passes; the terms are added in ascending attribute order.
+  constexpr size_t kBlock = 1024;
+  double sums[kBlock];
+  // The m-th best's undivided sum once m rows are kept. x -> x / r - base
+  // never decreases and rows arrive in ascending index, so a row whose sum
+  // exceeds it cannot enter: only the rest pay the division, the
+  // subtraction and the skip test.
+  double limit = std::numeric_limits<double>::infinity();
+  for (size_t begin = 0; begin < n_; begin += kBlock) {
+    const size_t len = std::min(kBlock, n_ - begin);
+    std::fill(sums, sums + len, 0.0);
+    for (size_t j = 0; j < attrs_.size(); ++j) {
+      const double* cost = value_cost + domain_offsets_[j];
+      const ValueCode* col = attrs_[j].col + begin;
+      for (size_t i = 0; i < len; ++i) sums[i] += cost[col[i]];
+    }
+    for (size_t i = 0; i < len; ++i) {
+      if (!(sums[i] <= limit)) continue;
+      const size_t v = begin + i;
+      if ((skip[v >> 6] >> (v & 63)) & 1) continue;
+      const double cost = sums[i] / r_as_double_ - base;
+      // A kept row with an equal cost has a lower index and stays ahead.
+      size_t pos = out->size();
+      while (pos > 0 && cost < (*out)[pos - 1].cost) --pos;
+      if (pos == m) continue;
+      if (out->size() == m) out->pop_back();
+      const size_t size = out->size();
+      out->insert(out->begin() + static_cast<ptrdiff_t>(pos),
+                  NearestRow{cost, static_cast<uint32_t>(v)});
+      std::copy_backward(kept + pos, kept + size, kept + size + 1);
+      kept[pos] = sums[i];
+      if (size + 1 == m) limit = kept[m - 1];
+    }
   }
 }
 
@@ -79,6 +113,19 @@ void LossKernels::FillJoinedCostTable(const SetId* anchor,
         t.join + static_cast<size_t>(anchor[j]) * t.num_sets;
     double* out = table + table_offsets_[j];
     for (size_t s = 0; s < t.num_sets; ++s) out[s] = t.costs[join_row[s]];
+  }
+}
+
+void LossKernels::FillCoverCostTable(RowView x, double* table) const {
+  for (size_t j = 0; j < attrs_.size(); ++j) {
+    const AttrTables& t = attrs_[j];
+    // The join table is symmetric, so s ⊔ {x_j} reads along leaf(x_j)'s row.
+    const SetId* join_row =
+        t.join + static_cast<size_t>(t.leaf[x[j]]) * t.num_sets;
+    double* out = table + table_offsets_[j];
+    for (size_t s = 0; s < t.num_sets; ++s) {
+      out[s] = t.costs[join_row[s]] - t.costs[s];
+    }
   }
 }
 

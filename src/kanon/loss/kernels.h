@@ -1,6 +1,7 @@
 #ifndef KANON_LOSS_KERNELS_H_
 #define KANON_LOSS_KERNELS_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "kanon/data/dataset.h"
@@ -31,13 +32,24 @@ class LossKernels {
   LossKernels(const LossKernels&) = delete;
   LossKernels& operator=(const LossKernels&) = delete;
 
-  /// out[v] = c(closure + R_v) for every dataset row v (out holds one
-  /// double per row), `closure` being a row of r set ids. Anchored at a
-  /// cluster closure it is the (k,1) greedy sweep's "cost of absorbing row
-  /// v" scan; anchored at row u's identity closure (its leaf ids) it gives
-  /// the pairwise closure costs d({R_u, R_v}) of the forest and (k,1)
-  /// nearest-neighbor scans, out[u] being d({R_u}).
-  void JoinedCostSweep(const SetId* closure, double* out) const;
+  /// One answer of NearestRows: a row and its cost c(anchor ⊔ R_row) − base.
+  struct NearestRow {
+    double cost;
+    uint32_t row;
+  };
+
+  /// The m lexicographically smallest pairs (c(anchor ⊔ R_v) − base, v)
+  /// over the dataset rows v whose bit is clear in `skip` (⌈n/64⌉ words,
+  /// bit v % 64 of word v / 64: the ConsistencyIndex mask layout),
+  /// ascending, into `out`: fewer than m when fewer rows are left.
+  /// `anchor` is a row of r set ids.
+  /// Each cost has the bits of UnionCost(anchor, identity of R_v) − base.
+  /// Anchored at a cluster closure with base c(C) this is the (k,1) greedy
+  /// step's cheapest uncovered row; anchored at row u's identity closure
+  /// with base 0 it is u's nearest neighbors by pairwise closure cost
+  /// d({R_u, R_v}), for the (k,1) nearest-neighbor scan and the forest.
+  void NearestRows(const SetId* anchor, double base, const uint64_t* skip,
+                   size_t m, std::vector<NearestRow>* out) const;
 
   /// d(A ∪ B) of two generalized records given as rows of
   /// num_attributes() set ids, attribute-wise through the raw join tables
@@ -53,6 +65,13 @@ class LossKernels {
   /// that prices many rows against one anchor then reads one table entry
   /// per attribute (TableUnionCost) instead of a join and a cost.
   void FillJoinedCostTable(const SetId* anchor, double* table) const;
+
+  /// Fills `table` (joined_table_size() doubles) with what covering the
+  /// record `x` adds to each set's cost: for attribute j and set s,
+  /// c_j(s ⊔ {x_j}) − c_j(s). TableUnionCost(table, row) is then
+  /// PrecomputedLoss::CoverCost(row, x) / r with the same bits, which is how
+  /// Algorithm 5 prices its upgrade candidates.
+  void FillCoverCostTable(RowView x, double* table) const;
 
   /// UnionCost(anchor, b) through a table filled for the anchor: the same
   /// terms added in the same order, so the same bits.
@@ -81,14 +100,11 @@ class LossKernels {
     size_t domain_size;     // |A_j|: the packed column's codes are below it.
   };
 
-  // out[v] += costs[join_row[leaf[col[v]]]] for every row v, through a
-  // per-call table of the domain's joined costs.
-  void AddJoinedCosts(const AttrTables& a, const SetId* join_row,
-                      double* out) const;
-
   std::vector<ValueCode> columns_;  // Attribute-major dataset, r x n.
   std::vector<AttrTables> attrs_;
   std::vector<size_t> table_offsets_;  // Attribute j's slice of a table.
+  std::vector<size_t> domain_offsets_;  // Attribute j's slice of the
+  size_t domain_total_ = 0;             // per-value costs NearestRows fills.
   size_t table_size_ = 0;
   size_t n_;
   double r_as_double_;  // Divisor; division order matches the scalar loops.

@@ -36,35 +36,69 @@ ErrorCode CodeForStatus(const Status& status) {
   }
 }
 
-/// Fetches a required positive integer param; a kNone error code on success.
-bool GetJobId(const Json& params, uint64_t* out, std::string* error) {
-  const int64_t id = params.GetInt("job_id", 0);
-  if (id < 1) {
-    *error = "params.job_id (positive integer) is required";
-    return false;
-  }
-  *out = static_cast<uint64_t>(id);
-  return true;
+/// An optional param of one JSON type: absent reads as `fallback`, a value
+/// of another type is refused rather than read as absent, so neither
+/// `"spec": 5` nor `"notion": 3` runs as the default.
+Result<std::string> StringParam(const Json& params, const char* key,
+                                std::string fallback) {
+  const Json* value = params.Find(key);
+  if (value == nullptr) return fallback;
+  if (value->is_string()) return value->string_value();
+  return Status::InvalidArgument(std::string("params.") + key +
+                                 " must be a string");
 }
 
-/// A submit param as ReadRunRequest reads it. A count clamps to the int64
-/// range (Json::GetInt). A param of another kind is refused rather than read
-/// as absent, so neither `"k": "3"` nor `"attr_weights": "2,1"` runs as the
-/// default.
+/// The same for a number, read as an integer clamped to the int64 range
+/// (Json::GetInt).
+Result<int64_t> IntParam(const Json& params, const char* key,
+                         int64_t fallback) {
+  const Json* value = params.Find(key);
+  if (value == nullptr) return fallback;
+  if (value->is_number()) return params.GetInt(key, fallback);
+  return Status::InvalidArgument(std::string("params.") + key +
+                                 " must be a number");
+}
+
+/// The same for a boolean.
+Result<bool> BoolParam(const Json& params, const char* key, bool fallback) {
+  const Json* value = params.Find(key);
+  if (value == nullptr) return fallback;
+  if (value->is_bool()) return value->bool_value();
+  return Status::InvalidArgument(std::string("params.") + key +
+                                 " must be a boolean");
+}
+
+/// Fetches the required positive integer param job_id.
+Result<uint64_t> GetJobId(const Json& params) {
+  KANON_ASSIGN_OR_RETURN(const int64_t id, IntParam(params, "job_id", 0));
+  if (id < 1) {
+    return Status::InvalidArgument(
+        "params.job_id (positive integer) is required");
+  }
+  return static_cast<uint64_t>(id);
+}
+
+std::string InvalidParams(const Request& request, const Status& status) {
+  return ErrorResponse(request.id, ErrorCode::kInvalidParams,
+                       status.message());
+}
+
+/// A submit param as ReadRunRequest reads it, refused like the others when
+/// of another JSON type, so neither `"k": "3"` nor `"attr_weights": "2,1"`
+/// runs as the default.
 Result<RunFieldValue> ParamValue(const Json& params, const RunField& field) {
   const Json* value = params.Find(field.param);
   if (value == nullptr) return RunFieldValue();
-  const std::string refused =
-      std::string("params.") + field.param + " must be ";
   switch (field.kind) {
-    case RunField::Kind::kCount:
-      if (value->is_number()) {
-        return RunFieldValue(params.GetInt(field.param, 0));
-      }
-      return Status::InvalidArgument(refused + "a number");
-    case RunField::Kind::kName:
-      if (value->is_string()) return RunFieldValue(value->string_value());
-      return Status::InvalidArgument(refused + "a string");
+    case RunField::Kind::kCount: {
+      KANON_ASSIGN_OR_RETURN(int64_t count, IntParam(params, field.param, 0));
+      return RunFieldValue(count);
+    }
+    case RunField::Kind::kName: {
+      KANON_ASSIGN_OR_RETURN(std::string name,
+                             StringParam(params, field.param, ""));
+      return RunFieldValue(std::move(name));
+    }
     case RunField::Kind::kNumbers: {
       std::vector<double> numbers;
       for (const Json& item : value->array_items()) {
@@ -73,7 +107,8 @@ Result<RunFieldValue> ParamValue(const Json& params, const RunField& field) {
       if (value->is_array() && numbers.size() == value->array_items().size()) {
         return RunFieldValue(std::move(numbers));
       }
-      return Status::InvalidArgument(refused + "an array of numbers");
+      return Status::InvalidArgument(std::string("params.") + field.param +
+                                     " must be an array of numbers");
     }
   }
   return Status::Internal("unreachable run field kind");
@@ -360,8 +395,10 @@ std::string Server::HandleSubmit(const Request& request, uint64_t request_id) {
     return ErrorResponse(request.id, ErrorCode::kInvalidParams,
                          "params.csv (string) is required");
   }
-  Result<ParsedTable> parsed = ParseCsvAndSpec(
-      csv->string_value(), params.GetString("spec", ""), schemes_);
+  const Result<std::string> spec = StringParam(params, "spec", "");
+  if (!spec.ok()) return InvalidParams(request, spec.status());
+  Result<ParsedTable> parsed =
+      ParseCsvAndSpec(csv->string_value(), *spec, schemes_);
   if (!parsed.ok()) {
     return ErrorResponse(request.id, ErrorCode::kInvalidParams,
                          parsed.status().ToString());
@@ -383,10 +420,16 @@ std::string Server::HandleSubmit(const Request& request, uint64_t request_id) {
                              std::to_string(job.dataset.num_rows()) +
                              " rows");
   }
+  const Result<int64_t> sleep_ms = IntParam(params, "debug_sleep_ms", 0);
+  if (!sleep_ms.ok()) return InvalidParams(request, sleep_ms.status());
+  Result<std::string> publish_as = StringParam(params, "publish_as", "");
+  if (!publish_as.ok()) return InvalidParams(request, publish_as.status());
+  const Result<bool> trace = BoolParam(params, "capture_trace", false);
+  if (!trace.ok()) return InvalidParams(request, trace.status());
   job.run = std::move(run).value();
-  job.debug_sleep_ms = params.GetInt("debug_sleep_ms", 0);
-  job.publish_as = params.GetString("publish_as", "");
-  job.capture_trace = params.GetBool("capture_trace", false);
+  job.debug_sleep_ms = *sleep_ms;
+  job.publish_as = std::move(publish_as).value();
+  job.capture_trace = *trace;
 
   SubmitDenied denied = SubmitDenied::kNone;
   Result<uint64_t> job_id = jobs_->Submit(std::move(job), &denied);
@@ -411,11 +454,9 @@ std::string Server::HandleSubmit(const Request& request, uint64_t request_id) {
 }
 
 std::string Server::HandlePoll(const Request& request) {
-  uint64_t job_id = 0;
-  std::string error;
-  if (!GetJobId(request.params, &job_id, &error)) {
-    return ErrorResponse(request.id, ErrorCode::kInvalidParams, error);
-  }
+  const Result<uint64_t> id = GetJobId(request.params);
+  if (!id.ok()) return InvalidParams(request, id.status());
+  const uint64_t job_id = *id;
   JobSnapshot snapshot;
   if (!jobs_->Snapshot(job_id, &snapshot)) {
     return ErrorResponse(request.id, ErrorCode::kNotFound,
@@ -425,11 +466,9 @@ std::string Server::HandlePoll(const Request& request) {
 }
 
 std::string Server::HandleFetch(const Request& request) {
-  uint64_t job_id = 0;
-  std::string error;
-  if (!GetJobId(request.params, &job_id, &error)) {
-    return ErrorResponse(request.id, ErrorCode::kInvalidParams, error);
-  }
+  const Result<uint64_t> id = GetJobId(request.params);
+  if (!id.ok()) return InvalidParams(request, id.status());
+  const uint64_t job_id = *id;
   Result<std::string> csv = jobs_->FetchCsv(job_id);
   if (!csv.ok()) {
     return ErrorResponse(request.id, CodeForStatus(csv.status()),
@@ -442,11 +481,9 @@ std::string Server::HandleFetch(const Request& request) {
 }
 
 std::string Server::HandleCancel(const Request& request) {
-  uint64_t job_id = 0;
-  std::string error;
-  if (!GetJobId(request.params, &job_id, &error)) {
-    return ErrorResponse(request.id, ErrorCode::kInvalidParams, error);
-  }
+  const Result<uint64_t> id = GetJobId(request.params);
+  if (!id.ok()) return InvalidParams(request, id.status());
+  const uint64_t job_id = *id;
   if (!jobs_->Cancel(job_id)) {
     return ErrorResponse(request.id, ErrorCode::kNotFound,
                          "no job " + std::to_string(job_id));
@@ -459,7 +496,9 @@ std::string Server::HandleCancel(const Request& request) {
 
 std::string Server::HandleRegisterTable(const Request& request) {
   const Json& params = request.params;
-  const std::string name = params.GetString("name", "");
+  const Result<std::string> name_param = StringParam(params, "name", "");
+  if (!name_param.ok()) return InvalidParams(request, name_param.status());
+  const std::string& name = *name_param;
   if (name.empty()) {
     return ErrorResponse(request.id, ErrorCode::kInvalidParams,
                          "params.name (non-empty string) is required");
@@ -472,8 +511,10 @@ std::string Server::HandleRegisterTable(const Request& request) {
         request.id, ErrorCode::kInvalidParams,
         "params.csv and params.generalized_csv (strings) are required");
   }
-  Result<ParsedTable> parsed = ParseCsvAndSpec(
-      csv->string_value(), params.GetString("spec", ""), schemes_);
+  const Result<std::string> spec = StringParam(params, "spec", "");
+  if (!spec.ok()) return InvalidParams(request, spec.status());
+  Result<ParsedTable> parsed =
+      ParseCsvAndSpec(csv->string_value(), *spec, schemes_);
   if (!parsed.ok()) {
     return ErrorResponse(request.id, ErrorCode::kInvalidParams,
                          parsed.status().ToString());
@@ -505,19 +546,25 @@ std::string Server::HandleRegisterTable(const Request& request) {
 
 std::string Server::HandleVerify(const Request& request) {
   const Json& params = request.params;
-  const std::string name = params.GetString("table", "");
+  const Result<std::string> table = StringParam(params, "table", "");
+  if (!table.ok()) return InvalidParams(request, table.status());
+  const std::string& name = *table;
   const std::shared_ptr<const PublishedTable> published = tables_.Find(name);
   if (published == nullptr) {
     return ErrorResponse(request.id, ErrorCode::kNotFound,
                          "no published table '" + name + "'");
   }
-  const int64_t k = params.GetInt("k", 0);
+  const Result<int64_t> k_param = IntParam(params, "k", 0);
+  if (!k_param.ok()) return InvalidParams(request, k_param.status());
+  const int64_t k = *k_param;
   if (k < 1) {
     return ErrorResponse(request.id, ErrorCode::kInvalidParams,
                          "params.k must be a positive integer");
   }
-  Result<AnonymityNotion> notion =
-      ParseNotionShortName(params.GetString("notion", "k-anonymity"));
+  const Result<std::string> notion_name =
+      StringParam(params, "notion", "k-anonymity");
+  if (!notion_name.ok()) return InvalidParams(request, notion_name.status());
+  Result<AnonymityNotion> notion = ParseNotionShortName(*notion_name);
   if (!notion.ok()) {
     return ErrorResponse(request.id, ErrorCode::kInvalidParams,
                          notion.status().message());
@@ -546,13 +593,17 @@ std::string Server::HandleVerify(const Request& request) {
 
 std::string Server::HandleAttack(const Request& request) {
   const Json& params = request.params;
-  const std::string name = params.GetString("table", "");
+  const Result<std::string> table = StringParam(params, "table", "");
+  if (!table.ok()) return InvalidParams(request, table.status());
+  const std::string& name = *table;
   const std::shared_ptr<const PublishedTable> published = tables_.Find(name);
   if (published == nullptr) {
     return ErrorResponse(request.id, ErrorCode::kNotFound,
                          "no published table '" + name + "'");
   }
-  const int64_t k = params.GetInt("k", 0);
+  const Result<int64_t> k_param = IntParam(params, "k", 0);
+  if (!k_param.ok()) return InvalidParams(request, k_param.status());
+  const int64_t k = *k_param;
   if (k < 1) {
     return ErrorResponse(request.id, ErrorCode::kInvalidParams,
                          "params.k must be a positive integer");
@@ -578,11 +629,9 @@ std::string Server::HandleAttack(const Request& request) {
 }
 
 std::string Server::HandleFetchTrace(const Request& request) {
-  uint64_t job_id = 0;
-  std::string error;
-  if (!GetJobId(request.params, &job_id, &error)) {
-    return ErrorResponse(request.id, ErrorCode::kInvalidParams, error);
-  }
+  const Result<uint64_t> id = GetJobId(request.params);
+  if (!id.ok()) return InvalidParams(request, id.status());
+  const uint64_t job_id = *id;
   Result<std::string> trace = jobs_->FetchTrace(job_id);
   if (!trace.ok()) {
     return ErrorResponse(request.id, CodeForStatus(trace.status()),

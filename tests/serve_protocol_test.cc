@@ -226,6 +226,68 @@ TEST(ServeProtocolTest, MethodLevelParamErrorsAreTyped) {
   EXPECT_EQ(server.SignalAndWait(SIGTERM), 0) << server.Log();
 }
 
+// Every param of a JSON type other than its own is refused, never read as
+// absent: `"spec": 5` would run suppression-only hierarchies and
+// `"notion": 3` would verify k-anonymity.
+TEST(ServeProtocolTest, WronglyTypedParamsAreRefused) {
+  TestServer server;
+  Client client = server.Connect();
+  const std::string csv = SyntheticCsv(8);
+  const auto table_params = [&csv](const char* name) {
+    Json params = Json::Object();
+    params.Set("name", Json::Str(name));
+    params.Set("csv", Json::Str(csv));
+    params.Set("generalized_csv", Json::Str(csv));  // The identity table.
+    return params;
+  };
+  testing::Unwrap(client.Call("register_table", table_params("raw")));
+  Json submit = Json::Object();
+  submit.Set("csv", Json::Str(csv));
+  Json read = Json::Object();
+  read.Set("table", Json::Str("raw"));
+  read.Set("k", Json::Number(int64_t{2}));
+  Json job = Json::Object();
+  job.Set("job_id", Json::Number(int64_t{1}));
+
+  struct Case {
+    const char* method;
+    const Json& params;  // Valid params; `param` is replaced.
+    const char* param;
+    Json value;
+  };
+  const Json registration = table_params("again");
+  const std::vector<Case> cases = {
+      {"submit", submit, "spec", Json::Number(int64_t{5})},
+      {"submit", submit, "publish_as", Json::Number(int64_t{3})},
+      {"submit", submit, "capture_trace", Json::Str("yes")},
+      {"submit", submit, "debug_sleep_ms", Json::Str("10")},
+      {"register_table", registration, "name", Json::Number(int64_t{1})},
+      {"register_table", registration, "spec", Json::Bool(true)},
+      {"verify", read, "table", Json::Number(int64_t{5})},
+      {"verify", read, "k", Json::Str("2")},
+      {"verify", read, "notion", Json::Number(int64_t{3})},
+      {"attack", read, "table", Json::Number(int64_t{5})},
+      {"poll", job, "job_id", Json::Str("1")},
+      {"fetch", job, "job_id", Json::Bool(true)},
+      {"cancel", job, "job_id", Json::Array()},
+  };
+  for (const Case& c : cases) {
+    Json params = c.params;
+    params.Set(c.param, c.value);
+    const std::string sent = params.Dump();
+    Json bad = testing::Unwrap(client.CallRaw(c.method, std::move(params)));
+    const Json* error = bad.Find("error");
+    ASSERT_NE(error, nullptr) << c.method << " " << sent << ": " << bad.Dump();
+    EXPECT_EQ(error->GetString("code", ""), "invalid_params")
+        << c.method << " " << sent << ": " << bad.Dump();
+    EXPECT_NE(error->GetString("message", "").find(c.param),
+              std::string::npos)
+        << bad.Dump();
+  }
+
+  EXPECT_EQ(server.SignalAndWait(SIGTERM), 0) << server.Log();
+}
+
 TEST(ServeProtocolTest, OutOfRangeAttrWeightsFailTheJobNotTheDaemon) {
   // Σw overflows to +inf for the first list and r/Σw for the second; either
   // used to reach the engine as NaN or zero cost rows. The job must end

@@ -1,7 +1,9 @@
 // kanond_client: command-line client for the kanond service (docs/serving.md).
 //
 // Exit codes: 0 success, 1 usage/transport error, 2 typed server error,
-// 3 the awaited job finished in the `failed` state.
+// 3 the awaited job finished in the `failed` state. Usage errors (flags,
+// unreadable input files) are found before connecting, so 2 always means
+// the server refused.
 
 #include <cstdint>
 #include <cstdio>
@@ -59,7 +61,8 @@ which emits the raw CSV).
 )");
 }
 
-/// Builds submit params from flags; exits via Status on unreadable files.
+/// Builds submit params from flags; an error on a bad flag or an unreadable
+/// file.
 Result<Json> SubmitParams(const FlagParser& flags) {
   const std::string csv_path = flags.GetString("csv", "");
   if (csv_path.empty()) {
@@ -101,13 +104,32 @@ Result<Json> SubmitParams(const FlagParser& flags) {
   return params;
 }
 
+/// Builds register_table params from flags; an error on an unreadable file.
+Result<Json> RegisterParams(const FlagParser& flags) {
+  Json params = Json::Object();
+  params.Set("name", Json::Str(flags.GetString("name", "")));
+  KANON_ASSIGN_OR_RETURN(std::string csv,
+                         ReadFileToString(flags.GetString("csv", "")));
+  params.Set("csv", Json::Str(std::move(csv)));
+  KANON_ASSIGN_OR_RETURN(std::string generalized,
+                         ReadFileToString(flags.GetString("generalized", "")));
+  params.Set("generalized_csv", Json::Str(std::move(generalized)));
+  const std::string spec_path = flags.GetString("spec", "");
+  if (!spec_path.empty()) {
+    KANON_ASSIGN_OR_RETURN(std::string spec, ReadFileToString(spec_path));
+    params.Set("spec", Json::Str(std::move(spec)));
+  }
+  return params;
+}
+
 Json JobParams(const FlagParser& flags) {
   Json params = Json::Object();
   params.Set("job_id", Json::Number(flags.GetInt("job", 0)));
   return params;
 }
 
-int FailTransport(const Status& status) {
+/// A usage or transport error: exit 1.
+int Fail(const Status& status) {
   std::fprintf(stderr, "kanond_client: %s\n", status.ToString().c_str());
   return 1;
 }
@@ -121,7 +143,7 @@ int EmitRaw(const FlagParser& flags, const std::string& data) {
   }
   std::ofstream out(output, std::ios::binary);
   out.write(data.data(), static_cast<std::streamsize>(data.size()));
-  if (!out) return FailTransport(Status::IOError("cannot write " + output));
+  if (!out) return Fail(Status::IOError("cannot write " + output));
   return 0;
 }
 
@@ -142,15 +164,14 @@ int Finish(const Result<Json>& response) {
 int main(int argc, char** argv) {
   FlagParser flags;
   Status parsed = flags.Parse(argc, argv);
-  if (!parsed.ok()) return FailTransport(parsed);
+  if (!parsed.ok()) return Fail(parsed);
   // Every integer flag is a count: a malformed one is a usage error.
   if (Status s = flags.CheckCounts({"port", "recv-timeout-ms",
                                     "wait-timeout-ms", "job", "k",
                                     "timeout-ms", "max-steps",
                                     "debug-sleep-ms"});
       !s.ok()) {
-    std::fprintf(stderr, "kanond_client: %s\n", s.ToString().c_str());
-    return 2;
+    return Fail(s);
   }
   if (flags.GetBool("help", false) || flags.positional().size() != 1) {
     PrintUsage();
@@ -165,18 +186,24 @@ int main(int argc, char** argv) {
   }
   const int recv_timeout_ms =
       static_cast<int>(flags.GetInt("recv-timeout-ms", 120000));
+  // The params read from flags and files, built before connecting.
+  Json params = Json::Object();
+  if (command == "submit" || command == "register") {
+    Result<Json> built =
+        command == "submit" ? SubmitParams(flags) : RegisterParams(flags);
+    if (!built.ok()) return Fail(built.status());
+    params = std::move(built).value();
+  }
 
   Result<Client> connected = Client::Connect(host, port, recv_timeout_ms);
-  if (!connected.ok()) return FailTransport(connected.status());
+  if (!connected.ok()) return Fail(connected.status());
   Client client = std::move(connected).value();
 
   if (command == "ping" || command == "metrics" || command == "shutdown") {
     return Finish(client.Call(command, Json::Object()));
   }
   if (command == "submit") {
-    Result<Json> params = SubmitParams(flags);
-    if (!params.ok()) return FailTransport(params.status());
-    Result<Json> result = client.Call("submit", std::move(params).value());
+    Result<Json> result = client.Call("submit", std::move(params));
     if (!result.ok() || !flags.GetBool("wait", false)) return Finish(result);
     const uint64_t job_id =
         static_cast<uint64_t>(result.value().GetInt("job_id", 0));
@@ -225,25 +252,9 @@ int main(int argc, char** argv) {
     return EmitRaw(flags, lines);
   }
   if (command == "register") {
-    Json params = Json::Object();
-    params.Set("name", Json::Str(flags.GetString("name", "")));
-    Result<std::string> csv = ReadFileToString(flags.GetString("csv", ""));
-    if (!csv.ok()) return FailTransport(csv.status());
-    params.Set("csv", Json::Str(std::move(csv).value()));
-    Result<std::string> generalized =
-        ReadFileToString(flags.GetString("generalized", ""));
-    if (!generalized.ok()) return FailTransport(generalized.status());
-    params.Set("generalized_csv", Json::Str(std::move(generalized).value()));
-    const std::string spec_path = flags.GetString("spec", "");
-    if (!spec_path.empty()) {
-      Result<std::string> spec = ReadFileToString(spec_path);
-      if (!spec.ok()) return FailTransport(spec.status());
-      params.Set("spec", Json::Str(std::move(spec).value()));
-    }
     return Finish(client.Call("register_table", std::move(params)));
   }
   if (command == "verify" || command == "attack") {
-    Json params = Json::Object();
     params.Set("table", Json::Str(flags.GetString("table", "")));
     params.Set("k", Json::Number(flags.GetInt("k", 0)));
     if (command == "verify" && flags.Has("notion")) {
