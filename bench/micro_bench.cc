@@ -34,7 +34,6 @@
 #include "kanon/algo/agglomerative.h"
 #include "kanon/algo/distance.h"
 #include "kanon/algo/kk_anonymizer.h"
-#include "kanon/algo/policy.h"
 #include "kanon/common/check.h"
 #include "kanon/common/parallel.h"
 #include "kanon/data/dataset.h"
@@ -347,38 +346,81 @@ KernelTiming BenchRecordCost(const GeneralizationScheme& scheme,
   return t;
 }
 
-// --- Kernel 5: the per-pair distance arithmetic itself (the tentpole of
-// the policy engine, docs/policy_engine.md). Legacy: the pre-policy shape —
-// one out-of-line EvalDistance call per pair, re-running the
-// DistanceFunction switch every time (distance.cc is a separate TU, so the
-// call never inlines — exactly what the merge loops used to pay). Policy:
-// DispatchDistancePolicy translates the enum once per sweep and the loop
-// runs on the policy's inlined Distance hook. Both sides cover all five
-// distance functions over the same deterministic ingredient grid, with
-// sizes shaped like the init scan plus the overlapping-argument variants.
+// --- Kernel 5: the per-pair distance arithmetic itself (why the
+// agglomerative engine is a template on DistanceFunction,
+// docs/algorithms.md). Legacy: the pre-template shape — one out-of-line
+// call per pair that re-runs the DistanceFunction switch every time
+// (noinline, exactly what the merge loops used to pay). Inline: the loop is
+// instantiated per distance and ClusterDistance<F> inlines into it. Both
+// sides cover all five distance functions over the same deterministic
+// ingredient grid, with sizes shaped like the init scan.
+[[gnu::noinline]] double LegacyDistance(DistanceFunction f, size_t size_a,
+                                        size_t size_b, size_t size_union,
+                                        double d_a, double d_b,
+                                        double d_union) {
+  switch (f) {
+    case DistanceFunction::kWeighted:
+      return ClusterDistance<DistanceFunction::kWeighted>(
+          size_a, size_b, size_union, d_a, d_b, d_union);
+    case DistanceFunction::kPlain:
+      return ClusterDistance<DistanceFunction::kPlain>(
+          size_a, size_b, size_union, d_a, d_b, d_union);
+    case DistanceFunction::kLogWeighted:
+      return ClusterDistance<DistanceFunction::kLogWeighted>(
+          size_a, size_b, size_union, d_a, d_b, d_union);
+    case DistanceFunction::kRatio:
+      return ClusterDistance<DistanceFunction::kRatio>(
+          size_a, size_b, size_union, d_a, d_b, d_union);
+    case DistanceFunction::kNergizClifton:
+      return ClusterDistance<DistanceFunction::kNergizClifton>(
+          size_a, size_b, size_union, d_a, d_b, d_union);
+  }
+  KANON_CHECK(false, "unreachable distance function");
+  return 0.0;
+}
+
+template <DistanceFunction F>
+double InlineDistanceSweep(const std::vector<double>& single_costs) {
+  const size_t n = single_costs.size();
+  double acc = 0.0;
+  for (uint32_t u = 0; u < n; ++u) {
+    const size_t sa = 1 + (u & 7);
+    const double da = single_costs[u];
+    for (uint32_t v = 0; v < n; ++v) {
+      const size_t sb = 1 + (v & 3);
+      const double db = single_costs[v];
+      acc += ClusterDistance<F>(sa, sb, sa + sb, da, db, da + db + 0.25);
+    }
+  }
+  return acc;
+}
+
+// Bitwise equivalence of the two shapes for distance F, on a pair sample.
+template <DistanceFunction F>
+void CheckInlineMatchesLegacy(const std::vector<double>& single_costs) {
+  const size_t n = single_costs.size();
+  for (uint32_t u = 0; u < n; u += 17) {
+    for (uint32_t v = 0; v < n; v += 13) {
+      const size_t sa = 1 + (u & 7);
+      const size_t sb = 1 + (v & 3);
+      const double da = single_costs[u];
+      const double db = single_costs[v];
+      const double du = da + db + 0.25;
+      KANON_CHECK(ClusterDistance<F>(sa, sb, sa + sb, da, db, du) ==
+                      LegacyDistance(F, sa, sb, sa + sb, da, db, du),
+                  "inlined distance diverged from the switch shape");
+    }
+  }
+}
+
 KernelTiming BenchDistanceDispatch(const std::vector<double>& single_costs,
                                    int reps) {
   const size_t n = single_costs.size();
-  const DistanceParams params;  // epsilon = 0.1, as the paper uses.
-
-  // Bitwise equivalence first, per distance function, on a pair sample.
-  for (DistanceFunction f : kAllDistanceFunctions) {
-    DispatchDistancePolicy(f, params, [&](const auto& policy) {
-      for (uint32_t u = 0; u < n; u += 17) {
-        for (uint32_t v = 0; v < n; v += 13) {
-          const size_t sa = 1 + (u & 7);
-          const size_t sb = 1 + (v & 3);
-          const double da = single_costs[u];
-          const double db = single_costs[v];
-          const double du = da + db + 0.25;
-          KANON_CHECK(policy.Distance(sa, sb, sa + sb, da, db, du) ==
-                          EvalDistance(f, params, sa, sb, sa + sb, da, db, du),
-                      "policy hook diverged from the EvalDistance reference");
-        }
-      }
-      return 0;
-    });
-  }
+  CheckInlineMatchesLegacy<DistanceFunction::kWeighted>(single_costs);
+  CheckInlineMatchesLegacy<DistanceFunction::kPlain>(single_costs);
+  CheckInlineMatchesLegacy<DistanceFunction::kLogWeighted>(single_costs);
+  CheckInlineMatchesLegacy<DistanceFunction::kRatio>(single_costs);
+  CheckInlineMatchesLegacy<DistanceFunction::kNergizClifton>(single_costs);
 
   KernelTiming t;
   t.name = "distance_dispatch_vs_policy";
@@ -392,31 +434,19 @@ KernelTiming BenchDistanceDispatch(const std::vector<double>& single_costs,
         for (uint32_t v = 0; v < n; ++v) {
           const size_t sb = 1 + (v & 3);
           const double db = single_costs[v];
-          sink += EvalDistance(f, params, sa, sb, sa + sb, da, db,
-                               da + db + 0.25);
+          sink += LegacyDistance(f, sa, sb, sa + sb, da, db, da + db + 0.25);
         }
       }
     }
     g_sink += sink;
   });
   t.columnar_ns = TimeNs(reps, [&] {
-    double sink = 0.0;
-    for (DistanceFunction f : kAllDistanceFunctions) {
-      sink += DispatchDistancePolicy(f, params, [&](const auto& policy) {
-        double acc = 0.0;
-        for (uint32_t u = 0; u < n; ++u) {
-          const size_t sa = 1 + (u & 7);
-          const double da = single_costs[u];
-          for (uint32_t v = 0; v < n; ++v) {
-            const size_t sb = 1 + (v & 3);
-            const double db = single_costs[v];
-            acc += policy.Distance(sa, sb, sa + sb, da, db, da + db + 0.25);
-          }
-        }
-        return acc;
-      });
-    }
-    g_sink += sink;
+    g_sink +=
+        InlineDistanceSweep<DistanceFunction::kWeighted>(single_costs) +
+        InlineDistanceSweep<DistanceFunction::kPlain>(single_costs) +
+        InlineDistanceSweep<DistanceFunction::kLogWeighted>(single_costs) +
+        InlineDistanceSweep<DistanceFunction::kRatio>(single_costs) +
+        InlineDistanceSweep<DistanceFunction::kNergizClifton>(single_costs);
   });
   return t;
 }

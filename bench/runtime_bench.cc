@@ -54,6 +54,7 @@ void BM_ModifiedAgglomerative(benchmark::State& state) {
   const Workload w = bench::MustArtWorkload(n, 99);
   const PrecomputedLoss loss(w.scheme, w.dataset, EntropyMeasure());
   AgglomerativeOptions options;
+  options.distance = DistanceFunction::kLogWeighted;
   options.modified = true;
   for (auto _ : state) {
     Result<Clustering> c = AgglomerativeCluster(w.dataset, loss, 10, options);
@@ -175,6 +176,7 @@ void BM_AgglomerativeThreads(benchmark::State& state) {
   const Workload w = bench::MustArtWorkload(n, 99);
   const PrecomputedLoss loss(w.scheme, w.dataset, EntropyMeasure());
   AgglomerativeOptions options;
+  options.distance = DistanceFunction::kLogWeighted;
   options.num_threads = static_cast<int>(state.range(1));
   for (auto _ : state) {
     Result<Clustering> c = AgglomerativeCluster(w.dataset, loss, 10, options);
@@ -223,6 +225,7 @@ int RunSpeedupJson(size_t n) {
       {AnonymizationMethod::kAgglomerative,
        [](const Workload& w, const PrecomputedLoss& loss, int threads) {
          AgglomerativeOptions options;
+         options.distance = DistanceFunction::kLogWeighted;
          options.num_threads = threads;
          return AgglomerativeKAnonymize(w.dataset, loss, 10, options);
        }},

@@ -1,11 +1,7 @@
 #include "kanon/algo/agglomerative.h"
 
-#include <string>
-#include <type_traits>
-
 #include "kanon/algo/agglomerative_engine.h"
 #include "kanon/algo/core/engine_args.h"
-#include "kanon/algo/policy.h"
 #include "kanon/common/check.h"
 
 namespace kanon {
@@ -46,9 +42,19 @@ void LeaveOneOutClosures(const Dataset& dataset,
   }
 }
 
-// The library's one enum-to-policy dispatch: the DistanceFunction enum is
-// translated to its compile-time policy here, exactly once per run, and the
-// engine (agglomerative_engine.h) inlines every per-pair decision.
+namespace {
+
+template <DistanceFunction F>
+Result<Clustering> Run(const Dataset& dataset, const PrecomputedLoss& loss,
+                       size_t k, const AgglomerativeOptions& options) {
+  return internal::AgglomerativeEngine<F>(dataset, loss, k, options).Run();
+}
+
+}  // namespace
+
+// The library's one switch on the DistanceFunction enum: each case
+// instantiates the engine (agglomerative_engine.h) for its distance, so
+// every per-pair decision inlines.
 Result<Clustering> AgglomerativeCluster(const Dataset& dataset,
                                         const PrecomputedLoss& loss, size_t k,
                                         const AgglomerativeOptions& options) {
@@ -63,13 +69,20 @@ Result<Clustering> AgglomerativeCluster(const Dataset& dataset,
     }
     return out;
   }
-  return DispatchDistancePolicy(
-      options.distance, options.params, [&](const auto& policy) {
-        using Policy = std::decay_t<decltype(policy)>;
-        return internal::AgglomerativeEngine<Policy>(dataset, loss, k, options,
-                                                     policy)
-            .Run();
-      });
+  switch (options.distance) {
+    case DistanceFunction::kWeighted:
+      return Run<DistanceFunction::kWeighted>(dataset, loss, k, options);
+    case DistanceFunction::kPlain:
+      return Run<DistanceFunction::kPlain>(dataset, loss, k, options);
+    case DistanceFunction::kLogWeighted:
+      return Run<DistanceFunction::kLogWeighted>(dataset, loss, k, options);
+    case DistanceFunction::kRatio:
+      return Run<DistanceFunction::kRatio>(dataset, loss, k, options);
+    case DistanceFunction::kNergizClifton:
+      return Run<DistanceFunction::kNergizClifton>(dataset, loss, k, options);
+  }
+  KANON_CHECK(false, "unreachable distance function");
+  return Status::Internal("unreachable distance function");
 }
 
 Result<GeneralizedTable> AgglomerativeKAnonymize(

@@ -25,9 +25,9 @@ inline constexpr size_t kAgglomerativeCheapSweepGrain = 512;
 
 /// Options for the agglomerative k-anonymization algorithms.
 struct AgglomerativeOptions {
-  /// Cluster distance (Section V-A.2). The paper finds (10) and (11) best.
-  DistanceFunction distance = DistanceFunction::kLogWeighted;
-  DistanceParams params;
+  /// Cluster distance (Section V-A.2). The paper finds (10) and (11) best;
+  /// (11) is the default, as in AnonymizerConfig.
+  DistanceFunction distance = DistanceFunction::kRatio;
   /// When true, runs the *modified* agglomerative algorithm (Algorithm 2):
   /// a cluster that ripens beyond size k is shrunk back to exactly k by
   /// repeatedly ejecting the record whose removal is most profitable; the
@@ -65,10 +65,9 @@ struct AgglomerativeOptions {
 /// variant; exactly k for the modified variant, except clusters that absorb
 /// leftovers). Requires 1 ≤ k ≤ n. Expected cost O(n²·r).
 ///
-/// This entry is the library's one enum-to-policy dispatch: it translates
-/// `options.distance` to its compile-time ClusterPolicy exactly once and
-/// runs the engine of agglomerative_engine.h on it. See
-/// docs/policy_engine.md.
+/// This entry is the library's one switch on `options.distance`: it runs
+/// the engine of agglomerative_engine.h instantiated for that distance, so
+/// no per-pair code branches on the enum (docs/algorithms.md).
 Result<Clustering> AgglomerativeCluster(const Dataset& dataset,
                                         const PrecomputedLoss& loss, size_t k,
                                         const AgglomerativeOptions& options);

@@ -9,7 +9,6 @@
 #include "kanon/algo/agglomerative.h"
 #include "kanon/algo/core/active_clusters.h"
 #include "kanon/algo/core/closure_store.h"
-#include "kanon/algo/policy.h"
 #include "kanon/common/check.h"
 #include "kanon/common/failpoint.h"
 #include "kanon/common/parallel.h"
@@ -17,11 +16,10 @@
 #include "kanon/telemetry/metrics.h"
 #include "kanon/telemetry/tracer.h"
 
-// The agglomerative engine (docs/policy_engine.md): Algorithm 1/2, with
-// the merge rule supplied by a ClusterPolicy as an inlinable Distance
-// member instead of the runtime EvalDistance switch. Internal to
-// agglomerative.cc, which instantiates it once per built-in policy behind
-// AgglomerativeCluster's one dispatch.
+// The agglomerative engine: Algorithm 1/2, templated on its cluster
+// distance so ClusterDistance<F> (algo/distance.h) inlines into every
+// sweep. Internal to agglomerative.cc, which instantiates it once per
+// DistanceFunction behind AgglomerativeCluster's one switch.
 
 namespace kanon {
 
@@ -33,22 +31,18 @@ namespace internal {
 // cluster is (members, closure and the dense rows the sweeps price); the
 // shared ClosureStore hash-conses every cluster closure and memoizes its
 // cost.
-// `Policy` supplies the distance and the (a)symmetry of the merge rule;
-// both inline into the sweeps.
-template <typename Policy>
+// `F` is the merge rule's distance; only Nergiz–Clifton is asymmetric,
+// and only then does the repair pass price the reverse direction.
+template <DistanceFunction F>
 class AgglomerativeEngine {
-  KANON_ASSERT_CLUSTER_POLICY(Policy);
-
  public:
   AgglomerativeEngine(const Dataset& dataset, const PrecomputedLoss& loss,
-                      size_t k, const AgglomerativeOptions& options,
-                      const Policy& policy)
+                      size_t k, const AgglomerativeOptions& options)
       : dataset_(dataset),
         loss_(loss),
         scheme_(loss.scheme()),
         k_(k),
         options_(options),
-        policy_(policy),
         ctx_(options.run_context),
         num_attrs_(dataset.num_attributes()),
         tracer_(CurrentTracer()),
@@ -86,6 +80,8 @@ class AgglomerativeEngine {
   }
 
  private:
+  static constexpr bool kAsymmetric = F == DistanceFunction::kNergizClifton;
+
   // One cluster: its members and its closure. Contents are immutable
   // between merges (merges create fresh clusters), except for the wind-down
   // passes that shrink or absorb into a cluster in place.
@@ -124,8 +120,8 @@ class AgglomerativeEngine {
   }
 
   double DistFromUnionCost(uint32_t a, uint32_t b, double d_union) const {
-    return policy_.Distance(size_[a], size_[b], size_t{size_[a]} + size_[b],
-                            cost_[a], cost_[b], d_union);
+    return ClusterDistance<F>(size_[a], size_[b], size_t{size_[a]} + size_[b],
+                              cost_[a], cost_[b], d_union);
   }
 
   double Dist(uint32_t a, uint32_t b) const {
@@ -209,7 +205,7 @@ class AgglomerativeEngine {
   // The check_exact_merges cross-check of a merge, by brute force: the
   // active list is exactly the alive clusters, ascending; `top` is the
   // smallest key (d1, x, c1) over their candidates; and no alive pair is
-  // closer (up to rounding: a symmetric policy prices each pair in one
+  // closer (up to rounding: a symmetric distance prices each pair in one
   // argument order only).
   void CheckSmallestKey(const MergeCandidate& top) const {
     std::vector<uint32_t> alive;
@@ -331,8 +327,8 @@ class AgglomerativeEngine {
             kernels_.TableCostSweep(table.data(), tuple_cols.data(),
                                     num_tuples, dist.data());
             for (size_t s = 0; s < num_tuples; ++s) {
-              dist[s] = policy_.Distance(1, 1, 2, tuple_cost[t],
-                                         tuple_cost[s], dist[s]);
+              dist[s] = ClusterDistance<F>(1, 1, 2, tuple_cost[t],
+                                           tuple_cost[s], dist[s]);
             }
             self_dist[t] = dist[t];
             NearList::Scan near;
@@ -424,9 +420,6 @@ class AgglomerativeEngine {
   // end, or rescanned in full when a list cannot answer.
   void RepairAndMaybeAdd(uint32_t added) {
     PhaseSpan span(tracer_, "agglomerative/repair");
-    // The policy decides at compile time whether the merge rule is
-    // direction-sensitive; symmetric policies never price the reverse pair.
-    constexpr bool asymmetric = Policy::kAsymmetric;
     const size_t m = active_.active().size();
     repair_chunks_.resize(ParallelChunkCount(m, kAgglomerativeCheapSweepGrain));
     CountChunks(m, kAgglomerativeCheapSweepGrain);
@@ -446,8 +439,8 @@ class AgglomerativeEngine {
           PriceAgainstAdded(added, table, begin, end, &local.ids, &prices);
           for (size_t i = 0; i < local.ids.size(); ++i) {
             active_.RepairStep(local.ids[i], added, prices.d_added_x[i],
-                               asymmetric ? prices.d_x_added[i]
-                                          : prices.d_added_x[i],
+                               kAsymmetric ? prices.d_x_added[i]
+                                           : prices.d_added_x[i],
                                &local);
           }
           repair_chunks_[chunk] = std::move(local);
@@ -466,13 +459,13 @@ class AgglomerativeEngine {
 
   struct RepairPrices {
     std::vector<double> d_added_x;
-    std::vector<double> d_x_added;  // Asymmetric policies only.
+    std::vector<double> d_x_added;  // Nergiz–Clifton only.
   };
 
   // A repair chunk's gather and pricing, first and apart from its steps so
   // the CPU overlaps the rows' table lookups: sets *ids_out to the alive
   // clusters of active[begin, end) (the merged pair died in Merge) and
-  // prices each x at dist(added, x) and, for an asymmetric policy,
+  // prices each x at dist(added, x) and, for an asymmetric distance,
   // dist(x, added); +inf for a ripe merge.
   void PriceAgainstAdded(uint32_t added, const double* table, size_t begin,
                          size_t end, std::vector<uint32_t>* ids_out,
@@ -480,7 +473,7 @@ class AgglomerativeEngine {
     const std::vector<uint32_t>& active = active_.active();
     ids_out->resize(end - begin);
     prices->d_added_x.resize(end - begin);
-    prices->d_x_added.resize(Policy::kAsymmetric ? end - begin : 0);
+    prices->d_x_added.resize(kAsymmetric ? end - begin : 0);
     uint32_t* ids = ids_out->data();
     size_t count = 0;
     for (size_t t = begin; t < end; ++t) {
@@ -502,10 +495,10 @@ class AgglomerativeEngine {
     for (size_t i = 0; i < count; ++i) {
       const uint32_t x = ids[i];
       const double d_union = kernels_.TableUnionCost(table, Row(x));
-      d_added_x[i] = policy_.Distance(size_a, size_[x], size_a + size_[x],
-                                      cost_a, cost_[x], d_union);
-      if constexpr (Policy::kAsymmetric) {
-        prices->d_x_added[i] = policy_.Distance(
+      d_added_x[i] = ClusterDistance<F>(size_a, size_[x], size_a + size_[x],
+                                        cost_a, cost_[x], d_union);
+      if constexpr (kAsymmetric) {
+        prices->d_x_added[i] = ClusterDistance<F>(
             size_[x], size_a, size_t{size_[x]} + size_a, cost_[x], cost_a,
             d_union);
       }
@@ -530,8 +523,8 @@ class AgglomerativeEngine {
       for (size_t pos = 0; pos < len; ++pos) {
         // d(Ŝ ∖ {R̂_pos}); dist(Ŝ, Ŝ ∖ {R̂_pos}) has union Ŝ itself.
         const double d_minus = shrink_costs_[pos];
-        const double di =
-            policy_.Distance(len, len - 1, len, cost_[id], d_minus, cost_[id]);
+        const double di = ClusterDistance<F>(len, len - 1, len, cost_[id],
+                                             d_minus, cost_[id]);
         if (di > best_di) {
           best_di = di;
           eject_pos = pos;
@@ -597,7 +590,7 @@ class AgglomerativeEngine {
         const ClusterData& target = clusters_[final_[pos]];
         const double d_union =
             kernels_.UnionCost(SingletonRow(row), Row(final_[pos]));
-        const double d = policy_.Distance(
+        const double d = ClusterDistance<F>(
             1, target.members.size(), target.members.size() + 1,
             store_.cost(single), cost_[final_[pos]], d_union);
         if (d < best_dist) {
@@ -666,7 +659,6 @@ class AgglomerativeEngine {
   const GeneralizationScheme& scheme_;
   const size_t k_;
   const AgglomerativeOptions& options_;
-  const Policy policy_;
   RunContext* const ctx_;
   const size_t num_attrs_;
   // Telemetry sinks of the enclosing run (null when telemetry is off);

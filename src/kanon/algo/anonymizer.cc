@@ -58,8 +58,8 @@ const MethodInfo& Info(AnonymizationMethod method) {
 // The whole method switch. `loss` is the substrate the pipeline prices
 // clusters on (the reweighted copy when attribute weights are set), which
 // may differ from the loss the caller reports Π under. Only the
-// agglomerative methods read the distance; AgglomerativeCluster turns it
-// into a compile-time policy.
+// agglomerative methods read the distance; AgglomerativeCluster runs the
+// engine instantiated for it.
 Result<GeneralizedTable> RunPipeline(const Dataset& dataset,
                                      const PrecomputedLoss& loss,
                                      const AnonymizerConfig& config,

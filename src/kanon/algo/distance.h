@@ -1,9 +1,12 @@
 #ifndef KANON_ALGO_DISTANCE_H_
 #define KANON_ALGO_DISTANCE_H_
 
+#include <cmath>
 #include <cstddef>
+#include <limits>
 #include <string>
 
+#include "kanon/common/check.h"
 #include "kanon/common/result.h"
 
 namespace kanon {
@@ -20,7 +23,8 @@ enum class DistanceFunction {
   kLogWeighted,
   /// (11): d(A∪B) / (d(A) + d(B) + ε). Relative cost increase.
   kRatio,
-  /// Nergiz & Clifton's asymmetric variant: d(A∪B) − d(B).
+  /// Nergiz & Clifton's asymmetric variant: d(A∪B) − d(B); the only
+  /// distance where dist(A, B) ≠ dist(B, A).
   kNergizClifton,
 };
 
@@ -40,26 +44,48 @@ const char* DistanceShortName(DistanceFunction f);
 /// Inverse of DistanceShortName; unknown names are InvalidArgument.
 Result<DistanceFunction> ParseDistanceShortName(const std::string& name);
 
-/// Parameters shared by the distance functions.
-struct DistanceParams {
-  /// The additive constant ε of eq. (11); the paper uses 0.1.
-  double epsilon = 0.1;
-};
+/// The additive constant ε of eq. (11), as the paper sets it.
+inline constexpr double kRatioEpsilon = 0.1;
 
-/// Evaluates dist(A, B) given the ingredients. `size_union` is |A∪B| —
-/// equal to size_a + size_b for disjoint clusters, but passed explicitly so
-/// the modified agglomerative algorithm can evaluate dist(Ŝ, Ŝ∖{R}) on
+/// dist(A, B) of distance F from its ingredients: the cluster sizes and the
+/// generalization costs d(A), d(B), d(A∪B). `size_union` is |A∪B| — equal
+/// to size_a + size_b for disjoint clusters, but passed explicitly so the
+/// modified agglomerative algorithm can evaluate dist(Ŝ, Ŝ∖{R}) on
 /// overlapping arguments as the paper specifies.
 ///
-/// This out-of-line switch is the *scalar reference implementation*: the
-/// agglomerative engine runs on the inlined Distance of its ClusterPolicy
-/// (algo/policy.h, dispatched once per run — never per pair), and
-/// the policy conformance tests plus the dispatch-vs-policy micro-benchmark
-/// pin each policy's hook to this function bit for bit. See
-/// docs/policy_engine.md.
-double EvalDistance(DistanceFunction f, const DistanceParams& params,
-                    size_t size_a, size_t size_b, size_t size_union,
-                    double d_a, double d_b, double d_union);
+/// The one definition of each distance. The agglomerative engine
+/// (agglomerative_engine.h) is a template on F, so this inlines into its
+/// sweeps and no per-pair code branches on the enum.
+template <DistanceFunction F>
+double ClusterDistance([[maybe_unused]] size_t size_a,
+                       [[maybe_unused]] size_t size_b,
+                       [[maybe_unused]] size_t size_union,
+                       [[maybe_unused]] double d_a, double d_b,
+                       double d_union) {
+  KANON_DCHECK(size_a > 0 && size_b > 0 && size_union > 1);
+  if constexpr (F == DistanceFunction::kWeighted) {
+    return static_cast<double>(size_union) * d_union -
+           static_cast<double>(size_a) * d_a -
+           static_cast<double>(size_b) * d_b;
+  } else if constexpr (F == DistanceFunction::kPlain) {
+    return d_union - d_a - d_b;
+  } else if constexpr (F == DistanceFunction::kLogWeighted) {
+    return (d_union - d_a - d_b) / std::log2(static_cast<double>(size_union));
+  } else if constexpr (F == DistanceFunction::kRatio) {
+    // A LossMeasure may price a closure below zero, so the denominator can
+    // still reach 0 and would poison the merge order with inf/NaN. A
+    // zero-cost union is a perfect merge (distance 0); a costly union over
+    // such parts is maximally unattractive.
+    const double denom = d_a + d_b + kRatioEpsilon;
+    if (denom <= 0.0) {
+      return d_union <= 0.0 ? 0.0 : std::numeric_limits<double>::infinity();
+    }
+    return d_union / denom;
+  } else {
+    static_assert(F == DistanceFunction::kNergizClifton);
+    return d_union - d_b;
+  }
+}
 
 }  // namespace kanon
 

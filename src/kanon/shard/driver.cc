@@ -95,6 +95,7 @@ uint64_t SchemeChecksum(const GeneralizationScheme& scheme) {
 struct LoadedShard {
   GeneralizedTable table;
   ShardMeta meta;
+  std::string error;  // Set by RunShardFresh for a suppressed shard.
 };
 
 bool TryLoadCheckpoint(const std::shared_ptr<const GeneralizationScheme>&
@@ -134,7 +135,7 @@ Result<LoadedShard> RunShardFresh(
     const std::shared_ptr<const GeneralizationScheme>& scheme,
     const PrecomputedLoss& loss, const AnonymizerConfig& base,
     size_t max_attempts, double budget_share, size_t* retries) {
-  LoadedShard out{GeneralizedTable(scheme), ShardMeta()};
+  LoadedShard out{GeneralizedTable(scheme), ShardMeta(), ""};
   RunContext* parent = base.run_context;
   double fraction = budget_share;
   Status last_error = Status::OK();
@@ -197,7 +198,7 @@ Result<LoadedShard> RunShardFresh(
                                   : StopReason::kNone;
   out.meta.engine_suppressed = 0;
   out.meta.steps = 0;
-  (void)last_error;
+  out.error = last_error.ToString();
   return out;
 }
 
@@ -427,7 +428,7 @@ Result<ShardedResult> Run(const RunInputs& in) {
     }
     PhaseSpan run_span(tracer, "shard/run");
     run_span.set_items(outcome.rows);
-    LoadedShard shard{GeneralizedTable(in.scheme), ShardMeta()};
+    LoadedShard shard{GeneralizedTable(in.scheme), ShardMeta(), ""};
     bool loaded = resumed_manifest &&
                   TryLoadCheckpoint(in.scheme, dir, s, outcome.rows, &shard);
     KANON_ASSIGN_OR_RETURN(SpillRows spill_rows,
@@ -473,6 +474,7 @@ Result<ShardedResult> Run(const RunInputs& in) {
     outcome.suppressed = shard.meta.suppressed;
     outcome.degraded = shard.meta.degraded;
     outcome.stop_reason = shard.meta.stop_reason;
+    outcome.error = std::move(shard.error);
     result.shards.push_back(outcome);
     KANON_CHECK(shard.table.num_rows() == spill_rows.global_rows.size(),
                 "a shard table has one row per spill row");

@@ -89,6 +89,9 @@ struct ShardOutcome {
   bool suppressed = false;
   bool degraded = false;
   StopReason stop_reason = StopReason::kNone;
+  /// Why a shard was suppressed: the status text of its last failed
+  /// attempt. Empty for shards that ran or were resumed.
+  std::string error;
 };
 
 struct ShardedResult {

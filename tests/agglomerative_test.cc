@@ -22,6 +22,7 @@ TEST(AgglomerativeTest, RejectsBadK) {
   Dataset d = SmallRandomDataset(*scheme, 5, 1);
   PrecomputedLoss loss(scheme, d, LmMeasure());
   AgglomerativeOptions options;
+  options.distance = DistanceFunction::kLogWeighted;
   EXPECT_FALSE(AgglomerativeCluster(d, loss, 0, options).ok());
   EXPECT_FALSE(AgglomerativeCluster(d, loss, 6, options).ok());
 }
@@ -95,6 +96,7 @@ TEST(AgglomerativeTest, ModifiedProducesExactlyKClusters) {
   const size_t k = 5;
   PrecomputedLoss loss(scheme, d, LmMeasure());
   AgglomerativeOptions options;
+  options.distance = DistanceFunction::kLogWeighted;
   options.modified = true;
   Clustering c = Unwrap(AgglomerativeCluster(d, loss, k, options));
   EXPECT_TRUE(c.IsPartitionOf(47));
@@ -140,6 +142,7 @@ TEST(AgglomerativeTest, DeterministicAcrossRuns) {
   Dataset d = SmallRandomDataset(*scheme, 30, 8);
   PrecomputedLoss loss(scheme, d, EntropyMeasure());
   AgglomerativeOptions options;
+  options.distance = DistanceFunction::kLogWeighted;
   Clustering a = Unwrap(AgglomerativeCluster(d, loss, 3, options));
   Clustering b = Unwrap(AgglomerativeCluster(d, loss, 3, options));
   EXPECT_EQ(a.clusters, b.clusters);
@@ -188,11 +191,10 @@ TEST(AgglomerativeTest, LossGrowsWithK) {
   }
 }
 
-TEST(AgglomerativeTest, RatioDistanceSurvivesIdenticalRecordsWithZeroEpsilon) {
-  // Regression: identical singleton records have zero-cost closures, so
-  // dist4's denominator d(A)+d(B)+ε was exactly 0 with ε = 0 and the NaN
-  // poisoned the merge heap (comparisons with NaN are all false, so the
-  // heap order fell apart). The guard makes such merges distance 0.
+TEST(AgglomerativeTest, RatioDistanceSurvivesIdenticalRecords) {
+  // Identical singleton records have zero-cost closures, so dist4 prices
+  // their merge at 0 / (0 + 0 + ε) = 0. distance_test pins the guard for
+  // a zero denominator, which would poison the merge order with NaN.
   auto scheme = SmallScheme();
   Dataset d(scheme->schema());
   for (int i = 0; i < 6; ++i) ASSERT_TRUE(d.AppendRow({0, 0}).ok());
@@ -200,7 +202,6 @@ TEST(AgglomerativeTest, RatioDistanceSurvivesIdenticalRecordsWithZeroEpsilon) {
   PrecomputedLoss loss(scheme, d, EntropyMeasure());
   AgglomerativeOptions options;
   options.distance = DistanceFunction::kRatio;
-  options.params.epsilon = 0.0;
   options.check_exact_merges = true;
   Clustering c = Unwrap(AgglomerativeCluster(d, loss, 3, options));
   EXPECT_TRUE(c.IsPartitionOf(12));

@@ -190,6 +190,7 @@ TEST_F(ClosureStoreTest, CountersStayConsistentUnderRunContextStop) {
     ctx.set_step_budget(budget);
     EngineCounters counters;
     AgglomerativeOptions options;
+    options.distance = DistanceFunction::kLogWeighted;
     options.run_context = &ctx;
     options.counters = &counters;
     const GeneralizedTable table =

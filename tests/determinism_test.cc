@@ -124,6 +124,7 @@ TEST(DeterminismTest, ParallelAgglomerativeMergesAreExact) {
   const PrecomputedLoss loss(art.scheme, art.dataset, EntropyMeasure());
   for (bool modified : {false, true}) {
     AgglomerativeOptions options;
+    options.distance = DistanceFunction::kLogWeighted;
     options.modified = modified;
     options.check_exact_merges = true;
     options.num_threads = 4;

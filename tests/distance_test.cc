@@ -1,99 +1,88 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "kanon/algo/distance.h"
 
 namespace kanon {
 namespace {
 
-const DistanceParams kParams;  // ε = 0.1 as in the paper.
+constexpr DistanceFunction kWeighted = DistanceFunction::kWeighted;
+constexpr DistanceFunction kPlain = DistanceFunction::kPlain;
+constexpr DistanceFunction kLogWeighted = DistanceFunction::kLogWeighted;
+constexpr DistanceFunction kRatio = DistanceFunction::kRatio;
+constexpr DistanceFunction kNergizClifton = DistanceFunction::kNergizClifton;
 
 TEST(DistanceTest, WeightedFormula) {
   // (8): |A∪B|·d(A∪B) − |A|·d(A) − |B|·d(B).
-  EXPECT_DOUBLE_EQ(EvalDistance(DistanceFunction::kWeighted, kParams, 2, 3, 5,
-                                0.2, 0.3, 0.5),
+  EXPECT_DOUBLE_EQ(ClusterDistance<kWeighted>(2, 3, 5, 0.2, 0.3, 0.5),
                    5 * 0.5 - 2 * 0.2 - 3 * 0.3);
 }
 
 TEST(DistanceTest, PlainFormula) {
   // (9): d(A∪B) − d(A) − d(B). Can be negative.
-  EXPECT_DOUBLE_EQ(
-      EvalDistance(DistanceFunction::kPlain, kParams, 2, 3, 5, 0.4, 0.3, 0.5),
-      0.5 - 0.4 - 0.3);
+  EXPECT_DOUBLE_EQ(ClusterDistance<kPlain>(2, 3, 5, 0.4, 0.3, 0.5),
+                   0.5 - 0.4 - 0.3);
 }
 
 TEST(DistanceTest, LogWeightedFormula) {
   // (10): (d(A∪B) − d(A) − d(B)) / log2|A∪B|.
-  EXPECT_DOUBLE_EQ(EvalDistance(DistanceFunction::kLogWeighted, kParams, 2, 2,
-                                4, 0.1, 0.1, 0.6),
+  EXPECT_DOUBLE_EQ(ClusterDistance<kLogWeighted>(2, 2, 4, 0.1, 0.1, 0.6),
                    (0.6 - 0.2) / 2.0);
 }
 
 TEST(DistanceTest, RatioFormula) {
-  // (11): d(A∪B) / (d(A) + d(B) + ε).
-  EXPECT_DOUBLE_EQ(
-      EvalDistance(DistanceFunction::kRatio, kParams, 1, 1, 2, 0.0, 0.0, 0.3),
-      0.3 / 0.1);
-}
-
-TEST(DistanceTest, RatioEpsilonConfigurable) {
-  DistanceParams params;
-  params.epsilon = 0.5;
-  EXPECT_DOUBLE_EQ(
-      EvalDistance(DistanceFunction::kRatio, params, 1, 1, 2, 0.0, 0.0, 0.3),
-      0.3 / 0.5);
+  // (11): d(A∪B) / (d(A) + d(B) + ε), with the paper's ε = 0.1.
+  EXPECT_DOUBLE_EQ(ClusterDistance<kRatio>(1, 1, 2, 0.0, 0.0, 0.3),
+                   0.3 / 0.1);
+  EXPECT_DOUBLE_EQ(ClusterDistance<kRatio>(2, 2, 4, 0.1, 0.2, 0.6),
+                   0.6 / (0.1 + 0.2 + kRatioEpsilon));
 }
 
 TEST(DistanceTest, RatioGuardsZeroDenominator) {
-  // Regression: two identical singleton records have zero-cost closures, so
-  // with ε = 0 the denominator of (11) is exactly 0. The old code returned
-  // inf (d_union > 0) or NaN (d_union = 0) — and a NaN poisons every heap
-  // comparison it touches. A zero-cost union is now a perfect merge.
-  DistanceParams params;
-  params.epsilon = 0.0;
-  EXPECT_EQ(
-      EvalDistance(DistanceFunction::kRatio, params, 1, 1, 2, 0.0, 0.0, 0.0),
-      0.0);
-  // A costly union over zero-cost parts is maximally unattractive — an
-  // ordered value, never NaN.
-  const double d =
-      EvalDistance(DistanceFunction::kRatio, params, 1, 1, 2, 0.0, 0.0, 0.3);
-  EXPECT_TRUE(std::isinf(d) && d > 0.0);
-  EXPECT_FALSE(std::isnan(
-      EvalDistance(DistanceFunction::kRatio, params, 1, 1, 2, 0.0, 0.0, 0.0)));
-}
-
-TEST(DistanceTest, RatioPositiveEpsilonUnchangedByGuard) {
-  EXPECT_DOUBLE_EQ(
-      EvalDistance(DistanceFunction::kRatio, kParams, 2, 2, 4, 0.1, 0.2, 0.6),
-      0.6 / (0.1 + 0.2 + kParams.epsilon));
+  // A LossMeasure may price closures below zero, so d(A) + d(B) + ε can be
+  // exactly 0: here the parts sum to −ε. Dividing would give NaN (0/0) or
+  // an unguarded inf, and a NaN poisons every comparison it touches.
+  const double d_a = -0.0625;
+  const double d_b = -0.0375;
+  ASSERT_EQ(d_a + d_b + kRatioEpsilon, 0.0);
+  // 0/0 corner: a zero-cost union is a perfect merge.
+  EXPECT_EQ(ClusterDistance<kRatio>(1, 1, 2, d_a, d_b, 0.0), 0.0);
+  // x/0 corner: a costly union is maximally unattractive — an ordered
+  // value, never NaN.
+  const double d = ClusterDistance<kRatio>(1, 1, 2, d_a, d_b, 0.3);
+  EXPECT_EQ(d, std::numeric_limits<double>::infinity());
+  EXPECT_FALSE(std::isnan(d));
 }
 
 TEST(DistanceTest, NergizCliftonIsAsymmetric) {
-  const double ab = EvalDistance(DistanceFunction::kNergizClifton, kParams, 2,
-                                 3, 5, 0.2, 0.4, 0.7);
-  const double ba = EvalDistance(DistanceFunction::kNergizClifton, kParams, 3,
-                                 2, 5, 0.4, 0.2, 0.7);
+  const double ab = ClusterDistance<kNergizClifton>(2, 3, 5, 0.2, 0.4, 0.7);
+  const double ba = ClusterDistance<kNergizClifton>(3, 2, 5, 0.4, 0.2, 0.7);
   EXPECT_DOUBLE_EQ(ab, 0.7 - 0.4);
   EXPECT_DOUBLE_EQ(ba, 0.7 - 0.2);
   EXPECT_NE(ab, ba);
 }
 
-TEST(DistanceTest, SymmetricFunctionsAreSymmetric) {
-  for (DistanceFunction f :
-       {DistanceFunction::kWeighted, DistanceFunction::kPlain,
-        DistanceFunction::kLogWeighted, DistanceFunction::kRatio}) {
-    const double ab = EvalDistance(f, kParams, 2, 3, 5, 0.2, 0.4, 0.7);
-    const double ba = EvalDistance(f, kParams, 3, 2, 5, 0.4, 0.2, 0.7);
-    EXPECT_DOUBLE_EQ(ab, ba) << DistanceFunctionName(f);
-  }
+template <DistanceFunction F>
+bool SymmetricAtSample() {
+  return ClusterDistance<F>(2, 3, 5, 0.2, 0.4, 0.7) ==
+         ClusterDistance<F>(3, 2, 5, 0.4, 0.2, 0.7);
+}
+
+TEST(DistanceTest, OnlyNergizCliftonIsAsymmetric) {
+  // The engine prices the reverse direction only for Nergiz–Clifton; every
+  // other distance must give dist(A, B) = dist(B, A) bit for bit.
+  EXPECT_TRUE(SymmetricAtSample<kWeighted>());
+  EXPECT_TRUE(SymmetricAtSample<kPlain>());
+  EXPECT_TRUE(SymmetricAtSample<kLogWeighted>());
+  EXPECT_TRUE(SymmetricAtSample<kRatio>());
+  EXPECT_FALSE(SymmetricAtSample<kNergizClifton>());
 }
 
 TEST(DistanceTest, OverlappingArguments) {
   // The modified algorithm evaluates dist(Ŝ, Ŝ∖{R}): union size = |Ŝ|.
-  const double d = EvalDistance(DistanceFunction::kWeighted, kParams, 4, 3, 4,
-                                0.5, 0.2, 0.5);
+  const double d = ClusterDistance<kWeighted>(4, 3, 4, 0.5, 0.2, 0.5);
   EXPECT_DOUBLE_EQ(d, 4 * 0.5 - 4 * 0.5 - 3 * 0.2);
 }
 

@@ -719,6 +719,12 @@ TEST_F(ShardFailpointTest, CrashedShardsRetryThenSuppressAndStillVerify) {
   EXPECT_EQ(result.records_suppressed, d.num_rows());
   EXPECT_TRUE(Unwrap(IsKAnonymous(result.table, k)));
   EXPECT_EQ(CountSuppressedRows(result.table, *scheme), d.num_rows());
+  // Each suppressed shard says why: its last attempt's failure.
+  ASSERT_EQ(result.shards.size(), 3u);
+  for (const shard::ShardOutcome& outcome : result.shards) {
+    EXPECT_NE(outcome.error.find("failpoint 'shard.run'"), std::string::npos)
+        << outcome.error;
+  }
 }
 
 TEST_F(ShardFailpointTest, FaultIsolationConfinesDamageToTheFailingShard) {
@@ -745,6 +751,11 @@ TEST_F(ShardFailpointTest, FaultIsolationConfinesDamageToTheFailingShard) {
   EXPECT_FALSE(result.shards[1].suppressed);
   EXPECT_TRUE(result.shards[2].suppressed);
   EXPECT_EQ(result.shards[2].attempts, 3u);
+  EXPECT_EQ(result.shards[0].error, "");
+  EXPECT_EQ(result.shards[1].error, "");
+  EXPECT_NE(result.shards[2].error.find("failpoint 'shard.run'"),
+            std::string::npos)
+      << result.shards[2].error;
   EXPECT_TRUE(Unwrap(IsKAnonymous(result.table, k)));
   // The damage is bounded by the failing shard's row count (boundary
   // repair may coarsen a few more rows, never suppress extra ones).

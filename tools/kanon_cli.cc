@@ -9,7 +9,8 @@
 //             [--measure=EM|LM|TM|SUP]
 //             [--distance=1|2|3|4|nc]
 //             [--attr-weights=w1,w2,...]     # per-attribute loss weights
-//                                            # (docs/policy_engine.md); one
+//                                            # (AnonymizerConfig::attr_weights,
+//                                            # algo/anonymizer.h); one
 //                                            # finite weight >= 0 per input
 //                                            # attribute, not all zero, with
 //                                            # a finite sum and r/sum.
@@ -356,6 +357,13 @@ int ShardedMain(const FlagParser& flags, const std::string& input) {
     return 1;
   }
   const shard::ShardedResult& r = result.value();
+  for (size_t s = 0; s < r.shards.size(); ++s) {
+    const shard::ShardOutcome& shard = r.shards[s];
+    if (shard.error.empty()) continue;
+    std::fprintf(stderr, "shard %zu suppressed after %llu attempt(s): %s\n",
+                 s, static_cast<unsigned long long>(shard.attempts),
+                 shard.error.c_str());
+  }
   // Sharded mode accepts only the methods that promise k-anonymity, which
   // the verifier decides on the table alone; the rows stay on disk.
   const Dataset no_rows(schema.value());
